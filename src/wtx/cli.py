@@ -5,6 +5,18 @@ codes: 0 success, 2 missing/invalid configuration, 3 training aborted on a
 non-finite loss. Outputs are staged in a temporary directory and renamed
 into place, so a failed command leaves no partial output behind. The
 WTX_SEED environment variable overrides the configured seed(s).
+
+A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
+processes (default: the CPUs this process may use, never more than there
+are seeds). A job generates its seed's benchmark once and trains and scores
+every method of the sweep on it. The rows are put back in method-major
+order, so the output does not depend on the worker count. Workers are
+spawned, not forked, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
+MKL_NUM_THREADS set to 1: the matrices here are small, so a second BLAS
+thread per process only competes with the other workers for the cores.
+The variables are set around pool start-up in this process because a
+spawned worker imports numpy, which reads them once, before any pool
+initializer could run; this process's own values are restored afterwards.
 """
 
 from __future__ import annotations
@@ -14,13 +26,12 @@ import json
 import os
 import shutil
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from dataclasses import asdict
 
 import numpy as np
 
-from .bench import generate_benchmark, save_instance
+from .bench import BenchmarkInstance, generate_benchmark, save_instance
 from .config import (ExperimentConfig, config_from_dict, config_to_dict,
                      default_config)
 from .errors import ConfigError, StateError, TrainingDiverged, ValidationError
@@ -93,10 +104,14 @@ def _run_config_payload(cfg: ExperimentConfig, variant: str, seed: int,
 
 def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
                  alpha: float | None = None, model_overrides: dict | None = None,
-                 method: str | None = None) -> dict:
-    """Train one (variant, seed) run and write all artifacts into outdir."""
+                 method: str | None = None, *, bench: BenchmarkInstance | None = None) -> dict:
+    """Train one (variant, seed) run and write all artifacts into outdir.
+
+    ``bench`` is the seed's benchmark if the caller has generated it already;
+    otherwise it is generated here."""
     method = method or variant
-    bench = generate_benchmark(cfg.benchmark, seed)
+    if bench is None:
+        bench = generate_benchmark(cfg.benchmark, seed)
     mc = cfg.model_config(variant, **(model_overrides or {}))
     model = TransferModel(mc, bench.source, seed)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
@@ -125,11 +140,19 @@ def _run_dir_context(run_dir: str):
     with open(cfg_path) as f:
         doc = json.load(f)
     resolved = doc.pop("resolved", None)
-    if resolved is None:
+    if not isinstance(resolved, dict):
         raise ConfigError(f"{run_dir}/config.json lacks the 'resolved' block")
+    missing = [key for key in ("seed", "variant", "method") if key not in resolved]
+    if missing:
+        raise ConfigError(f"{run_dir}/config.json: the 'resolved' block lacks "
+                          f"{', '.join(missing)}")
+    try:
+        seed = int(resolved["seed"])
+    except (TypeError, ValueError):
+        raise ConfigError(f"{run_dir}/config.json: resolved seed {resolved['seed']!r} "
+                          f"is not an integer")
     overrides = resolved.get("model_overrides") or {}
     cfg = config_from_dict(doc)
-    seed, variant = int(resolved["seed"]), resolved["variant"]
     tag = f"{resolved['method']}__seed{seed}"
     bench = generate_benchmark(cfg.benchmark, seed)
     w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"))
@@ -220,7 +243,44 @@ def _row_from_run(cfg: ExperimentConfig, method: str, variant: str, overrides: d
             "benchmark_echo": asdict(cfg.benchmark)}
 
 
+_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@contextmanager
+def _one_blas_thread_env():
+    """Set the BLAS thread variables to 1 in os.environ, then restore them."""
+    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
+    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
+    try:
+        yield
+    finally:
+        for name, value in saved.items():
+            if value is None:
+                os.environ.pop(name, None)
+            else:
+                os.environ[name] = value
+
+
+def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
+                runs_dir: str) -> list[dict]:
+    """One seed of a compare sweep, run in a worker process: generate the
+    seed's benchmark once, then train and score every method on it. Returns
+    one row per method, in ``methods`` order."""
+    bench = generate_benchmark(cfg.benchmark, seed)
+    rows = []
+    for method, variant, overrides in methods:
+        outdir = os.path.join(runs_dir, f"{method}__seed{seed}")
+        os.makedirs(outdir)
+        res = run_training(cfg, variant, seed, outdir, alpha=alpha,
+                           model_overrides=overrides, method=method, bench=bench)
+        rows.append(_row_from_run(cfg, method, variant, overrides, seed, res["head"],
+                                  res["model"].transfer(bench.source.weights), bench))
+    return rows
+
+
 def cmd_compare(args) -> int:
+    if args.jobs < 1:
+        raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.run_dirs:
         rows = []
         for rd in args.run_dirs:
@@ -234,28 +294,30 @@ def cmd_compare(args) -> int:
         print(f"comparison written to {args.out}")
         return 0
 
+    import multiprocessing
+    from concurrent.futures import ProcessPoolExecutor, as_completed
+
     cfg = _load_config(args.config)
     seeds = _resolve_seeds(cfg, args.seed)
     methods = _sweep_methods(args.grid)
-
-    def one(job):
-        method, variant, overrides, seed = job
-        outdir = os.path.join(sweep_tmp, "runs", f"{method}__seed{seed}")
-        os.makedirs(outdir)
-        res = run_training(cfg, variant, seed, outdir, alpha=args.alpha,
-                           model_overrides=overrides, method=method)
-        return _row_from_run(cfg, method, variant, overrides, seed,
-                             res["head"], res["model"].transfer(res["bench"].source.weights),
-                             res["bench"])
-
-    jobs = [(m, v, o, s) for (m, v, o) in methods for s in seeds]
     with staged_output(args.out, args.overwrite) as sweep_tmp:
-        os.makedirs(os.path.join(sweep_tmp, "runs"))
-        if args.jobs > 1:
-            with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-                rows = list(pool.map(one, jobs))
-        else:
-            rows = [one(j) for j in jobs]
+        runs_dir = os.path.join(sweep_tmp, "runs")
+        os.makedirs(runs_dir)
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds)),
+                                   mp_context=multiprocessing.get_context("spawn"))
+        try:
+            # The pool starts its workers as jobs are submitted.
+            with _one_blas_thread_env():
+                futures = [pool.submit(_sweep_seed, cfg, methods, seed, args.alpha, runs_dir)
+                           for seed in seeds]
+            for future in as_completed(futures):
+                future.result()     # the first failed seed raises here
+        finally:
+            # Drop the seeds not yet started; wait for the running ones so
+            # that none writes into the staging directory after its removal.
+            pool.shutdown(cancel_futures=True)
+        per_seed = [future.result() for future in futures]
+        rows = [seed_rows[m] for m in range(len(methods)) for seed_rows in per_seed]
         table = comparison_table(rows)
         _write_json(os.path.join(sweep_tmp, "comparison.json"), table)
         atomic_write_text(os.path.join(sweep_tmp, "comparison.csv"), comparison_csv(table))
@@ -315,7 +377,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--grid", action="store_true",
                     help="sweep the input-norm x group-norm ablation grid")
     sp.add_argument("--alpha", type=float)
-    sp.add_argument("--jobs", type=int, default=1, help="parallel (variant, seed) runs")
+    usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
+                   else os.cpu_count() or 1)
+    sp.add_argument("--jobs", type=int, default=usable_cpus,
+                    help="worker processes for a sweep, one seed each "
+                         "(default: the CPUs this process may use, %(default)s)")
     sp.set_defaults(func=cmd_compare)
 
     sp = sub.add_parser("gradcheck", help="finite-difference check of all gradients")

@@ -27,3 +27,9 @@ class TrainingDiverged(RuntimeError):
     def __init__(self, iteration, message=None):
         self.iteration = iteration
         super().__init__(message or f"non-finite loss at iteration {iteration}")
+
+    def __reduce__(self):
+        # The default pickles only ``args`` (the message) and would rebuild the
+        # exception with the message as its iteration; sweep workers send
+        # this exception back to the parent process.
+        return type(self), (self.iteration, str(self))

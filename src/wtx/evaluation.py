@@ -49,6 +49,25 @@ def _resolve_transferred(transferred, source: SourceWeights) -> np.ndarray:
     return w
 
 
+def _topk_hits(logits: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
+    """Per row, whether any of the k highest logits marks a true class, with
+    ties broken toward the lowest class index: the first k columns of a
+    stable argsort of -logits, found without sorting. Every value above the
+    row's k-th largest is taken; the remaining slots go to the values equal
+    to it, in column order. Ties are common: the untrained "other" columns
+    all score 0."""
+    n_cols = logits.shape[1]
+    if k >= n_cols:
+        return truth.any(axis=1)
+    # Index with a list to copy the column out and free the partitioned copy.
+    kth = np.partition(logits, n_cols - k, axis=1)[:, [n_cols - k]]
+    above = logits > kth
+    tied = logits == kth
+    free = k - above.sum(axis=1, keepdims=True)
+    taken = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= free))
+    return (truth & taken).any(axis=1)
+
+
 def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
              split: str, k: int = 5) -> MetricReport:
     """Top-1 and recall@k on one split.
@@ -75,8 +94,7 @@ def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
     k_eff = min(k, len(universe))
     top1_idx = np.argmax(logits, axis=1)
     top1_hit = truth[np.arange(len(top1_idx)), top1_idx]
-    order = np.argsort(-logits, axis=1, kind="stable")[:, :k_eff]
-    recall_hit = np.take_along_axis(truth, order, axis=1).any(axis=1)
+    recall_hit = _topk_hits(logits, truth, k_eff)
 
     per_class = {}
     for c in np.unique(sp.primary):

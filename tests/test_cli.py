@@ -1,13 +1,20 @@
+import concurrent.futures
+import copy
 import json
 import os
+import re
+from concurrent.futures import Future
 
 import pytest
 
+from wtx.bench import generate_benchmark
 from wtx.cli import main
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
 
 from conftest import tiny_config
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
 
 def tiny_doc(**train_overrides):
@@ -151,6 +158,17 @@ def test_cli_byte_identical_reruns(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def read_tree(root):
+    """Every file under root, by relative path, as bytes."""
+    tree = {}
+    for dirpath, _, names in os.walk(root):
+        for name in names:
+            path = os.path.join(dirpath, name)
+            with open(path, "rb") as f:
+                tree[os.path.relpath(path, root)] = f.read()
+    return tree
+
+
 def test_cli_compare_sweep_structure(tmp_path):
     doc = tiny_doc()
     doc["train"]["iterations"] = 30
@@ -159,12 +177,114 @@ def test_cli_compare_sweep_structure(tmp_path):
     assert main(["compare", "--config", cfg_path, "--out", out, "--jobs", "2"]) == 0
     with open(os.path.join(out, "comparison.json")) as f:
         table = json.load(f)
-    # 3 variants x 2 seeds + 3 median rows
+    # 3 variants x 2 seeds + 3 median rows, method-major
     assert len(table["rows"]) == 9
-    methods = {r["method"] for r in table["rows"]}
-    assert methods == {"wtn", "wtn_plus", "ae_wtn"}
+    assert [(r["method"], r["seed"]) for r in table["rows"][:6]] == [
+        (m, s) for m in ("wtn", "wtn_plus", "ae_wtn") for s in (0, 1)]
     medians = [r for r in table["rows"] if r["seed"] == "median"]
     assert len(medians) == 3
+
+    # The worker count changes nothing in the output tree.
+    serial = str(tmp_path / "serial")
+    assert main(["compare", "--config", cfg_path, "--out", serial, "--jobs", "1"]) == 0
+    tree = read_tree(out)
+    assert len(tree) == 2 + 6 * 7    # comparison.json/.csv + 7 files per run
+    assert read_tree(serial) == tree
+
+
+class InlineExecutor:
+    """Stands in for the process pool: runs each job in this process."""
+
+    def __init__(self, max_workers, mp_context):
+        pass
+
+    def submit(self, fn, *args):
+        future = Future()
+        future.set_result(fn(*args))
+        return future
+
+    def shutdown(self, cancel_futures=False):
+        pass
+
+
+def test_cli_compare_generates_each_benchmark_once(tmp_path, monkeypatch):
+    import wtx.cli
+    calls = []
+
+    def counting(config, seed):
+        calls.append(seed)
+        return generate_benchmark(config, seed)
+
+    monkeypatch.setattr(wtx.cli, "generate_benchmark", counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    doc = tiny_doc(iterations=5)
+    doc["seeds"] = [0, 1, 2, 3, 4]
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "sweep")]) == 0
+    assert sorted(calls) == [0, 1, 2, 3, 4]     # not once per (variant, seed)
+
+
+def test_cli_compare_pool_pins_blas_threads(tmp_path, monkeypatch):
+    started = []
+
+    class RecordingPool(concurrent.futures.ProcessPoolExecutor):
+        def __init__(self, max_workers, mp_context):
+            started.append({"max_workers": max_workers,
+                            "method": mp_context.get_start_method()})
+            super().__init__(max_workers=max_workers, mp_context=mp_context)
+
+        def submit(self, fn, *args):
+            started.append({name: os.environ.get(name) for name in BLAS_VARS})
+            return super().submit(fn, *args)
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    before = dict(os.environ)
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "sweep"),
+                 "--jobs", "8"]) == 0
+    assert dict(os.environ) == before
+    assert started[0] == {"max_workers": 2, "method": "spawn"}    # capped at 2 seeds
+    assert started[1:] == [dict.fromkeys(BLAS_VARS, "1")] * 2
+
+
+@pytest.mark.parametrize("jobs", ["0", "-2"])
+def test_cli_compare_rejects_nonpositive_jobs(tmp_path, capsys, jobs):
+    cfg_path = write_config(tmp_path, tiny_doc())
+    out = str(tmp_path / "sweep")
+    assert main(["compare", "--config", cfg_path, "--out", out, "--jobs", jobs]) == 2
+    assert "--jobs" in capsys.readouterr().err
+    assert not os.path.exists(out)
+
+
+def test_cli_compare_diverged_exits_3(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_doc(adamw_lr=1e308, iterations=30))
+    code = main(["compare", "--config", cfg_path, "--out", str(tmp_path / "sweep"),
+                 "--jobs", "2"])
+    assert code == 3
+    # The worker's exception arrives with its message intact.
+    assert re.fullmatch(r"error: non-finite loss at iteration \d+\n", capsys.readouterr().err)
+    assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
+
+
+def test_cli_eval_malformed_resolved_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
+    with open(os.path.join(run_dir, "config.json")) as f:
+        doc = json.load(f)
+    for key in ("seed", "variant", "method", "bad seed"):
+        broken = copy.deepcopy(doc)
+        if key == "bad seed":
+            broken["resolved"]["seed"] = "zero"
+        else:
+            del broken["resolved"][key]
+        write_config(tmp_path, broken, name="run/config.json")
+        capsys.readouterr()
+        assert main(["eval", run_dir]) == 2
+        assert key.split()[-1] in capsys.readouterr().err
 
 
 def test_cli_compare_grid_structure(tmp_path):

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from wtx.errors import ShapeError, ValidationError
-from wtx.evaluation import (comparison_csv, comparison_table, evaluate,
+from wtx.evaluation import (_topk_hits, comparison_csv, comparison_table, evaluate,
                             nn_overlap, norm_stats)
 from wtx.models import DetectionProxyHead, ModelConfig, TransferModel, build_model
 
@@ -47,6 +47,19 @@ def test_recall_at_universe_size_is_one(tiny_bench):
     rep = evaluate(head, w, tiny_bench, "eval_novel",
                    k=tiny_bench.source.num_classes + tiny_bench.num_other)
     assert rep.recall_k == 1.0
+
+
+def test_topk_hits_match_stable_argsort_on_ties():
+    # Small-integer logits tie often; the hits must equal those of the first
+    # k columns of a stable argsort of -logits, for every k.
+    rng = np.random.default_rng(0)
+    logits = rng.integers(-2, 3, size=(300, 9)).astype(float)
+    logits[:, 6:] = 0.0        # all-zero columns, like the untrained "other" rows
+    truth = rng.random((300, 9)) < 0.2
+    for k in range(1, 11):
+        order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
+        want = np.take_along_axis(truth, order, axis=1).any(axis=1)
+        np.testing.assert_array_equal(_topk_hits(logits, truth, k), want)
 
 
 def test_metric_bounds_and_ordering(tiny_bench):

@@ -1,4 +1,5 @@
 import json
+import pickle
 
 import numpy as np
 import pytest
@@ -254,6 +255,15 @@ def test_train_diverged_names_iteration(tiny_bench):
                     TrainConfig(iterations=50, batch_size=32, adamw_lr=1e308, seed=3))
     assert exc.value.iteration >= 0
     assert str(exc.value.iteration) in str(exc.value)
+
+
+def test_train_diverged_survives_pickling():
+    # Sweep workers send this exception back to the parent process.
+    err = pickle.loads(pickle.dumps(TrainingDiverged(17)))
+    assert err.iteration == 17
+    assert str(err) == "non-finite loss at iteration 17"
+    err = pickle.loads(pickle.dumps(TrainingDiverged(4, "custom message")))
+    assert (err.iteration, str(err)) == (4, "custom message")
 
 
 def test_train_deterministic_reports(tiny_bench):
