@@ -10,6 +10,7 @@ classes. Everything is a pure function of (config, seed).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
@@ -19,8 +20,7 @@ import numpy as np
 from .errors import ConfigError, StateError
 from .layers import Param
 from .losses import sigmoid_bce
-from .matrix import (atomic_write_text, load_matrix_csv, load_matrix_json,
-                     matrix_to_json_obj, row_l2_norms, save_matrix_csv,
+from .matrix import (atomic_write_text, matrix_hash, row_l2_norms, save_matrix_csv,
                      save_matrix_json)
 from .models import SourceWeights
 from .optim import SGDMomentum
@@ -102,7 +102,6 @@ class BenchConfig:
 class ClassPrototypes:
     prototypes: np.ndarray         # (|C|, d)
     cluster_ids: np.ndarray        # (|C|,) int
-    norm_imbalance: float
 
 
 @dataclass
@@ -147,10 +146,13 @@ class BenchmarkInstance:
         idx = rng.integers(0, sp.features.shape[0], size=batch_size)
         return sp.features[idx], sp.labels_full[np.ix_(idx, sp.universe)]
 
-
-def sample_batch(instance: BenchmarkInstance, split: str, batch_size: int,
-                 rng: np.random.Generator):
-    return instance.sample(split, batch_size, rng)
+    def fingerprint(self) -> str:
+        """SHA-256 over the matrix hashes of the source weights and of every
+        split's features; a run records the fingerprint it was trained on."""
+        h = hashlib.sha256(matrix_hash(self.source.weights).encode())
+        for name in sorted(self.splits):
+            h.update(matrix_hash(self.splits[name].features).encode())
+        return h.hexdigest()
 
 
 def _train_source_classifier(x, y, config: BenchConfig, rng) -> np.ndarray:
@@ -318,8 +320,7 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
     }
 
     return BenchmarkInstance(config=config, seed=seed, source=source,
-                             prototypes=ClassPrototypes(prototypes, cluster_ids,
-                                                        config.norm_imbalance),
+                             prototypes=ClassPrototypes(prototypes, cluster_ids),
                              other_prototypes=other_prototypes,
                              cooccur_radius=radius, rotation=rotation,
                              splits=splits, measured=measured)
@@ -328,6 +329,9 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
 # --- directory serialization ------------------------------------------------
 
 def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
+    """Export the instance as JSON and CSV files. Nothing in the package
+    reads them back: every command that needs a benchmark regenerates it
+    from the config and seed."""
     os.makedirs(dirpath, exist_ok=True)
     manifest = {
         "config": asdict(instance.config),
@@ -351,37 +355,3 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
         atomic_write_text(os.path.join(dirpath, f"{name}_primary.csv"),
                           "\n".join(str(int(c)) for c in sp.primary) + "\n")
 
-
-def load_instance(dirpath: str) -> BenchmarkInstance:
-    with open(os.path.join(dirpath, "manifest.json")) as f:
-        manifest = json.load(f)
-    config = BenchConfig(**manifest["config"])
-    w_c = load_matrix_json(os.path.join(dirpath, "source_weights.json"))
-    source = SourceWeights.create(w_c, manifest["shared_ids"])
-    prototypes = ClassPrototypes(
-        load_matrix_json(os.path.join(dirpath, "prototypes.json")),
-        np.asarray(manifest["cluster_ids"], dtype=np.int64),
-        config.norm_imbalance)
-    other = load_matrix_json(os.path.join(dirpath, "other_prototypes.json"))
-    rotation = load_matrix_json(os.path.join(dirpath, "rotation.json"))
-
-    c_total = config.num_classes
-    shared = manifest["shared_ids"]
-    other_ids = list(range(c_total, c_total + config.num_other))
-    universes = {
-        "train": np.asarray(list(shared) + other_ids, dtype=np.int64),
-        "eval_seen": np.asarray(list(shared) + other_ids, dtype=np.int64),
-        "eval_novel": np.asarray([c for c in range(c_total) if c not in set(shared)],
-                                 dtype=np.int64),
-    }
-    splits = {}
-    for name in manifest["splits"]:
-        feats = load_matrix_csv(os.path.join(dirpath, f"{name}_features.csv"))
-        labels = load_matrix_csv(os.path.join(dirpath, f"{name}_labels.csv"))
-        with open(os.path.join(dirpath, f"{name}_primary.csv")) as f:
-            primary = np.asarray([int(line) for line in f if line.strip()], dtype=np.int64)
-        splits[name] = Split(name, feats, labels, primary, universes[name])
-    return BenchmarkInstance(config=config, seed=manifest["seed"], source=source,
-                             prototypes=prototypes, other_prototypes=other,
-                             cooccur_radius=manifest["cooccur_radius"], rotation=rotation,
-                             splits=splits, measured=manifest["measured"])

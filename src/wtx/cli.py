@@ -32,14 +32,14 @@ from dataclasses import asdict
 import numpy as np
 
 from .bench import BenchmarkInstance, generate_benchmark, save_instance
-from .config import (ExperimentConfig, config_from_dict, config_to_dict,
+from .config import (ExperimentConfig, check_section, config_from_dict, config_to_dict,
                      default_config)
 from .errors import ConfigError, StateError, TrainingDiverged, ValidationError
 from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, load_matrix_json, save_matrix_json
-from .models import (DetectionProxyHead, TransferModel, export_transferred,
+from .models import (VARIANTS, DetectionProxyHead, ModelConfig, TransferModel, export_transferred,
                      load_model_params, save_model_params, train_joint)
 
 
@@ -61,12 +61,12 @@ def _env_seed() -> int | None:
 
 
 def _resolve_seeds(cfg: ExperimentConfig, cli_seed: int | None) -> list[int]:
-    if cli_seed is not None:
-        return [cli_seed]
-    env = _env_seed()
-    if env is not None:
-        return [env]
-    return list(cfg.seeds)
+    seed = cli_seed if cli_seed is not None else _env_seed()
+    if seed is None:
+        return list(cfg.seeds)
+    if seed < 0:
+        raise ConfigError(f"seed must be non-negative, got {seed}")
+    return [seed]
 
 
 @contextmanager
@@ -94,11 +94,12 @@ def _write_json(path: str, payload) -> None:
 
 
 def _run_config_payload(cfg: ExperimentConfig, variant: str, seed: int,
-                        alpha: float | None, method: str) -> dict:
+                        alpha: float | None, method: str,
+                        bench: BenchmarkInstance) -> dict:
     doc = config_to_dict(cfg)
     doc["resolved"] = {"variant": variant, "seed": seed,
                        "alpha": cfg.train.alpha if alpha is None else alpha,
-                       "method": method}
+                       "method": method, "benchmark_sha256": bench.fingerprint()}
     return doc
 
 
@@ -120,7 +121,7 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
     tag = f"{method}__seed{seed}"
     report = train_joint(model, head, bench.source, bench, tc,
                          csv_path=os.path.join(outdir, f"losses__{tag}.csv"))
-    report.config_echo = _run_config_payload(cfg, variant, seed, alpha, method)
+    report.config_echo = _run_config_payload(cfg, variant, seed, alpha, method, bench)
     if model_overrides:
         report.config_echo["resolved"]["model_overrides"] = dict(model_overrides)
 
@@ -133,7 +134,8 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
 
 
 def _run_dir_context(run_dir: str):
-    """Reload config, benchmark, exported weights and head of a finished run."""
+    """Reload config, benchmark, exported weights and head of a finished run;
+    the regenerated benchmark must have the fingerprint the run recorded."""
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
@@ -151,10 +153,19 @@ def _run_dir_context(run_dir: str):
     except (TypeError, ValueError):
         raise ConfigError(f"{run_dir}/config.json: resolved seed {resolved['seed']!r} "
                           f"is not an integer")
-    overrides = resolved.get("model_overrides") or {}
+    if resolved["variant"] not in VARIANTS:
+        raise ConfigError(f"{run_dir}/config.json: resolved variant {resolved['variant']!r} "
+                          f"is not one of {VARIANTS}")
+    overrides = check_section(ModelConfig, resolved.get("model_overrides", {}),
+                              "resolved.model_overrides")
     cfg = config_from_dict(doc)
     tag = f"{resolved['method']}__seed{seed}"
     bench = generate_benchmark(cfg.benchmark, seed)
+    stamped, actual = resolved.get("benchmark_sha256"), bench.fingerprint()
+    if stamped != actual:
+        raise ValidationError(f"{run_dir}: the regenerated benchmark has fingerprint "
+                              f"{actual}; config.json records "
+                              f"{stamped or 'none (retrain the run)'}")
     w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"))
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"))
@@ -168,7 +179,7 @@ def cmd_generate(args) -> int:
         bench = generate_benchmark(cfg.benchmark, seed)
         save_instance(bench, tmp)
         _write_json(os.path.join(tmp, "config.json"),
-                    _run_config_payload(cfg, cfg.variant, seed, None, "benchmark"))
+                    _run_config_payload(cfg, cfg.variant, seed, None, "benchmark", bench))
     print(f"benchmark written to {args.out}")
     return 0
 
@@ -274,7 +285,7 @@ def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
         res = run_training(cfg, variant, seed, outdir, alpha=alpha,
                            model_overrides=overrides, method=method, bench=bench)
         rows.append(_row_from_run(cfg, method, variant, overrides, seed, res["head"],
-                                  res["model"].transfer(bench.source.weights), bench))
+                                  res["model"].encode(bench.source.weights), bench))
     return rows
 
 
@@ -359,7 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train one (variant, seed) run")
     common(sp)
-    sp.add_argument("--variant", choices=("wtn", "wtn_plus", "ae_wtn"))
+    sp.add_argument("--variant", choices=VARIANTS)
     sp.add_argument("--alpha", type=float, help="reconstruction loss weight override")
     sp.set_defaults(func=cmd_train)
 

@@ -3,7 +3,9 @@ evaluation, and analysis.
 
 Loading is strict: unknown keys anywhere in the document are configuration
 errors, so a typo in a hyperparameter name fails fast instead of silently
-running with a default. Configs round-trip through JSON losslessly.
+running with a default, and so is a value whose JSON type does not match its
+field (an int field takes no bool or float). Configs round-trip through JSON
+losslessly.
 """
 
 from __future__ import annotations
@@ -12,7 +14,11 @@ from dataclasses import asdict, dataclass, fields, replace
 
 from .bench import BenchConfig
 from .errors import ConfigError
-from .models import ModelConfig, TrainConfig, VARIANTS
+from .models import ModelConfig, TrainConfig
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
 
 
 @dataclass(frozen=True)
@@ -34,8 +40,6 @@ class ExperimentConfig:
     norm_kind: str = "group"
     input_norm: bool | None = None
     feature_norm: bool | None = None
-    dropout: float = 0.0
-    activity_coef: float = 0.0
     train: TrainConfig = None
     evaluation: EvalSettings = None
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -45,11 +49,19 @@ class ExperimentConfig:
             object.__setattr__(self, "train", TrainConfig())
         if self.evaluation is None:
             object.__setattr__(self, "evaluation", EvalSettings())
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
-        if not self.seeds:
-            raise ConfigError("seeds list must not be empty")
+        if not self.seeds or not all(_is_int(s) and s >= 0 for s in self.seeds):
+            raise ConfigError(f"seeds must be a non-empty list of non-negative integers, "
+                              f"got {list(self.seeds)!r}")
+        if self.train.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.train.batch_size}")
         self.benchmark.validate()
+        ev, last = self.evaluation, self.benchmark.num_classes - 1
+        if ev.recall_k < 1 or ev.sample_classes < 1:
+            raise ConfigError(f"recall_k and sample_classes must be at least 1, "
+                              f"got {ev.recall_k} and {ev.sample_classes}")
+        if not ev.overlap_ks or not all(1 <= k <= last for k in ev.overlap_ks):
+            raise ConfigError(f"overlap_ks must be a non-empty list inside [1, {last}], "
+                              f"got {list(ev.overlap_ks)}")
         self.model_config().validate()
 
     def model_config(self, variant: str | None = None, **overrides) -> ModelConfig:
@@ -57,8 +69,7 @@ class ExperimentConfig:
                       in_dim=self.benchmark.dim, hidden_dim=self.hidden_dim,
                       out_dim=self.benchmark.dim, groups=self.groups,
                       norm_kind=self.norm_kind, input_norm=self.input_norm,
-                      feature_norm=self.feature_norm, dropout=self.dropout,
-                      activity_coef=self.activity_coef)
+                      feature_norm=self.feature_norm)
         kwargs.update(overrides)
         return ModelConfig(**kwargs)
 
@@ -70,21 +81,41 @@ class ExperimentConfig:
 
 
 _MODEL_KEYS = ("variant", "hidden_dim", "groups", "norm_kind", "input_norm",
-               "feature_norm", "dropout", "activity_coef")
-_TRAIN_EXCLUDE = ("seed",)   # per-run, not part of the experiment document
+               "feature_norm")
+# The seed is per run, not part of the experiment document.
+_TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
 
-def _build(cls, mapping: dict, where: str, exclude=()):
-    known = {f.name for f in fields(cls)} - set(exclude)
+# The JSON values each field annotation admits (annotations are strings here).
+_TYPE_CHECKS = {
+    "int": _is_int,
+    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "str": lambda v: isinstance(v, str),
+    "bool | None": lambda v: v is None or isinstance(v, bool),
+    "tuple": lambda v: isinstance(v, (list, tuple)) and all(_is_int(x) for x in v),
+}
+
+
+def check_section(cls, mapping, where: str, keys=None) -> dict:
+    """Return ``mapping`` if it is a JSON object whose keys are fields of the
+    dataclass ``cls`` (restricted to ``keys`` if given) and whose values have
+    the types the fields are annotated with; raise ConfigError otherwise."""
+    if not isinstance(mapping, dict):
+        raise ConfigError(f"{where!r} must be a JSON object, got {type(mapping).__name__}")
+    types = {f.name: f.type for f in fields(cls)}
+    known = set(types if keys is None else keys)
     unknown = set(mapping) - known
     if unknown:
         raise ConfigError(f"unknown key(s) {sorted(unknown)} in {where!r} "
                           f"(known: {sorted(known)})")
-    return cls(**mapping)
+    for key, value in mapping.items():
+        if not _TYPE_CHECKS[types[key]](value):
+            raise ConfigError(f"{where}.{key} must be of type {types[key]}, got {value!r}")
+    return mapping
 
 
 def config_to_dict(cfg: ExperimentConfig) -> dict:
-    train = {k: v for k, v in asdict(cfg.train).items() if k not in _TRAIN_EXCLUDE}
+    train = {k: v for k, v in asdict(cfg.train).items() if k in _TRAIN_KEYS}
     ev = asdict(cfg.evaluation)
     ev["overlap_ks"] = list(ev["overlap_ks"])
     return {
@@ -97,25 +128,25 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
 
 
 def config_from_dict(doc: dict) -> ExperimentConfig:
+    if not isinstance(doc, dict):
+        raise ConfigError(f"the config must be a JSON object, got {type(doc).__name__}")
     allowed = {"benchmark", "model", "train", "evaluation", "seeds"}
     unknown = set(doc) - allowed
     if unknown:
         raise ConfigError(f"unknown top-level key(s) {sorted(unknown)} "
                           f"(known: {sorted(allowed)})")
-    bench = _build(BenchConfig, doc.get("benchmark", {}), "benchmark")
-    model = dict(doc.get("model", {}))
-    unknown = set(model) - set(_MODEL_KEYS)
-    if unknown:
-        raise ConfigError(f"unknown key(s) {sorted(unknown)} in 'model' "
-                          f"(known: {sorted(_MODEL_KEYS)})")
-    train = _build(TrainConfig, doc.get("train", {}), "train", exclude=_TRAIN_EXCLUDE)
-    ev = dict(doc.get("evaluation", {}))
+    bench = BenchConfig(**check_section(BenchConfig, doc.get("benchmark", {}), "benchmark"))
+    model = check_section(ExperimentConfig, doc.get("model", {}), "model", _MODEL_KEYS)
+    train = TrainConfig(**check_section(TrainConfig, doc.get("train", {}), "train",
+                                        _TRAIN_KEYS))
+    ev = dict(check_section(EvalSettings, doc.get("evaluation", {}), "evaluation"))
     if "overlap_ks" in ev:
         ev["overlap_ks"] = tuple(ev["overlap_ks"])
-    evaluation = _build(EvalSettings, ev, "evaluation")
-    seeds = tuple(int(s) for s in doc.get("seeds", (0, 1, 2, 3, 4)))
-    return ExperimentConfig(benchmark=bench, train=train, evaluation=evaluation,
-                            seeds=seeds, **model)
+    seeds = doc.get("seeds", [0, 1, 2, 3, 4])
+    if not isinstance(seeds, list):
+        raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
+    return ExperimentConfig(benchmark=bench, train=train, evaluation=EvalSettings(**ev),
+                            seeds=tuple(seeds), **model)
 
 
 def default_config() -> ExperimentConfig:

@@ -17,10 +17,6 @@ class ValidationError(ValueError):
     """Inputs that should agree with each other do not."""
 
 
-class NonFiniteError(ArithmeticError):
-    """A public operation produced NaN or Inf."""
-
-
 class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss and was aborted."""
 

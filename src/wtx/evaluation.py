@@ -41,7 +41,7 @@ class MetricReport:
 
 def _resolve_transferred(transferred, source: SourceWeights) -> np.ndarray:
     if isinstance(transferred, TransferModel):
-        return transferred.transfer(source.weights)
+        return transferred.encode(source.weights)
     w = np.asarray(transferred, dtype=np.float64)
     if w.shape[0] != source.num_classes:
         raise ShapeError(f"transferred weights have {w.shape[0]} rows, "

@@ -152,14 +152,6 @@ class GroupNorm:
         self._cache = (xhat, inv_std)
         return self.gamma.data * xhat + self.beta.data
 
-    def normalized(self, x: np.ndarray) -> np.ndarray:
-        """Pre-affine normalized output; does not disturb the backward cache."""
-        b = x.shape[0]
-        g = x.reshape(b, self.groups, -1)
-        mu = g.mean(axis=2, keepdims=True)
-        var = g.var(axis=2, keepdims=True)
-        return ((g - mu) / np.sqrt(var + self.eps)).reshape(b, self.channels)
-
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._cache is None:
             raise StateError("groupnorm backward called before forward")
@@ -225,31 +217,3 @@ class ClassBatchNorm:
     def params(self):
         return [self.gamma, self.beta]
 
-
-class Dropout:
-    """Inverted dropout; identity when ``train`` is false."""
-
-    def __init__(self, p: float, rng: np.random.Generator):
-        if not 0.0 <= p < 1.0:
-            raise ConfigError(f"dropout probability must be in [0, 1), got {p}")
-        self.p = float(p)
-        self.rng = rng
-        self._mask = None
-
-    def forward(self, x: np.ndarray, train: bool = False) -> np.ndarray:
-        if not train or self.p == 0.0:
-            self._mask = np.ones_like(x)
-            return x
-        keep = 1.0 - self.p
-        self._mask = (self.rng.random(x.shape) < keep) / keep
-        return x * self._mask
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if self._mask is None:
-            raise StateError("dropout backward called before forward")
-        dx = dout * self._mask
-        self._mask = None
-        return dx
-
-    def params(self):
-        return []

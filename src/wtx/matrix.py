@@ -1,4 +1,4 @@
-"""Dense float64 matrices, seeded random sampling, and matrix serialization.
+"""Dense float64 matrices: hashing, norms and serialization.
 
 A "matrix" throughout this package is a 2-D, C-contiguous ``numpy.ndarray``
 of float64. numpy supplies the storage and arithmetic; the naive scalar
@@ -13,16 +13,10 @@ from __future__ import annotations
 import hashlib
 import json
 import os
-import tempfile
 
 import numpy as np
 
-from .errors import NonFiniteError, ShapeError
-
-
-def make_rng(seed: int) -> np.random.Generator:
-    """Seeded 64-bit generator (numpy PCG64). Same seed, same stream."""
-    return np.random.default_rng(seed)
+from .errors import ShapeError
 
 
 def as_matrix(a) -> np.ndarray:
@@ -31,29 +25,6 @@ def as_matrix(a) -> np.ndarray:
     if m.ndim != 2:
         raise ShapeError(f"expected a 2-D matrix, got ndim={m.ndim}")
     return m
-
-
-def ensure_finite(m: np.ndarray, what: str = "matrix") -> np.ndarray:
-    if not np.all(np.isfinite(m)):
-        raise NonFiniteError(f"{what} contains NaN or Inf")
-    return m
-
-
-def matmul(a, b) -> np.ndarray:
-    """Matrix product with explicit shape and finiteness checks."""
-    a = as_matrix(a)
-    b = as_matrix(b)
-    if a.shape[1] != b.shape[0]:
-        raise ShapeError(f"matmul shape mismatch: {a.shape} x {b.shape}")
-    return ensure_finite(a @ b, "matmul result")
-
-
-def gaussian_sample(rng: np.random.Generator, rows: int, cols: int,
-                    mean: float = 0.0, std: float = 1.0) -> np.ndarray:
-    """i.i.d. normal samples, deterministic given the generator state."""
-    if std < 0:
-        raise ValueError(f"std must be >= 0, got {std}")
-    return mean + std * rng.standard_normal((rows, cols))
 
 
 def row_l2_norms(m) -> np.ndarray:
@@ -72,9 +43,11 @@ def matrix_hash(m: np.ndarray) -> str:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file."""
-    d = os.path.dirname(os.path.abspath(path))
-    fd, tmp = tempfile.mkstemp(dir=d, prefix=".tmp-", suffix=os.path.basename(path))
+    """Write via a temp file and rename, so failures leave no partial file.
+    The file gets the mode ``open()`` would give it: 0o666 less the umask."""
+    d, name = os.path.split(os.path.abspath(path))
+    tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}-{name}")
+    fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
@@ -114,17 +87,3 @@ def save_matrix_csv(m: np.ndarray, path: str) -> None:
     lines = [",".join(repr(float(x)) for x in row) for row in m]
     atomic_write_text(path, "\n".join(lines) + "\n")
 
-
-def load_matrix_csv(path: str) -> np.ndarray:
-    rows = []
-    with open(path) as f:
-        for line in f:
-            line = line.strip()
-            if line:
-                rows.append([float(x) for x in line.split(",")])
-    if not rows:
-        return np.zeros((0, 0))
-    widths = {len(r) for r in rows}
-    if len(widths) != 1:
-        raise ShapeError(f"ragged CSV matrix: row widths {sorted(widths)}")
-    return np.asarray(rows, dtype=np.float64)

@@ -21,8 +21,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
-from .layers import ClassBatchNorm, Dropout, GroupNorm, InputStandardizer, Linear, Param, ReLU
-from .losses import LossValue, sigmoid_bce, smooth_l1, total_loss
+from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU
+from .losses import sigmoid_bce, smooth_l1, total_loss
 from .matrix import atomic_write_text, matrix_hash, matrix_to_json_obj, save_matrix_json
 from .optim import AdamW, SGDMomentum
 
@@ -83,8 +83,6 @@ class ModelConfig:
     input_norm: bool | None = None
     feature_norm: bool | None = None
     norm_kind: str = "group"       # "group" or "class_batch"
-    dropout: float = 0.0
-    activity_coef: float = 0.0
 
     def resolved_input_norm(self) -> bool:
         if self.input_norm is not None:
@@ -99,6 +97,9 @@ class ModelConfig:
     def validate(self):
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.hidden_dim < 1 or self.groups < 1:
+            raise ConfigError(f"hidden_dim and groups must be at least 1, got "
+                              f"{self.hidden_dim} and {self.groups}")
         if self.norm_kind not in ("group", "class_batch"):
             raise ConfigError(f"unknown norm_kind {self.norm_kind!r}")
         if self.resolved_feature_norm() and self.norm_kind == "group" \
@@ -116,8 +117,7 @@ class TransferModel:
         self.variant = config.variant
         self.seed = seed
 
-        init_rng, dropout_rng = (np.random.default_rng(s)
-                                 for s in np.random.SeedSequence(seed).spawn(2))
+        init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
         self.standardizer = None
         if config.resolved_input_norm():
@@ -134,9 +134,6 @@ class TransferModel:
         if config.resolved_feature_norm():
             enc.append(norm_layer("enc_norm"))
         enc.append(ReLU())
-        self._enc_relu_index = len(enc) - 1
-        if config.dropout > 0:
-            enc.append(Dropout(config.dropout, dropout_rng))
         enc.append(Linear(config.hidden_dim, config.out_dim, init_rng, name="enc2"))
         self.encoder = enc
 
@@ -148,8 +145,6 @@ class TransferModel:
             dec.append(ReLU())
             dec.append(Linear(config.hidden_dim, config.in_dim, init_rng, name="dec2"))
             self.decoder = dec
-
-        self._hidden = None            # post-ReLU encoder activations, last forward
 
     @property
     def has_decoder(self) -> bool:
@@ -170,33 +165,32 @@ class TransferModel:
         for p in self.parameters():
             p.zero_grad()
 
-    def encode(self, w: np.ndarray, train: bool = False) -> np.ndarray:
+    def _forward_encoder(self, w: np.ndarray, layers) -> np.ndarray:
         if w.ndim != 2 or w.shape[1] != self.config.in_dim:
             raise ShapeError(f"transfer expects (k, {self.config.in_dim}), got {w.shape}")
         x = self.standardizer.forward(w) if self.standardizer is not None else w
-        for i, layer in enumerate(self.encoder):
-            x = layer.forward(x, train=train) if isinstance(layer, Dropout) else layer.forward(x)
-            if i == self._enc_relu_index:
-                self._hidden = x
+        for layer in layers:
+            x = layer.forward(x)
         return x
 
-    def encode_backward(self, dout: np.ndarray,
-                        d_hidden_extra: np.ndarray | None = None) -> np.ndarray:
+    def encode(self, w: np.ndarray) -> np.ndarray:
+        """Map class weight rows to target weight rows."""
+        return self._forward_encoder(w, self.encoder)
+
+    def encode_backward(self, dout: np.ndarray) -> np.ndarray:
         g = dout
-        for i in reversed(range(len(self.encoder))):
-            if d_hidden_extra is not None and i == self._enc_relu_index:
-                g = g + d_hidden_extra         # grad tap at the post-ReLU activations
-            g = self.encoder[i].backward(g)
+        for layer in reversed(self.encoder):
+            g = layer.backward(g)
         if self.standardizer is not None:
             g = self.standardizer.backward(g)
         return g
 
-    def decode(self, h: np.ndarray, train: bool = False) -> np.ndarray:
+    def decode(self, h: np.ndarray) -> np.ndarray:
         if self.decoder is None:
             raise StateError(f"variant {self.variant!r} has no decoder")
         x = h
         for layer in self.decoder:
-            x = layer.forward(x, train=train) if isinstance(layer, Dropout) else layer.forward(x)
+            x = layer.forward(x)
         return x
 
     def decode_backward(self, dout: np.ndarray) -> np.ndarray:
@@ -207,21 +201,9 @@ class TransferModel:
             g = layer.backward(g)
         return g
 
-    def transfer(self, w: np.ndarray) -> np.ndarray:
-        """Map class weight rows to target weight rows (evaluation mode)."""
-        return self.encode(w, train=False)
-
-    def reconstruct(self, w: np.ndarray) -> np.ndarray:
-        if self.decoder is None:
-            raise StateError(f"reconstruct requires the ae_wtn variant, model is {self.variant!r}")
-        return self.decode(self.encode(w, train=False), train=False)
-
     def hidden_activations(self, w: np.ndarray) -> np.ndarray:
-        """Post-ReLU hidden activations for each input row (evaluation mode)."""
-        if self._enc_relu_index is None:
-            raise StateError("model has no ReLU stage to measure")
-        self.encode(w, train=False)
-        return self._hidden
+        """Post-ReLU hidden activations for each input row (all but the last layer)."""
+        return self._forward_encoder(w, self.encoder[:-1])
 
     def params_hash(self, params: list[Param] | None = None) -> str:
         params = self.parameters() if params is None else params
@@ -231,14 +213,6 @@ class TransferModel:
             h.update(p.name.encode())
             h.update(np.ascontiguousarray(p.data).tobytes())
         return h.hexdigest()
-
-
-def build_model(variant: str, source: SourceWeights | None = None, *,
-                in_dim: int = 64, hidden_dim: int = 64, out_dim: int = 64,
-                groups: int = 8, seed: int = 0, **overrides) -> TransferModel:
-    cfg = ModelConfig(variant=variant, in_dim=in_dim, hidden_dim=hidden_dim,
-                      out_dim=out_dim, groups=groups, **overrides)
-    return TransferModel(cfg, source, seed)
 
 
 class DetectionProxyHead:
@@ -283,7 +257,7 @@ class TrainConfig:
 class TrainingReport:
     variant: str
     seed: int
-    curve: dict = field(default_factory=dict)   # iteration -> lists
+    curve: dict = field(default_factory=dict)   # iteration -> lists; not in to_json
     final_l_cls: float = 0.0
     final_l_rec: float = 0.0
     final_total: float = 0.0
@@ -296,7 +270,7 @@ class TrainingReport:
 
     def to_json(self) -> str:
         payload = {
-            "variant": self.variant, "seed": self.seed, "curve": self.curve,
+            "variant": self.variant, "seed": self.seed,
             "final_l_cls": self.final_l_cls, "final_l_rec": self.final_l_rec,
             "final_total": self.final_total,
             "w_c_hash_before": self.w_c_hash_before, "w_c_hash_after": self.w_c_hash_after,
@@ -310,16 +284,15 @@ class TrainingReport:
 
 def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceWeights,
                  features: np.ndarray, labels: np.ndarray, alpha: float,
-                 train: bool = False, backprop: bool = False):
-    """One forward (and optional backward) of the joint training objective.
+                 backprop: bool = False):
+    """One forward (and, with ``backprop``, backward) pass of the joint objective.
 
     The encoder always sees the full class batch W_C; the shared rows feed
     the detection loss, all rows feed the reconstruction loss when a
     decoder exists. Returns (l_cls, l_rec_or_None, total_scalar).
     """
     shared_idx = source.shared_index
-    out_all = model.encode(source.weights, train=train)
-    hidden = model._hidden
+    out_all = model.encode(source.weights)
 
     w_shared = out_all[shared_idx]
     logits = head.score(features, w_shared)
@@ -327,14 +300,10 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
 
     l_rec = None
     if model.has_decoder and alpha != 0.0:
-        recon = model.decode(out_all, train=train)
+        recon = model.decode(out_all)
         l_rec = smooth_l1(recon, source.weights)
 
     comb = total_loss(l_cls, l_rec, alpha)
-    total = comb.value
-    coef = model.config.activity_coef
-    if coef > 0:
-        total += coef * float(np.mean(hidden * hidden))
 
     if backprop:
         dlogits = comb.grad_cls
@@ -345,10 +314,9 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
         dout_all[shared_idx] += dstack[:n_s]
         if l_rec is not None:
             dout_all += model.decode_backward(comb.grad_rec)
-        d_hidden_extra = (2.0 * coef / hidden.size) * hidden if coef > 0 else None
-        model.encode_backward(dout_all, d_hidden_extra)
+        model.encode_backward(dout_all)
 
-    return l_cls, l_rec, total
+    return l_cls, l_rec, comb.value
 
 
 def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWeights,
@@ -383,7 +351,7 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
         for it in range(config.iterations):
             feats, labels = data.sample("train", config.batch_size, batch_rng)
             l_cls, l_rec, total = joint_losses(model, head, source, feats, labels,
-                                               config.alpha, train=True, backprop=True)
+                                               config.alpha, backprop=True)
             if not np.isfinite(total):
                 raise TrainingDiverged(it)
             opt_model.step()
@@ -419,7 +387,7 @@ def export_transferred(model: TransferModel, source: SourceWeights, path: str) -
     The JSON float encoding round-trips exactly, so scoring against the
     reloaded matrix is bit-identical to in-process transfer.
     """
-    w_d = model.transfer(source.weights)
+    w_d = model.encode(source.weights)
     save_matrix_json(w_d, path)
     manifest = {
         "variant": model.variant,

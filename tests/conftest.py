@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from wtx.bench import BenchConfig, generate_benchmark
+from wtx.models import ModelConfig, TransferModel
 
 
 def tiny_config(**overrides):
@@ -11,6 +12,13 @@ def tiny_config(**overrides):
                 min_eval_examples=5)
     base.update(overrides)
     return BenchConfig(**base)
+
+
+def make_model(variant, source=None, *, dim=8, groups=2, seed=0, **overrides):
+    """A TransferModel whose input, hidden and output widths are all ``dim``."""
+    kwargs = dict(in_dim=dim, hidden_dim=dim, out_dim=dim, groups=groups)
+    kwargs.update(overrides)
+    return TransferModel(ModelConfig(variant, **kwargs), source, seed)
 
 
 @pytest.fixture(scope="session")

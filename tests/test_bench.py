@@ -1,10 +1,12 @@
 import numpy as np
 import pytest
 
-from wtx.bench import (BenchConfig, generate_benchmark, load_instance,
-                       sample_batch, save_instance)
+import json
+import os
+
+from wtx.bench import BenchConfig, generate_benchmark, save_instance
 from wtx.errors import ConfigError, StateError
-from wtx.matrix import row_l2_norms
+from wtx.matrix import load_matrix_json, row_l2_norms
 
 from conftest import tiny_config
 
@@ -48,7 +50,6 @@ def test_same_seed_byte_identical_serialization(tmp_path):
     a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
     save_instance(generate_benchmark(cfg, seed=5), a_dir)
     save_instance(generate_benchmark(cfg, seed=5), b_dir)
-    import os
     names = sorted(os.listdir(a_dir))
     assert names == sorted(os.listdir(b_dir))
     for name in names:
@@ -57,18 +58,31 @@ def test_same_seed_byte_identical_serialization(tmp_path):
             assert fa.read() == fb.read(), name
 
 
+def test_fingerprint_tracks_the_benchmark(tiny_bench):
+    assert generate_benchmark(tiny_config(), seed=7).fingerprint() == tiny_bench.fingerprint()
+    other = generate_benchmark(tiny_config(noise_std=0.31), seed=7)
+    assert other.fingerprint() != tiny_bench.fingerprint()
+
+
+def read_csv_matrix(path):
+    with open(path) as f:
+        return np.asarray([[float(x) for x in line.split(",")] for line in f])
+
+
 def test_instance_round_trip(tmp_path):
+    # The export is one-way, so the test parses it back itself.
     bench = generate_benchmark(tiny_config(), seed=3)
-    d = str(tmp_path / "inst")
-    save_instance(bench, d)
-    back = load_instance(d)
-    assert np.array_equal(back.source.weights, bench.source.weights)
-    assert np.array_equal(back.source.shared_mask, bench.source.shared_mask)
-    assert np.array_equal(back.rotation, bench.rotation)
-    for name in bench.splits:
-        assert np.array_equal(back.split(name).features, bench.split(name).features)
-        assert np.array_equal(back.split(name).labels_full, bench.split(name).labels_full)
-        assert np.array_equal(back.split(name).primary, bench.split(name).primary)
+    d = tmp_path / "inst"
+    save_instance(bench, str(d))
+    manifest = json.loads((d / "manifest.json").read_text())
+    assert manifest["shared_ids"] == bench.source.shared_index.tolist()
+    assert np.array_equal(load_matrix_json(str(d / "source_weights.json")),
+                          bench.source.weights)
+    assert np.array_equal(load_matrix_json(str(d / "rotation.json")), bench.rotation)
+    for name, sp in bench.splits.items():
+        assert np.array_equal(read_csv_matrix(d / f"{name}_features.csv"), sp.features)
+        assert np.array_equal(read_csv_matrix(d / f"{name}_labels.csv"), sp.labels_full)
+        assert np.array_equal(read_csv_matrix(d / f"{name}_primary.csv").ravel(), sp.primary)
 
 
 def test_no_novel_leakage_into_training(tiny_bench):
@@ -115,7 +129,7 @@ def test_multilabel_fraction_near_target():
 
 
 def test_sample_batch_contracts(tiny_bench, rng):
-    feats, labels = sample_batch(tiny_bench, "train", 17, rng)
+    feats, labels = tiny_bench.sample("train", 17, rng)
     assert feats.shape[0] == 17 and labels.shape[0] == 17
     assert labels.shape[1] == len(tiny_bench.split("train").universe)
     assert np.all(labels.sum(axis=1) >= 1.0)
@@ -123,7 +137,7 @@ def test_sample_batch_contracts(tiny_bench, rng):
 
 def test_sample_batch_unknown_split(tiny_bench, rng):
     with pytest.raises(StateError):
-        sample_batch(tiny_bench, "nope", 4, rng)
+        tiny_bench.sample("nope", 4, rng)
 
 
 def test_sample_batch_class_frequency_uniform(tiny_bench):

@@ -3,9 +3,11 @@ import copy
 import json
 import os
 import re
+import stat
 from concurrent.futures import Future
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from wtx.bench import generate_benchmark
 from wtx.cli import main
@@ -61,6 +63,75 @@ def test_config_rejects_bad_values():
         config_from_dict({"model": {"variant": "wtnplus"}})
     with pytest.raises(ConfigError):
         config_from_dict({"seeds": []})
+
+
+def replaced(doc, path, value):
+    doc = copy.deepcopy(doc)
+    *parents, key = path
+    target = doc
+    for p in parents:
+        target = target[p]
+    target[key] = value
+    return doc
+
+
+@pytest.mark.parametrize("path, value", [
+    (("seeds",), "12"),
+    (("seeds",), [1.5]),
+    (("seeds",), ["a"]),
+    (("seeds",), [True]),
+    (("seeds",), [-1]),
+    (("model",), [1]),
+    (("benchmark", "dim"), "16"),
+    (("benchmark", "dim"), 16.0),
+    (("model", "hidden_dim"), 0),
+    (("model", "groups"), 0),
+    (("model", "input_norm"), 1),
+    (("train", "batch_size"), 0),
+    (("train", "iterations"), True),
+    (("evaluation", "recall_k"), 0),
+    (("evaluation", "sample_classes"), 0),
+    (("evaluation", "overlap_ks"), [1, 500]),
+    (("evaluation", "overlap_ks"), []),
+    (("model", "dropout"), 0.0),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+def test_cli_bad_config_values_exit_2(tmp_path, capsys, path, value):
+    cfg_path = write_config(tmp_path, replaced(tiny_doc(), path, value))
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+    assert path[-1] in capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "run")
+
+
+def test_cli_top_level_list_config_exits_2(tmp_path):
+    cfg_path = write_config(tmp_path, [{"seeds": [0]}])
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
+
+
+# Every field of every section, with the JSON types its values may take.
+FIELD_TYPES = {}
+for section, fields_ in config_to_dict(default_config()).items():
+    if isinstance(fields_, dict):
+        FIELD_TYPES[(section,)] = {dict}
+        for key, value in fields_.items():
+            FIELD_TYPES[(section, key)] = {
+                int: {int}, float: {int, float}, str: {str}, list: {list},
+                bool: {bool, type(None)}, type(None): {bool, type(None)}}[type(value)]
+    else:
+        FIELD_TYPES[(section,)] = {list}
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_config_rejects_any_value_of_another_json_type(data):
+    path = data.draw(st.sampled_from(sorted(FIELD_TYPES)))
+    value = data.draw(JSON_VALUES.filter(lambda v: type(v) not in FIELD_TYPES[path]))
+    with pytest.raises(ConfigError):
+        config_from_dict(replaced(config_to_dict(default_config()), path, value))
 
 
 # --- commands ---------------------------------------------------------------------
@@ -135,6 +206,7 @@ def test_cli_alpha_zero_decoder_untouched_reported(tmp_path):
     with open(os.path.join(run_dir, "report.json")) as f:
         report = json.load(f)
     assert report["decoder_hash_init"] == report["decoder_hash_final"]
+    assert "curve" not in report     # the losses CSV holds it
 
 
 def test_cli_env_seed_override(tmp_path, monkeypatch):
@@ -145,6 +217,17 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     with open(os.path.join(run_dir, "config.json")) as f:
         doc = json.load(f)
     assert doc["resolved"]["seed"] == 1
+
+
+@pytest.mark.parametrize("how", ["flag", "env"])
+def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, how):
+    argv = ["generate", "--config", write_config(tmp_path, tiny_doc()),
+            "--out", str(tmp_path / "bench")]
+    if how == "flag":
+        argv += ["--seed", "-1"]
+    else:
+        monkeypatch.setenv("WTX_SEED", "-1")
+    assert main(argv) == 2
 
 
 def test_cli_byte_identical_reruns(tmp_path):
@@ -285,6 +368,60 @@ def test_cli_eval_malformed_resolved_exits_2(tmp_path, capsys):
         capsys.readouterr()
         assert main(["eval", run_dir]) == 2
         assert key.split()[-1] in capsys.readouterr().err
+
+
+def test_cli_run_files_follow_umask(tmp_path):
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    run_dir = tmp_path / "run"
+    old = os.umask(0o022)
+    try:
+        assert main(["train", "--config", cfg_path, "--out", str(run_dir)]) == 0
+    finally:
+        os.umask(old)
+    modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in run_dir.iterdir()}
+    assert len(modes) == 7 and set(modes.values()) == {0o644}
+
+
+def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
+    with open(os.path.join(run_dir, "config.json")) as f:
+        doc = json.load(f)
+    stamped = doc["resolved"]["benchmark_sha256"]
+    assert main(["eval", run_dir]) == 0
+
+    edited = replaced(doc, ("benchmark", "noise_std"), doc["benchmark"]["noise_std"] + 0.01)
+    write_config(tmp_path, edited, name="run/config.json")
+    capsys.readouterr()
+    assert main(["eval", run_dir]) == 2
+    hashes = re.findall(r"[0-9a-f]{64}", capsys.readouterr().err)
+    assert len(set(hashes)) == 2 and stamped in hashes
+
+    del doc["resolved"]["benchmark_sha256"]
+    write_config(tmp_path, doc, name="run/config.json")
+    capsys.readouterr()
+    assert main(["analyze", run_dir]) == 2
+    assert "retrain" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command, key, value", [
+    ("eval", "variant", "wtn_minus"),
+    ("analyze", "model_overrides", [1]),
+    ("analyze", "model_overrides", {"feature_norm": "no"}),
+    ("compare", "model_overrides", {"dropout": 0.5}),
+])
+def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, command, key, value):
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    run_dir = str(tmp_path / "run")
+    assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
+    with open(os.path.join(run_dir, "config.json")) as f:
+        doc = json.load(f)
+    write_config(tmp_path, replaced(doc, ("resolved", key), value), name="run/config.json")
+    argv = [command, run_dir] + (["--out", str(tmp_path / "cmp")] if command == "compare" else [])
+    capsys.readouterr()
+    assert main(argv) == 2
+    assert key in capsys.readouterr().err
 
 
 def test_cli_compare_grid_structure(tmp_path):

@@ -4,9 +4,9 @@ import pytest
 from wtx.errors import ShapeError, ValidationError
 from wtx.evaluation import (_topk_hits, comparison_csv, comparison_table, evaluate,
                             nn_overlap, norm_stats)
-from wtx.models import DetectionProxyHead, ModelConfig, TransferModel, build_model
+from wtx.models import DetectionProxyHead
 
-from conftest import tiny_config
+from conftest import make_model, tiny_config
 from wtx.bench import generate_benchmark
 
 
@@ -90,7 +90,7 @@ def test_novel_split_ranks_over_full_universe(tiny_bench):
 
 
 def test_evaluate_accepts_model(tiny_bench):
-    model = build_model("wtn", in_dim=16, hidden_dim=16, out_dim=16, groups=4, seed=0)
+    model = make_model("wtn", dim=16, groups=4)
     head = DetectionProxyHead(tiny_bench.num_other, tiny_bench.d_feat)
     rep = evaluate(head, model, tiny_bench, "eval_seen")
     assert 0.0 <= rep.top1 <= 1.0
@@ -158,8 +158,7 @@ def test_overlap_input_validation(rng):
 # --- norm stats -----------------------------------------------------------------
 
 def test_norm_stats_zero_activations(tiny_bench):
-    model = build_model("wtn_plus", tiny_bench.source, in_dim=16, hidden_dim=16,
-                        out_dim=16, groups=4, seed=1)
+    model = make_model("wtn_plus", tiny_bench.source, dim=16, groups=4, seed=1)
     # force the hidden layer to output a negative constant: post-ReLU all zero
     gn = model.encoder[1]
     gn.gamma.data[...] = 0.0
@@ -170,8 +169,7 @@ def test_norm_stats_zero_activations(tiny_bench):
 
 
 def test_norm_stats_shapes_and_nonnegative(tiny_bench):
-    model = build_model("wtn_plus", tiny_bench.source, in_dim=16, hidden_dim=16,
-                        out_dim=16, groups=4, seed=2)
+    model = make_model("wtn_plus", tiny_bench.source, dim=16, groups=4, seed=2)
     stats = norm_stats(model, tiny_bench.source)
     assert stats.var_shared >= 0.0 and stats.var_novel >= 0.0
     assert stats.mean_shared > 0.0 and stats.mean_novel > 0.0

@@ -3,8 +3,7 @@ import pytest
 
 from wtx.errors import ConfigError, ShapeError, StateError
 from wtx.gradcheck import max_relative_error, numeric_gradient
-from wtx.layers import (ClassBatchNorm, Dropout, GroupNorm, InputStandardizer,
-                        Linear, ReLU)
+from wtx.layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, ReLU
 
 
 def rng(seed=0):
@@ -196,10 +195,11 @@ def test_groupnorm_singleton_groups_output_beta():
 
 
 def test_groupnorm_pre_affine_statistics():
-    # group variance well above eps so the eps term stays below tolerance
+    # group variance well above eps so the eps term stays below tolerance;
+    # a fresh layer's affine is the identity (gamma 1, beta 0)
     gn = GroupNorm(16, 4)
     x = rng(15).standard_normal((8, 16)) * 100.0 + 1.0
-    normalized = gn.normalized(x).reshape(8, 4, 4)
+    normalized = gn.forward(x).reshape(8, 4, 4)
     assert np.max(np.abs(normalized.mean(axis=2))) < 1e-10
     assert np.max(np.abs(normalized.var(axis=2) - 1.0)) < 1e-8
 
@@ -210,8 +210,8 @@ def test_groupnorm_scale_invariance_per_group():
     x = rng(16).standard_normal((4, 8)) * 100.0
     scaled = x.copy()
     scaled[:, :4] *= 7.3          # scale one whole group
-    a = gn.normalized(x)
-    b = gn.normalized(scaled)
+    a = gn.forward(x)
+    b = gn.forward(scaled)
     assert np.max(np.abs(a - b)) < 1e-8
 
 
@@ -294,29 +294,3 @@ def test_classbatchnorm_gradients_match_finite_differences():
     assert max_relative_error(dx, numeric_gradient(f, x)) < 1e-5
     assert max_relative_error(cbn.gamma.grad, numeric_gradient(f, cbn.gamma.data)) < 1e-5
 
-
-# --- dropout ------------------------------------------------------------------
-
-def test_dropout_eval_mode_is_identity():
-    d = Dropout(0.5, rng(30))
-    x = rng(31).standard_normal((4, 6))
-    assert np.array_equal(d.forward(x, train=False), x)
-
-
-def test_dropout_train_mode_masks_and_scales():
-    d = Dropout(0.5, rng(32))
-    x = np.ones((200, 50))
-    out = d.forward(x, train=True)
-    kept = out > 0
-    assert abs(kept.mean() - 0.5) < 0.05
-    assert np.allclose(out[kept], 2.0)
-
-
-def test_dropout_backward_uses_same_mask():
-    d = Dropout(0.3, rng(33))
-    x = np.ones((10, 10))
-    out = d.forward(x, train=True)
-    up = rng(34).standard_normal((10, 10))
-    dx = d.backward(up)
-    mask = (out != 0) / 0.7
-    assert np.array_equal(dx, up * mask)

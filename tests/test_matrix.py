@@ -1,95 +1,14 @@
 import json
 
 import numpy as np
-import pytest
 
-from wtx.errors import NonFiniteError, ShapeError
-from wtx.matrix import (gaussian_sample, load_matrix_csv, load_matrix_json,
-                        make_rng, matmul, matrix_hash, row_l2_norms,
-                        save_matrix_csv, save_matrix_json)
-
-
-def naive_matmul(a, b):
-    """Triple-loop oracle; the correctness reference for matmul."""
-    n, k = a.shape
-    k2, m = b.shape
-    assert k == k2
-    out = np.zeros((n, m))
-    for i in range(n):
-        for j in range(m):
-            acc = 0.0
-            for t in range(k):
-                acc += a[i, t] * b[t, j]
-            out[i, j] = acc
-    return out
-
-
-def test_matmul_identity():
-    a = np.eye(2)
-    b = np.array([[3.0, 4.0], [5.0, 6.0]])
-    assert np.array_equal(matmul(a, b), b)
-
-
-def test_matmul_dot_product():
-    out = matmul(np.array([[1.0, 2.0]]), np.array([[3.0], [4.0]]))
-    assert out.shape == (1, 1)
-    assert out[0, 0] == 11.0
-
-
-def test_matmul_matches_triple_loop_oracle():
-    rng = make_rng(7)
-    a = rng.standard_normal((5, 7))
-    b = rng.standard_normal((7, 3))
-    got = matmul(a, b)
-    want = naive_matmul(a, b)
-    assert np.max(np.abs(got - want) / np.maximum(np.abs(want), 1e-12)) < 1e-12
-
-
-def test_matmul_shape_error_names_both_shapes():
-    with pytest.raises(ShapeError) as exc:
-        matmul(np.zeros((2, 3)), np.zeros((4, 5)))
-    assert "(2, 3)" in str(exc.value) and "(4, 5)" in str(exc.value)
-
-
-def test_matmul_rejects_non_finite_result():
-    big = np.full((2, 2), 1e308)
-    with pytest.raises(NonFiniteError):
-        matmul(big, big)
-
-
-def test_matmul_associativity():
-    rng = make_rng(3)
-    a, b, c = (rng.standard_normal((4, 4)) for _ in range(3))
-    left = matmul(matmul(a, b), c)
-    right = matmul(a, matmul(b, c))
-    assert np.max(np.abs(left - right) / np.maximum(np.abs(right), 1e-9)) < 1e-10
+from wtx.matrix import (load_matrix_json, matrix_hash, row_l2_norms, save_matrix_csv,
+                        save_matrix_json)
 
 
 def test_transpose_involution():
-    a = make_rng(1).standard_normal((3, 5))
+    a = np.random.default_rng(1).standard_normal((3, 5))
     assert np.array_equal(a.T.T, a)
-
-
-def test_gaussian_std_zero_gives_mean():
-    out = gaussian_sample(make_rng(0), 4, 3, mean=2.5, std=0.0)
-    assert np.all(out == 2.5)
-
-
-def test_gaussian_deterministic_given_seed():
-    a = gaussian_sample(make_rng(42), 8, 8)
-    b = gaussian_sample(make_rng(42), 8, 8)
-    assert np.array_equal(a, b)
-
-
-def test_gaussian_law_of_large_numbers():
-    out = gaussian_sample(make_rng(11), 1000, 100, mean=0.0, std=1.0)
-    assert abs(out.mean()) < 0.02
-    assert abs(out.std() - 1.0) < 0.02
-
-
-def test_gaussian_negative_std_rejected():
-    with pytest.raises(ValueError):
-        gaussian_sample(make_rng(0), 2, 2, std=-1.0)
 
 
 def test_row_l2_norms_345_triangle():
@@ -101,7 +20,7 @@ def test_row_l2_norms_zero_matrix():
 
 
 def test_row_l2_norms_matches_scalar_oracle():
-    rng = make_rng(5)
+    rng = np.random.default_rng(5)
     m = rng.standard_normal((4, 6))
     got = row_l2_norms(m)
     for i in range(4):
@@ -113,7 +32,7 @@ def test_row_l2_norms_matches_scalar_oracle():
 
 
 def test_json_round_trip_bit_exact(tmp_path):
-    m = make_rng(9).standard_normal((6, 5)) * 1e3
+    m = np.random.default_rng(9).standard_normal((6, 5)) * 1e3
     path = str(tmp_path / "m.json")
     save_matrix_json(m, path)
     back = load_matrix_json(path)
@@ -124,17 +43,17 @@ def test_json_round_trip_bit_exact(tmp_path):
 
 
 def test_csv_round_trip_bit_exact(tmp_path):
-    m = make_rng(10).standard_normal((4, 7))
+    m = np.random.default_rng(10).standard_normal((4, 7))
     path = str(tmp_path / "m.csv")
     save_matrix_csv(m, path)
-    back = load_matrix_csv(path)
-    assert np.array_equal(back, m)
     text = (tmp_path / "m.csv").read_text()
+    back = np.asarray([[float(x) for x in line.split(",")] for line in text.splitlines()])
+    assert np.array_equal(back, m)
     assert "," in text and ";" not in text.splitlines()[0]
 
 
 def test_matrix_hash_detects_any_change():
-    m = make_rng(2).standard_normal((3, 3))
+    m = np.random.default_rng(2).standard_normal((3, 3))
     h = matrix_hash(m)
     m2 = m.copy()
     m2[1, 1] = np.nextafter(m2[1, 1], np.inf)

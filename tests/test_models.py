@@ -10,10 +10,12 @@ from wtx.losses import smooth_l1
 from wtx.matrix import load_matrix_json, matrix_hash
 from wtx.models import (DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
-                        baseline_nn_transfer, build_model, export_transferred,
+                        baseline_nn_transfer, export_transferred,
                         joint_losses, load_model_params, save_model_params,
                         train_conventional_head, train_joint)
 from wtx.optim import AdamW
+
+from conftest import make_model
 
 
 def small_source(seed=0, n=12, shared=5, d=8):
@@ -38,7 +40,7 @@ def test_source_weights_are_read_only():
 # --- building -----------------------------------------------------------------
 
 def test_wtn_params_are_exactly_two_linear_layers():
-    model = build_model("wtn", in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=0)
+    model = make_model("wtn", seed=0)
     names = [p.name for p in model.parameters()]
     assert names == ["enc1.weight", "enc1.bias", "enc2.weight", "enc2.bias"]
     assert model.standardizer is None and model.decoder is None
@@ -46,7 +48,7 @@ def test_wtn_params_are_exactly_two_linear_layers():
 
 def test_wtn_plus_has_standardizer_and_groupnorm_no_decoder():
     src = small_source()
-    model = build_model("wtn_plus", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=0)
+    model = make_model("wtn_plus", src, seed=0)
     assert model.standardizer is not None
     assert any("enc_norm" in p.name for p in model.parameters())
     assert model.decoder is None
@@ -54,7 +56,7 @@ def test_wtn_plus_has_standardizer_and_groupnorm_no_decoder():
 
 def test_ae_wtn_encoder_decoder_param_counts_match():
     src = small_source()
-    model = build_model("ae_wtn", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=0)
+    model = make_model("ae_wtn", src, seed=0)
     enc = sum(p.data.size for p in model.encoder_parameters())
     dec = sum(p.data.size for p in model.decoder_parameters())
     assert enc == dec > 0
@@ -62,25 +64,24 @@ def test_ae_wtn_encoder_decoder_param_counts_match():
 
 def test_same_seed_identical_init():
     src = small_source()
-    a = build_model("ae_wtn", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=3)
-    b = build_model("ae_wtn", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=3)
+    a = make_model("ae_wtn", src, seed=3)
+    b = make_model("ae_wtn", src, seed=3)
     assert a.params_hash() == b.params_hash()
 
 
 def test_group_divisibility_checked():
     with pytest.raises(ConfigError):
-        build_model("wtn_plus", small_source(), in_dim=8, hidden_dim=9, out_dim=8,
-                    groups=2, seed=0)
+        make_model("wtn_plus", small_source(), hidden_dim=9)
 
 
 def test_unknown_variant_rejected():
     with pytest.raises(ConfigError):
-        build_model("wtn_minus", in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=0)
+        make_model("wtn_minus", seed=0)
 
 
 def test_input_norm_requires_source():
     with pytest.raises(ConfigError):
-        build_model("wtn_plus", None, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=0)
+        make_model("wtn_plus", None, seed=0)
 
 
 # --- transfer -----------------------------------------------------------------
@@ -88,64 +89,64 @@ def test_input_norm_requires_source():
 @pytest.mark.parametrize("variant", ["wtn", "wtn_plus", "ae_wtn"])
 def test_transfer_row_permutation_equivariance(variant):
     src = small_source(1)
-    model = build_model(variant, src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=1)
+    model = make_model(variant, src, seed=1)
     w = np.random.default_rng(2).standard_normal((10, 8))
     perm = np.random.default_rng(3).permutation(10)
-    a = model.transfer(w)[perm]
-    b = model.transfer(w[perm])
+    a = model.encode(w)[perm]
+    b = model.encode(w[perm])
     assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
 @pytest.mark.parametrize("variant", ["wtn", "wtn_plus", "ae_wtn"])
 def test_transfer_row_independence(variant):
     src = small_source(4)
-    model = build_model(variant, src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=4)
+    model = make_model(variant, src, seed=4)
     w = np.random.default_rng(5).standard_normal((6, 8))
-    full = model.transfer(w)
+    full = model.encode(w)
     for i in range(6):
-        single = model.transfer(w[i:i + 1])
+        single = model.encode(w[i:i + 1])
         assert np.max(np.abs(single[0] - full[i])) < 1e-12
 
 
 def test_transfer_shape_error():
-    model = build_model("wtn", in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=0)
+    model = make_model("wtn", seed=0)
     with pytest.raises(ShapeError):
-        model.transfer(np.zeros((3, 9)))
+        model.encode(np.zeros((3, 9)))
 
 
 def test_reconstruct_shape_and_state_error():
     src = small_source(6)
-    ae = build_model("ae_wtn", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=6)
-    out = ae.reconstruct(src.weights)
+    ae = make_model("ae_wtn", src, seed=6)
+    out = ae.decode(ae.encode(src.weights))
     assert out.shape == src.weights.shape
-    plain = build_model("wtn", in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=6)
+    plain = make_model("wtn", seed=6)
     with pytest.raises(StateError):
-        plain.reconstruct(src.weights)
+        plain.decode(plain.encode(src.weights))
 
 
 def test_reconstruction_loss_decreases_with_training():
     # 100 AdamW steps on the reconstruction objective alone must reduce it.
     src = small_source(7, n=20, shared=8, d=8)
-    model = build_model("ae_wtn", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=7)
+    model = make_model("ae_wtn", src, seed=7)
     opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.0)
     first = None
     for _ in range(100):
-        recon = model.decode(model.encode(src.weights, train=True), train=True)
+        recon = model.decode(model.encode(src.weights))
         lv = smooth_l1(recon, src.weights)
         if first is None:
             first = lv.value
         model.encode_backward(model.decode_backward(lv.grad))
         opt.step()
         opt.zero_grad()
-    last = smooth_l1(model.reconstruct(src.weights), src.weights).value
+    last = smooth_l1(model.decode(model.encode(src.weights)), src.weights).value
     assert first > 0.0
     assert last < first
 
 
 def test_reconstruction_gradient_reaches_encoder():
     src = small_source(8)
-    model = build_model("ae_wtn", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=8)
-    recon = model.decode(model.encode(src.weights, train=True), train=True)
+    model = make_model("ae_wtn", src, seed=8)
+    recon = model.decode(model.encode(src.weights))
     lv = smooth_l1(recon, src.weights)
     model.encode_backward(model.decode_backward(lv.grad))
     grads = [np.abs(p.grad).max() for p in model.encoder_parameters()]
@@ -158,15 +159,15 @@ def test_overfit_capacity_oracle_rank_limited_reconstruction():
     rng = np.random.default_rng(9)
     w = (rng.standard_normal((24, 4)) @ rng.standard_normal((4, 8))) * 0.3
     src = SourceWeights.create(w, list(range(10)))
-    model = build_model("ae_wtn", src, in_dim=8, hidden_dim=8, out_dim=8, groups=2, seed=9)
+    model = make_model("ae_wtn", src, seed=9)
     opt = AdamW(model.parameters(), lr=3e-3, weight_decay=0.0)
     for _ in range(3000):
-        recon = model.decode(model.encode(src.weights, train=True), train=True)
+        recon = model.decode(model.encode(src.weights))
         lv = smooth_l1(recon, src.weights)
         model.encode_backward(model.decode_backward(lv.grad))
         opt.step()
         opt.zero_grad()
-    final = smooth_l1(model.reconstruct(src.weights), src.weights).value
+    final = smooth_l1(model.decode(model.encode(src.weights)), src.weights).value
     assert final < 1e-3
 
 
@@ -309,12 +310,12 @@ def test_export_shape_manifest_and_bitwise_scoring(tiny_bench, tmp_path):
     assert exported.shape == (bench.source.num_classes, 16)
 
     feats = bench.split("eval_seen").features[:10]
-    in_process = head.score(feats, model.transfer(bench.source.weights))
+    in_process = head.score(feats, model.encode(bench.source.weights))
     from_file = head.score(feats, exported)
     assert np.array_equal(in_process, from_file)
 
     novel_rows = exported[bench.source.novel_index]
-    recomputed = model.transfer(bench.source.weights[bench.source.novel_index])
+    recomputed = model.encode(bench.source.weights[bench.source.novel_index])
     assert np.max(np.abs(novel_rows - recomputed)) < 1e-12
 
     with open(str(tmp_path / "weights.manifest.json")) as f:
