@@ -26,8 +26,6 @@ for name, errs in by_name.items():
 # classes (3 shared), 8 input dims, hidden width 8, 2 groups, batch 4.
 model, head, source, feats, labels = miniature_setup(seed=0)
 f = lambda: joint_losses(model, head, source, feats, labels, alpha=20.0)[2]
-model.zero_grad()
-head.other_weights.zero_grad()
 joint_losses(model, head, source, feats, labels, alpha=20.0, backprop=True)
 
 print()

@@ -18,12 +18,10 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .layers import Param
 from .losses import sigmoid_bce
 from .matrix import (atomic_write_text, matrix_hash, row_l2_norms, save_matrix_csv,
                      save_matrix_json)
 from .models import SourceWeights
-from .optim import SGDMomentum
 
 
 @dataclass(frozen=True)
@@ -165,22 +163,18 @@ def _train_source_classifier(x, y, config: BenchConfig, rng) -> np.ndarray:
     the wide spread of learned weight norms. Biases are internal to the
     source task; only the weight rows are kept.
     """
-    w = Param("source.weights", np.zeros((y.shape[1], x.shape[1])))
+    w = np.zeros((y.shape[1], x.shape[1]))
     prior = np.clip(y.mean(axis=0), 1e-6, 1.0 - 1e-6)
-    b = Param("source.bias", np.log(prior / (1.0 - prior)))
-    opt = SGDMomentum([w, b], lr=config.source_lr, momentum=0.0, weight_decay=0.0)
-    n = x.shape[0]
+    b = np.log(prior / (1.0 - prior))
+    lr, n = config.source_lr, x.shape[0]
     for _ in range(config.source_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.source_batch):
             idx = order[start:start + config.source_batch]
-            logits = x[idx] @ w.data.T + b.data
-            lv = sigmoid_bce(logits, y[idx])
-            w.grad += lv.grad.T @ x[idx]
-            b.grad += lv.grad.sum(axis=0)
-            opt.step()
-            opt.zero_grad()
-    return w.data
+            g = sigmoid_bce(x[idx] @ w.T + b, y[idx]).grad
+            w -= lr * (g.T @ x[idx])
+            b -= lr * g.sum(axis=0)
+    return w
 
 
 def _make_split(name, class_ids, prototypes_by_id, universe, total_cols,

@@ -166,9 +166,11 @@ def _run_dir_context(run_dir: str):
         raise ValidationError(f"{run_dir}: the regenerated benchmark has fingerprint "
                               f"{actual}; config.json records "
                               f"{stamped or 'none (retrain the run)'}")
-    w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"))
+    w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"),
+                           (bench.source.num_classes, bench.d_feat))
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
-    head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"))
+    head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"),
+                                                    head.other_weights.data.shape)
     return cfg, resolved, tag, bench, w_d, head, overrides
 
 

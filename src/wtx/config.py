@@ -4,12 +4,13 @@ evaluation, and analysis.
 Loading is strict: unknown keys anywhere in the document are configuration
 errors, so a typo in a hyperparameter name fails fast instead of silently
 running with a default, and so is a value whose JSON type does not match its
-field (an int field takes no bool or float). Configs round-trip through JSON
-losslessly.
+field (an int field takes no bool or float, a float field no NaN or
+Infinity). Configs round-trip through JSON losslessly.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import asdict, dataclass, fields, replace
 
 from .bench import BenchConfig
@@ -89,7 +90,7 @@ _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 # The JSON values each field annotation admits (annotations are strings here).
 _TYPE_CHECKS = {
     "int": _is_int,
-    "float": lambda v: isinstance(v, (int, float)) and not isinstance(v, bool),
+    "float": lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
     "str": lambda v: isinstance(v, str),
     "bool | None": lambda v: v is None or isinstance(v, bool),
     "tuple": lambda v: isinstance(v, (list, tuple)) and all(_is_int(x) for x in v),

@@ -3,7 +3,9 @@
 Every layer caches what its backward pass needs during ``forward`` and
 releases the cache when ``backward`` runs, so calling backward first (or
 twice) is a state error. Parameter gradients accumulate across backward
-calls until ``zero_grad``; gradients w.r.t. the input are returned.
+calls until they are zeroed; gradients w.r.t. the input are returned.
+Updates are in place, so once ``flatten`` has made a Param's arrays views
+of a parameter store, the layer reads and writes the store directly.
 
 All normalization statistics are population (1/N) moments.
 """
@@ -25,11 +27,23 @@ class Param:
         self.data = np.asarray(data, dtype=np.float64)
         self.grad = np.zeros_like(self.data)
 
-    def zero_grad(self):
-        self.grad[...] = 0.0
-
     def __repr__(self):
         return f"Param({self.name}, shape={self.data.shape})"
+
+
+def flatten(params: list[Param]) -> tuple[np.ndarray, np.ndarray]:
+    """Gather ``params`` into one parameter store: a data vector holding
+    their values concatenated in list order, and a zeroed gradient vector of
+    the same length. Each Param's ``data`` and ``grad`` become reshaped views
+    of its slice of the two vectors; the vectors are returned."""
+    data = np.concatenate([p.data.ravel() for p in params])
+    grad = np.zeros_like(data)
+    start = 0
+    for p in params:
+        shape, stop = p.data.shape, start + p.data.size
+        p.data, p.grad = data[start:stop].reshape(shape), grad[start:stop].reshape(shape)
+        start = stop
+    return data, grad
 
 
 class Linear:

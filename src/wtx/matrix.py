@@ -16,7 +16,7 @@ import os
 
 import numpy as np
 
-from .errors import ShapeError
+from .errors import ShapeError, ValidationError
 
 
 def as_matrix(a) -> np.ndarray:
@@ -58,27 +58,43 @@ def atomic_write_text(path: str, text: str) -> None:
         raise
 
 
-def matrix_to_json_obj(m: np.ndarray) -> dict:
-    m = as_matrix(m)
-    return {"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-            "data": [float(x) for x in m.ravel(order="C")]}
-
-
-def matrix_from_json_obj(obj: dict) -> np.ndarray:
-    rows, cols = int(obj["rows"]), int(obj["cols"])
-    data = np.asarray(obj["data"], dtype=np.float64)
-    if data.size != rows * cols:
-        raise ShapeError(f"JSON matrix claims {rows}x{cols} but carries {data.size} values")
-    return data.reshape(rows, cols)
-
-
 def save_matrix_json(m: np.ndarray, path: str) -> None:
-    atomic_write_text(path, json.dumps(matrix_to_json_obj(m)))
+    m = as_matrix(m)
+    atomic_write_text(path, json.dumps({"rows": int(m.shape[0]), "cols": int(m.shape[1]),
+                                        "data": [float(x) for x in m.ravel(order="C")]}))
 
 
-def load_matrix_json(path: str) -> np.ndarray:
+def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Read a matrix written by save_matrix_json. Anything but an object with
+    non-negative integer ``rows`` and ``cols`` and a ``data`` list of exactly
+    rows*cols finite numbers, or a matrix not of ``shape`` when one is given,
+    raises ValidationError naming the file."""
     with open(path) as f:
-        return matrix_from_json_obj(json.load(f))
+        try:
+            obj = json.load(f)
+        except json.JSONDecodeError as e:
+            raise ValidationError(f"{path}: not valid JSON ({e})") from None
+    if not isinstance(obj, dict):
+        raise ValidationError(f"{path}: a JSON matrix must be an object, got "
+                              f"{type(obj).__name__}")
+    rows, cols, data = obj.get("rows"), obj.get("cols"), obj.get("data")
+    if not all(type(n) is int and n >= 0 for n in (rows, cols)):
+        raise ValidationError(f"{path}: rows and cols must be non-negative integers, "
+                              f"got {rows!r} and {cols!r}")
+    if not isinstance(data, list) or len(data) != rows * cols:
+        raise ValidationError(f"{path}: the matrix claims {rows}x{cols} but data is not "
+                              f"a list of {rows * cols} numbers")
+    try:
+        m = np.array(data, dtype=np.float64) if {type(x) for x in data} <= {int, float} else None
+    except OverflowError:               # an integer beyond the float64 range
+        m = None
+    if m is None or not np.isfinite(m).all():
+        raise ValidationError(f"{path}: data must hold finite numbers only (no bool, null, "
+                              f"string, NaN or Infinity)")
+    if shape is not None and (rows, cols) != tuple(shape):
+        raise ValidationError(f"{path} holds a {rows}x{cols} matrix where "
+                              f"{shape[0]}x{shape[1]} is needed")
+    return m.reshape(rows, cols)
 
 
 def save_matrix_csv(m: np.ndarray, path: str) -> None:

@@ -9,6 +9,13 @@ classification weight vector. Three variants share one implementation:
 * ``ae_wtn``    adds a mirrored decoder trained with a smooth-L1
                 reconstruction loss over every source class.
 
+Each model keeps its trainable state in one parameter store: two float64
+vectors, ``model.data`` and ``model.grad``, built by ``layers.flatten``.
+The encoder's parameters come first, in layer order, and the decoder's
+follow from ``model.encoder_size`` on; every layer's ``Param.data`` and
+``Param.grad`` are reshaped views of their slice. So an optimizer step,
+``zero_grad``, a model hash and the saved parameters each act on one array.
+
 Scoring is a bias-free matrix multiplication of features against the
 stacked transferred and conventionally-learned "other" weights.
 """
@@ -21,9 +28,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
-from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU
+from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU, flatten
 from .losses import sigmoid_bce, smooth_l1, total_loss
-from .matrix import atomic_write_text, matrix_hash, matrix_to_json_obj, save_matrix_json
+from .matrix import atomic_write_text, load_matrix_json, matrix_hash, save_matrix_json
 from .optim import AdamW, SGDMomentum
 
 VARIANTS = ("wtn", "wtn_plus", "ae_wtn")
@@ -146,24 +153,19 @@ class TransferModel:
             dec.append(Linear(config.hidden_dim, config.in_dim, init_rng, name="dec2"))
             self.decoder = dec
 
+        self.encoder_size = sum(p.data.size for layer in enc for p in layer.params())
+        self.data, self.grad = flatten(self.parameters())
+
     @property
     def has_decoder(self) -> bool:
         return self.decoder is not None
 
-    def encoder_parameters(self) -> list[Param]:
-        return [p for layer in self.encoder for p in layer.params()]
-
-    def decoder_parameters(self) -> list[Param]:
-        if self.decoder is None:
-            return []
-        return [p for layer in self.decoder for p in layer.params()]
-
     def parameters(self) -> list[Param]:
-        return self.encoder_parameters() + self.decoder_parameters()
+        """Every layer's parameters in store order: encoder, then decoder."""
+        return [p for layer in self.encoder + (self.decoder or []) for p in layer.params()]
 
     def zero_grad(self):
-        for p in self.parameters():
-            p.zero_grad()
+        self.grad[...] = 0.0
 
     def _forward_encoder(self, w: np.ndarray, layers) -> np.ndarray:
         if w.ndim != 2 or w.shape[1] != self.config.in_dim:
@@ -204,15 +206,6 @@ class TransferModel:
     def hidden_activations(self, w: np.ndarray) -> np.ndarray:
         """Post-ReLU hidden activations for each input row (all but the last layer)."""
         return self._forward_encoder(w, self.encoder[:-1])
-
-    def params_hash(self, params: list[Param] | None = None) -> str:
-        params = self.parameters() if params is None else params
-        import hashlib
-        h = hashlib.sha256()
-        for p in params:
-            h.update(p.name.encode())
-            h.update(np.ascontiguousarray(p.data).tobytes())
-        return h.hexdigest()
 
 
 class DetectionProxyHead:
@@ -331,18 +324,17 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
     batch_rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     # With alpha == 0 the decoder receives no gradient at all; keeping it
     # out of the optimizer leaves it untouched by weight decay as well.
-    trainable = (model.parameters() if model.has_decoder and config.alpha != 0.0
-                 else model.encoder_parameters())
-    opt_model = AdamW(trainable, lr=config.adamw_lr,
+    n = model.data.size if config.alpha != 0.0 else model.encoder_size
+    opt_model = AdamW(model.data[:n], model.grad[:n], lr=config.adamw_lr,
                       weight_decay=config.adamw_weight_decay)
-    opt_head = SGDMomentum([head.other_weights], lr=config.head_lr,
-                           momentum=config.head_momentum,
+    opt_head = SGDMomentum(head.other_weights.data, head.other_weights.grad,
+                           lr=config.head_lr, momentum=config.head_momentum,
                            weight_decay=config.head_weight_decay)
 
     report = TrainingReport(variant=model.variant, seed=config.seed)
     report.w_c_hash_before = matrix_hash(source.weights)
     if model.has_decoder:
-        report.decoder_hash_init = model.params_hash(model.decoder_parameters())
+        report.decoder_hash_init = matrix_hash(model.data[model.encoder_size:])
 
     iters, cls_curve, rec_curve, total_curve = [], [], [], []
     csv_lines = ["iteration,l_cls,l_rec,total"]
@@ -373,8 +365,8 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
     report.final_total = total_curve[-1] if total_curve else 0.0
     report.w_c_hash_after = matrix_hash(source.weights)
     if model.has_decoder:
-        report.decoder_hash_final = model.params_hash(model.decoder_parameters())
-    report.model_hash_final = model.params_hash()
+        report.decoder_hash_final = matrix_hash(model.data[model.encoder_size:])
+    report.model_hash_final = matrix_hash(model.data)
 
     if csv_path is not None:
         atomic_write_text(csv_path, "\n".join(csv_lines) + "\n")
@@ -406,24 +398,14 @@ def export_transferred(model: TransferModel, source: SourceWeights, path: str) -
 
 
 def save_model_params(model: TransferModel, path: str) -> None:
-    """Serialize every layer parameter as a JSON matrix keyed by its name."""
-    obj = {}
-    for p in model.parameters():
-        data = p.data if p.data.ndim == 2 else p.data.reshape(1, -1)
-        obj[p.name] = matrix_to_json_obj(data)
-    atomic_write_text(path, json.dumps(obj, sort_keys=True))
+    """Serialize the parameter store as a one-row JSON matrix."""
+    save_matrix_json(model.data.reshape(1, -1), path)
 
 
 def load_model_params(model: TransferModel, path: str) -> None:
-    """Restore parameters saved by save_model_params into a model built with
-    the same configuration and seed."""
-    from .matrix import matrix_from_json_obj
-    with open(path) as f:
-        obj = json.load(f)
-    for p in model.parameters():
-        if p.name not in obj:
-            raise StateError(f"saved parameters are missing {p.name!r}")
-        p.data[...] = matrix_from_json_obj(obj[p.name]).reshape(p.data.shape)
+    """Restore a store saved by save_model_params into a model built with the
+    same configuration; a store of another size raises ValidationError."""
+    model.data[...] = load_matrix_json(path, (1, model.data.size))[0]
 
 
 # --- Non-WTN baselines -----------------------------------------------------
@@ -454,31 +436,26 @@ def train_conventional_head(source: SourceWeights, data, d_feat: int, *,
     n_other = data.num_other
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
+    # The learned rows are one (n_s + n_other, d_feat) array added to a fixed
+    # base: the W_C seen rows in lsda mode, zeros otherwise.
+    base = np.zeros((n_s + n_other, d_feat))
     if mode == "lsda":
         if source.dim != d_feat:
             raise ShapeError(f"lsda needs d_src == d_feat, got {source.dim} vs {d_feat}")
-        base_seen = source.weights[shared_idx]
-    else:
-        base_seen = np.zeros((n_s, d_feat))
-    seen_param = Param("head.seen", np.zeros((n_s, d_feat)))
-    other_param = Param("head.other", np.zeros((n_other, d_feat)))
-    opt = SGDMomentum([seen_param, other_param], lr=lr, momentum=momentum,
-                      weight_decay=weight_decay)
+        base[:n_s] = source.weights[shared_idx]
+    learned, grad = np.zeros_like(base), np.zeros_like(base)
+    opt = SGDMomentum(learned, grad, lr=lr, momentum=momentum, weight_decay=weight_decay)
 
     for _ in range(iterations):
         feats, labels = data.sample("train", batch_size, rng)
-        stack = np.vstack([base_seen + seen_param.data, other_param.data])
-        logits = feats @ stack.T
+        logits = feats @ (base + learned).T
         lv = sigmoid_bce(logits, labels)
-        dstack = lv.grad.T @ feats
-        seen_param.grad += dstack[:n_s]
-        other_param.grad += dstack[n_s:]
+        grad += lv.grad.T @ feats
         opt.step()
         opt.zero_grad()
 
-    weights = np.vstack([base_seen + seen_param.data, other_param.data])
-    biases = seen_param.data if mode == "lsda" else None
-    return ConventionalHead(weights=weights, n_shared=n_s, lsda_biases=biases)
+    biases = learned[:n_s] if mode == "lsda" else None
+    return ConventionalHead(weights=base + learned, n_shared=n_s, lsda_biases=biases)
 
 
 def _nearest_seen(source: SourceWeights, k: int) -> np.ndarray:

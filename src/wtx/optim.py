@@ -1,66 +1,63 @@
-"""Optimizers operating in place on Param objects.
+"""Optimizers updating one (data, grad) array pair in place.
 
-AdamW applies weight decay decoupled from the adaptive update; SGDMomentum
-uses the classic coupled L2 form (decay added to the gradient). Both are
-fully deterministic: identical state and gradients give identical updates.
+The pair is usually a parameter store from ``layers.flatten``, or a slice of
+one, and the optimizer state is arrays of its shape, so a step is a few
+whole-array operations however many layers the store holds. AdamW applies
+weight decay decoupled from the adaptive update; SGDMomentum uses the
+classic coupled L2 form (decay added to the gradient). Both are fully
+deterministic: identical state and gradients give identical updates.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .layers import Param
-
 
 class AdamW:
-    def __init__(self, params: list[Param], lr: float = 1e-3,
+    def __init__(self, data: np.ndarray, grad: np.ndarray, lr: float = 1e-3,
                  betas: tuple[float, float] = (0.9, 0.999), eps: float = 1e-8,
                  weight_decay: float = 1e-4):
-        self.params = list(params)
+        self.data, self.grad = data, grad
         self.lr = lr
         self.beta1, self.beta2 = betas
         self.eps = eps
         self.weight_decay = weight_decay
         self.t = 0
-        self.m = [np.zeros_like(p.data) for p in self.params]
-        self.v = [np.zeros_like(p.data) for p in self.params]
+        self.m = np.zeros_like(data)
+        self.v = np.zeros_like(data)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
-        for p, m, v in zip(self.params, self.m, self.v):
-            if self.weight_decay:
-                p.data *= 1.0 - self.lr * self.weight_decay
-            m *= self.beta1
-            m += (1.0 - self.beta1) * p.grad
-            v *= self.beta2
-            v += (1.0 - self.beta2) * p.grad * p.grad
-            p.data -= self.lr * (m / bc1) / (np.sqrt(v / bc2) + self.eps)
+        if self.weight_decay:
+            self.data *= 1.0 - self.lr * self.weight_decay
+        self.m *= self.beta1
+        self.m += (1.0 - self.beta1) * self.grad
+        self.v *= self.beta2
+        self.v += (1.0 - self.beta2) * self.grad * self.grad
+        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad[...] = 0.0
 
 
 class SGDMomentum:
-    def __init__(self, params: list[Param], lr: float, momentum: float = 0.9,
+    def __init__(self, data: np.ndarray, grad: np.ndarray, lr: float, momentum: float = 0.9,
                  weight_decay: float = 0.0):
-        self.params = list(params)
+        self.data, self.grad = data, grad
         self.lr = lr
         self.momentum = momentum
         self.weight_decay = weight_decay
-        self.velocity = [np.zeros_like(p.data) for p in self.params]
+        self.velocity = np.zeros_like(data)
 
     def step(self):
-        for p, v in zip(self.params, self.velocity):
-            g = p.grad
-            if self.weight_decay:
-                g = g + self.weight_decay * p.data
-            v *= self.momentum
-            v += g
-            p.data -= self.lr * v
+        g = self.grad
+        if self.weight_decay:
+            g = g + self.weight_decay * self.data
+        self.velocity *= self.momentum
+        self.velocity += g
+        self.data -= self.lr * self.velocity
 
     def zero_grad(self):
-        for p in self.params:
-            p.zero_grad()
+        self.grad[...] = 0.0

@@ -3,6 +3,7 @@ import copy
 import json
 import os
 import re
+import shutil
 import stat
 from concurrent.futures import Future
 
@@ -94,6 +95,8 @@ def replaced(doc, path, value):
     (("evaluation", "overlap_ks"), [1, 500]),
     (("evaluation", "overlap_ks"), []),
     (("model", "dropout"), 0.0),
+    (("benchmark", "noise_std"), float("nan")),
+    (("train", "adamw_lr"), float("inf")),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
 def test_cli_bad_config_values_exit_2(tmp_path, capsys, path, value):
     cfg_path = write_config(tmp_path, replaced(tiny_doc(), path, value))
@@ -437,3 +440,75 @@ def test_cli_compare_grid_structure(tmp_path):
     flags = {(r["input_norm"], r["group_norm"]) for r in per_seed}
     assert len(per_seed) == 4
     assert flags == {(False, False), (True, False), (False, True), (True, True)}
+
+
+@pytest.fixture(scope="module")
+def trained_run(tmp_path_factory):
+    """A 5-iteration tiny run directory; tests copy it before editing it."""
+    root = tmp_path_factory.mktemp("trained")
+    cfg_path = write_config(root, tiny_doc(iterations=5))
+    assert main(["train", "--config", cfg_path, "--out", str(root / "run"), "--seed", "0"]) == 0
+    return root / "run"
+
+
+def edit_json(path, edit):
+    """Apply ``edit``, which changes the parsed document in place, to a file."""
+    with open(path) as f:
+        obj = json.load(f)
+    edit(obj)
+    with open(path, "w") as f:
+        json.dump(obj, f)
+
+
+def run_command(command, run_dir, tmp_path):
+    argv = [command, str(run_dir)]
+    return main(argv + (["--out", str(tmp_path / "cmp")] if command == "compare" else []))
+
+
+CORRUPTIONS = {
+    "data_one_short": lambda m: m.update(data=m["data"][:-1]),
+    "no_rows_key": lambda m: m.pop("rows"),
+    "one_row_less": lambda m: m.update(rows=m["rows"] - 1, data=m["data"][:-m["cols"]]),
+    "reshaped": lambda m: m.update(rows=m["rows"] * m["cols"], cols=1),
+    "null_value": lambda m: m["data"].__setitem__(0, None),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
+@pytest.mark.parametrize("prefix, command", [
+    (prefix, command) for prefix in ("weights", "head") for command in ("eval", "analyze", "compare")
+] + [("model_params", "analyze")])
+def test_cli_reload_rejects_malformed_matrix_files(trained_run, tmp_path, capsys,
+                                                   prefix, command, corruption):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    name = f"{prefix}__ae_wtn__seed0.json"
+    edit_json(run_dir / name, CORRUPTIONS[corruption])
+    capsys.readouterr()
+    assert run_command(command, run_dir, tmp_path) == 2
+    assert name in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_name_keyed_model_params(trained_run, tmp_path, capsys):
+    # The format written before the parameter store: one matrix per name.
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    path = run_dir / "model_params__ae_wtn__seed0.json"
+    values = json.loads(path.read_text())["data"]
+    path.write_text(json.dumps({"enc1.bias": {"rows": 1, "cols": 16, "data": values[:16]},
+                                "enc1.weight": {"rows": 16, "cols": 16,
+                                                "data": values[16:272]}}))
+    assert main(["analyze", str(run_dir)]) == 2
+    assert "model_params__ae_wtn__seed0.json" in capsys.readouterr().err
+
+
+def test_cli_analyze_rejects_params_of_another_model_size(trained_run, tmp_path, capsys):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    edit_json(run_dir / "config.json",
+              lambda doc: doc["resolved"].update(model_overrides={"hidden_dim": 8}))
+    assert main(["eval", str(run_dir)]) == 0      # eval does not read the parameters
+    capsys.readouterr()
+    assert main(["analyze", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert "model_params__ae_wtn__seed0.json holds a 1x" in err and "is needed" in err

@@ -1,7 +1,11 @@
 import json
+import math
 
 import numpy as np
+import pytest
+from hypothesis import given, settings, strategies as st
 
+from wtx.errors import ValidationError
 from wtx.matrix import (load_matrix_json, matrix_hash, row_l2_norms, save_matrix_csv,
                         save_matrix_json)
 
@@ -59,3 +63,40 @@ def test_matrix_hash_detects_any_change():
     m2[1, 1] = np.nextafter(m2[1, 1], np.inf)
     assert matrix_hash(m2) != h
     assert matrix_hash(m.copy()) == h
+
+
+def test_load_matrix_json_names_a_truncated_file(tmp_path):
+    path = tmp_path / "m.json"
+    save_matrix_json(np.ones((2, 3)), str(path))
+    path.write_text(path.read_text()[:-5])
+    with pytest.raises(ValidationError, match="m.json: not valid JSON"):
+        load_matrix_json(str(path))
+
+
+JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats(allow_nan=False) | st.text(),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(), inner, max_size=3),
+    max_leaves=5)
+NON_FINITE = st.sampled_from([math.nan, math.inf, -math.inf])
+
+
+def is_number(v):
+    return type(v) in (int, float)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_load_matrix_json_rejects_values_of_another_type(tmp_path_factory, data):
+    doc = {"rows": 2, "cols": 3, "data": [0.5, -1.0, 2, 3.25, 0.0, 1e300]}
+    slot = data.draw(st.sampled_from(["rows", "cols", "data", "element"]))
+    if slot in ("rows", "cols"):
+        doc[slot] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not int) | NON_FINITE)
+    elif slot == "data":
+        doc[slot] = data.draw(JSON_VALUES.filter(lambda v: type(v) is not list))
+    else:
+        value = data.draw(JSON_VALUES.filter(lambda v: not is_number(v)) | NON_FINITE)
+        doc["data"][data.draw(st.integers(0, 5))] = value
+    path = tmp_path_factory.getbasetemp() / "matrix.json"
+    path.write_text(json.dumps(doc))
+    with pytest.raises(ValidationError, match="matrix.json"):
+        load_matrix_json(str(path))

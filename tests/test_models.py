@@ -4,7 +4,7 @@ import pickle
 import numpy as np
 import pytest
 
-from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged
+from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged, ValidationError
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.losses import smooth_l1
 from wtx.matrix import load_matrix_json, matrix_hash
@@ -57,8 +57,8 @@ def test_wtn_plus_has_standardizer_and_groupnorm_no_decoder():
 def test_ae_wtn_encoder_decoder_param_counts_match():
     src = small_source()
     model = make_model("ae_wtn", src, seed=0)
-    enc = sum(p.data.size for p in model.encoder_parameters())
-    dec = sum(p.data.size for p in model.decoder_parameters())
+    enc = model.encoder_size
+    dec = model.data.size - model.encoder_size
     assert enc == dec > 0
 
 
@@ -66,7 +66,31 @@ def test_same_seed_identical_init():
     src = small_source()
     a = make_model("ae_wtn", src, seed=3)
     b = make_model("ae_wtn", src, seed=3)
-    assert a.params_hash() == b.params_hash()
+    assert matrix_hash(a.data) == matrix_hash(b.data)
+
+
+@pytest.mark.parametrize("variant", ["wtn", "wtn_plus", "ae_wtn"])
+def test_params_are_views_tiling_the_store_in_order(variant):
+    model = make_model(variant, small_source(), seed=0)
+    assert model.data.dtype == model.grad.dtype == np.float64
+    assert model.data.shape == model.grad.shape == (model.data.size,)
+    start = 0
+    for p in model.parameters():
+        stop = start + p.data.size
+        assert p.grad.shape == p.data.shape
+        assert np.shares_memory(p.data, model.data) and np.shares_memory(p.grad, model.grad)
+        # A write through the view lands in the Param's own slice of the store.
+        p.data[...] = start + np.arange(p.data.size).reshape(p.data.shape)
+        p.grad[...] = -p.data
+        start = stop
+    assert start == model.data.size
+    assert np.array_equal(model.data, np.arange(model.data.size))
+    assert np.array_equal(model.grad, -model.data)
+    encoder = [p for layer in model.encoder for p in layer.params()]
+    assert model.encoder_size == sum(p.data.size for p in encoder)
+    assert model.parameters()[:len(encoder)] == encoder
+    model.zero_grad()
+    assert not model.grad.any()
 
 
 def test_group_divisibility_checked():
@@ -128,7 +152,7 @@ def test_reconstruction_loss_decreases_with_training():
     # 100 AdamW steps on the reconstruction objective alone must reduce it.
     src = small_source(7, n=20, shared=8, d=8)
     model = make_model("ae_wtn", src, seed=7)
-    opt = AdamW(model.parameters(), lr=1e-3, weight_decay=0.0)
+    opt = AdamW(model.data, model.grad, lr=1e-3, weight_decay=0.0)
     first = None
     for _ in range(100):
         recon = model.decode(model.encode(src.weights))
@@ -149,8 +173,7 @@ def test_reconstruction_gradient_reaches_encoder():
     recon = model.decode(model.encode(src.weights))
     lv = smooth_l1(recon, src.weights)
     model.encode_backward(model.decode_backward(lv.grad))
-    grads = [np.abs(p.grad).max() for p in model.encoder_parameters()]
-    assert max(grads) > 0.0
+    assert np.abs(model.grad[:model.encoder_size]).max() > 0.0
 
 
 def test_overfit_capacity_oracle_rank_limited_reconstruction():
@@ -160,7 +183,7 @@ def test_overfit_capacity_oracle_rank_limited_reconstruction():
     w = (rng.standard_normal((24, 4)) @ rng.standard_normal((4, 8))) * 0.3
     src = SourceWeights.create(w, list(range(10)))
     model = make_model("ae_wtn", src, seed=9)
-    opt = AdamW(model.parameters(), lr=3e-3, weight_decay=0.0)
+    opt = AdamW(model.data, model.grad, lr=3e-3, weight_decay=0.0)
     for _ in range(3000):
         recon = model.decode(model.encode(src.weights))
         lv = smooth_l1(recon, src.weights)
@@ -222,11 +245,11 @@ def test_train_freezes_source_and_isolates_decoder_at_alpha_zero(tiny_bench):
     model = TransferModel(mc, bench.source, seed=1)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     before = matrix_hash(bench.source.weights)
-    decoder_before = model.params_hash(model.decoder_parameters())
+    decoder_before = model.data[model.encoder_size:].copy()
     report = train_joint(model, head, bench.source, bench,
                          TrainConfig(iterations=500, batch_size=32, alpha=0.0, seed=1))
     assert report.w_c_hash_before == report.w_c_hash_after == before
-    assert model.params_hash(model.decoder_parameters()) == decoder_before
+    assert np.array_equal(model.data[model.encoder_size:], decoder_before)
     assert report.decoder_hash_init == report.decoder_hash_final
 
 
@@ -276,7 +299,7 @@ def test_train_deterministic_reports(tiny_bench):
         head = DetectionProxyHead(bench.num_other, bench.d_feat)
         rep = train_joint(model, head, bench.source, bench,
                           TrainConfig(iterations=60, batch_size=32, seed=5))
-        return rep.to_json(), model.params_hash()
+        return rep.to_json(), matrix_hash(model.data)
 
     (r1, h1), (r2, h2) = one(), one()
     assert r1 == r2
@@ -287,8 +310,6 @@ def test_end_to_end_gradients_match_finite_differences():
     # miniature instance: |C|=6, |S|=3, d=8, hidden=8, G=2, batch=4
     model, head, source, feats, labels = miniature_setup(seed=123)
     f = lambda: joint_losses(model, head, source, feats, labels, 20.0)[2]
-    model.zero_grad()
-    head.other_weights.zero_grad()
     joint_losses(model, head, source, feats, labels, 20.0, backprop=True)
     for p in model.parameters() + [head.other_weights]:
         assert max_relative_error(p.grad, numeric_gradient(f, p.data)) < 1e-4, p.name
@@ -334,8 +355,19 @@ def test_model_params_round_trip(tiny_bench, tmp_path):
     path = str(tmp_path / "params.json")
     save_model_params(model, path)
     clone = TransferModel(mc, bench.source, seed=8)
+    assert not np.array_equal(clone.data, model.data)
     load_model_params(clone, path)
-    assert clone.params_hash() == model.params_hash()
+    assert np.array_equal(clone.data, model.data)
+    assert load_matrix_json(path).shape == (1, model.data.size)
+
+
+def test_model_params_of_another_size_rejected(tmp_path):
+    path = str(tmp_path / "params.json")
+    saved, other = make_model("wtn"), make_model("wtn", hidden_dim=4, groups=1)
+    save_model_params(saved, path)
+    with pytest.raises(ValidationError, match=f"holds a 1x{saved.data.size} matrix where "
+                                              f"1x{other.data.size} is needed"):
+        load_model_params(other, path)
 
 
 # --- baselines -----------------------------------------------------------------
