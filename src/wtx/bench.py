@@ -14,6 +14,7 @@ import hashlib
 import json
 import os
 from dataclasses import asdict, dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -110,6 +111,12 @@ class Split:
     primary: np.ndarray            # (n,) generating class id per example
     universe: np.ndarray           # global ids this split's labels live in
 
+    @cached_property
+    def labels(self) -> np.ndarray:
+        """(n, |universe|) labels over the split universe, built on first use
+        so that only the splits that are sampled hold a copy."""
+        return self.labels_full[:, self.universe]
+
 
 @dataclass
 class BenchmarkInstance:
@@ -142,7 +149,7 @@ class BenchmarkInstance:
         if sp.features.shape[0] == 0:
             raise StateError(f"split {split_name!r} is empty")
         idx = rng.integers(0, sp.features.shape[0], size=batch_size)
-        return sp.features[idx], sp.labels_full[np.ix_(idx, sp.universe)]
+        return sp.features[idx], sp.labels[idx]
 
     def fingerprint(self) -> str:
         """SHA-256 over the matrix hashes of the source weights and of every

@@ -43,11 +43,20 @@ from .models import (VARIANTS, DetectionProxyHead, ModelConfig, TransferModel, e
                      load_model_params, save_model_params, train_joint)
 
 
+def _read_json(path: str):
+    """The JSON document in ``path``; a file that does not parse raises
+    ConfigError naming it."""
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise ConfigError(f"{path}: not valid JSON ({e})") from None
+
+
 def _load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return default_config()
-    with open(path) as f:
-        return config_from_dict(json.load(f))
+    return config_from_dict(_read_json(path))
 
 
 def _env_seed() -> int | None:
@@ -94,25 +103,28 @@ def _write_json(path: str, payload) -> None:
 
 
 def _run_config_payload(cfg: ExperimentConfig, variant: str, seed: int,
-                        alpha: float | None, method: str,
-                        bench: BenchmarkInstance) -> dict:
+                        alpha: float | None, method: str, fingerprint: str) -> dict:
     doc = config_to_dict(cfg)
     doc["resolved"] = {"variant": variant, "seed": seed,
                        "alpha": cfg.train.alpha if alpha is None else alpha,
-                       "method": method, "benchmark_sha256": bench.fingerprint()}
+                       "method": method, "benchmark_sha256": fingerprint}
     return doc
 
 
 def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
                  alpha: float | None = None, model_overrides: dict | None = None,
-                 method: str | None = None, *, bench: BenchmarkInstance | None = None) -> dict:
+                 method: str | None = None, *, bench: BenchmarkInstance | None = None,
+                 fingerprint: str | None = None) -> dict:
     """Train one (variant, seed) run and write all artifacts into outdir.
 
-    ``bench`` is the seed's benchmark if the caller has generated it already;
-    otherwise it is generated here."""
+    ``bench`` is the seed's benchmark if the caller has generated it already,
+    and ``fingerprint`` its ``fingerprint()`` if the caller has computed it;
+    what is not given is computed here."""
     method = method or variant
     if bench is None:
         bench = generate_benchmark(cfg.benchmark, seed)
+    if fingerprint is None:
+        fingerprint = bench.fingerprint()
     mc = cfg.model_config(variant, **(model_overrides or {}))
     model = TransferModel(mc, bench.source, seed)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
@@ -121,7 +133,7 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
     tag = f"{method}__seed{seed}"
     report = train_joint(model, head, bench.source, bench, tc,
                          csv_path=os.path.join(outdir, f"losses__{tag}.csv"))
-    report.config_echo = _run_config_payload(cfg, variant, seed, alpha, method, bench)
+    report.config_echo = _run_config_payload(cfg, variant, seed, alpha, method, fingerprint)
     if model_overrides:
         report.config_echo["resolved"]["model_overrides"] = dict(model_overrides)
 
@@ -139,8 +151,7 @@ def _run_dir_context(run_dir: str):
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
-    with open(cfg_path) as f:
-        doc = json.load(f)
+    doc = _read_json(cfg_path)
     resolved = doc.pop("resolved", None)
     if not isinstance(resolved, dict):
         raise ConfigError(f"{run_dir}/config.json lacks the 'resolved' block")
@@ -181,7 +192,8 @@ def cmd_generate(args) -> int:
         bench = generate_benchmark(cfg.benchmark, seed)
         save_instance(bench, tmp)
         _write_json(os.path.join(tmp, "config.json"),
-                    _run_config_payload(cfg, cfg.variant, seed, None, "benchmark", bench))
+                    _run_config_payload(cfg, cfg.variant, seed, None, "benchmark",
+                                        bench.fingerprint()))
     print(f"benchmark written to {args.out}")
     return 0
 
@@ -277,15 +289,17 @@ def _one_blas_thread_env():
 def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
                 runs_dir: str) -> list[dict]:
     """One seed of a compare sweep, run in a worker process: generate the
-    seed's benchmark once, then train and score every method on it. Returns
-    one row per method, in ``methods`` order."""
+    seed's benchmark and its fingerprint once, then train and score every
+    method on it. Returns one row per method, in ``methods`` order."""
     bench = generate_benchmark(cfg.benchmark, seed)
+    fingerprint = bench.fingerprint()
     rows = []
     for method, variant, overrides in methods:
         outdir = os.path.join(runs_dir, f"{method}__seed{seed}")
         os.makedirs(outdir)
         res = run_training(cfg, variant, seed, outdir, alpha=alpha,
-                           model_overrides=overrides, method=method, bench=bench)
+                           model_overrides=overrides, method=method, bench=bench,
+                           fingerprint=fingerprint)
         rows.append(_row_from_run(cfg, method, variant, overrides, seed, res["head"],
                                   res["model"].encode(bench.source.weights), bench))
     return rows
@@ -408,8 +422,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except (ConfigError, ValidationError, FileNotFoundError,
-            json.JSONDecodeError, StateError) as e:
+    except (ConfigError, ValidationError, FileNotFoundError, StateError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except TrainingDiverged as e:

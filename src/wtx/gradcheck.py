@@ -138,12 +138,12 @@ def _check_sigmoid_bce(rng, tol) -> float:
                               numeric_gradient(f, logits))
 
 
-def miniature_setup(seed: int):
+def miniature_setup(seed: int, variant: str = "ae_wtn"):
     """|C|=6, |S|=3, d=8, hidden=8, G=2, batch=4 joint objective fixture."""
     rng = np.random.default_rng(seed)
     w_c = rng.standard_normal((6, 8))
     source = SourceWeights.create(w_c, [0, 1, 2])
-    cfg = ModelConfig(variant="ae_wtn", in_dim=8, hidden_dim=8, out_dim=8, groups=2)
+    cfg = ModelConfig(variant=variant, in_dim=8, hidden_dim=8, out_dim=8, groups=2)
     model = TransferModel(cfg, source, seed)
     head = DetectionProxyHead(n_other=2, d_feat=8)
     head.other_weights.data[...] = 0.1 * rng.standard_normal((2, 8))

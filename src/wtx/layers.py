@@ -159,10 +159,13 @@ class GroupNorm:
             raise ShapeError(f"groupnorm expects (batch, {self.channels}), got {x.shape}")
         b = x.shape[0]
         g = x.reshape(b, self.groups, -1)                     # (B, G, c)
-        mu = g.mean(axis=2, keepdims=True)
-        var = g.var(axis=2, keepdims=True)
+        c = g.shape[2]
+        # The mean and variance as np.mean and np.var compute them, with the
+        # centered values kept for xhat rather than subtracted again.
+        d = g - g.sum(axis=2, keepdims=True) / c
+        var = (d * d).sum(axis=2, keepdims=True) / c
         inv_std = 1.0 / np.sqrt(var + self.eps)
-        xhat = ((g - mu) * inv_std).reshape(b, self.channels)
+        xhat = (d * inv_std).reshape(b, self.channels)
         self._cache = (xhat, inv_std)
         return self.gamma.data * xhat + self.beta.data
 
@@ -178,8 +181,9 @@ class GroupNorm:
         b = dout.shape[0]
         dxhat = (dout * self.gamma.data).reshape(b, self.groups, -1)
         xh = xhat.reshape(b, self.groups, -1)
-        m1 = dxhat.mean(axis=2, keepdims=True)
-        m2 = (dxhat * xh).mean(axis=2, keepdims=True)
+        c = xh.shape[2]
+        m1 = dxhat.sum(axis=2, keepdims=True) / c
+        m2 = (dxhat * xh).sum(axis=2, keepdims=True) / c
         dx = inv_std * (dxhat - m1 - xh * m2)
         self._cache = None
         return dx.reshape(b, self.channels)

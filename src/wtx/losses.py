@@ -42,16 +42,6 @@ def smooth_l1(pred: np.ndarray, target: np.ndarray) -> LossValue:
     return LossValue(float(elem.mean()), grad)
 
 
-def sigmoid(z: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function."""
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 def sigmoid_bce(logits: np.ndarray, targets: np.ndarray) -> LossValue:
     """Mean binary cross-entropy on logits, in the stable log-sum-exp form.
 
@@ -63,8 +53,11 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray) -> LossValue:
     if not np.all((targets == 0.0) | (targets == 1.0)):
         raise ValueError("sigmoid_bce targets must be binary (0/1)")
     z = logits
-    elem = np.maximum(z, 0.0) - z * targets + np.log1p(np.exp(-np.abs(z)))
-    grad = (sigmoid(z) - targets) / z.size
+    e = np.exp(-np.abs(z))
+    elem = np.maximum(z, 0.0) - z * targets + np.log1p(e)
+    # The logistic function from the same exponential: 1 / (1 + e) for
+    # z >= 0 and e / (1 + e) below, so it never overflows either.
+    grad = (np.where(z >= 0, 1.0, e) / (1.0 + e) - targets) / z.size
     return LossValue(float(elem.mean()), grad)
 
 

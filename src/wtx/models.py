@@ -280,19 +280,29 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
                  backprop: bool = False):
     """One forward (and, with ``backprop``, backward) pass of the joint objective.
 
-    The encoder always sees the full class batch W_C; the shared rows feed
-    the detection loss, all rows feed the reconstruction loss when a
-    decoder exists. Returns (l_cls, l_rec_or_None, total_scalar).
+    The shared rows of the transferred W_C feed the detection loss. The
+    encoder sees every class row only when a loss reads them: AE-WTN's
+    reconstruction loss (a decoder and alpha != 0) covers every class, and
+    class-batch normalization takes its statistics over all the rows it is
+    shown. Otherwise each row is transferred on its own (the frozen input
+    standardizer and group norm work row by row), so the encoder sees only
+    the shared rows and gives them the same values and gradients.
+    Returns (l_cls, l_rec_or_None, total_scalar).
     """
     shared_idx = source.shared_index
-    out_all = model.encode(source.weights)
+    reconstruct = model.has_decoder and alpha != 0.0
+    all_rows = reconstruct or any(isinstance(layer, ClassBatchNorm) for layer in model.encoder)
+    if all_rows:
+        out_all = model.encode(source.weights)
+        w_shared = out_all[shared_idx]
+    else:
+        w_shared = model.encode(source.weights[shared_idx])
 
-    w_shared = out_all[shared_idx]
     logits = head.score(features, w_shared)
     l_cls = sigmoid_bce(logits, labels)
 
     l_rec = None
-    if model.has_decoder and alpha != 0.0:
+    if reconstruct:
         recon = model.decode(out_all)
         l_rec = smooth_l1(recon, source.weights)
 
@@ -303,11 +313,14 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
         dstack = dlogits.T @ features                    # (|S| + n_other, d_feat)
         n_s = len(shared_idx)
         head.other_weights.grad += dstack[n_s:]
-        dout_all = np.zeros_like(out_all)
-        dout_all[shared_idx] += dstack[:n_s]
-        if l_rec is not None:
-            dout_all += model.decode_backward(comb.grad_rec)
-        model.encode_backward(dout_all)
+        if all_rows:
+            dout = np.zeros_like(out_all)
+            dout[shared_idx] += dstack[:n_s]
+            if l_rec is not None:
+                dout += model.decode_backward(comb.grad_rec)
+        else:
+            dout = dstack[:n_s]
+        model.encode_backward(dout)
 
     return l_cls, l_rec, comb.value
 

@@ -6,7 +6,9 @@ import os
 
 from wtx.bench import BenchConfig, generate_benchmark, save_instance
 from wtx.errors import ConfigError, StateError
+from wtx.evaluation import evaluate
 from wtx.matrix import load_matrix_json, row_l2_norms
+from wtx.models import DetectionProxyHead, ModelConfig, TrainConfig, TransferModel, train_joint
 
 from conftest import tiny_config
 
@@ -133,6 +135,32 @@ def test_sample_batch_contracts(tiny_bench, rng):
     assert feats.shape[0] == 17 and labels.shape[0] == 17
     assert labels.shape[1] == len(tiny_bench.split("train").universe)
     assert np.all(labels.sum(axis=1) >= 1.0)
+
+
+@pytest.mark.parametrize("split", ["train", "eval_seen", "eval_novel"])
+def test_sample_equals_the_ix_gather(split):
+    bench = generate_benchmark(tiny_config(), seed=3)
+    sp = bench.split(split)
+    feats, labels = bench.sample(split, 64, np.random.default_rng(9))
+    idx = np.random.default_rng(9).integers(0, sp.features.shape[0], size=64)
+    assert np.array_equal(feats, sp.features[idx])
+    assert np.array_equal(labels, sp.labels_full[np.ix_(idx, sp.universe)])
+
+
+def test_only_the_sampled_split_caches_its_labels():
+    # Each split's label slice is a copy, so the eval splits, which training
+    # never samples, must not build theirs.
+    bench = generate_benchmark(tiny_config(), seed=3)
+    model = TransferModel(ModelConfig("wtn_plus", in_dim=16, hidden_dim=16, out_dim=16,
+                                      groups=4), bench.source, seed=0)
+    head = DetectionProxyHead(bench.num_other, bench.d_feat)
+    train_joint(model, head, bench.source, bench, TrainConfig(iterations=5, batch_size=8))
+    w_d = model.encode(bench.source.weights)
+    for split in ("eval_seen", "eval_novel"):
+        evaluate(head, w_d, bench, split, k=5)
+    assert "labels" in vars(bench.split("train"))
+    assert "labels" not in vars(bench.split("eval_seen"))
+    assert "labels" not in vars(bench.split("eval_novel"))
 
 
 def test_sample_batch_unknown_split(tiny_bench, rng):

@@ -1,6 +1,8 @@
 import concurrent.futures
 import copy
+import glob
 import json
+import multiprocessing
 import os
 import re
 import shutil
@@ -10,7 +12,7 @@ from concurrent.futures import Future
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wtx.bench import generate_benchmark
+from wtx.bench import BenchmarkInstance, generate_benchmark
 from wtx.cli import main
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
@@ -151,6 +153,18 @@ def test_cli_missing_config_file_exits_2(tmp_path):
                  "--out", str(tmp_path / "run")]) == 2
 
 
+TRUNCATED_CONFIG = '{"train": {"iterations": 5}\n'
+
+
+def test_cli_config_syntax_error_names_the_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_text(TRUNCATED_CONFIG)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: not valid JSON \(.+\)\n",
+                        capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "run")
+
+
 def test_cli_gradcheck_passes(capsys):
     assert main(["gradcheck", "--seeds", "2"]) == 0
     out = capsys.readouterr().out
@@ -255,12 +269,31 @@ def read_tree(root):
     return tree
 
 
+def assert_no_worker_left():
+    """No pool worker of this process outlives the command that started it.
+    The one child that may stay is multiprocessing's resource tracker, which
+    the pool's locks start and which exits with the interpreter."""
+    assert multiprocessing.active_children() == []
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):     # Linux only
+        with open(path) as f:
+            pids += f.read().split()
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                cmdline = f.read()
+        except FileNotFoundError:      # it exited since the listing
+            continue
+        assert b"multiprocessing.resource_tracker" in cmdline, (pid, cmdline)
+
+
 def test_cli_compare_sweep_structure(tmp_path):
     doc = tiny_doc()
     doc["train"]["iterations"] = 30
     cfg_path = write_config(tmp_path, doc)
     out = str(tmp_path / "sweep")
     assert main(["compare", "--config", cfg_path, "--out", out, "--jobs", "2"]) == 0
+    assert_no_worker_left()
     with open(os.path.join(out, "comparison.json")) as f:
         table = json.load(f)
     # 3 variants x 2 seeds + 3 median rows, method-major
@@ -310,6 +343,34 @@ def test_cli_compare_generates_each_benchmark_once(tmp_path, monkeypatch):
     assert sorted(calls) == [0, 1, 2, 3, 4]     # not once per (variant, seed)
 
 
+def test_cli_compare_fingerprints_each_benchmark_once(tmp_path, monkeypatch):
+    calls = []
+    fingerprint = BenchmarkInstance.fingerprint
+
+    def counting(self):
+        calls.append(self.seed)
+        return fingerprint(self)
+
+    monkeypatch.setattr(BenchmarkInstance, "fingerprint", counting)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    doc = tiny_doc(iterations=5)
+    doc["seeds"] = [0, 1, 2, 3, 4]
+    cfg_path = write_config(tmp_path, doc)
+    sweep = tmp_path / "sweep"
+    assert main(["compare", "--config", cfg_path, "--out", str(sweep)]) == 0
+    assert sorted(calls) == [0, 1, 2, 3, 4]     # not once per (method, seed)
+
+    # A run trained on its own computes its own fingerprint; the sweep's
+    # shared one gives the same config.json bytes.
+    for seed in (0, 4):
+        for variant in ("wtn", "wtn_plus", "ae_wtn"):
+            run = tmp_path / f"{variant}{seed}"
+            assert main(["train", "--config", cfg_path, "--out", str(run), "--seed", str(seed),
+                         "--variant", variant]) == 0
+            swept = sweep / "runs" / f"{variant}__seed{seed}" / "config.json"
+            assert swept.read_bytes() == (run / "config.json").read_bytes()
+
+
 def test_cli_compare_pool_pins_blas_threads(tmp_path, monkeypatch):
     started = []
 
@@ -353,6 +414,7 @@ def test_cli_compare_diverged_exits_3(tmp_path, capsys):
     # The worker's exception arrives with its message intact.
     assert re.fullmatch(r"error: non-finite loss at iteration \d+\n", capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
+    assert_no_worker_left()
 
 
 def test_cli_eval_malformed_resolved_exits_2(tmp_path, capsys):
@@ -487,6 +549,19 @@ def test_cli_reload_rejects_malformed_matrix_files(trained_run, tmp_path, capsys
     capsys.readouterr()
     assert run_command(command, run_dir, tmp_path) == 2
     assert name in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
+def test_cli_reload_config_syntax_error_names_the_file(trained_run, tmp_path, capsys,
+                                                       command):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    (run_dir / "config.json").write_text(TRUNCATED_CONFIG)
+    capsys.readouterr()
+    assert run_command(command, run_dir, tmp_path) == 2
+    path = os.path.join(str(run_dir), "config.json")
+    assert re.fullmatch(rf"error: {re.escape(path)}: not valid JSON \(.+\)\n",
+                        capsys.readouterr().err)
 
 
 def test_cli_analyze_rejects_name_keyed_model_params(trained_run, tmp_path, capsys):

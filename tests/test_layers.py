@@ -229,6 +229,26 @@ def test_groupnorm_gradients_match_finite_differences():
     assert max_relative_error(gn.beta.grad, numeric_gradient(f, gn.beta.data)) < 1e-5
 
 
+def test_groupnorm_matches_the_mean_var_formula_bitwise():
+    # The oracle is the np.mean / np.var form the layer computes in one pass.
+    gn = GroupNorm(64, 8)
+    gn.gamma.data[...] = rng(21).uniform(0.5, 1.5, 64)
+    gn.beta.data[...] = rng(22).standard_normal(64)
+    for x in (rng(23).standard_normal((200, 64)), 1e3 * rng(24).standard_normal((50, 64)) + 7.0):
+        r = rng(25).standard_normal(x.shape)
+        got = gn.forward(x)
+        dx = gn.backward(r)
+        g = x.reshape(-1, 8, 8)
+        inv_std = 1.0 / np.sqrt(g.var(axis=2, keepdims=True) + gn.eps)
+        xhat = ((g - g.mean(axis=2, keepdims=True)) * inv_std).reshape(x.shape)
+        assert np.array_equal(got, gn.gamma.data * xhat + gn.beta.data)
+        dxhat = (r * gn.gamma.data).reshape(-1, 8, 8)
+        xh = xhat.reshape(-1, 8, 8)
+        want = inv_std * (dxhat - dxhat.mean(axis=2, keepdims=True)
+                          - xh * (dxhat * xh).mean(axis=2, keepdims=True))
+        assert np.array_equal(dx, want.reshape(x.shape))
+
+
 def test_groupnorm_indivisible_channels_rejected():
     with pytest.raises(ConfigError):
         GroupNorm(6, 4)

@@ -100,6 +100,21 @@ def test_bce_gradient_formula():
     assert np.allclose(lv.grad, (sig - targets) / 9.0, atol=1e-15)
 
 
+def test_bce_gradient_equals_the_masked_sigmoid_formula_bitwise():
+    # The oracle exponentiates once per sign, on the side that cannot overflow.
+    logits = np.concatenate([[0.0, -0.0, 1e-300, -1e-300, 800.0, -800.0, np.inf, -np.inf, np.nan],
+                             rng(7).standard_normal(27) * 20.0]).reshape(6, 6)
+    targets = (rng(8).random((6, 6)) < 0.5).astype(float)
+    pos = logits >= 0
+    sig = np.empty_like(logits)
+    sig[pos] = 1.0 / (1.0 + np.exp(-logits[pos]))
+    ez = np.exp(logits[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    with np.errstate(invalid="ignore"):        # the loss term of an infinite logit
+        grad = sigmoid_bce(logits, targets).grad
+    assert np.array_equal(grad, (sig - targets) / logits.size, equal_nan=True)
+
+
 # --- total loss ----------------------------------------------------------------
 
 def test_total_alpha_zero_equals_cls():

@@ -6,7 +6,8 @@ import pytest
 
 from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged, ValidationError
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
-from wtx.losses import smooth_l1
+from wtx.layers import Linear
+from wtx.losses import sigmoid_bce, smooth_l1, total_loss
 from wtx.matrix import load_matrix_json, matrix_hash
 from wtx.models import (DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
@@ -313,6 +314,86 @@ def test_end_to_end_gradients_match_finite_differences():
     joint_losses(model, head, source, feats, labels, 20.0, backprop=True)
     for p in model.parameters() + [head.other_weights]:
         assert max_relative_error(p.grad, numeric_gradient(f, p.data)) < 1e-4, p.name
+
+
+@pytest.mark.parametrize("variant", ["wtn", "wtn_plus"])
+def test_shared_rows_only_gradients_match_finite_differences(variant):
+    # These variants encode only the shared rows; the check covers that path.
+    model, head, source, feats, labels = miniature_setup(seed=123, variant=variant)
+    f = lambda: joint_losses(model, head, source, feats, labels, 20.0)[2]
+    joint_losses(model, head, source, feats, labels, 20.0, backprop=True)
+    for p in model.parameters() + [head.other_weights]:
+        assert max_relative_error(p.grad, numeric_gradient(f, p.data)) < 1e-4, p.name
+
+
+def all_rows_joint_losses(model, head, source, features, labels, alpha):
+    """The oracle: the joint pass with every class row through the encoder and
+    the shared rows' gradients scattered into zeros."""
+    shared_idx = source.shared_index
+    out_all = model.encode(source.weights)
+    l_cls = sigmoid_bce(head.score(features, out_all[shared_idx]), labels)
+    l_rec = None
+    if model.has_decoder and alpha != 0.0:
+        l_rec = smooth_l1(model.decode(out_all), source.weights)
+    comb = total_loss(l_cls, l_rec, alpha)
+    dstack = comb.grad_cls.T @ features
+    n_s = len(shared_idx)
+    head.other_weights.grad += dstack[n_s:]
+    dout_all = np.zeros_like(out_all)
+    dout_all[shared_idx] += dstack[:n_s]
+    if l_rec is not None:
+        dout_all += model.decode_backward(comb.grad_rec)
+    model.encode_backward(dout_all)
+    return l_cls, l_rec, comb.value
+
+
+def joint_pass(joint, bench, variant, alpha, overrides, monkeypatch):
+    """One backprop pass of ``joint`` at the default sizes on a model moved off
+    its init; returns the losses, the model, the head and the row count of
+    every Linear.forward input."""
+    rng = np.random.default_rng(11)
+    model = TransferModel(ModelConfig(variant, **overrides), bench.source, seed=4)
+    model.data += 0.1 * rng.standard_normal(model.data.size)
+    head = DetectionProxyHead(bench.num_other, bench.d_feat)
+    head.other_weights.data[...] = 0.1 * rng.standard_normal(head.other_weights.data.shape)
+    feats, labels = bench.sample("train", 128, rng)
+    rows = []
+    forward = Linear.forward
+
+    def recording(self, x):
+        rows.append(x.shape[0])
+        return forward(self, x)
+
+    with monkeypatch.context() as m:
+        m.setattr(Linear, "forward", recording)
+        l_cls, _, total = joint(model, head, bench.source, feats, labels, alpha)
+    return l_cls, total, model, head, rows
+
+
+@pytest.mark.parametrize("variant, alpha, overrides, all_rows", [
+    ("wtn", 20.0, {}, False),
+    ("wtn_plus", 20.0, {}, False),
+    ("ae_wtn", 0.0, {}, False),
+    ("wtn_plus", 20.0, {"feature_norm": False, "norm_kind": "class_batch"}, False),
+    ("wtn_plus", 20.0, {"norm_kind": "class_batch"}, True),    # statistics mix rows
+    ("ae_wtn", 20.0, {}, True),                                # reconstructs every row
+])
+def test_joint_losses_matches_the_all_rows_oracle_bitwise(default_bench, monkeypatch,
+                                                          variant, alpha, overrides, all_rows):
+    def joint(*args):
+        return joint_losses(*args, backprop=True)
+
+    got = joint_pass(joint, default_bench, variant, alpha, overrides, monkeypatch)
+    want = joint_pass(all_rows_joint_losses, default_bench, variant, alpha, overrides,
+                      monkeypatch)
+    (l_cls, total, model, head, rows), (l_cls0, total0, model0, head0, _) = got, want
+    assert l_cls.value == l_cls0.value and total == total0
+    assert np.array_equal(l_cls.grad, l_cls0.grad)
+    assert np.array_equal(model.grad, model0.grad)
+    assert np.array_equal(head.other_weights.grad, head0.other_weights.grad)
+    source = default_bench.source
+    encoded = source.num_classes if all_rows else len(source.shared_index)
+    assert set(rows) == {encoded}
 
 
 # --- export --------------------------------------------------------------------
