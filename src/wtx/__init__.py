@@ -10,7 +10,7 @@ from .losses import sigmoid_bce, smooth_l1, total_loss
 from .matrix import matrix_hash, row_l2_norms
 from .models import (DetectionProxyHead, ModelConfig, SourceWeights, TrainConfig,
                      TransferModel, baseline_lsda_bias, baseline_nn_transfer,
-                     export_transferred, train_conventional_head, train_joint)
+                     train_conventional_head, train_joint)
 from .optim import AdamW, SGDMomentum
 
 __version__ = "0.1.0"

@@ -337,7 +337,7 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
     manifest = {
         "config": asdict(instance.config),
         "seed": instance.seed,
-        "class_ids": instance.source.class_ids,
+        "class_ids": list(range(instance.source.num_classes)),
         "shared_ids": [int(i) for i in instance.source.shared_index],
         "cluster_ids": [int(i) for i in instance.prototypes.cluster_ids],
         "cooccur_radius": instance.cooccur_radius,

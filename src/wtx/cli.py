@@ -6,6 +6,24 @@ non-finite loss. Outputs are staged in a temporary directory and renamed
 into place, so a failed command leaves no partial output behind. The
 WTX_SEED environment variable overrides the configured seed(s).
 
+A run directory holds one (method, seed) run, named by the tag
+``METHOD__seedSEED``, and states each fact in one file. Only this module
+writes them. ``train`` writes six (a ``compare`` sweep writes the same six
+under ``runs/TAG/``):
+
+    config.json              the experiment config and the resolved run block
+    report.json              final losses; W_C, decoder and model hashes
+    losses__TAG.csv          the losses of every training iteration
+    weights__TAG.json        W_D, the transferred weights of every source class
+    model_params__TAG.json   the transfer model's parameter store
+    head__TAG.json           the head's "other"-class weights
+
+``eval`` adds ``metrics__TAG__eval_seen.json`` and
+``metrics__TAG__eval_novel.json``; ``analyze`` adds ``overlap__TAG.json``
+(neighbor overlap of W_D with W_C) and ``norm_stats__TAG.json``
+(post-ReLU activation-norm statistics). ``compare`` writes
+``comparison.json`` and ``comparison.csv`` into its output directory.
+
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
 are seeds). A job generates its seed's benchmark once and trains and scores
@@ -27,7 +45,7 @@ import os
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, fields
 
 import numpy as np
 
@@ -39,17 +57,17 @@ from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, load_matrix_json, save_matrix_json
-from .models import (VARIANTS, DetectionProxyHead, ModelConfig, TransferModel, export_transferred,
+from .models import (VARIANTS, DetectionProxyHead, ModelConfig, TransferModel,
                      load_model_params, save_model_params, train_joint)
 
 
 def _read_json(path: str):
-    """The JSON document in ``path``; a file that does not parse raises
-    ConfigError naming it."""
-    with open(path) as f:
+    """The JSON document in ``path``; a file that is not UTF-8 or does not
+    parse raises ConfigError naming it."""
+    with open(path, encoding="utf-8") as f:
         try:
             return json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ConfigError(f"{path}: not valid JSON ({e})") from None
 
 
@@ -115,7 +133,10 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
                  alpha: float | None = None, model_overrides: dict | None = None,
                  method: str | None = None, *, bench: BenchmarkInstance | None = None,
                  fingerprint: str | None = None) -> dict:
-    """Train one (variant, seed) run and write all artifacts into outdir.
+    """Train one (variant, seed) run and write the six files of a trained run
+    directory into outdir. The result holds the run's tag, its report, the
+    benchmark, the trained model and head, and ``w_d``: W_D, the matrix
+    written to ``weights__TAG.json``.
 
     ``bench`` is the seed's benchmark if the caller has generated it already,
     and ``fingerprint`` its ``fingerprint()`` if the caller has computed it;
@@ -131,18 +152,26 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
     tc = cfg.train_config(seed, alpha)
 
     tag = f"{method}__seed{seed}"
-    report = train_joint(model, head, bench.source, bench, tc,
-                         csv_path=os.path.join(outdir, f"losses__{tag}.csv"))
-    report.config_echo = _run_config_payload(cfg, variant, seed, alpha, method, fingerprint)
+    report = train_joint(model, head, bench.source, bench, tc)
+    w_d = model.encode(bench.source.weights)
+    config = _run_config_payload(cfg, variant, seed, alpha, method, fingerprint)
     if model_overrides:
-        report.config_echo["resolved"]["model_overrides"] = dict(model_overrides)
+        config["resolved"]["model_overrides"] = dict(model_overrides)
 
-    export_transferred(model, bench.source, os.path.join(outdir, f"weights__{tag}.json"))
+    columns = ("iteration", "l_cls", "l_rec", "total")
+    losses = [",".join(columns)] + [",".join(map(repr, row))
+                                    for row in zip(*(report.curve[c] for c in columns))]
+    atomic_write_text(os.path.join(outdir, f"losses__{tag}.csv"), "\n".join(losses) + "\n")
+    save_matrix_json(w_d, os.path.join(outdir, f"weights__{tag}.json"))
     save_model_params(model, os.path.join(outdir, f"model_params__{tag}.json"))
     save_matrix_json(head.other_weights.data, os.path.join(outdir, f"head__{tag}.json"))
     atomic_write_text(os.path.join(outdir, "report.json"), report.to_json())
-    _write_json(os.path.join(outdir, "config.json"), report.config_echo)
-    return {"tag": tag, "report": report, "bench": bench, "model": model, "head": head}
+    _write_json(os.path.join(outdir, "config.json"), config)
+    return {"tag": tag, "report": report, "bench": bench, "model": model, "head": head,
+            "w_d": w_d}
+
+
+_OVERRIDE_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "variant")
 
 
 def _run_dir_context(run_dir: str):
@@ -167,8 +196,9 @@ def _run_dir_context(run_dir: str):
     if resolved["variant"] not in VARIANTS:
         raise ConfigError(f"{run_dir}/config.json: resolved variant {resolved['variant']!r} "
                           f"is not one of {VARIANTS}")
+    # The variant is resolved on its own; an override may not replace it.
     overrides = check_section(ModelConfig, resolved.get("model_overrides", {}),
-                              "resolved.model_overrides")
+                              "resolved.model_overrides", _OVERRIDE_KEYS)
     cfg = config_from_dict(doc)
     tag = f"{resolved['method']}__seed{seed}"
     bench = generate_benchmark(cfg.benchmark, seed)
@@ -228,7 +258,6 @@ def cmd_analyze(args) -> int:
     curve = nn_overlap(bench.source.weights, w_d, cfg.evaluation.overlap_ks,
                        cfg.evaluation.sample_classes, rng)
     atomic_write_text(os.path.join(run_dir, f"overlap__{tag}.json"), curve.to_json())
-    atomic_write_text(os.path.join(run_dir, f"overlap__{tag}.csv"), curve.to_csv())
 
     mc = cfg.model_config(resolved["variant"], **overrides)
     model = TransferModel(mc, bench.source, int(resolved["seed"]))
@@ -301,7 +330,7 @@ def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
                            model_overrides=overrides, method=method, bench=bench,
                            fingerprint=fingerprint)
         rows.append(_row_from_run(cfg, method, variant, overrides, seed, res["head"],
-                                  res["model"].encode(bench.source.weights), bench))
+                                  res["w_d"], bench))
     return rows
 
 

@@ -117,11 +117,6 @@ class OverlapCurve:
                            "sampled_class_ids": self.sampled_class_ids},
                           sort_keys=True, indent=1)
 
-    def to_csv(self) -> str:
-        lines = ["k,mean_overlap"]
-        lines += [f"{k},{v!r}" for k, v in zip(self.ks, self.mean_counts)]
-        return "\n".join(lines) + "\n"
-
 
 def _topk_neighbors(w: np.ndarray, anchor: int, k: int) -> np.ndarray:
     d2 = ((w - w[anchor]) ** 2).sum(axis=1)

@@ -53,84 +53,59 @@ class CheckResult:
         return self.error < self.tol
 
 
-def _projection_loss(forward, r: np.ndarray):
-    return lambda: float(np.sum(forward() * r))
+def _layer_error(layer, x: np.ndarray, r: np.ndarray) -> float:
+    """Worst error of the layer's input gradient and of every parameter
+    gradient, for the loss sum(layer.forward(x) * r)."""
+    f = lambda: float(np.sum(layer.forward(x) * r))
+    layer.forward(x)
+    dx = layer.backward(r)
+    return max(max_relative_error(grad, numeric_gradient(f, value))
+               for grad, value in [(dx, x)] + [(p.grad, p.data) for p in layer.params()])
 
 
-def _check_linear(rng, tol) -> float:
+def _check_linear(rng) -> float:
     layer = Linear(8, 5, rng)
     x = rng.standard_normal((4, 8))
-    r = rng.standard_normal((4, 5))
-    f = _projection_loss(lambda: layer.forward(x), r)
-
-    layer.forward(x)
-    dx = layer.backward(r)
-    errs = [max_relative_error(dx, numeric_gradient(f, x)),
-            max_relative_error(layer.weight.grad, numeric_gradient(f, layer.weight.data)),
-            max_relative_error(layer.bias.grad, numeric_gradient(f, layer.bias.data))]
-    return max(errs)
+    return _layer_error(layer, x, rng.standard_normal((4, 5)))
 
 
-def _check_relu(rng, tol) -> float:
-    layer = ReLU()
+def _check_relu(rng) -> float:
     x = rng.standard_normal((4, 6))
     x += np.sign(x) * 0.05          # keep entries away from the kink at 0
-    r = rng.standard_normal(x.shape)
-    f = _projection_loss(lambda: layer.forward(x), r)
-    layer.forward(x)
-    dx = layer.backward(r)
-    return max_relative_error(dx, numeric_gradient(f, x))
+    return _layer_error(ReLU(), x, rng.standard_normal(x.shape))
 
 
-def _check_standardizer(rng, tol) -> float:
+def _check_standardizer(rng) -> float:
     fitted_on = rng.standard_normal((12, 6)) * rng.uniform(0.5, 3.0, size=6)
     layer = InputStandardizer.fit(fitted_on)
     x = rng.standard_normal((5, 6))
-    r = rng.standard_normal(x.shape)
-    f = _projection_loss(lambda: layer.forward(x), r)
-    layer.forward(x)
-    dx = layer.backward(r)
-    return max_relative_error(dx, numeric_gradient(f, x))
+    return _layer_error(layer, x, rng.standard_normal(x.shape))
 
 
-def _check_groupnorm(rng, tol) -> float:
-    layer = GroupNorm(4, 2)
-    layer.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
-    layer.beta.data[...] = rng.standard_normal(4)
-    x = rng.standard_normal((3, 4))
-    r = rng.standard_normal(x.shape)
-    f = _projection_loss(lambda: layer.forward(x), r)
-    layer.forward(x)
-    dx = layer.backward(r)
-    errs = [max_relative_error(dx, numeric_gradient(f, x)),
-            max_relative_error(layer.gamma.grad, numeric_gradient(f, layer.gamma.data)),
-            max_relative_error(layer.beta.grad, numeric_gradient(f, layer.beta.data))]
-    return max(errs)
+def _check_norm(layer, rows: int, rng) -> float:
+    width = layer.gamma.data.size
+    layer.gamma.data[...] = rng.uniform(0.5, 1.5, size=width)
+    layer.beta.data[...] = rng.standard_normal(width)
+    x = rng.standard_normal((rows, width))
+    return _layer_error(layer, x, rng.standard_normal(x.shape))
 
 
-def _check_classbatchnorm(rng, tol) -> float:
-    layer = ClassBatchNorm(4)
-    layer.gamma.data[...] = rng.uniform(0.5, 1.5, size=4)
-    layer.beta.data[...] = rng.standard_normal(4)
-    x = rng.standard_normal((5, 4))
-    r = rng.standard_normal(x.shape)
-    f = _projection_loss(lambda: layer.forward(x), r)
-    layer.forward(x)
-    dx = layer.backward(r)
-    errs = [max_relative_error(dx, numeric_gradient(f, x)),
-            max_relative_error(layer.gamma.grad, numeric_gradient(f, layer.gamma.data)),
-            max_relative_error(layer.beta.grad, numeric_gradient(f, layer.beta.data))]
-    return max(errs)
+def _check_groupnorm(rng) -> float:
+    return _check_norm(GroupNorm(4, 2), 3, rng)
 
 
-def _check_smooth_l1(rng, tol) -> float:
+def _check_classbatchnorm(rng) -> float:
+    return _check_norm(ClassBatchNorm(4), 5, rng)
+
+
+def _check_smooth_l1(rng) -> float:
     pred = rng.standard_normal((6, 4)) * 1.5
     target = rng.standard_normal((6, 4))
     f = lambda: smooth_l1(pred, target).value
     return max_relative_error(smooth_l1(pred, target).grad, numeric_gradient(f, pred))
 
 
-def _check_sigmoid_bce(rng, tol) -> float:
+def _check_sigmoid_bce(rng) -> float:
     logits = rng.standard_normal((5, 7)) * 2.0
     targets = (rng.random((5, 7)) < 0.5).astype(np.float64)
     f = lambda: sigmoid_bce(logits, targets).value
@@ -152,7 +127,7 @@ def miniature_setup(seed: int, variant: str = "ae_wtn"):
     return model, head, source, feats, labels
 
 
-def _check_end_to_end(rng, tol) -> float:
+def _check_end_to_end(rng) -> float:
     seed = int(rng.integers(0, 2**31))
     model, head, source, feats, labels = miniature_setup(seed)
     alpha = 20.0
@@ -183,5 +158,5 @@ def run_gradient_suite(seeds=range(10)) -> list[CheckResult]:
     for seed in seeds:
         for name, fn, tol in _CHECKS:
             rng = np.random.default_rng(seed)
-            results.append(CheckResult(name=name, seed=seed, error=fn(rng, tol), tol=tol))
+            results.append(CheckResult(name=name, seed=seed, error=fn(rng), tol=tol))
     return results

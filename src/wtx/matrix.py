@@ -65,14 +65,14 @@ def save_matrix_json(m: np.ndarray, path: str) -> None:
 
 
 def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Read a matrix written by save_matrix_json. Anything but an object with
-    non-negative integer ``rows`` and ``cols`` and a ``data`` list of exactly
-    rows*cols finite numbers, or a matrix not of ``shape`` when one is given,
-    raises ValidationError naming the file."""
-    with open(path) as f:
+    """Read a matrix written by save_matrix_json. Anything but UTF-8 JSON of
+    an object with non-negative integer ``rows`` and ``cols`` and a ``data``
+    list of exactly rows*cols finite numbers, or a matrix not of ``shape``
+    when one is given, raises ValidationError naming the file."""
+    with open(path, encoding="utf-8") as f:
         try:
             obj = json.load(f)
-        except json.JSONDecodeError as e:
+        except (json.JSONDecodeError, UnicodeDecodeError) as e:
             raise ValidationError(f"{path}: not valid JSON ({e})") from None
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: a JSON matrix must be an object, got "

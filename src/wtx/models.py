@@ -23,14 +23,14 @@ stacked transferred and conventionally-learned "other" weights.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU, flatten
 from .losses import sigmoid_bce, smooth_l1, total_loss
-from .matrix import atomic_write_text, load_matrix_json, matrix_hash, save_matrix_json
+from .matrix import load_matrix_json, matrix_hash, save_matrix_json
 from .optim import AdamW, SGDMomentum
 
 VARIANTS = ("wtn", "wtn_plus", "ae_wtn")
@@ -42,23 +42,18 @@ class SourceWeights:
 
     weights: np.ndarray            # (|C|, d_src), read-only
     shared_mask: np.ndarray        # bool, True where the class is shared
-    novel_mask: np.ndarray
-    class_ids: list[int]
 
     @classmethod
     def create(cls, weights: np.ndarray, shared_ids) -> "SourceWeights":
         weights = np.ascontiguousarray(weights, dtype=np.float64)
-        n = weights.shape[0]
-        shared = np.zeros(n, dtype=bool)
+        shared = np.zeros(weights.shape[0], dtype=bool)
         shared[list(shared_ids)] = True
         weights.setflags(write=False)
-        return cls(weights, shared, ~shared, list(range(n)))
+        return cls(weights, shared)
 
-    def __post_init__(self):
-        if self.shared_mask.shape != self.novel_mask.shape:
-            raise ShapeError("shared and novel masks differ in length")
-        if np.any(self.shared_mask & self.novel_mask) or not np.all(self.shared_mask | self.novel_mask):
-            raise ValueError("shared and novel masks must partition the classes")
+    @property
+    def novel_mask(self) -> np.ndarray:
+        return ~self.shared_mask
 
     @property
     def num_classes(self) -> int:
@@ -259,19 +254,10 @@ class TrainingReport:
     decoder_hash_init: str | None = None
     decoder_hash_final: str | None = None
     model_hash_final: str = ""
-    config_echo: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {
-            "variant": self.variant, "seed": self.seed,
-            "final_l_cls": self.final_l_cls, "final_l_rec": self.final_l_rec,
-            "final_total": self.final_total,
-            "w_c_hash_before": self.w_c_hash_before, "w_c_hash_after": self.w_c_hash_after,
-            "decoder_hash_init": self.decoder_hash_init,
-            "decoder_hash_final": self.decoder_hash_final,
-            "model_hash_final": self.model_hash_final,
-            "config_echo": self.config_echo,
-        }
+        payload = asdict(self)
+        del payload["curve"]
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
@@ -326,7 +312,7 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
 
 
 def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWeights,
-                data, config: TrainConfig, csv_path: str | None = None) -> TrainingReport:
+                data, config: TrainConfig) -> TrainingReport:
     """Joint training loop: AdamW on the transfer model, SGD+momentum on the
     "other" class weights, with W_C frozen throughout.
 
@@ -350,7 +336,6 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
         report.decoder_hash_init = matrix_hash(model.data[model.encoder_size:])
 
     iters, cls_curve, rec_curve, total_curve = [], [], [], []
-    csv_lines = ["iteration,l_cls,l_rec,total"]
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.iterations):
@@ -369,7 +354,6 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
             cls_curve.append(l_cls.value)
             rec_curve.append(rec_val)
             total_curve.append(total)
-            csv_lines.append(f"{it},{l_cls.value!r},{rec_val!r},{total!r}")
 
     report.curve = {"iteration": iters, "l_cls": cls_curve,
                     "l_rec": rec_curve, "total": total_curve}
@@ -380,34 +364,7 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
     if model.has_decoder:
         report.decoder_hash_final = matrix_hash(model.data[model.encoder_size:])
     report.model_hash_final = matrix_hash(model.data)
-
-    if csv_path is not None:
-        atomic_write_text(csv_path, "\n".join(csv_lines) + "\n")
     return report
-
-
-def export_transferred(model: TransferModel, source: SourceWeights, path: str) -> None:
-    """Write W_D for every source class (shared and novel) plus a manifest.
-
-    The JSON float encoding round-trips exactly, so scoring against the
-    reloaded matrix is bit-identical to in-process transfer.
-    """
-    w_d = model.encode(source.weights)
-    save_matrix_json(w_d, path)
-    manifest = {
-        "variant": model.variant,
-        "in_dim": model.config.in_dim,
-        "hidden_dim": model.config.hidden_dim,
-        "out_dim": model.config.out_dim,
-        "groups": model.config.groups,
-        "norm_kind": model.config.norm_kind,
-        "seed": model.seed,
-        "class_ids": source.class_ids,
-        "shared_mask": [bool(b) for b in source.shared_mask],
-        "novel_mask": [bool(b) for b in source.novel_mask],
-    }
-    stem = path[:-5] if path.endswith(".json") else path
-    atomic_write_text(stem + ".manifest.json", json.dumps(manifest, sort_keys=True, indent=1))
 
 
 def save_model_params(model: TransferModel, path: str) -> None:

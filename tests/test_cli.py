@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchmarkInstance, generate_benchmark
-from wtx.cli import main
+from wtx.cli import main, run_training
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
 
@@ -182,8 +182,7 @@ def test_cli_generate_train_eval_analyze_compare(tmp_path, capsys):
     assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
     names = os.listdir(run_dir)
     assert "report.json" in names and "config.json" in names
-    assert any(n.startswith("weights__") and n.endswith(".json") and
-               "manifest" not in n for n in names)
+    assert any(n.startswith("weights__") and n.endswith(".json") for n in names)
     assert any(n.startswith("losses__") for n in names)
 
     assert main(["eval", run_dir]) == 0
@@ -191,12 +190,47 @@ def test_cli_generate_train_eval_analyze_compare(tmp_path, capsys):
     assert len(metrics) == 2   # eval_seen + eval_novel
 
     assert main(["analyze", run_dir]) == 0
-    assert any(n.startswith("overlap__") and n.endswith(".csv") for n in os.listdir(run_dir))
+    assert any(n.startswith("overlap__") and n.endswith(".json") for n in os.listdir(run_dir))
     assert any(n.startswith("norm_stats__") for n in os.listdir(run_dir))
 
     cmp_dir = str(tmp_path / "cmp")
     assert main(["compare", run_dir, "--out", cmp_dir]) == 0
     assert os.path.exists(os.path.join(cmp_dir, "comparison.csv"))
+
+
+def test_cli_run_directory_format(tmp_path):
+    """Each command adds exactly its files to a run directory, and each fact
+    is written once: no weights sidecar, no overlap CSV, no config copy."""
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=20))
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(run_dir), "--seed", "1"]) == 0
+    trained = {"config.json", "report.json", "losses__ae_wtn__seed1.csv",
+               "weights__ae_wtn__seed1.json", "model_params__ae_wtn__seed1.json",
+               "head__ae_wtn__seed1.json"}
+    assert set(os.listdir(run_dir)) == trained
+
+    # The same run trained in-process gives the losses CSV and report.json.
+    same = tmp_path / "same"
+    same.mkdir()
+    res = run_training(config_from_dict(tiny_doc(iterations=20)), "ae_wtn", 1, str(same))
+    curve = res["report"].curve
+    want = ["iteration,l_cls,l_rec,total"] + [
+        f"{it},{l_cls!r},{l_rec!r},{total!r}" for it, l_cls, l_rec, total
+        in zip(curve["iteration"], curve["l_cls"], curve["l_rec"], curve["total"])]
+    assert (run_dir / "losses__ae_wtn__seed1.csv").read_text() == "\n".join(want) + "\n"
+    assert (run_dir / "report.json").read_text() == res["report"].to_json()
+    report = json.loads((run_dir / "report.json").read_text())
+    assert "config_echo" not in report and "curve" not in report
+    assert report["final_total"] == curve["total"][-1]
+
+    assert main(["eval", str(run_dir)]) == 0
+    evaluated = trained | {"metrics__ae_wtn__seed1__eval_seen.json",
+                           "metrics__ae_wtn__seed1__eval_novel.json"}
+    assert set(os.listdir(run_dir)) == evaluated
+
+    assert main(["analyze", str(run_dir)]) == 0
+    assert set(os.listdir(run_dir)) == evaluated | {"overlap__ae_wtn__seed1.json",
+                                                    "norm_stats__ae_wtn__seed1.json"}
 
 
 def test_cli_existing_output_requires_overwrite(tmp_path):
@@ -307,7 +341,7 @@ def test_cli_compare_sweep_structure(tmp_path):
     serial = str(tmp_path / "serial")
     assert main(["compare", "--config", cfg_path, "--out", serial, "--jobs", "1"]) == 0
     tree = read_tree(out)
-    assert len(tree) == 2 + 6 * 7    # comparison.json/.csv + 7 files per run
+    assert len(tree) == 2 + 6 * 6    # comparison.json/.csv + 6 files per run
     assert read_tree(serial) == tree
 
 
@@ -444,7 +478,7 @@ def test_cli_run_files_follow_umask(tmp_path):
     finally:
         os.umask(old)
     modes = {p.name: stat.S_IMODE(p.stat().st_mode) for p in run_dir.iterdir()}
-    assert len(modes) == 7 and set(modes.values()) == {0o644}
+    assert len(modes) == 6 and set(modes.values()) == {0o644}
 
 
 def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
@@ -475,6 +509,9 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
     ("analyze", "model_overrides", [1]),
     ("analyze", "model_overrides", {"feature_norm": "no"}),
     ("compare", "model_overrides", {"dropout": 0.5}),
+    # The variant is resolved on its own; an override may not replace it.
+    *[(command, "model_overrides", {"variant": "wtn"})
+      for command in ("eval", "analyze", "compare")],
 ])
 def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, command, key, value):
     cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
@@ -560,6 +597,30 @@ def test_cli_reload_config_syntax_error_names_the_file(trained_run, tmp_path, ca
     capsys.readouterr()
     assert run_command(command, run_dir, tmp_path) == 2
     path = os.path.join(str(run_dir), "config.json")
+    assert re.fullmatch(rf"error: {re.escape(path)}: not valid JSON \(.+\)\n",
+                        capsys.readouterr().err)
+
+
+NOT_UTF8 = b"\xff\xfe{}"
+
+
+def test_cli_non_utf8_config_names_the_file(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.write_bytes(NOT_UTF8)
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: not valid JSON \(.+\)\n",
+                        capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("name", ["config.json", "weights__ae_wtn__seed0.json"])
+def test_cli_reload_non_utf8_file_names_the_file(trained_run, tmp_path, capsys, name):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    (run_dir / name).write_bytes(NOT_UTF8)
+    capsys.readouterr()
+    assert main(["eval", str(run_dir)]) == 2
+    path = os.path.join(str(run_dir), name)
     assert re.fullmatch(rf"error: {re.escape(path)}: not valid JSON \(.+\)\n",
                         capsys.readouterr().err)
 

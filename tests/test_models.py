@@ -1,9 +1,10 @@
-import json
 import pickle
 
 import numpy as np
 import pytest
 
+from wtx.cli import run_training
+from wtx.config import EvalSettings, ExperimentConfig
 from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged, ValidationError
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.layers import Linear
@@ -11,12 +12,18 @@ from wtx.losses import sigmoid_bce, smooth_l1, total_loss
 from wtx.matrix import load_matrix_json, matrix_hash
 from wtx.models import (DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
-                        baseline_nn_transfer, export_transferred,
-                        joint_losses, load_model_params, save_model_params,
-                        train_conventional_head, train_joint)
+                        baseline_nn_transfer, joint_losses, load_model_params,
+                        save_model_params, train_conventional_head, train_joint)
 from wtx.optim import AdamW
 
 from conftest import make_model
+
+
+def tiny_experiment(bench, iterations):
+    """An experiment config over ``bench`` with 16-wide models and batch 32."""
+    return ExperimentConfig(benchmark=bench.config, hidden_dim=16, groups=4,
+                            train=TrainConfig(iterations=iterations, batch_size=32),
+                            evaluation=EvalSettings(overlap_ks=(1, 2, 5)))
 
 
 def small_source(seed=0, n=12, shared=5, d=8):
@@ -256,18 +263,24 @@ def test_train_freezes_source_and_isolates_decoder_at_alpha_zero(tiny_bench):
 
 def test_train_report_curves_and_csv(tiny_bench, tmp_path):
     bench = tiny_bench
-    mc = ModelConfig(variant="wtn_plus", in_dim=16, hidden_dim=16, out_dim=16, groups=4)
-    model = TransferModel(mc, bench.source, seed=2)
+    cfg = tiny_experiment(bench, iterations=40)
+    model = TransferModel(cfg.model_config("wtn_plus"), bench.source, seed=2)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
-    csv_path = str(tmp_path / "losses.csv")
-    report = train_joint(model, head, bench.source, bench,
-                         TrainConfig(iterations=40, batch_size=32, seed=2),
-                         csv_path=csv_path)
-    assert len(report.curve["l_cls"]) == 40
-    lines = (tmp_path / "losses.csv").read_text().strip().splitlines()
-    assert lines[0] == "iteration,l_cls,l_rec,total"
-    assert len(lines) == 41
+    report = train_joint(model, head, bench.source, bench, cfg.train_config(2))
+    columns = ("iteration", "l_cls", "l_rec", "total")
+    assert tuple(report.curve) == columns
+    assert report.curve["iteration"] == list(range(40))
+    assert all(len(values) == 40 for values in report.curve.values())
     assert report.final_l_cls == report.curve["l_cls"][-1]
+    assert report.final_total == report.curve["total"][-1]
+
+    # run_training trains the same run and writes its curve, one line per iteration.
+    res = run_training(cfg, "wtn_plus", 2, str(tmp_path), bench=bench)
+    assert res["report"].curve == report.curve
+    lines = (tmp_path / "losses__wtn_plus__seed2.csv").read_text().splitlines()
+    assert lines[0] == "iteration,l_cls,l_rec,total"
+    assert lines[1:] == [f"{it},{l_cls!r},{l_rec!r},{total!r}" for it, l_cls, l_rec, total
+                         in zip(*(report.curve[c] for c in columns))]
 
 
 def test_train_diverged_names_iteration(tiny_bench):
@@ -398,18 +411,14 @@ def test_joint_losses_matches_the_all_rows_oracle_bitwise(default_bench, monkeyp
 
 # --- export --------------------------------------------------------------------
 
-def test_export_shape_manifest_and_bitwise_scoring(tiny_bench, tmp_path):
+def test_exported_weights_shape_and_bitwise_scoring(tiny_bench, tmp_path):
     bench = tiny_bench
-    mc = ModelConfig(variant="ae_wtn", in_dim=16, hidden_dim=16, out_dim=16, groups=4)
-    model = TransferModel(mc, bench.source, seed=6)
-    head = DetectionProxyHead(bench.num_other, bench.d_feat)
-    train_joint(model, head, bench.source, bench,
-                TrainConfig(iterations=50, batch_size=32, seed=6))
-
-    path = str(tmp_path / "weights.json")
-    export_transferred(model, bench.source, path)
-    exported = load_matrix_json(path)
+    res = run_training(tiny_experiment(bench, iterations=50), "ae_wtn", 6, str(tmp_path),
+                       bench=bench)
+    model, head = res["model"], res["head"]
+    exported = load_matrix_json(str(tmp_path / "weights__ae_wtn__seed6.json"))
     assert exported.shape == (bench.source.num_classes, 16)
+    assert np.array_equal(exported, res["w_d"])
 
     feats = bench.split("eval_seen").features[:10]
     in_process = head.score(feats, model.encode(bench.source.weights))
@@ -419,11 +428,6 @@ def test_export_shape_manifest_and_bitwise_scoring(tiny_bench, tmp_path):
     novel_rows = exported[bench.source.novel_index]
     recomputed = model.encode(bench.source.weights[bench.source.novel_index])
     assert np.max(np.abs(novel_rows - recomputed)) < 1e-12
-
-    with open(str(tmp_path / "weights.manifest.json")) as f:
-        manifest = json.load(f)
-    assert manifest["variant"] == "ae_wtn"
-    assert len(manifest["shared_mask"]) == bench.source.num_classes
 
 
 def test_model_params_round_trip(tiny_bench, tmp_path):
