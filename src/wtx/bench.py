@@ -19,7 +19,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .losses import sigmoid_bce
+from .losses import _bce_grad
 from .matrix import (atomic_write_text, matrix_hash, row_l2_norms, save_matrix_csv,
                      save_matrix_json)
 from .models import SourceWeights
@@ -168,8 +168,11 @@ def _train_source_classifier(x, y, config: BenchConfig, rng) -> np.ndarray:
     step and each weight row grows with its class's positive-sample
     exposure. That is what turns the skewed per-class sample counts into
     the wide spread of learned weight norms. Biases are internal to the
-    source task; only the weight rows are kept.
+    source task; only the weight rows are kept. Only the gradient of the
+    loss is computed: the loop never reads its value.
     """
+    if not np.all((y == 0.0) | (y == 1.0)):
+        raise ValueError("sigmoid_bce targets must be binary (0/1)")
     w = np.zeros((y.shape[1], x.shape[1]))
     prior = np.clip(y.mean(axis=0), 1e-6, 1.0 - 1e-6)
     b = np.log(prior / (1.0 - prior))
@@ -178,33 +181,32 @@ def _train_source_classifier(x, y, config: BenchConfig, rng) -> np.ndarray:
         order = rng.permutation(n)
         for start in range(0, n, config.source_batch):
             idx = order[start:start + config.source_batch]
-            g = sigmoid_bce(x[idx] @ w.T + b, y[idx]).grad
-            w -= lr * (g.T @ x[idx])
+            xb = x[idx]
+            z = xb @ w.T + b
+            g = _bce_grad(z, np.exp(-np.abs(z)), y[idx])
+            w -= lr * (g.T @ xb)
             b -= lr * g.sum(axis=0)
     return w
 
 
 def _make_split(name, class_ids, prototypes_by_id, universe, total_cols,
                 samples_per_class, noise_std, radius, rng) -> Split:
-    """Draw prototype+noise features; co-label classes whose prototypes sit
-    within the co-occurrence radius, restricted to the split universe."""
+    """Draw prototype+noise features, samples_per_class examples per class
+    in class_ids order; co-label classes whose prototypes sit within the
+    co-occurrence radius, restricted to the split universe. The noise is one
+    draw, which takes the same values from rng as one draw per class."""
+    protos = np.stack([prototypes_by_id[c] for c in class_ids])
     univ_protos = np.stack([prototypes_by_id[c] for c in universe])
-    feats, labels, primary = [], [], []
-    for c in class_ids:
-        p = prototypes_by_id[c]
+    rows = np.zeros((len(class_ids), total_cols))
+    for i, (c, p) in enumerate(zip(class_ids, protos)):
         d2 = ((univ_protos - p) ** 2).sum(axis=1)
-        co = universe[np.sqrt(d2) <= radius]       # includes c itself
-        row = np.zeros(total_cols)
-        row[co] = 1.0
-        row[c] = 1.0
-        x = p + noise_std * rng.standard_normal((samples_per_class, p.shape[0]))
-        feats.append(x)
-        labels.append(np.tile(row, (samples_per_class, 1)))
-        primary.extend([c] * samples_per_class)
+        rows[i, universe[np.sqrt(d2) <= radius]] = 1.0     # includes c itself
+        rows[i, c] = 1.0
+    noise = rng.standard_normal((len(class_ids) * samples_per_class, protos.shape[1]))
     return Split(name=name,
-                 features=np.vstack(feats),
-                 labels_full=np.vstack(labels),
-                 primary=np.asarray(primary, dtype=np.int64),
+                 features=np.repeat(protos, samples_per_class, axis=0) + noise_std * noise,
+                 labels_full=np.repeat(rows, samples_per_class, axis=0),
+                 primary=np.repeat(np.asarray(class_ids, dtype=np.int64), samples_per_class),
                  universe=np.asarray(universe, dtype=np.int64))
 
 
@@ -310,9 +312,12 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
     }
 
     norms = row_l2_norms(w_c).ravel()
-    wd2 = ((w_c[:, None, :] - w_c[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(wd2, np.inf)
-    same_cluster = float(np.mean(cluster_ids[np.argmin(wd2, axis=1)] == cluster_ids))
+    nearest = np.empty(c_total, dtype=np.int64)
+    for i, w in enumerate(w_c):                 # row by row: no (|C|, |C|, d) array
+        wd2 = ((w_c - w) ** 2).sum(axis=1)
+        wd2[i] = np.inf
+        nearest[i] = np.argmin(wd2)
+    same_cluster = float(np.mean(cluster_ids[nearest] == cluster_ids))
     multi = float(np.mean(splits["train"].labels_full.sum(axis=1) >= 2))
     measured = {
         "norm_ratio": float(norms.max() / max(norms.min(), 1e-300)),

@@ -3,8 +3,10 @@
 Subcommands: generate, train, eval, analyze, compare, gradcheck. Exit
 codes: 0 success, 2 missing/invalid configuration, 3 training aborted on a
 non-finite loss. Outputs are staged in a temporary directory and renamed
-into place, so a failed command leaves no partial output behind. The
-WTX_SEED environment variable overrides the configured seed(s).
+into place, so a failed command leaves no partial output behind. An
+existing ``--out`` is replaced only with ``--overwrite`` and only if it is a
+directory; both are checked before any work starts. The WTX_SEED
+environment variable overrides the configured seed(s).
 
 A run directory holds one (method, seed) run, named by the tag
 ``METHOD__seedSEED``, and states each fact in one file. Only this module
@@ -23,6 +25,13 @@ under ``runs/TAG/``):
 (neighbor overlap of W_D with W_C) and ``norm_stats__TAG.json``
 (post-ReLU activation-norm statistics). ``compare`` writes
 ``comparison.json`` and ``comparison.csv`` into its output directory.
+
+``eval``, ``analyze`` and ``compare RUN_DIRS`` reload a run directory. A
+reload reads and shape-checks the run's matrix files first, then
+regenerates the benchmark from the config and seed and checks it against
+the recorded ``benchmark_sha256``. ``compare RUN_DIRS`` builds each
+distinct (benchmark config, seed) once and checks every run directory's
+fingerprint against it.
 
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
@@ -98,22 +107,29 @@ def _resolve_seeds(cfg: ExperimentConfig, cli_seed: int | None) -> list[int]:
 
 @contextmanager
 def staged_output(final_path: str, overwrite: bool):
-    """Create the output directory atomically: build in a temp dir, rename."""
+    """Create the output directory atomically: build in a temp dir, rename.
+    The output is checked before the body runs: an existing one must be a
+    directory, and is replaced only with ``overwrite``. The temp dir is
+    removed if the body or the final swap fails."""
     final_path = os.path.abspath(final_path)
-    if os.path.exists(final_path) and not overwrite:
-        raise ConfigError(f"output {final_path} already exists (use --overwrite)")
+    if os.path.lexists(final_path):
+        if not overwrite:
+            raise ConfigError(f"output {final_path} already exists (use --overwrite)")
+        if os.path.islink(final_path) or not os.path.isdir(final_path):
+            raise ConfigError(f"output {final_path} is not a directory; --overwrite "
+                              f"replaces only a directory")
     tmp = final_path + f".staging{os.getpid()}"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
     os.makedirs(tmp)
     try:
         yield tmp
+        if os.path.exists(final_path):
+            shutil.rmtree(final_path)
+        os.replace(tmp, final_path)
     except BaseException:
         shutil.rmtree(tmp, ignore_errors=True)
         raise
-    if os.path.exists(final_path):
-        shutil.rmtree(final_path)
-    os.replace(tmp, final_path)
 
 
 def _write_json(path: str, payload) -> None:
@@ -174,9 +190,14 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
 _OVERRIDE_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "variant")
 
 
-def _run_dir_context(run_dir: str):
-    """Reload config, benchmark, exported weights and head of a finished run;
-    the regenerated benchmark must have the fingerprint the run recorded."""
+def _run_dir_context(run_dir: str, benches: dict | None = None):
+    """Reload config, benchmark, exported weights and head of a finished run.
+    The weights and head files are read and shape-checked first, against
+    the sizes in the config, so a broken run dir fails before any benchmark
+    is built. The regenerated benchmark must have the fingerprint the run
+    recorded. ``benches`` maps (BenchConfig, seed) to a benchmark and its
+    fingerprint; a command that reloads several run dirs passes one dict so
+    that each distinct benchmark is built once."""
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
@@ -201,17 +222,23 @@ def _run_dir_context(run_dir: str):
                               "resolved.model_overrides", _OVERRIDE_KEYS)
     cfg = config_from_dict(doc)
     tag = f"{resolved['method']}__seed{seed}"
-    bench = generate_benchmark(cfg.benchmark, seed)
-    stamped, actual = resolved.get("benchmark_sha256"), bench.fingerprint()
+    bc = cfg.benchmark
+    w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"),
+                           (bc.num_classes, bc.dim))
+    head = DetectionProxyHead(bc.num_other, bc.dim)
+    head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"),
+                                                    head.other_weights.data.shape)
+    if benches is None:
+        benches = {}
+    if (bc, seed) not in benches:
+        bench = generate_benchmark(bc, seed)
+        benches[bc, seed] = bench, bench.fingerprint()
+    bench, actual = benches[bc, seed]
+    stamped = resolved.get("benchmark_sha256")
     if stamped != actual:
         raise ValidationError(f"{run_dir}: the regenerated benchmark has fingerprint "
                               f"{actual}; config.json records "
                               f"{stamped or 'none (retrain the run)'}")
-    w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"),
-                           (bench.source.num_classes, bench.d_feat))
-    head = DetectionProxyHead(bench.num_other, bench.d_feat)
-    head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"),
-                                                    head.other_weights.data.shape)
     return cfg, resolved, tag, bench, w_d, head, overrides
 
 
@@ -338,13 +365,13 @@ def cmd_compare(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.run_dirs:
-        rows = []
-        for rd in args.run_dirs:
-            cfg, resolved, tag, bench, w_d, head, overrides = _run_dir_context(rd)
-            rows.append(_row_from_run(cfg, resolved["method"], resolved["variant"],
-                                      overrides, int(resolved["seed"]), head, w_d, bench))
-        table = comparison_table(rows)
         with staged_output(args.out, args.overwrite) as tmp:
+            rows, benches = [], {}
+            for rd in args.run_dirs:
+                cfg, resolved, tag, bench, w_d, head, overrides = _run_dir_context(rd, benches)
+                rows.append(_row_from_run(cfg, resolved["method"], resolved["variant"],
+                                          overrides, int(resolved["seed"]), head, w_d, bench))
+            table = comparison_table(rows)
             _write_json(os.path.join(tmp, "comparison.json"), table)
             atomic_write_text(os.path.join(tmp, "comparison.csv"), comparison_csv(table))
         print(f"comparison written to {args.out}")

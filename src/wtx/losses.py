@@ -55,10 +55,16 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray) -> LossValue:
     z = logits
     e = np.exp(-np.abs(z))
     elem = np.maximum(z, 0.0) - z * targets + np.log1p(e)
-    # The logistic function from the same exponential: 1 / (1 + e) for
-    # z >= 0 and e / (1 + e) below, so it never overflows either.
-    grad = (np.where(z >= 0, 1.0, e) / (1.0 + e) - targets) / z.size
-    return LossValue(float(elem.mean()), grad)
+    return LossValue(float(elem.mean()), _bce_grad(z, e, targets))
+
+
+def _bce_grad(z: np.ndarray, e: np.ndarray, targets: np.ndarray) -> np.ndarray:
+    """Gradient of the mean BCE w.r.t. the logits z, given e = exp(-|z|).
+
+    The logistic function comes from the same exponential: 1 / (1 + e) for
+    z >= 0 and e / (1 + e) below, so it never overflows either.
+    """
+    return (np.where(z >= 0, 1.0, e) / (1.0 + e) - targets) / z.size
 
 
 def total_loss(l_cls: LossValue, l_rec: LossValue | None, alpha: float) -> CombinedLoss:

@@ -61,7 +61,7 @@ def atomic_write_text(path: str, text: str) -> None:
 def save_matrix_json(m: np.ndarray, path: str) -> None:
     m = as_matrix(m)
     atomic_write_text(path, json.dumps({"rows": int(m.shape[0]), "cols": int(m.shape[1]),
-                                        "data": [float(x) for x in m.ravel(order="C")]}))
+                                        "data": m.ravel().tolist()}))
 
 
 def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
@@ -100,6 +100,8 @@ def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndar
 def save_matrix_csv(m: np.ndarray, path: str) -> None:
     """One matrix row per line, '.' decimal separator, no header."""
     m = as_matrix(m)
-    lines = [",".join(repr(float(x)) for x in row) for row in m]
+    # Row by row: a whole-matrix tolist() would hold every value as a Python
+    # float at once.
+    lines = [",".join(map(repr, row.tolist())) for row in m]
     atomic_write_text(path, "\n".join(lines) + "\n")
 

@@ -4,9 +4,12 @@ import pytest
 import json
 import os
 
-from wtx.bench import BenchConfig, generate_benchmark, save_instance
+import wtx.bench
+from wtx.bench import (BenchConfig, Split, _train_source_classifier, generate_benchmark,
+                       save_instance)
 from wtx.errors import ConfigError, StateError
 from wtx.evaluation import evaluate
+from wtx.losses import sigmoid_bce
 from wtx.matrix import load_matrix_json, row_l2_norms
 from wtx.models import DetectionProxyHead, ModelConfig, TrainConfig, TransferModel, train_joint
 
@@ -198,3 +201,89 @@ def test_norms_reflect_sample_counts():
     bench = generate_benchmark(BenchConfig(), seed=2)
     norms = row_l2_norms(bench.source.weights).ravel()
     assert bench.measured["norm_ratio"] == pytest.approx(norms.max() / norms.min())
+
+
+# --- generation oracles ---------------------------------------------------------
+# The straightforward forms of the generator's loops: one noise draw and one
+# tiled label block per class, and the full sigmoid_bce (value, check and
+# gradient) on every source batch. The generator must match them bitwise.
+
+def oracle_make_split(name, class_ids, prototypes_by_id, universe, total_cols,
+                      samples_per_class, noise_std, radius, rng):
+    univ_protos = np.stack([prototypes_by_id[c] for c in universe])
+    feats, labels, primary = [], [], []
+    for c in class_ids:
+        p = prototypes_by_id[c]
+        d2 = ((univ_protos - p) ** 2).sum(axis=1)
+        co = universe[np.sqrt(d2) <= radius]
+        row = np.zeros(total_cols)
+        row[co] = 1.0
+        row[c] = 1.0
+        x = p + noise_std * rng.standard_normal((samples_per_class, p.shape[0]))
+        feats.append(x)
+        labels.append(np.tile(row, (samples_per_class, 1)))
+        primary.extend([c] * samples_per_class)
+    return Split(name=name, features=np.vstack(feats), labels_full=np.vstack(labels),
+                 primary=np.asarray(primary, dtype=np.int64),
+                 universe=np.asarray(universe, dtype=np.int64))
+
+
+def oracle_train_source_classifier(x, y, config, rng):
+    w = np.zeros((y.shape[1], x.shape[1]))
+    prior = np.clip(y.mean(axis=0), 1e-6, 1.0 - 1e-6)
+    b = np.log(prior / (1.0 - prior))
+    lr, n = config.source_lr, x.shape[0]
+    for _ in range(config.source_epochs):
+        order = rng.permutation(n)
+        for start in range(0, n, config.source_batch):
+            idx = order[start:start + config.source_batch]
+            g = sigmoid_bce(x[idx] @ w.T + b, y[idx]).grad
+            w -= lr * (g.T @ x[idx])
+            b -= lr * g.sum(axis=0)
+    return w
+
+
+def oracle_nn_same_cluster(bench):
+    """The W_C nearest-neighbour statistic from the full (|C|, |C|, d) array."""
+    w_c, cluster_ids = bench.source.weights, bench.prototypes.cluster_ids
+    wd2 = ((w_c[:, None, :] - w_c[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(wd2, np.inf)
+    return float(np.mean(cluster_ids[np.argmin(wd2, axis=1)] == cluster_ids))
+
+
+def same_bits(a, b):
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+GENERATION_CONFIGS = {"tiny": tiny_config(), "default": BenchConfig(),
+                      "anisotropic": BenchConfig(channel_anisotropy=30.0)}
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("config", sorted(GENERATION_CONFIGS))
+def test_generation_matches_the_oracle_loops_bitwise(monkeypatch, config, seed):
+    cfg = GENERATION_CONFIGS[config]
+    bench = generate_benchmark(cfg, seed)
+    monkeypatch.setattr(wtx.bench, "_make_split", oracle_make_split)
+    monkeypatch.setattr(wtx.bench, "_train_source_classifier", oracle_train_source_classifier)
+    want = generate_benchmark(cfg, seed)
+
+    assert same_bits(bench.source.weights, want.source.weights)
+    assert sorted(bench.splits) == sorted(want.splits)
+    for name, sp in want.splits.items():
+        got = bench.split(name)
+        for attr in ("features", "labels_full", "primary", "universe"):
+            assert same_bits(getattr(got, attr), getattr(sp, attr)), (name, attr)
+    assert bench.cooccur_radius.hex() == want.cooccur_radius.hex()
+    assert bench.measured == want.measured
+    assert bench.measured["nn_same_cluster_fraction"] == oracle_nn_same_cluster(bench)
+    assert bench.fingerprint() == want.fingerprint()
+
+
+def test_source_classifier_rejects_non_binary_labels():
+    rng = np.random.default_rng(0)
+    x = rng.standard_normal((8, 4))
+    y = np.eye(8, 3)
+    y[5, 1] = 0.5
+    with pytest.raises(ValueError, match="binary"):
+        _train_source_classifier(x, y, BenchConfig(), rng)

@@ -1,6 +1,7 @@
 import concurrent.futures
 import copy
 import glob
+import hashlib
 import json
 import multiprocessing
 import os
@@ -13,7 +14,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchmarkInstance, generate_benchmark
-from wtx.cli import main, run_training
+from wtx.cli import main, run_training, staged_output
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
 
@@ -360,7 +361,8 @@ class InlineExecutor:
         pass
 
 
-def test_cli_compare_generates_each_benchmark_once(tmp_path, monkeypatch):
+def counting_generate(monkeypatch):
+    """Count the benchmarks wtx.cli builds; returns the list of seeds."""
     import wtx.cli
     calls = []
 
@@ -369,6 +371,11 @@ def test_cli_compare_generates_each_benchmark_once(tmp_path, monkeypatch):
         return generate_benchmark(config, seed)
 
     monkeypatch.setattr(wtx.cli, "generate_benchmark", counting)
+    return calls
+
+
+def test_cli_compare_generates_each_benchmark_once(tmp_path, monkeypatch):
+    calls = counting_generate(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     doc = tiny_doc(iterations=5)
     doc["seeds"] = [0, 1, 2, 3, 4]
@@ -648,3 +655,163 @@ def test_cli_analyze_rejects_params_of_another_model_size(trained_run, tmp_path,
     assert main(["analyze", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert "model_params__ae_wtn__seed0.json holds a 1x" in err and "is needed" in err
+
+
+# --- output directory -------------------------------------------------------------
+
+@pytest.mark.parametrize("command", ["generate", "train", "compare", "compare RUN_DIRS"])
+def test_cli_out_that_is_a_file_exits_2_before_any_work(trained_run, tmp_path, capsys,
+                                                         monkeypatch, command):
+    calls = counting_generate(monkeypatch)
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    out = tmp_path / "out"
+    out.write_text("keep me")
+    argv = {"generate": ["generate", "--config", cfg_path],
+            "train": ["train", "--config", cfg_path],
+            "compare": ["compare", "--config", cfg_path],
+            "compare RUN_DIRS": ["compare", str(trained_run)]}[command]
+    assert main(argv + ["--out", str(out), "--overwrite"]) == 2
+    assert capsys.readouterr().err == \
+        f"error: output {out} is not a directory; --overwrite replaces only a directory\n"
+    assert calls == []
+    assert out.read_text() == "keep me"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]     # no staging dir
+
+
+def test_cli_out_that_is_a_symlink_exits_2(tmp_path, capsys):
+    cfg_path = write_config(tmp_path, tiny_doc())
+    target = tmp_path / "target"
+    target.mkdir()
+    link = tmp_path / "link"
+    link.symlink_to(target)
+    assert main(["generate", "--config", cfg_path, "--out", str(link), "--overwrite"]) == 2
+    assert "is not a directory" in capsys.readouterr().err
+    assert link.is_symlink() and os.listdir(target) == []
+
+
+def test_staged_output_removes_the_staging_dir_when_the_swap_fails(tmp_path, monkeypatch):
+    def failing_replace(src, dst):
+        raise OSError("swap failed")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="swap failed"):
+        with staged_output(str(tmp_path / "out"), overwrite=False) as tmp:
+            with open(os.path.join(tmp, "a.txt"), "w") as f:
+                f.write("x")
+    assert os.listdir(tmp_path) == []
+
+
+# --- reloading run directories ------------------------------------------------------
+
+MATRIX_FAULTS = {
+    "missing": lambda path: path.unlink(),
+    "malformed": lambda path: edit_json(path, CORRUPTIONS["one_row_less"]),
+}
+
+
+@pytest.mark.parametrize("fault", sorted(MATRIX_FAULTS))
+@pytest.mark.parametrize("prefix", ["weights", "head"])
+@pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
+def test_cli_reload_checks_matrix_files_before_generating(trained_run, tmp_path, capsys,
+                                                          monkeypatch, command, prefix, fault):
+    calls = counting_generate(monkeypatch)
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    name = f"{prefix}__ae_wtn__seed0.json"
+    MATRIX_FAULTS[fault](run_dir / name)
+    capsys.readouterr()
+    assert run_command(command, run_dir, tmp_path) == 2
+    assert name in capsys.readouterr().err
+    assert calls == []
+
+
+@pytest.fixture(scope="module")
+def seed_runs(tmp_path_factory):
+    """5-iteration run dirs of wtn, wtn_plus and ae_wtn on seed 0, and of wtn
+    on seed 1, keyed by (variant, seed)."""
+    root = tmp_path_factory.mktemp("seed_runs")
+    cfg_path = write_config(root, tiny_doc(iterations=5))
+    runs = {}
+    for variant, seed in [("wtn", 0), ("wtn", 1), ("wtn_plus", 0), ("ae_wtn", 0)]:
+        runs[variant, seed] = root / f"{variant}{seed}"
+        assert main(["train", "--config", cfg_path, "--out", str(runs[variant, seed]),
+                     "--seed", str(seed), "--variant", variant]) == 0
+    return runs
+
+
+@pytest.mark.parametrize("keys, builds", [
+    ([("wtn", 0), ("wtn_plus", 0), ("ae_wtn", 0)], [0]),
+    ([("wtn", 0), ("wtn", 1), ("wtn_plus", 0), ("ae_wtn", 0)], [0, 1]),
+])
+def test_cli_compare_run_dirs_builds_each_benchmark_once(seed_runs, tmp_path, monkeypatch,
+                                                         keys, builds):
+    calls = counting_generate(monkeypatch)
+    assert main(["compare", *(str(seed_runs[k]) for k in keys),
+                 "--out", str(tmp_path / "cmp")]) == 0
+    assert calls == builds
+
+
+def test_cli_compare_run_dirs_output_bytes(seed_runs, tmp_path):
+    """The sha256 of the table, recorded before compare RUN_DIRS shared its
+    benchmarks between run dirs (numpy 2.4, OpenBLAS 0.3.31, x86-64)."""
+    out = tmp_path / "cmp"
+    assert main(["compare", *(str(seed_runs[k]) for k in [("wtn", 0), ("wtn", 1),
+                                                          ("wtn_plus", 0), ("ae_wtn", 0)]),
+                 "--out", str(out)]) == 0
+    assert {name: hashlib.sha256(data).hexdigest() for name, data in read_tree(out).items()} == {
+        "comparison.csv": "5077474e4f1a24c512ffc79c19635bf3a99e1223cc98333fb88bac0485e93c4c",
+        "comparison.json": "c5e109dae461e84a51fb0e5d6adc53712d6b5ea031cebd180f63484e71174713",
+    }
+
+
+def test_cli_compare_run_dirs_checks_every_fingerprint(seed_runs, tmp_path, capsys,
+                                                      monkeypatch):
+    # The second run dir reuses the first one's benchmark and must still
+    # match its own recorded fingerprint.
+    calls = counting_generate(monkeypatch)
+    edited = tmp_path / "edited"
+    shutil.copytree(seed_runs["wtn_plus", 0], edited)
+    with open(seed_runs["wtn", 0] / "config.json") as f:
+        actual = json.load(f)["resolved"]["benchmark_sha256"]
+    stamped = "0" * 64
+    edit_json(edited / "config.json",
+              lambda doc: doc["resolved"].update(benchmark_sha256=stamped))
+    capsys.readouterr()
+    assert main(["compare", str(seed_runs["wtn", 0]), str(edited),
+                 "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert str(edited) in err and actual in err and stamped in err
+    assert calls == [0]
+    assert not os.path.exists(tmp_path / "cmp")
+
+
+# --- generate bytes ---------------------------------------------------------------
+
+TINY_GENERATE_SHA256 = {
+    "config.json": "3d2c71479083954a9b486115533d7bad6556277fe00bdb352b76499332b6125c",
+    "eval_novel_features.csv": "80b1f3b696e30d6d68752548b395c8bae1ac199d6adf1029c37f209ce1c05478",
+    "eval_novel_labels.csv": "ab3a55a66a42bc05ecf44b7503c76aa3c624034b7b8b2f0b44a34d4f8c86e206",
+    "eval_novel_primary.csv": "ebc44d15ef75e72290bb801a5fecf8ef725b44bff30375d0da4184adc1e36433",
+    "eval_seen_features.csv": "b5df94360eb7cd3561bb0ee450c6b62cfec62e2302f91010fd30d7f2c68657bb",
+    "eval_seen_labels.csv": "5a98573d7e53ad3e96a47d062e3e18380dd65aa71946435942880743fdcb065d",
+    "eval_seen_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
+    "manifest.json": "6d6d60ee18ced6f0416ae08f77ebd93934c4a206ce344ecefcf368b74568c636",
+    "other_prototypes.json": "ecabb8accc0ccbc2d4686a4db3aa54a83051e6387931eb03e387a9361a478b5b",
+    "prototypes.json": "3d8377eafdd275e3b3233c5a15b9f6555d777c16c7687ede3654636977492b67",
+    "rotation.json": "212d8e9ffe40bea303336bb0453cb859705ee5fe8c522e45e5d1c83a88caa05d",
+    "source_weights.json": "d771511a2646695dd72c9d1572c5d12d5f4ea4df3bed01e6ce8746237d75d8c0",
+    "train_features.csv": "3a7920e5214325b1ea51627191253d798c67fc9ab810b1f2c4dc2a0dd530acce",
+    "train_labels.csv": "5a98573d7e53ad3e96a47d062e3e18380dd65aa71946435942880743fdcb065d",
+    "train_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
+}
+
+
+def test_cli_generate_tiny_bytes(tmp_path):
+    """The sha256 of every file of a tiny ``wtx generate``, recorded before
+    the generator drew each split's noise in one call and the writers
+    formatted row by row (numpy 2.4, OpenBLAS 0.3.31, x86-64)."""
+    out = tmp_path / "bench"
+    assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
+                 "--out", str(out)]) == 0
+    assert {name: hashlib.sha256(data).hexdigest()
+            for name, data in read_tree(out).items()} == TINY_GENERATE_SHA256

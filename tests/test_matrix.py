@@ -100,3 +100,39 @@ def test_load_matrix_json_rejects_values_of_another_type(tmp_path_factory, data)
     path.write_text(json.dumps(doc))
     with pytest.raises(ValidationError, match="matrix.json"):
         load_matrix_json(str(path))
+
+
+# --- serializer bytes -------------------------------------------------------------
+# Both writers must give exactly the text of repr(float(x)) per element.
+
+EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 1 / 3]
+
+
+def csv_oracle(m):
+    return "\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n"
+
+
+def json_oracle(m):
+    data = ", ".join(repr(float(x)) for x in m.ravel())
+    return f'{{"rows": {m.shape[0]}, "cols": {m.shape[1]}, "data": [{data}]}}'
+
+
+def serializer_cases(default_bench):
+    edges = np.array(EDGE_VALUES)
+    return {
+        "edges": np.stack([edges, -edges[::-1]]),
+        "edges_column": edges[:, None],
+        "zero_rows": np.zeros((0, 4)),
+        "zero_cols": np.zeros((3, 0)),
+        "default_labels": default_bench.split("train").labels_full,
+    }
+
+
+@pytest.mark.parametrize("case", ["edges", "edges_column", "zero_rows", "zero_cols",
+                                  "default_labels"])
+def test_serializers_write_the_repr_of_every_value(tmp_path, default_bench, case):
+    m = serializer_cases(default_bench)[case]
+    save_matrix_csv(m, str(tmp_path / "m.csv"))
+    save_matrix_json(m, str(tmp_path / "m.json"))
+    assert (tmp_path / "m.csv").read_text() == csv_oracle(m)
+    assert (tmp_path / "m.json").read_text() == json_oracle(m)
