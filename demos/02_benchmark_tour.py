@@ -53,7 +53,7 @@ for name in ("train", "eval_seen", "eval_novel"):
 
 # Novel classes never appear in the training labels.
 train = bench.split("train")
-labeled = set(np.flatnonzero(train.labels_full.any(axis=0)).tolist())
+labeled = set(np.flatnonzero(train.class_labels.any(axis=0)).tolist())
 assert labeled.isdisjoint(set(src.novel_index.tolist()))
 print()
 print("leakage check: no novel class id appears in any training label")

@@ -6,6 +6,32 @@ source weights carry learned-classifier artifacts, in particular a large
 spread of per-class weight norms), then emits target-task feature splits
 with a seen/novel class split and a handful of target-only "other"
 classes. Everything is a pure function of (config, seed).
+
+An example's labels depend only on its class, so a split keeps them once
+per class: one multi-hot row per class, and for each example the index of
+its class's row. No split holds a matrix of one label row per example.
+
+``save_instance`` exports an instance; ``wtx generate`` writes it next to
+the run-style ``config.json``. The tree, with SPLIT one of ``train``,
+``eval_seen`` and ``eval_novel``:
+
+    manifest.json            config, seed, class ids, shared ids, cluster ids,
+                             co-occurrence radius, measured statistics, splits
+    source_weights.json      W_C, the learned (|C|, d) source weights
+    prototypes.json          the (|C|, d) class prototypes
+    other_prototypes.json    the prototypes of the target-only classes
+    rotation.json            the (d, d) source-basis rotation
+    SPLIT_features.csv       one feature row per example
+    SPLIT_primary.csv        each example's generating class id, one per line
+    SPLIT_class_labels.json  each class's positive label columns
+
+The matrix files use the formats of ``wtx.matrix``. A class-label file is
+one JSON object that maps each class id of the split, as a string, to the
+ascending list of the global column ids its examples are labeled with,
+``{"3": [3, 17], "5": [5], ...}``. Columns ``0 .. |C| - 1`` are the source
+classes and ``|C| .. |C| + num_other - 1`` the target-only classes. The
+labels of example ``i`` are the list of the class on line ``i`` of
+``SPLIT_primary.csv``.
 """
 
 from __future__ import annotations
@@ -19,7 +45,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import ConfigError, StateError
-from .losses import _bce_grad
+from .losses import _logistic
 from .matrix import (atomic_write_text, matrix_hash, row_l2_norms, save_matrix_csv,
                      save_matrix_json)
 from .models import SourceWeights
@@ -105,17 +131,26 @@ class ClassPrototypes:
 
 @dataclass
 class Split:
+    """Examples of some classes. Example i belongs to the class of row
+    ``class_index[i]``: its generating class is ``class_ids[class_index[i]]``
+    and its labels are ``class_labels[class_index[i]]``."""
     name: str
     features: np.ndarray           # (n, d)
-    labels_full: np.ndarray        # (n, |C| + n_other) multi-hot over the global universe
-    primary: np.ndarray            # (n,) generating class id per example
+    class_ids: np.ndarray          # (k,) global id of each class of the split
+    class_labels: np.ndarray       # (k, |C| + n_other) multi-hot per class over the global universe
+    class_index: np.ndarray        # (n,) row of each example's class
     universe: np.ndarray           # global ids this split's labels live in
+
+    @property
+    def primary(self) -> np.ndarray:
+        """(n,) generating class id per example."""
+        return self.class_ids[self.class_index]
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """(n, |universe|) labels over the split universe, built on first use
-        so that only the splits that are sampled hold a copy."""
-        return self.labels_full[:, self.universe]
+        """(k, |universe|) class rows over the split universe, built on first
+        use so that only the splits that are sampled hold a copy."""
+        return self.class_labels[:, self.universe]
 
 
 @dataclass
@@ -149,7 +184,7 @@ class BenchmarkInstance:
         if sp.features.shape[0] == 0:
             raise StateError(f"split {split_name!r} is empty")
         idx = rng.integers(0, sp.features.shape[0], size=batch_size)
-        return sp.features[idx], sp.labels[idx]
+        return sp.features[idx], sp.labels[sp.class_index[idx]]
 
     def fingerprint(self) -> str:
         """SHA-256 over the matrix hashes of the source weights and of every
@@ -160,8 +195,10 @@ class BenchmarkInstance:
         return h.hexdigest()
 
 
-def _train_source_classifier(x, y, config: BenchConfig, rng) -> np.ndarray:
-    """Plain SGD on mean-reduced sigmoid BCE; returns the (|C|, d) weights.
+def _train_source_classifier(x, class_ids, config: BenchConfig, rng) -> np.ndarray:
+    """Plain SGD on mean-reduced sigmoid BCE against one-hot targets, where
+    ``class_ids`` holds each example's class in [0, num_classes); returns
+    the (|C|, d) weights.
 
     The per-class bias starts at the class-prior logit (the standard
     long-tail initialization), so negatives are suppressed from the first
@@ -169,21 +206,27 @@ def _train_source_classifier(x, y, config: BenchConfig, rng) -> np.ndarray:
     exposure. That is what turns the skewed per-class sample counts into
     the wide spread of learned weight norms. Biases are internal to the
     source task; only the weight rows are kept. Only the gradient of the
-    loss is computed: the loop never reads its value.
+    loss is computed: the loop never reads its value. The one-hot targets
+    are never built: the gradient is the logistic of each logit, minus 1 at
+    the row's class, over the number of logits.
     """
-    if not np.all((y == 0.0) | (y == 1.0)):
-        raise ValueError("sigmoid_bce targets must be binary (0/1)")
-    w = np.zeros((y.shape[1], x.shape[1]))
-    prior = np.clip(y.mean(axis=0), 1e-6, 1.0 - 1e-6)
-    b = np.log(prior / (1.0 - prior))
+    c_total = config.num_classes
+    class_ids = np.asarray(class_ids)
+    if class_ids.dtype.kind not in "iu" or np.any((class_ids < 0) | (class_ids >= c_total)):
+        raise ValueError(f"source class ids must be integers in [0, {c_total})")
+    w = np.zeros((c_total, x.shape[1]))
     lr, n = config.source_lr, x.shape[0]
+    prior = np.clip(np.bincount(class_ids, minlength=c_total) / n, 1e-6, 1.0 - 1e-6)
+    b = np.log(prior / (1.0 - prior))
     for _ in range(config.source_epochs):
         order = rng.permutation(n)
         for start in range(0, n, config.source_batch):
             idx = order[start:start + config.source_batch]
             xb = x[idx]
             z = xb @ w.T + b
-            g = _bce_grad(z, np.exp(-np.abs(z)), y[idx])
+            g = _logistic(z, np.exp(-np.abs(z)))
+            g[np.arange(len(idx)), class_ids[idx]] -= 1.0
+            g /= z.size
             w -= lr * (g.T @ xb)
             b -= lr * g.sum(axis=0)
     return w
@@ -192,9 +235,10 @@ def _train_source_classifier(x, y, config: BenchConfig, rng) -> np.ndarray:
 def _make_split(name, class_ids, prototypes_by_id, universe, total_cols,
                 samples_per_class, noise_std, radius, rng) -> Split:
     """Draw prototype+noise features, samples_per_class examples per class
-    in class_ids order; co-label classes whose prototypes sit within the
-    co-occurrence radius, restricted to the split universe. The noise is one
-    draw, which takes the same values from rng as one draw per class."""
+    in class_ids order; a class's label row marks it and the classes whose
+    prototypes sit within the co-occurrence radius, restricted to the split
+    universe. The noise is one draw, which takes the same values from rng as
+    one draw per class."""
     protos = np.stack([prototypes_by_id[c] for c in class_ids])
     univ_protos = np.stack([prototypes_by_id[c] for c in universe])
     rows = np.zeros((len(class_ids), total_cols))
@@ -205,8 +249,9 @@ def _make_split(name, class_ids, prototypes_by_id, universe, total_cols,
     noise = rng.standard_normal((len(class_ids) * samples_per_class, protos.shape[1]))
     return Split(name=name,
                  features=np.repeat(protos, samples_per_class, axis=0) + noise_std * noise,
-                 labels_full=np.repeat(rows, samples_per_class, axis=0),
-                 primary=np.repeat(np.asarray(class_ids, dtype=np.int64), samples_per_class),
+                 class_ids=np.asarray(class_ids, dtype=np.int64),
+                 class_labels=rows,
+                 class_index=np.repeat(np.arange(len(class_ids)), samples_per_class),
                  universe=np.asarray(universe, dtype=np.int64))
 
 
@@ -267,15 +312,11 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
             x = x + warp_gain * np.tanh(x @ warp_in / config.feature_scale) @ warp_out
         return x @ source_basis
 
-    xs, ys = [], []
-    for c in range(c_total):
-        x = prototypes[c] + config.noise_std * source_rng.standard_normal((counts[c], d))
-        y = np.zeros((counts[c], c_total))
-        y[:, c] = 1.0
-        xs.append(to_source(x))
-        ys.append(y)
-    x_src, y_src = np.vstack(xs), np.vstack(ys)
-    w_c = _train_source_classifier(x_src, y_src, config, source_rng)
+    x_src = np.vstack([
+        to_source(prototypes[c] + config.noise_std * source_rng.standard_normal((counts[c], d)))
+        for c in range(c_total)])
+    w_c = _train_source_classifier(x_src, np.repeat(np.arange(c_total), counts), config,
+                                   source_rng)
 
     shared_ids = np.sort(split_rng.permutation(c_total)[:config.num_shared])
     source = SourceWeights.create(w_c, shared_ids)
@@ -318,7 +359,8 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
         wd2[i] = np.inf
         nearest[i] = np.argmin(wd2)
     same_cluster = float(np.mean(cluster_ids[nearest] == cluster_ids))
-    multi = float(np.mean(splits["train"].labels_full.sum(axis=1) >= 2))
+    train = splits["train"]
+    multi = float(np.mean((train.class_labels.sum(axis=1) >= 2)[train.class_index]))
     measured = {
         "norm_ratio": float(norms.max() / max(norms.min(), 1e-300)),
         "nn_same_cluster_fraction": same_cluster,
@@ -335,9 +377,13 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
 # --- directory serialization ------------------------------------------------
 
 def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
-    """Export the instance as JSON and CSV files. Nothing in the package
-    reads them back: every command that needs a benchmark regenerates it
-    from the config and seed."""
+    """Export the instance as JSON and CSV files: ``manifest.json``, the
+    source weights, prototypes, other prototypes and rotation as matrix
+    JSON files, and per split ``SPLIT_features.csv``, ``SPLIT_primary.csv``
+    and ``SPLIT_class_labels.json``, each class id mapped to its ascending
+    positive column ids (the module docstring gives the formats). Nothing in
+    the package reads them back: every command that needs a benchmark
+    regenerates it from the config and seed."""
     os.makedirs(dirpath, exist_ok=True)
     manifest = {
         "config": asdict(instance.config),
@@ -357,7 +403,10 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
     save_matrix_json(instance.rotation, os.path.join(dirpath, "rotation.json"))
     for name, sp in instance.splits.items():
         save_matrix_csv(sp.features, os.path.join(dirpath, f"{name}_features.csv"))
-        save_matrix_csv(sp.labels_full, os.path.join(dirpath, f"{name}_labels.csv"))
+        class_labels = {str(c): np.flatnonzero(row).tolist()
+                        for c, row in zip(sp.class_ids.tolist(), sp.class_labels)}
+        atomic_write_text(os.path.join(dirpath, f"{name}_class_labels.json"),
+                          json.dumps(class_labels))
         atomic_write_text(os.path.join(dirpath, f"{name}_primary.csv"),
-                          "\n".join(str(int(c)) for c in sp.primary) + "\n")
+                          "\n".join(map(str, sp.primary.tolist())) + "\n")
 

@@ -25,6 +25,8 @@ under ``runs/TAG/``):
 (neighbor overlap of W_D with W_C) and ``norm_stats__TAG.json``
 (post-ReLU activation-norm statistics). ``compare`` writes
 ``comparison.json`` and ``comparison.csv`` into its output directory.
+``generate`` writes ``config.json`` (with method ``benchmark``) and the
+benchmark export listed in the ``wtx.bench`` docstring.
 
 ``eval``, ``analyze`` and ``compare RUN_DIRS`` reload a run directory. A
 reload reads and shape-checks the run's matrix files first, then
@@ -50,6 +52,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import shutil
 import sys
@@ -103,6 +106,12 @@ def _resolve_seeds(cfg: ExperimentConfig, cli_seed: int | None) -> list[int]:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return [seed]
+
+
+def _check_alpha(alpha: float | None) -> None:
+    """An ``--alpha`` must be a finite weight >= 0; checked before any work."""
+    if alpha is not None and not (math.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"--alpha must be finite and >= 0, got {alpha}")
 
 
 @contextmanager
@@ -256,6 +265,7 @@ def cmd_generate(args) -> int:
 
 
 def cmd_train(args) -> int:
+    _check_alpha(args.alpha)
     cfg = _load_config(args.config)
     variant = args.variant or cfg.variant
     seed = _resolve_seeds(cfg, args.seed)[0]
@@ -364,6 +374,7 @@ def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
 def cmd_compare(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
+    _check_alpha(args.alpha)
     if args.run_dirs:
         with staged_output(args.out, args.overwrite) as tmp:
             rows, benches = [], {}
@@ -409,6 +420,8 @@ def cmd_compare(args) -> int:
 
 
 def cmd_gradcheck(args) -> int:
+    if args.seeds < 1:
+        raise ConfigError(f"--seeds must be at least 1, got {args.seeds}")
     results = run_gradient_suite(seeds=range(args.seeds))
     by_name: dict[str, list] = {}
     for r in results:

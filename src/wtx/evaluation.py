@@ -49,23 +49,27 @@ def _resolve_transferred(transferred, source: SourceWeights) -> np.ndarray:
     return w
 
 
-def _topk_hits(logits: np.ndarray, truth: np.ndarray, k: int) -> np.ndarray:
-    """Per row, whether any of the k highest logits marks a true class, with
-    ties broken toward the lowest class index: the first k columns of a
-    stable argsort of -logits, found without sorting. Every value above the
-    row's k-th largest is taken; the remaining slots go to the values equal
-    to it, in column order. Ties are common: the untrained "other" columns
-    all score 0."""
+def _topk_hits(logits: np.ndarray, truth: np.ndarray, row_class: np.ndarray,
+               k: int) -> np.ndarray:
+    """Per row i, whether any of the k highest logits marks a true class of
+    the row's class, ``truth[row_class[i]]``, with ties broken toward the
+    lowest class index: the first k columns of a stable argsort of -logits,
+    found without sorting. Every value above the row's k-th largest is
+    taken; the remaining slots go to the values equal to it, in column
+    order. Ties are common: the untrained "other" columns all score 0."""
     n_cols = logits.shape[1]
     if k >= n_cols:
-        return truth.any(axis=1)
+        return truth.any(axis=1)[row_class]
     # Index with a list to copy the column out and free the partitioned copy.
     kth = np.partition(logits, n_cols - k, axis=1)[:, [n_cols - k]]
     above = logits > kth
     tied = logits == kth
     free = k - above.sum(axis=1, keepdims=True)
     taken = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= free))
-    return (truth & taken).any(axis=1)
+    rows, cols = np.nonzero(taken)
+    hits = np.zeros(logits.shape[0], dtype=bool)
+    hits[rows[truth[row_class[rows], cols]]] = True
+    return hits
 
 
 def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
@@ -87,19 +91,19 @@ def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
         universe = np.asarray(sorted(set(sp.universe.tolist())), dtype=np.int64)
 
     logits = sp.features @ stack[universe].T
-    truth = sp.labels_full[:, universe] > 0.5
+    truth = sp.class_labels[:, universe] > 0.5     # one row per class of the split
 
     if k < 1:
         raise ValueError(f"recall k must be >= 1, got {k}")
     k_eff = min(k, len(universe))
-    top1_idx = np.argmax(logits, axis=1)
-    top1_hit = truth[np.arange(len(top1_idx)), top1_idx]
-    recall_hit = _topk_hits(logits, truth, k_eff)
+    top1_hit = truth[sp.class_index, np.argmax(logits, axis=1)]
+    recall_hit = _topk_hits(logits, truth, sp.class_index, k_eff)
 
-    per_class = {}
-    for c in np.unique(sp.primary):
-        m = sp.primary == c
-        per_class[int(c)] = {"count": int(m.sum()), "top1": float(top1_hit[m].mean())}
+    n_classes = len(sp.class_ids)
+    counts = np.bincount(sp.class_index, minlength=n_classes).tolist()
+    hits = np.bincount(sp.class_index[top1_hit], minlength=n_classes).tolist()
+    per_class = {c: {"count": n, "top1": h / n}
+                 for c, n, h in zip(sp.class_ids.tolist(), counts, hits) if n}
 
     return MetricReport(split=split, universe=[int(u) for u in universe],
                         top1=float(top1_hit.mean()), recall_k=float(recall_hit.mean()),

@@ -75,8 +75,10 @@ def read_csv_matrix(path):
 
 
 def test_instance_round_trip(tmp_path):
-    # The export is one-way, so the test parses it back itself.
+    # The export is one-way, so the test parses it back itself, and rebuilds
+    # the dense per-example labels from the class-label and primary files.
     bench = generate_benchmark(tiny_config(), seed=3)
+    total_cols = bench.source.num_classes + bench.num_other
     d = tmp_path / "inst"
     save_instance(bench, str(d))
     manifest = json.loads((d / "manifest.json").read_text())
@@ -86,15 +88,21 @@ def test_instance_round_trip(tmp_path):
     assert np.array_equal(load_matrix_json(str(d / "rotation.json")), bench.rotation)
     for name, sp in bench.splits.items():
         assert np.array_equal(read_csv_matrix(d / f"{name}_features.csv"), sp.features)
-        assert np.array_equal(read_csv_matrix(d / f"{name}_labels.csv"), sp.labels_full)
-        assert np.array_equal(read_csv_matrix(d / f"{name}_primary.csv").ravel(), sp.primary)
+        primary = read_csv_matrix(d / f"{name}_primary.csv").ravel()
+        assert np.array_equal(primary, sp.primary)
+        class_labels = json.loads((d / f"{name}_class_labels.json").read_text())
+        assert list(class_labels) == [str(c) for c in sp.class_ids]
+        dense = np.zeros((len(primary), total_cols))
+        for i, c in enumerate(primary):
+            dense[i, class_labels[str(int(c))]] = 1.0
+        assert same_bits(dense, sp.class_labels[sp.class_index])
 
 
 def test_no_novel_leakage_into_training(tiny_bench):
     bench = tiny_bench
     novel = set(int(i) for i in bench.source.novel_index)
     train = bench.split("train")
-    labeled = set(int(c) for c in np.flatnonzero(train.labels_full.any(axis=0)))
+    labeled = set(int(c) for c in np.flatnonzero(train.class_labels.any(axis=0)))
     assert labeled & novel == set()
     assert set(int(u) for u in train.universe) & novel == set()
 
@@ -147,7 +155,8 @@ def test_sample_equals_the_ix_gather(split):
     feats, labels = bench.sample(split, 64, np.random.default_rng(9))
     idx = np.random.default_rng(9).integers(0, sp.features.shape[0], size=64)
     assert np.array_equal(feats, sp.features[idx])
-    assert np.array_equal(labels, sp.labels_full[np.ix_(idx, sp.universe)])
+    dense = sp.class_labels[sp.class_index]
+    assert np.array_equal(labels, dense[np.ix_(idx, sp.universe)])
 
 
 def test_only_the_sampled_split_caches_its_labels():
@@ -205,11 +214,13 @@ def test_norms_reflect_sample_counts():
 
 # --- generation oracles ---------------------------------------------------------
 # The straightforward forms of the generator's loops: one noise draw and one
-# tiled label block per class, and the full sigmoid_bce (value, check and
-# gradient) on every source batch. The generator must match them bitwise.
+# tiled label block per class, giving dense per-example labels, and the full
+# sigmoid_bce (value, check and gradient) against dense one-hot targets on
+# every source batch. The generator must match them bitwise.
 
 def oracle_make_split(name, class_ids, prototypes_by_id, universe, total_cols,
                       samples_per_class, noise_std, radius, rng):
+    """(features, dense labels, primary) of a split, one row per example."""
     univ_protos = np.stack([prototypes_by_id[c] for c in universe])
     feats, labels, primary = [], [], []
     for c in class_ids:
@@ -223,9 +234,7 @@ def oracle_make_split(name, class_ids, prototypes_by_id, universe, total_cols,
         feats.append(x)
         labels.append(np.tile(row, (samples_per_class, 1)))
         primary.extend([c] * samples_per_class)
-    return Split(name=name, features=np.vstack(feats), labels_full=np.vstack(labels),
-                 primary=np.asarray(primary, dtype=np.int64),
-                 universe=np.asarray(universe, dtype=np.int64))
+    return np.vstack(feats), np.vstack(labels), np.asarray(primary, dtype=np.int64)
 
 
 def oracle_train_source_classifier(x, y, config, rng):
@@ -259,31 +268,88 @@ GENERATION_CONFIGS = {"tiny": tiny_config(), "default": BenchConfig(),
                       "anisotropic": BenchConfig(channel_anisotropy=30.0)}
 
 
+def oracle_benchmark(cfg, seed):
+    """The benchmark built with the oracle loops, and each split's dense
+    (features, labels, primary). Its splits hold one class row per example
+    (``class_index`` is the identity), so every statistic the generator
+    takes from the class rows is taken from the dense rows."""
+    dense = {}
+
+    def make_split(name, class_ids, prototypes_by_id, universe, *args):
+        feats, labels, primary = dense[name] = oracle_make_split(
+            name, class_ids, prototypes_by_id, universe, *args)
+        return Split(name=name, features=feats, class_ids=primary, class_labels=labels,
+                     class_index=np.arange(len(primary)),
+                     universe=np.asarray(universe, dtype=np.int64))
+
+    def train_source_classifier(x, class_ids, config, rng):
+        y = np.zeros((len(class_ids), config.num_classes))
+        y[np.arange(len(class_ids)), class_ids] = 1.0
+        return oracle_train_source_classifier(x, y, config, rng)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(wtx.bench, "_make_split", make_split)
+        mp.setattr(wtx.bench, "_train_source_classifier", train_source_classifier)
+        return generate_benchmark(cfg, seed), dense
+
+
 @pytest.mark.parametrize("seed", [0, 1])
 @pytest.mark.parametrize("config", sorted(GENERATION_CONFIGS))
-def test_generation_matches_the_oracle_loops_bitwise(monkeypatch, config, seed):
+def test_generation_matches_the_oracle_loops_bitwise(config, seed):
     cfg = GENERATION_CONFIGS[config]
     bench = generate_benchmark(cfg, seed)
-    monkeypatch.setattr(wtx.bench, "_make_split", oracle_make_split)
-    monkeypatch.setattr(wtx.bench, "_train_source_classifier", oracle_train_source_classifier)
-    want = generate_benchmark(cfg, seed)
+    want, dense = oracle_benchmark(cfg, seed)
 
     assert same_bits(bench.source.weights, want.source.weights)
-    assert sorted(bench.splits) == sorted(want.splits)
-    for name, sp in want.splits.items():
+    assert sorted(bench.splits) == sorted(dense)
+    for name, (features, labels, primary) in dense.items():
         got = bench.split(name)
-        for attr in ("features", "labels_full", "primary", "universe"):
-            assert same_bits(getattr(got, attr), getattr(sp, attr)), (name, attr)
+        assert same_bits(got.features, features), name
+        assert same_bits(got.class_labels[got.class_index], labels), name
+        assert same_bits(got.primary, primary), name
+        assert same_bits(got.universe, want.split(name).universe), name
+        assert len(got.class_ids) == len(np.unique(primary)), name   # one row per class
     assert bench.cooccur_radius.hex() == want.cooccur_radius.hex()
     assert bench.measured == want.measured
     assert bench.measured["nn_same_cluster_fraction"] == oracle_nn_same_cluster(bench)
     assert bench.fingerprint() == want.fingerprint()
 
 
-def test_source_classifier_rejects_non_binary_labels():
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("config", ["tiny", "default"])
+def test_sample_matches_the_dense_oracle_gather(config, seed):
+    bench = generate_benchmark(GENERATION_CONFIGS[config], seed)
+    _, dense = oracle_benchmark(GENERATION_CONFIGS[config], seed)
+    for name, (features, labels, _) in dense.items():
+        universe = bench.split(name).universe
+        for draw in range(3):
+            rng = np.random.default_rng(100 * seed + draw)
+            ref = np.random.default_rng(100 * seed + draw)
+            feats, got = bench.sample(name, 128, rng)
+            idx = ref.integers(0, len(features), size=128)
+            assert same_bits(feats, features[idx]), name
+            assert same_bits(got, labels[np.ix_(idx, universe)]), name
+            assert rng.random() == ref.random()     # sample made that one draw
+
+
+def test_source_classifier_matches_the_one_hot_oracle():
+    # Class 5 has no example, so its prior is clipped; 70 rows make a short
+    # last batch.
+    cfg = tiny_config(source_batch=32, source_epochs=3)
+    rng = np.random.default_rng(4)
+    ids = rng.choice(np.delete(np.arange(cfg.num_classes), 5), size=70)
+    x = rng.standard_normal((70, cfg.dim))
+    y = np.zeros((70, cfg.num_classes))
+    y[np.arange(70), ids] = 1.0
+    got = _train_source_classifier(x, ids, cfg, np.random.default_rng(9))
+    assert same_bits(got, oracle_train_source_classifier(x, y, cfg, np.random.default_rng(9)))
+
+
+@pytest.mark.parametrize("ids", [np.array([0, 1, 2.0]), np.array([0, -1, 2]),
+                                 np.array([0, 1, 24]), np.array([True, False, True])],
+                         ids=["float", "negative", "too_large", "bool"])
+def test_source_classifier_rejects_bad_class_ids(ids):
     rng = np.random.default_rng(0)
-    x = rng.standard_normal((8, 4))
-    y = np.eye(8, 3)
-    y[5, 1] = 0.5
-    with pytest.raises(ValueError, match="binary"):
-        _train_source_classifier(x, y, BenchConfig(), rng)
+    x = rng.standard_normal((3, 4))
+    with pytest.raises(ValueError, match="class ids"):
+        _train_source_classifier(x, ids, tiny_config(), rng)

@@ -172,6 +172,15 @@ def test_cli_gradcheck_passes(capsys):
     assert "PASS" in out and "FAIL" not in out
 
 
+@pytest.mark.parametrize("seeds", ["0", "-3"])
+def test_cli_gradcheck_without_seeds_exits_2(capsys, seeds):
+    # A check that ran no case must not pass.
+    assert main(["gradcheck", "--seeds", seeds]) == 2
+    out = capsys.readouterr()
+    assert out.out == ""
+    assert out.err == f"error: --seeds must be at least 1, got {seeds}\n"
+
+
 def test_cli_generate_train_eval_analyze_compare(tmp_path, capsys):
     cfg_path = write_config(tmp_path, tiny_doc())
 
@@ -456,6 +465,32 @@ def test_cli_compare_diverged_exits_3(tmp_path, capsys):
     assert re.fullmatch(r"error: non-finite loss at iteration \d+\n", capsys.readouterr().err)
     assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
     assert_no_worker_left()
+
+
+@pytest.mark.parametrize("lr, code", [(1e-3, 0), (1e308, 3)], ids=["ok", "seeds_fail"])
+def test_cli_compare_leaves_no_worker_running(tmp_path, lr, code):
+    # Three seeds on two workers, so a seed is still queued when the first
+    # ones finish or fail; no worker may outlive the command either way.
+    doc = tiny_doc(adamw_lr=lr, iterations=10)
+    doc["seeds"] = [0, 1, 2]
+    cfg_path = write_config(tmp_path, doc)
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "sweep"),
+                 "--jobs", "2"]) == code
+    assert_no_worker_left()
+
+
+@pytest.mark.parametrize("alpha", ["nan", "inf", "-inf", "-1", "-1e-300"])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_bad_alpha_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command,
+                                               alpha):
+    calls = counting_generate(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    out = tmp_path / "out"
+    assert main([command, "--config", cfg_path, "--out", str(out), f"--alpha={alpha}"]) == 2
+    assert "--alpha must be finite and >= 0" in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
 
 
 def test_cli_eval_malformed_resolved_exits_2(tmp_path, capsys):
@@ -790,10 +825,12 @@ def test_cli_compare_run_dirs_checks_every_fingerprint(seed_runs, tmp_path, caps
 TINY_GENERATE_SHA256 = {
     "config.json": "3d2c71479083954a9b486115533d7bad6556277fe00bdb352b76499332b6125c",
     "eval_novel_features.csv": "80b1f3b696e30d6d68752548b395c8bae1ac199d6adf1029c37f209ce1c05478",
-    "eval_novel_labels.csv": "ab3a55a66a42bc05ecf44b7503c76aa3c624034b7b8b2f0b44a34d4f8c86e206",
+    "eval_novel_class_labels.json":
+        "8d01cb44e510f4eff98c946ad3bfe284c3f26f693eb4c9c2c8ec4f145858b7e5",
     "eval_novel_primary.csv": "ebc44d15ef75e72290bb801a5fecf8ef725b44bff30375d0da4184adc1e36433",
     "eval_seen_features.csv": "b5df94360eb7cd3561bb0ee450c6b62cfec62e2302f91010fd30d7f2c68657bb",
-    "eval_seen_labels.csv": "5a98573d7e53ad3e96a47d062e3e18380dd65aa71946435942880743fdcb065d",
+    "eval_seen_class_labels.json":
+        "02a4ed1fff473487f28871994c625019315407b32e48c6d27f5d40ad9ec8c771",
     "eval_seen_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
     "manifest.json": "6d6d60ee18ced6f0416ae08f77ebd93934c4a206ce344ecefcf368b74568c636",
     "other_prototypes.json": "ecabb8accc0ccbc2d4686a4db3aa54a83051e6387931eb03e387a9361a478b5b",
@@ -801,7 +838,8 @@ TINY_GENERATE_SHA256 = {
     "rotation.json": "212d8e9ffe40bea303336bb0453cb859705ee5fe8c522e45e5d1c83a88caa05d",
     "source_weights.json": "d771511a2646695dd72c9d1572c5d12d5f4ea4df3bed01e6ce8746237d75d8c0",
     "train_features.csv": "3a7920e5214325b1ea51627191253d798c67fc9ab810b1f2c4dc2a0dd530acce",
-    "train_labels.csv": "5a98573d7e53ad3e96a47d062e3e18380dd65aa71946435942880743fdcb065d",
+    "train_class_labels.json":
+        "02a4ed1fff473487f28871994c625019315407b32e48c6d27f5d40ad9ec8c771",
     "train_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
 }
 
@@ -809,7 +847,9 @@ TINY_GENERATE_SHA256 = {
 def test_cli_generate_tiny_bytes(tmp_path):
     """The sha256 of every file of a tiny ``wtx generate``, recorded before
     the generator drew each split's noise in one call and the writers
-    formatted row by row (numpy 2.4, OpenBLAS 0.3.31, x86-64)."""
+    formatted row by row (numpy 2.4, OpenBLAS 0.3.31, x86-64). The
+    ``*_class_labels.json`` hashes were recorded when those files replaced
+    the per-example ``*_labels.csv`` matrices; no other hash changed then."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0

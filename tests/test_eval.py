@@ -2,11 +2,12 @@ import numpy as np
 import pytest
 
 from wtx.errors import ShapeError, ValidationError
-from wtx.evaluation import (_topk_hits, comparison_csv, comparison_table, evaluate,
-                            nn_overlap, norm_stats)
+from wtx.evaluation import (MetricReport, _topk_hits, comparison_csv, comparison_table,
+                            evaluate, nn_overlap, norm_stats)
 from wtx.models import DetectionProxyHead
 
 from conftest import make_model, tiny_config
+from test_bench import GENERATION_CONFIGS, oracle_benchmark
 from wtx.bench import generate_benchmark
 
 
@@ -37,7 +38,7 @@ def test_random_weights_score_at_chance():
     sp = bench.split("eval_novel")
     n = len(sp.primary)
     # expected hit rate = mean number of true labels / universe size
-    p = sp.labels_full.sum() / (n * len(rep.universe))
+    p = sp.class_labels[sp.class_index].sum() / (n * len(rep.universe))
     sigma = np.sqrt(p * (1 - p) / n)
     assert abs(rep.top1 - p) <= 3 * sigma + 0.01
 
@@ -51,15 +52,55 @@ def test_recall_at_universe_size_is_one(tiny_bench):
 
 def test_topk_hits_match_stable_argsort_on_ties():
     # Small-integer logits tie often; the hits must equal those of the first
-    # k columns of a stable argsort of -logits, for every k.
+    # k columns of a stable argsort of -logits, for every k. The truth is
+    # given once per row, and once per class of 7 classes.
     rng = np.random.default_rng(0)
     logits = rng.integers(-2, 3, size=(300, 9)).astype(float)
     logits[:, 6:] = 0.0        # all-zero columns, like the untrained "other" rows
-    truth = rng.random((300, 9)) < 0.2
-    for k in range(1, 11):
-        order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
-        want = np.take_along_axis(truth, order, axis=1).any(axis=1)
-        np.testing.assert_array_equal(_topk_hits(logits, truth, k), want)
+    row_truth = rng.random((300, 9)) < 0.2
+    class_truth = rng.random((7, 9)) < 0.2
+    row_class = rng.integers(0, 7, size=300)
+    for truth, index in ((row_truth, np.arange(300)), (class_truth, row_class)):
+        for k in range(1, 11):
+            order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
+            want = np.take_along_axis(truth[index], order, axis=1).any(axis=1)
+            np.testing.assert_array_equal(_topk_hits(logits, truth, index, k), want)
+
+
+def oracle_evaluate(head, w, bench, dense, split, k):
+    """evaluate's report JSON from dense per-example truth, a full stable
+    argsort for recall@k, and one boolean mask per class."""
+    features, labels, primary = dense[split]
+    stack = np.vstack([w, head.other_weights.data])
+    universe = (np.arange(stack.shape[0]) if split == "eval_novel"
+                else np.unique(bench.split(split).universe))
+    logits = features @ stack[universe].T
+    truth = labels[:, universe] > 0.5
+    top1_hit = truth[np.arange(len(logits)), np.argmax(logits, axis=1)]
+    order = np.argsort(-logits, axis=1, kind="stable")[:, :min(k, len(universe))]
+    recall_hit = np.take_along_axis(truth, order, axis=1).any(axis=1)
+    per_class = {int(c): {"count": int((primary == c).sum()),
+                          "top1": float(top1_hit[primary == c].mean())}
+                 for c in np.unique(primary)}
+    return MetricReport(split=split, universe=universe.tolist(), top1=float(top1_hit.mean()),
+                        recall_k=float(recall_hit.mean()), k=k, per_class=per_class,
+                        seed=bench.seed).to_json()
+
+
+@pytest.mark.parametrize("seed", [0, 1])
+@pytest.mark.parametrize("config", ["tiny", "default"])
+def test_evaluate_matches_the_dense_truth_oracle(config, seed):
+    bench = generate_benchmark(GENERATION_CONFIGS[config], seed)
+    _, dense = oracle_benchmark(GENERATION_CONFIGS[config], seed)
+    rng = np.random.default_rng(seed)
+    oracle_head, oracle_w = oracle_head_and_weights(bench)
+    zero_head = DetectionProxyHead(bench.num_other, bench.d_feat)   # tied "other" columns
+    random_w = rng.standard_normal(oracle_w.shape)
+    for head, w in ((oracle_head, oracle_w), (zero_head, random_w), (oracle_head, random_w)):
+        for split in ("eval_seen", "eval_novel"):
+            for k in (1, 5, 10_000):
+                assert (evaluate(head, w, bench, split, k=k).to_json()
+                        == oracle_evaluate(head, w, bench, dense, split, k)), (split, k)
 
 
 def test_metric_bounds_and_ordering(tiny_bench):

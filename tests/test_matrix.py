@@ -119,12 +119,13 @@ def json_oracle(m):
 
 def serializer_cases(default_bench):
     edges = np.array(EDGE_VALUES)
+    train = default_bench.split("train")
     return {
         "edges": np.stack([edges, -edges[::-1]]),
         "edges_column": edges[:, None],
         "zero_rows": np.zeros((0, 4)),
         "zero_cols": np.zeros((3, 0)),
-        "default_labels": default_bench.split("train").labels_full,
+        "default_labels": train.class_labels[train.class_index],
     }
 
 
