@@ -21,17 +21,19 @@ the run-style ``config.json``. The tree, with SPLIT one of ``train``,
     prototypes.json          the (|C|, d) class prototypes
     other_prototypes.json    the prototypes of the target-only classes
     rotation.json            the (d, d) source-basis rotation
-    SPLIT_features.csv       one feature row per example
+    SPLIT_features.npy       the (examples, d) features, one row per example
     SPLIT_primary.csv        each example's generating class id, one per line
     SPLIT_class_labels.json  each class's positive label columns
 
-The matrix files use the formats of ``wtx.matrix``. A class-label file is
-one JSON object that maps each class id of the split, as a string, to the
-ascending list of the global column ids its examples are labeled with,
-``{"3": [3, 17], "5": [5], ...}``. Columns ``0 .. |C| - 1`` are the source
-classes and ``|C| .. |C| + num_other - 1`` the target-only classes. The
-labels of example ``i`` are the list of the class on line ``i`` of
-``SPLIT_primary.csv``.
+The ``.json`` matrices use the JSON format of ``wtx.matrix``. A features
+file is numpy's ``.npy`` format: float64, C order, exact to the bit, with
+the shape in its header; read it with ``numpy.load(path, allow_pickle=False)``.
+A class-label file is one JSON object that maps each class id of the split,
+as a string, to the ascending list of the global column ids its examples
+are labeled with, ``{"3": [3, 17], "5": [5], ...}``. Columns
+``0 .. |C| - 1`` are the source classes and ``|C| .. |C| + num_other - 1``
+the target-only classes. The labels of example ``i`` are the list of the
+class on line ``i`` of ``SPLIT_primary.csv``.
 """
 
 from __future__ import annotations
@@ -46,8 +48,8 @@ import numpy as np
 
 from .errors import ConfigError, StateError
 from .losses import _logistic
-from .matrix import (atomic_write_text, matrix_hash, row_l2_norms, save_matrix_csv,
-                     save_matrix_json)
+from .matrix import (atomic_write_text, matrix_hash, row_l2_norms, save_matrix_json,
+                     save_matrix_npy)
 from .models import SourceWeights
 
 
@@ -377,10 +379,11 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
 # --- directory serialization ------------------------------------------------
 
 def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
-    """Export the instance as JSON and CSV files: ``manifest.json``, the
-    source weights, prototypes, other prototypes and rotation as matrix
-    JSON files, and per split ``SPLIT_features.csv``, ``SPLIT_primary.csv``
-    and ``SPLIT_class_labels.json``, each class id mapped to its ascending
+    """Export the instance: ``manifest.json``, the source weights,
+    prototypes, other prototypes and rotation as matrix JSON files, and per
+    split ``SPLIT_features.npy`` (read it with ``numpy.load(path,
+    allow_pickle=False)``), ``SPLIT_primary.csv`` and
+    ``SPLIT_class_labels.json``, each class id mapped to its ascending
     positive column ids (the module docstring gives the formats). Nothing in
     the package reads them back: every command that needs a benchmark
     regenerates it from the config and seed."""
@@ -402,7 +405,7 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
     save_matrix_json(instance.other_prototypes, os.path.join(dirpath, "other_prototypes.json"))
     save_matrix_json(instance.rotation, os.path.join(dirpath, "rotation.json"))
     for name, sp in instance.splits.items():
-        save_matrix_csv(sp.features, os.path.join(dirpath, f"{name}_features.csv"))
+        save_matrix_npy(sp.features, os.path.join(dirpath, f"{name}_features.npy"))
         class_labels = {str(c): np.flatnonzero(row).tolist()
                         for c, row in zip(sp.class_ids.tolist(), sp.class_labels)}
         atomic_write_text(os.path.join(dirpath, f"{name}_class_labels.json"),

@@ -2,7 +2,8 @@
 
 Subcommands: generate, train, eval, analyze, compare, gradcheck. Exit
 codes: 0 success, 2 missing/invalid configuration, 3 training aborted on a
-non-finite loss. Outputs are staged in a temporary directory and renamed
+non-finite loss, 4 a ``compare`` sweep worker process died (killed, say, or
+unable to start). Outputs are staged in a temporary directory and renamed
 into place, so a failed command leaves no partial output behind. An
 existing ``--out`` is replaced only with ``--overwrite`` and only if it is a
 directory; both are checked before any work starts. The WTX_SEED
@@ -52,7 +53,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import math
 import os
 import shutil
 import sys
@@ -62,9 +62,9 @@ from dataclasses import asdict, fields
 import numpy as np
 
 from .bench import BenchmarkInstance, generate_benchmark, save_instance
-from .config import (ExperimentConfig, check_section, config_from_dict, config_to_dict,
-                     default_config)
-from .errors import ConfigError, StateError, TrainingDiverged, ValidationError
+from .config import (ExperimentConfig, check_alpha, check_section, config_from_dict,
+                     config_to_dict, default_config)
+from .errors import ConfigError, StateError, TrainingDiverged, ValidationError, WorkerDied
 from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
@@ -110,8 +110,8 @@ def _resolve_seeds(cfg: ExperimentConfig, cli_seed: int | None) -> list[int]:
 
 def _check_alpha(alpha: float | None) -> None:
     """An ``--alpha`` must be a finite weight >= 0; checked before any work."""
-    if alpha is not None and not (math.isfinite(alpha) and alpha >= 0):
-        raise ConfigError(f"--alpha must be finite and >= 0, got {alpha}")
+    if alpha is not None:
+        check_alpha(alpha, "--alpha")
 
 
 @contextmanager
@@ -390,6 +390,7 @@ def cmd_compare(args) -> int:
 
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
+    from concurrent.futures.process import BrokenProcessPool
 
     cfg = _load_config(args.config)
     seeds = _resolve_seeds(cfg, args.seed)
@@ -406,6 +407,11 @@ def cmd_compare(args) -> int:
                            for seed in seeds]
             for future in as_completed(futures):
                 future.result()     # the first failed seed raises here
+        except BrokenProcessPool:
+            # A worker was killed, or could not start; the pool has ended the
+            # others and fails every job that was not done.
+            raise WorkerDied("a sweep worker process died before it finished its "
+                             "seed; no output was written") from None
         finally:
             # Drop the seeds not yet started; wait for the running ones so
             # that none writes into the staging directory after its removal.
@@ -497,6 +503,9 @@ def main(argv=None) -> int:
     except TrainingDiverged as e:
         print(f"error: {e}", file=sys.stderr)
         return 3
+    except WorkerDied as e:
+        print(f"error: {e}", file=sys.stderr)
+        return 4
 
 
 if __name__ == "__main__":

@@ -22,6 +22,12 @@ def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
 
 
+def check_alpha(alpha: float, name: str) -> None:
+    """The reconstruction-loss weight ``name`` must be finite and >= 0."""
+    if not (math.isfinite(alpha) and alpha >= 0):
+        raise ConfigError(f"{name} must be finite and >= 0, got {alpha}")
+
+
 @dataclass(frozen=True)
 class EvalSettings:
     recall_k: int = 5
@@ -55,6 +61,9 @@ class ExperimentConfig:
                               f"got {list(self.seeds)!r}")
         if self.train.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.train.batch_size}")
+        if self.train.iterations < 1:
+            raise ConfigError(f"iterations must be at least 1, got {self.train.iterations}")
+        check_alpha(self.train.alpha, "train.alpha")
         self.benchmark.validate()
         ev, last = self.evaluation, self.benchmark.num_classes - 1
         if ev.recall_k < 1 or ev.sample_classes < 1:

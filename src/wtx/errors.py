@@ -17,6 +17,10 @@ class ValidationError(ValueError):
     """Inputs that should agree with each other do not."""
 
 
+class WorkerDied(RuntimeError):
+    """A worker process of a sweep ended without returning its result."""
+
+
 class TrainingDiverged(RuntimeError):
     """Training produced a non-finite loss and was aborted."""
 

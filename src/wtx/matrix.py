@@ -4,13 +4,22 @@ A "matrix" throughout this package is a 2-D, C-contiguous ``numpy.ndarray``
 of float64. numpy supplies the storage and arithmetic; the naive scalar
 oracles that define correctness live in the test suite.
 
-Serialization uses ``repr``-based float formatting, which round-trips
-float64 values exactly, so saved matrices reload bit-identically.
+Two on-disk formats, both exact to the bit:
+
+- JSON (``save_matrix_json``, ``load_matrix_json``) for every matrix the
+  package reads back: ``{"rows": R, "cols": C, "data": [...]}`` with each
+  value written as its ``repr``, which round-trips float64 exactly. The
+  loader validates the document and its shape.
+- numpy's ``.npy`` (``save_matrix_npy``) for the bulk export of
+  ``wtx generate``, which nothing in the package reads back: a header with
+  the dtype and shape, then the raw float64 values in C order. Read it with
+  ``numpy.load(path, allow_pickle=False)``.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 
@@ -42,14 +51,15 @@ def matrix_hash(m: np.ndarray) -> str:
     return h.hexdigest()
 
 
-def atomic_write_text(path: str, text: str) -> None:
-    """Write via a temp file and rename, so failures leave no partial file.
-    The file gets the mode ``open()`` would give it: 0o666 less the umask."""
+def atomic_write_text(path: str, text: str | bytes) -> None:
+    """Write ``text`` (a str, or bytes written as they are) via a temp file
+    and rename, so failures leave no partial file. The file gets the mode
+    ``open()`` would give it: 0o666 less the umask."""
     d, name = os.path.split(os.path.abspath(path))
     tmp = os.path.join(d, f".tmp-{os.urandom(8).hex()}-{name}")
     fd = os.open(tmp, os.O_WRONLY | os.O_CREAT | os.O_EXCL, 0o666)
     try:
-        with os.fdopen(fd, "w") as f:
+        with os.fdopen(fd, "wb" if isinstance(text, bytes) else "w") as f:
             f.write(text)
         os.replace(tmp, path)
     except BaseException:
@@ -97,11 +107,8 @@ def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndar
     return m.reshape(rows, cols)
 
 
-def save_matrix_csv(m: np.ndarray, path: str) -> None:
-    """One matrix row per line, '.' decimal separator, no header."""
-    m = as_matrix(m)
-    # Row by row: a whole-matrix tolist() would hold every value as a Python
-    # float at once.
-    lines = [",".join(map(repr, row.tolist())) for row in m]
-    atomic_write_text(path, "\n".join(lines) + "\n")
-
+def save_matrix_npy(m: np.ndarray, path: str) -> None:
+    """The matrix as a float64, C-order ``.npy`` file; no pickled objects."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(as_matrix(m)), allow_pickle=False)
+    atomic_write_text(path, buf.getvalue())

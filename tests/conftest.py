@@ -1,3 +1,6 @@
+import glob
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -19,6 +22,24 @@ def make_model(variant, source=None, *, dim=8, groups=2, seed=0, **overrides):
     kwargs = dict(in_dim=dim, hidden_dim=dim, out_dim=dim, groups=groups)
     kwargs.update(overrides)
     return TransferModel(ModelConfig(variant, **kwargs), source, seed)
+
+
+def assert_no_worker_left():
+    """No pool worker of this process outlives the command that started it.
+    The one child that may stay is multiprocessing's resource tracker, which
+    the pool's locks start and which exits with the interpreter."""
+    assert multiprocessing.active_children() == []
+    pids = []
+    for path in glob.glob("/proc/self/task/*/children"):     # Linux only
+        with open(path) as f:
+            pids += f.read().split()
+    for pid in pids:
+        try:
+            with open(f"/proc/{pid}/cmdline", "rb") as f:
+                cmdline = f.read()
+        except FileNotFoundError:      # it exited since the listing
+            continue
+        assert b"multiprocessing.resource_tracker" in cmdline, (pid, cmdline)
 
 
 @pytest.fixture(scope="session")

@@ -86,8 +86,10 @@ def test_instance_round_trip(tmp_path):
     assert np.array_equal(load_matrix_json(str(d / "source_weights.json")),
                           bench.source.weights)
     assert np.array_equal(load_matrix_json(str(d / "rotation.json")), bench.rotation)
+    assert not list(d.glob("*_features.csv"))
     for name, sp in bench.splits.items():
-        assert np.array_equal(read_csv_matrix(d / f"{name}_features.csv"), sp.features)
+        features = np.load(d / f"{name}_features.npy", allow_pickle=False)
+        assert same_bits(features, sp.features)      # float64, the split's shape, every bit
         primary = read_csv_matrix(d / f"{name}_primary.csv").ravel()
         assert np.array_equal(primary, sp.primary)
         class_labels = json.loads((d / f"{name}_class_labels.json").read_text())

@@ -1,13 +1,13 @@
 import concurrent.futures
 import copy
-import glob
 import hashlib
 import json
-import multiprocessing
 import os
 import re
 import shutil
 import stat
+import subprocess
+import sys
 from concurrent.futures import Future
 
 import pytest
@@ -18,7 +18,7 @@ from wtx.cli import main, run_training, staged_output
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
 
-from conftest import tiny_config
+from conftest import assert_no_worker_left, tiny_config
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -313,24 +313,6 @@ def read_tree(root):
     return tree
 
 
-def assert_no_worker_left():
-    """No pool worker of this process outlives the command that started it.
-    The one child that may stay is multiprocessing's resource tracker, which
-    the pool's locks start and which exits with the interpreter."""
-    assert multiprocessing.active_children() == []
-    pids = []
-    for path in glob.glob("/proc/self/task/*/children"):     # Linux only
-        with open(path) as f:
-            pids += f.read().split()
-    for pid in pids:
-        try:
-            with open(f"/proc/{pid}/cmdline", "rb") as f:
-                cmdline = f.read()
-        except FileNotFoundError:      # it exited since the listing
-            continue
-        assert b"multiprocessing.resource_tracker" in cmdline, (pid, cmdline)
-
-
 def test_cli_compare_sweep_structure(tmp_path):
     doc = tiny_doc()
     doc["train"]["iterations"] = 30
@@ -490,6 +472,53 @@ def test_cli_bad_alpha_exits_2_before_any_work(tmp_path, monkeypatch, capsys, co
     assert main([command, "--config", cfg_path, "--out", str(out), f"--alpha={alpha}"]) == 2
     assert "--alpha must be finite and >= 0" in capsys.readouterr().err
     assert calls == []
+    assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
+
+
+BAD_TRAIN_MESSAGES = {"alpha": "train.alpha must be finite and >= 0",
+                      "iterations": "iterations must be at least 1"}
+
+
+@pytest.mark.parametrize("key, value", [("alpha", -1.0), ("alpha", -1e-300),
+                                        ("iterations", 0), ("iterations", -3)])
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_bad_train_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command,
+                                                      key, value):
+    calls = counting_generate(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    cfg_path = write_config(tmp_path, tiny_doc(**{"iterations": 5, key: value}))
+    assert main([command, "--config", cfg_path, "--out", str(tmp_path / "out")]) == 2
+    assert BAD_TRAIN_MESSAGES[key] in capsys.readouterr().err
+    assert calls == []
+    assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
+
+
+WORKER_DEATH_SCRIPT = """
+import sys
+from conftest import assert_no_worker_left
+from wtx.cli import main
+code = main(["compare", "--config", sys.argv[1], "--out", sys.argv[2], "--jobs", "2"])
+assert_no_worker_left()
+sys.exit(code)
+"""
+
+
+def test_cli_compare_worker_death_exits_4(tmp_path):
+    # A script read from stdin has no file that a spawned worker could
+    # re-import as __main__, so every worker dies as it starts.
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    tests_dir = os.path.dirname(os.path.abspath(__file__))
+    src_dir = os.path.join(os.path.dirname(tests_dir), "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src_dir, tests_dir]))
+    proc = subprocess.run([sys.executable, "-", cfg_path, str(tmp_path / "sweep")],
+                          input=WORKER_DEATH_SCRIPT, capture_output=True, text=True,
+                          env=env, cwd=tmp_path, timeout=120)
+    assert proc.returncode == 4, proc.stderr
+    # The dying workers print their own tracebacks; the command prints one line.
+    error_lines = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
+    assert error_lines == ["error: a sweep worker process died before it finished its seed; "
+                           "no output was written"]
+    assert "BrokenProcessPool" not in proc.stderr
     assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
 
 
@@ -824,11 +853,11 @@ def test_cli_compare_run_dirs_checks_every_fingerprint(seed_runs, tmp_path, caps
 
 TINY_GENERATE_SHA256 = {
     "config.json": "3d2c71479083954a9b486115533d7bad6556277fe00bdb352b76499332b6125c",
-    "eval_novel_features.csv": "80b1f3b696e30d6d68752548b395c8bae1ac199d6adf1029c37f209ce1c05478",
+    "eval_novel_features.npy": "21d4e90b7832b835ff2c99f9f7c29a8519a2b7d0163072d459480bc9bab19037",
     "eval_novel_class_labels.json":
         "8d01cb44e510f4eff98c946ad3bfe284c3f26f693eb4c9c2c8ec4f145858b7e5",
     "eval_novel_primary.csv": "ebc44d15ef75e72290bb801a5fecf8ef725b44bff30375d0da4184adc1e36433",
-    "eval_seen_features.csv": "b5df94360eb7cd3561bb0ee450c6b62cfec62e2302f91010fd30d7f2c68657bb",
+    "eval_seen_features.npy": "c95018ce2d0417308e40ef2f28486ee021d0ae4f1864f4365eb7d662cd8f3ea4",
     "eval_seen_class_labels.json":
         "02a4ed1fff473487f28871994c625019315407b32e48c6d27f5d40ad9ec8c771",
     "eval_seen_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
@@ -837,7 +866,7 @@ TINY_GENERATE_SHA256 = {
     "prototypes.json": "3d8377eafdd275e3b3233c5a15b9f6555d777c16c7687ede3654636977492b67",
     "rotation.json": "212d8e9ffe40bea303336bb0453cb859705ee5fe8c522e45e5d1c83a88caa05d",
     "source_weights.json": "d771511a2646695dd72c9d1572c5d12d5f4ea4df3bed01e6ce8746237d75d8c0",
-    "train_features.csv": "3a7920e5214325b1ea51627191253d798c67fc9ab810b1f2c4dc2a0dd530acce",
+    "train_features.npy": "11b5bb5c497597093933e1d35573e1eac64c14eb532064d8f525d2c4b45cf411",
     "train_class_labels.json":
         "02a4ed1fff473487f28871994c625019315407b32e48c6d27f5d40ad9ec8c771",
     "train_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
@@ -849,7 +878,9 @@ def test_cli_generate_tiny_bytes(tmp_path):
     the generator drew each split's noise in one call and the writers
     formatted row by row (numpy 2.4, OpenBLAS 0.3.31, x86-64). The
     ``*_class_labels.json`` hashes were recorded when those files replaced
-    the per-example ``*_labels.csv`` matrices; no other hash changed then."""
+    the per-example ``*_labels.csv`` matrices, and the ``*_features.npy``
+    hashes when those files replaced the repr-text ``*_features.csv``; no
+    other hash changed either time."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0

@@ -1,13 +1,14 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.errors import ValidationError
-from wtx.matrix import (load_matrix_json, matrix_hash, row_l2_norms, save_matrix_csv,
-                        save_matrix_json)
+from wtx.matrix import (load_matrix_json, matrix_hash, row_l2_norms, save_matrix_json,
+                        save_matrix_npy)
 
 
 def test_transpose_involution():
@@ -44,16 +45,6 @@ def test_json_round_trip_bit_exact(tmp_path):
     with open(path) as f:
         obj = json.load(f)
     assert obj["rows"] == 6 and obj["cols"] == 5 and len(obj["data"]) == 30
-
-
-def test_csv_round_trip_bit_exact(tmp_path):
-    m = np.random.default_rng(10).standard_normal((4, 7))
-    path = str(tmp_path / "m.csv")
-    save_matrix_csv(m, path)
-    text = (tmp_path / "m.csv").read_text()
-    back = np.asarray([[float(x) for x in line.split(",")] for line in text.splitlines()])
-    assert np.array_equal(back, m)
-    assert "," in text and ";" not in text.splitlines()[0]
 
 
 def test_matrix_hash_detects_any_change():
@@ -103,13 +94,10 @@ def test_load_matrix_json_rejects_values_of_another_type(tmp_path_factory, data)
 
 
 # --- serializer bytes -------------------------------------------------------------
-# Both writers must give exactly the text of repr(float(x)) per element.
+# The JSON writer must give exactly the text of repr(float(x)) per element; the
+# .npy writer must give back exactly the bits it was given.
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 1 / 3]
-
-
-def csv_oracle(m):
-    return "\n".join(",".join(repr(float(x)) for x in row) for row in m) + "\n"
 
 
 def json_oracle(m):
@@ -123,6 +111,7 @@ def serializer_cases(default_bench):
     return {
         "edges": np.stack([edges, -edges[::-1]]),
         "edges_column": edges[:, None],
+        "edges_transposed": np.stack([edges, -edges[::-1]]).T,    # Fortran order
         "zero_rows": np.zeros((0, 4)),
         "zero_cols": np.zeros((3, 0)),
         "default_labels": train.class_labels[train.class_index],
@@ -133,7 +122,18 @@ def serializer_cases(default_bench):
                                   "default_labels"])
 def test_serializers_write_the_repr_of_every_value(tmp_path, default_bench, case):
     m = serializer_cases(default_bench)[case]
-    save_matrix_csv(m, str(tmp_path / "m.csv"))
     save_matrix_json(m, str(tmp_path / "m.json"))
-    assert (tmp_path / "m.csv").read_text() == csv_oracle(m)
     assert (tmp_path / "m.json").read_text() == json_oracle(m)
+
+
+@pytest.mark.parametrize("case", ["edges", "edges_column", "edges_transposed", "zero_rows",
+                                  "zero_cols", "default_labels"])
+def test_save_matrix_npy_keeps_every_bit(tmp_path, default_bench, case):
+    m = serializer_cases(default_bench)[case]
+    path = tmp_path / "m.npy"
+    save_matrix_npy(m, str(path))
+    back = np.load(path, allow_pickle=False)
+    assert back.dtype == np.float64 and back.shape == m.shape
+    assert back.flags.c_contiguous
+    assert back.tobytes() == np.ascontiguousarray(m, dtype=np.float64).tobytes()
+    assert os.listdir(tmp_path) == ["m.npy"]        # no temp file left behind
