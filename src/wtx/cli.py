@@ -1,7 +1,8 @@
 """Command-line entry point.
 
 Subcommands: generate, train, eval, analyze, compare, gradcheck. Exit
-codes: 0 success, 2 missing/invalid configuration, 3 training aborted on a
+codes: 0 success, 1 a ``gradcheck`` check failed, 2 missing/invalid
+configuration or an input file that cannot be read, 3 training aborted on a
 non-finite loss, 4 a ``compare`` sweep worker process died (killed, say, or
 unable to start). Outputs are staged in a temporary directory and renamed
 into place, so a failed command leaves no partial output behind. An
@@ -34,7 +35,8 @@ reload reads and shape-checks the run's matrix files first, then
 regenerates the benchmark from the config and seed and checks it against
 the recorded ``benchmark_sha256``. ``compare RUN_DIRS`` builds each
 distinct (benchmark config, seed) once and checks every run directory's
-fingerprint against it.
+fingerprint against it. It takes each run directory once, and only runs
+scored with one ``evaluation.recall_k``.
 
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
@@ -63,30 +65,20 @@ import numpy as np
 
 from .bench import BenchmarkInstance, generate_benchmark, save_instance
 from .config import (ExperimentConfig, check_alpha, check_section, config_from_dict,
-                     config_to_dict, default_config)
+                     config_to_dict, default_config, is_seed)
 from .errors import ConfigError, StateError, TrainingDiverged, ValidationError, WorkerDied
 from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
-from .matrix import atomic_write_text, load_matrix_json, save_matrix_json
+from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_json
 from .models import (VARIANTS, DetectionProxyHead, ModelConfig, TransferModel,
                      load_model_params, save_model_params, train_joint)
-
-
-def _read_json(path: str):
-    """The JSON document in ``path``; a file that is not UTF-8 or does not
-    parse raises ConfigError naming it."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            return json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ConfigError(f"{path}: not valid JSON ({e})") from None
 
 
 def _load_config(path: str | None) -> ExperimentConfig:
     if path is None:
         return default_config()
-    return config_from_dict(_read_json(path))
+    return config_from_dict(read_json(path))
 
 
 def _env_seed() -> int | None:
@@ -210,7 +202,7 @@ def _run_dir_context(run_dir: str, benches: dict | None = None):
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
-    doc = _read_json(cfg_path)
+    doc = read_json(cfg_path)
     resolved = doc.pop("resolved", None)
     if not isinstance(resolved, dict):
         raise ConfigError(f"{run_dir}/config.json lacks the 'resolved' block")
@@ -218,11 +210,13 @@ def _run_dir_context(run_dir: str, benches: dict | None = None):
     if missing:
         raise ConfigError(f"{run_dir}/config.json: the 'resolved' block lacks "
                           f"{', '.join(missing)}")
-    try:
-        seed = int(resolved["seed"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"{run_dir}/config.json: resolved seed {resolved['seed']!r} "
-                          f"is not an integer")
+    seed = resolved["seed"]
+    if not is_seed(seed):
+        raise ConfigError(f"{run_dir}/config.json: resolved seed {seed!r} is not a "
+                          f"non-negative integer")
+    if not isinstance(resolved["method"], str):
+        raise ConfigError(f"{run_dir}/config.json: resolved method {resolved['method']!r} "
+                          f"is not a string")
     if resolved["variant"] not in VARIANTS:
         raise ConfigError(f"{run_dir}/config.json: resolved variant {resolved['variant']!r} "
                           f"is not one of {VARIANTS}")
@@ -258,7 +252,7 @@ def cmd_generate(args) -> int:
         bench = generate_benchmark(cfg.benchmark, seed)
         save_instance(bench, tmp)
         _write_json(os.path.join(tmp, "config.json"),
-                    _run_config_payload(cfg, cfg.variant, seed, None, "benchmark",
+                    _run_config_payload(cfg, cfg.model.variant, seed, None, "benchmark",
                                         bench.fingerprint()))
     print(f"benchmark written to {args.out}")
     return 0
@@ -267,7 +261,7 @@ def cmd_generate(args) -> int:
 def cmd_train(args) -> int:
     _check_alpha(args.alpha)
     cfg = _load_config(args.config)
-    variant = args.variant or cfg.variant
+    variant = args.variant or cfg.model.variant
     seed = _resolve_seeds(cfg, args.seed)[0]
     with staged_output(args.out, args.overwrite) as tmp:
         res = run_training(cfg, variant, seed, tmp, alpha=args.alpha)
@@ -297,7 +291,7 @@ def cmd_analyze(args) -> int:
     atomic_write_text(os.path.join(run_dir, f"overlap__{tag}.json"), curve.to_json())
 
     mc = cfg.model_config(resolved["variant"], **overrides)
-    model = TransferModel(mc, bench.source, int(resolved["seed"]))
+    model = TransferModel(mc, bench.source, resolved["seed"])
     load_model_params(model, os.path.join(run_dir, f"model_params__{tag}.json"))
     stats = norm_stats(model, bench.source)
     atomic_write_text(os.path.join(run_dir, f"norm_stats__{tag}.json"), stats.to_json())
@@ -376,12 +370,24 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     _check_alpha(args.alpha)
     if args.run_dirs:
+        given = {}
+        for rd in args.run_dirs:
+            real = os.path.realpath(rd)
+            if real in given:
+                raise ConfigError(f"run directory {rd} is given twice (also as "
+                                  f"{given[real]}); its scores would count twice")
+            given[real] = rd
         with staged_output(args.out, args.overwrite) as tmp:
-            rows, benches = [], {}
+            rows, benches, first = [], {}, None
             for rd in args.run_dirs:
                 cfg, resolved, tag, bench, w_d, head, overrides = _run_dir_context(rd, benches)
+                k = cfg.evaluation.recall_k
+                first = first or (rd, k)
+                if k != first[1]:
+                    raise ConfigError(f"{first[0]} scores novel_recall at recall_k={first[1]} "
+                                      f"and {rd} at recall_k={k}; one table needs one recall_k")
                 rows.append(_row_from_run(cfg, resolved["method"], resolved["variant"],
-                                          overrides, int(resolved["seed"]), head, w_d, bench))
+                                          overrides, resolved["seed"], head, w_d, bench))
             table = comparison_table(rows)
             _write_json(os.path.join(tmp, "comparison.json"), table)
             atomic_write_text(os.path.join(tmp, "comparison.csv"), comparison_csv(table))

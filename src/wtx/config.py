@@ -6,6 +6,9 @@ errors, so a typo in a hyperparameter name fails fast instead of silently
 running with a default, and so is a value whose JSON type does not match its
 field (an int field takes no bool or float, a float field no NaN or
 Infinity). Configs round-trip through JSON losslessly.
+
+The ``model`` section is ``models.ModelConfig`` as it is. It holds no width:
+a model's rows are as wide as the source weights, ``benchmark.dim``.
 """
 
 from __future__ import annotations
@@ -20,6 +23,11 @@ from .models import ModelConfig, TrainConfig
 
 def _is_int(value) -> bool:
     return isinstance(value, int) and not isinstance(value, bool)
+
+
+def is_seed(value) -> bool:
+    """A seed is a non-negative JSON integer."""
+    return _is_int(value) and value >= 0
 
 
 def check_alpha(alpha: float, name: str) -> None:
@@ -41,12 +49,7 @@ class EvalSettings:
 @dataclass(frozen=True)
 class ExperimentConfig:
     benchmark: BenchConfig
-    variant: str = "ae_wtn"
-    hidden_dim: int = 64
-    groups: int = 8
-    norm_kind: str = "group"
-    input_norm: bool | None = None
-    feature_norm: bool | None = None
+    model: ModelConfig = ModelConfig()
     train: TrainConfig = None
     evaluation: EvalSettings = None
     seeds: tuple = (0, 1, 2, 3, 4)
@@ -56,7 +59,7 @@ class ExperimentConfig:
             object.__setattr__(self, "train", TrainConfig())
         if self.evaluation is None:
             object.__setattr__(self, "evaluation", EvalSettings())
-        if not self.seeds or not all(_is_int(s) and s >= 0 for s in self.seeds):
+        if not self.seeds or not all(map(is_seed, self.seeds)):
             raise ConfigError(f"seeds must be a non-empty list of non-negative integers, "
                               f"got {list(self.seeds)!r}")
         if self.train.batch_size < 1:
@@ -72,16 +75,11 @@ class ExperimentConfig:
         if not ev.overlap_ks or not all(1 <= k <= last for k in ev.overlap_ks):
             raise ConfigError(f"overlap_ks must be a non-empty list inside [1, {last}], "
                               f"got {list(ev.overlap_ks)}")
-        self.model_config().validate()
+        self.model.validate()
 
     def model_config(self, variant: str | None = None, **overrides) -> ModelConfig:
-        kwargs = dict(variant=variant or self.variant,
-                      in_dim=self.benchmark.dim, hidden_dim=self.hidden_dim,
-                      out_dim=self.benchmark.dim, groups=self.groups,
-                      norm_kind=self.norm_kind, input_norm=self.input_norm,
-                      feature_norm=self.feature_norm)
-        kwargs.update(overrides)
-        return ModelConfig(**kwargs)
+        """The model section with ``variant`` (if given) and ``overrides`` applied."""
+        return replace(self.model, variant=variant or self.model.variant, **overrides)
 
     def train_config(self, seed: int, alpha: float | None = None) -> TrainConfig:
         tc = replace(self.train, seed=seed)
@@ -90,8 +88,6 @@ class ExperimentConfig:
         return tc
 
 
-_MODEL_KEYS = ("variant", "hidden_dim", "groups", "norm_kind", "input_norm",
-               "feature_norm")
 # The seed is per run, not part of the experiment document.
 _TRAIN_KEYS = tuple(f.name for f in fields(TrainConfig) if f.name != "seed")
 
@@ -130,7 +126,7 @@ def config_to_dict(cfg: ExperimentConfig) -> dict:
     ev["overlap_ks"] = list(ev["overlap_ks"])
     return {
         "benchmark": asdict(cfg.benchmark),
-        "model": {k: getattr(cfg, k) for k in _MODEL_KEYS},
+        "model": asdict(cfg.model),
         "train": train,
         "evaluation": ev,
         "seeds": list(cfg.seeds),
@@ -146,7 +142,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
         raise ConfigError(f"unknown top-level key(s) {sorted(unknown)} "
                           f"(known: {sorted(allowed)})")
     bench = BenchConfig(**check_section(BenchConfig, doc.get("benchmark", {}), "benchmark"))
-    model = check_section(ExperimentConfig, doc.get("model", {}), "model", _MODEL_KEYS)
+    model = ModelConfig(**check_section(ModelConfig, doc.get("model", {}), "model"))
     train = TrainConfig(**check_section(TrainConfig, doc.get("train", {}), "train",
                                         _TRAIN_KEYS))
     ev = dict(check_section(EvalSettings, doc.get("evaluation", {}), "evaluation"))
@@ -155,8 +151,8 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     seeds = doc.get("seeds", [0, 1, 2, 3, 4])
     if not isinstance(seeds, list):
         raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
-    return ExperimentConfig(benchmark=bench, train=train, evaluation=EvalSettings(**ev),
-                            seeds=tuple(seeds), **model)
+    return ExperimentConfig(benchmark=bench, model=model, train=train,
+                            evaluation=EvalSettings(**ev), seeds=tuple(seeds))
 
 
 def default_config() -> ExperimentConfig:

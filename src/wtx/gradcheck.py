@@ -118,7 +118,7 @@ def miniature_setup(seed: int, variant: str = "ae_wtn"):
     rng = np.random.default_rng(seed)
     w_c = rng.standard_normal((6, 8))
     source = SourceWeights.create(w_c, [0, 1, 2])
-    cfg = ModelConfig(variant=variant, in_dim=8, hidden_dim=8, out_dim=8, groups=2)
+    cfg = ModelConfig(variant=variant, hidden_dim=8, groups=2)
     model = TransferModel(cfg, source, seed)
     head = DetectionProxyHead(n_other=2, d_feat=8)
     head.other_weights.data[...] = 0.1 * rng.standard_normal((2, 8))

@@ -74,16 +74,25 @@ def save_matrix_json(m: np.ndarray, path: str) -> None:
                                         "data": m.ravel().tolist()}))
 
 
+def read_json(path: str):
+    """The JSON document in ``path``. A file that cannot be opened (missing,
+    say, or a directory), is not UTF-8 or does not parse raises
+    ValidationError naming it."""
+    try:
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
+    except OSError as e:
+        raise ValidationError(f"{path}: cannot be read ({e.strerror})") from None
+    except (json.JSONDecodeError, UnicodeDecodeError) as e:
+        raise ValidationError(f"{path}: not valid JSON ({e})") from None
+
+
 def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
-    """Read a matrix written by save_matrix_json. Anything but UTF-8 JSON of
-    an object with non-negative integer ``rows`` and ``cols`` and a ``data``
-    list of exactly rows*cols finite numbers, or a matrix not of ``shape``
-    when one is given, raises ValidationError naming the file."""
-    with open(path, encoding="utf-8") as f:
-        try:
-            obj = json.load(f)
-        except (json.JSONDecodeError, UnicodeDecodeError) as e:
-            raise ValidationError(f"{path}: not valid JSON ({e})") from None
+    """Read a matrix written by save_matrix_json. Anything but readable UTF-8
+    JSON of an object with non-negative integer ``rows`` and ``cols`` and a
+    ``data`` list of exactly rows*cols finite numbers, or a matrix not of
+    ``shape`` when one is given, raises ValidationError naming the file."""
+    obj = read_json(path)
     if not isinstance(obj, dict):
         raise ValidationError(f"{path}: a JSON matrix must be an object, got "
                               f"{type(obj).__name__}")

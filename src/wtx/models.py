@@ -9,6 +9,12 @@ classification weight vector. Three variants share one implementation:
 * ``ae_wtn``    adds a mirrored decoder trained with a smooth-L1
                 reconstruction loss over every source class.
 
+``ModelConfig`` is the experiment config's ``model`` section. A model's rows
+are as wide as the source weights W_C. Its encoder and decoder are plain
+layer lists that one forward and one backward loop run; with input
+standardization on, the encoder's first layer is the frozen standardizer,
+fitted on W_C.
+
 Each model keeps its trainable state in one parameter store: two float64
 vectors, ``model.data`` and ``model.grad``, built by ``layers.flatten``.
 The encoder's parameters come first, in layer order, and the decoder's
@@ -74,17 +80,14 @@ class SourceWeights:
 
 @dataclass(frozen=True)
 class ModelConfig:
-    variant: str
-    in_dim: int = 64
+    variant: str = "ae_wtn"
     hidden_dim: int = 64
-    out_dim: int = 64
     groups: int = 8
-    eps: float = 1e-5
+    norm_kind: str = "group"       # "group" or "class_batch"
     # None means "use the variant's default"; explicit booleans drive the
     # normalization ablation grid.
     input_norm: bool | None = None
     feature_norm: bool | None = None
-    norm_kind: str = "group"       # "group" or "class_batch"
 
     def resolved_input_norm(self) -> bool:
         if self.input_norm is not None:
@@ -110,45 +113,41 @@ class ModelConfig:
                               f"groups ({self.groups})")
 
 
+def _forward(layers, x: np.ndarray) -> np.ndarray:
+    for layer in layers:
+        x = layer.forward(x)
+    return x
+
+
+def _backward(layers, g: np.ndarray) -> np.ndarray:
+    for layer in reversed(layers):
+        g = layer.backward(g)
+    return g
+
+
 class TransferModel:
-    """Encoder (and, for ae_wtn, mirrored decoder) over class weight rows."""
+    """Encoder: [standardizer,] Linear, [norm,] ReLU, Linear. For ae_wtn, a
+    decoder: Linear, [norm,] ReLU, Linear. Rows in and out are ``source.dim``
+    wide."""
 
-    def __init__(self, config: ModelConfig, source: SourceWeights | None, seed: int):
+    def __init__(self, config: ModelConfig, source: SourceWeights, seed: int):
         config.validate()
-        self.config = config
         self.variant = config.variant
-        self.seed = seed
-
+        dim, hidden = source.dim, config.hidden_dim
         init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
-        self.standardizer = None
-        if config.resolved_input_norm():
-            if source is None:
-                raise ConfigError("input standardization needs source weights to fit")
-            self.standardizer = InputStandardizer.fit(source.weights, config.eps)
-
-        def norm_layer(name):
-            if config.norm_kind == "class_batch":
-                return ClassBatchNorm(config.hidden_dim, config.eps, name=name)
-            return GroupNorm(config.hidden_dim, config.groups, config.eps, name=name)
-
-        enc = [Linear(config.in_dim, config.hidden_dim, init_rng, name="enc1")]
-        if config.resolved_feature_norm():
-            enc.append(norm_layer("enc_norm"))
-        enc.append(ReLU())
-        enc.append(Linear(config.hidden_dim, config.out_dim, init_rng, name="enc2"))
-        self.encoder = enc
-
-        self.decoder = None
-        if config.variant == "ae_wtn":
-            dec = [Linear(config.out_dim, config.hidden_dim, init_rng, name="dec1")]
+        def block(name):
+            layers = [Linear(dim, hidden, init_rng, name=f"{name}1")]
             if config.resolved_feature_norm():
-                dec.append(norm_layer("dec_norm"))
-            dec.append(ReLU())
-            dec.append(Linear(config.hidden_dim, config.in_dim, init_rng, name="dec2"))
-            self.decoder = dec
+                layers.append(ClassBatchNorm(hidden, name=f"{name}_norm")
+                              if config.norm_kind == "class_batch"
+                              else GroupNorm(hidden, config.groups, name=f"{name}_norm"))
+            return layers + [ReLU(), Linear(hidden, dim, init_rng, name=f"{name}2")]
 
-        self.encoder_size = sum(p.data.size for layer in enc for p in layer.params())
+        self.encoder = ([InputStandardizer.fit(source.weights)]
+                        if config.resolved_input_norm() else []) + block("enc")
+        self.decoder = block("dec") if config.variant == "ae_wtn" else None
+        self.encoder_size = sum(p.data.size for layer in self.encoder for p in layer.params())
         self.data, self.grad = flatten(self.parameters())
 
     @property
@@ -162,45 +161,27 @@ class TransferModel:
     def zero_grad(self):
         self.grad[...] = 0.0
 
-    def _forward_encoder(self, w: np.ndarray, layers) -> np.ndarray:
-        if w.ndim != 2 or w.shape[1] != self.config.in_dim:
-            raise ShapeError(f"transfer expects (k, {self.config.in_dim}), got {w.shape}")
-        x = self.standardizer.forward(w) if self.standardizer is not None else w
-        for layer in layers:
-            x = layer.forward(x)
-        return x
-
     def encode(self, w: np.ndarray) -> np.ndarray:
         """Map class weight rows to target weight rows."""
-        return self._forward_encoder(w, self.encoder)
+        return _forward(self.encoder, w)
 
     def encode_backward(self, dout: np.ndarray) -> np.ndarray:
-        g = dout
-        for layer in reversed(self.encoder):
-            g = layer.backward(g)
-        if self.standardizer is not None:
-            g = self.standardizer.backward(g)
-        return g
+        return _backward(self.encoder, dout)
+
+    def _decoder(self) -> list:
+        if self.decoder is None:
+            raise StateError(f"variant {self.variant!r} has no decoder")
+        return self.decoder
 
     def decode(self, h: np.ndarray) -> np.ndarray:
-        if self.decoder is None:
-            raise StateError(f"variant {self.variant!r} has no decoder")
-        x = h
-        for layer in self.decoder:
-            x = layer.forward(x)
-        return x
+        return _forward(self._decoder(), h)
 
     def decode_backward(self, dout: np.ndarray) -> np.ndarray:
-        if self.decoder is None:
-            raise StateError(f"variant {self.variant!r} has no decoder")
-        g = dout
-        for layer in reversed(self.decoder):
-            g = layer.backward(g)
-        return g
+        return _backward(self._decoder(), dout)
 
     def hidden_activations(self, w: np.ndarray) -> np.ndarray:
         """Post-ReLU hidden activations for each input row (all but the last layer)."""
-        return self._forward_encoder(w, self.encoder[:-1])
+        return _forward(self.encoder[:-1], w)
 
 
 class DetectionProxyHead:

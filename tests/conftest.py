@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from wtx.bench import BenchConfig, generate_benchmark
-from wtx.models import ModelConfig, TransferModel
+from wtx.models import ModelConfig, SourceWeights, TransferModel
 
 
 def tiny_config(**overrides):
@@ -18,8 +18,12 @@ def tiny_config(**overrides):
 
 
 def make_model(variant, source=None, *, dim=8, groups=2, seed=0, **overrides):
-    """A TransferModel whose input, hidden and output widths are all ``dim``."""
-    kwargs = dict(in_dim=dim, hidden_dim=dim, out_dim=dim, groups=groups)
+    """A TransferModel of hidden width ``dim`` over ``source``, by default a
+    random 12-class source of width ``dim``."""
+    if source is None:
+        w_c = np.random.default_rng(0).standard_normal((12, dim))
+        source = SourceWeights.create(w_c, range(5))
+    kwargs = dict(hidden_dim=dim, groups=groups)
     kwargs.update(overrides)
     return TransferModel(ModelConfig(variant, **kwargs), source, seed)
 

@@ -165,8 +165,8 @@ def test_only_the_sampled_split_caches_its_labels():
     # Each split's label slice is a copy, so the eval splits, which training
     # never samples, must not build theirs.
     bench = generate_benchmark(tiny_config(), seed=3)
-    model = TransferModel(ModelConfig("wtn_plus", in_dim=16, hidden_dim=16, out_dim=16,
-                                      groups=4), bench.source, seed=0)
+    model = TransferModel(ModelConfig("wtn_plus", hidden_dim=16, groups=4), bench.source,
+                          seed=0)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     train_joint(model, head, bench.source, bench, TrainConfig(iterations=5, batch_size=8))
     w_d = model.encode(bench.source.weights)

@@ -514,10 +514,10 @@ def test_cli_compare_worker_death_exits_4(tmp_path):
                           input=WORKER_DEATH_SCRIPT, capture_output=True, text=True,
                           env=env, cwd=tmp_path, timeout=120)
     assert proc.returncode == 4, proc.stderr
-    # The dying workers print their own tracebacks; the command prints one line.
-    error_lines = [line for line in proc.stderr.splitlines() if line.startswith("error:")]
-    assert error_lines == ["error: a sweep worker process died before it finished its seed; "
-                           "no output was written"]
+    # The dying workers print their own tracebacks to the same pipe, so the
+    # command's one message may follow a worker's unfinished line.
+    assert proc.stderr.count("error: a sweep worker process died before it finished its "
+                             "seed; no output was written") == 1, proc.stderr
     assert "BrokenProcessPool" not in proc.stderr
     assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
 
@@ -583,6 +583,18 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
     # The variant is resolved on its own; an override may not replace it.
     *[(command, "model_overrides", {"variant": "wtn"})
       for command in ("eval", "analyze", "compare")],
+    # The model's width is W_C's and its epsilon the layers' own: not overridable.
+    ("analyze", "model_overrides", {"eps": 0.5}),
+    ("analyze", "model_overrides", {"in_dim": 8}),
+    ("analyze", "model_overrides", {"out_dim": 8}),
+    # A seed is a non-negative JSON integer and a method a string.
+    ("eval", "seed", 0.7),
+    ("eval", "seed", "0"),
+    ("eval", "seed", True),
+    ("analyze", "seed", -1),
+    ("compare", "seed", None),
+    ("eval", "method", 0),
+    ("compare", "method", ["ae_wtn"]),
 ])
 def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, command, key, value):
     cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
@@ -693,6 +705,28 @@ def test_cli_reload_non_utf8_file_names_the_file(trained_run, tmp_path, capsys, 
     assert main(["eval", str(run_dir)]) == 2
     path = os.path.join(str(run_dir), name)
     assert re.fullmatch(rf"error: {re.escape(path)}: not valid JSON \(.+\)\n",
+                        capsys.readouterr().err)
+
+
+def test_cli_config_that_is_a_directory_exits_2(tmp_path, capsys):
+    path = tmp_path / "config.json"
+    path.mkdir()
+    assert main(["train", "--config", str(path), "--out", str(tmp_path / "run")]) == 2
+    assert re.fullmatch(rf"error: {re.escape(str(path))}: cannot be read \(.+\)\n",
+                        capsys.readouterr().err)
+    assert not os.path.exists(tmp_path / "run")
+
+
+@pytest.mark.parametrize("name", ["config.json", "weights__ae_wtn__seed0.json"])
+def test_cli_reload_directory_in_place_of_a_file_exits_2(trained_run, tmp_path, capsys, name):
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    (run_dir / name).unlink()
+    (run_dir / name).mkdir()
+    capsys.readouterr()
+    assert main(["eval", str(run_dir)]) == 2
+    path = os.path.join(str(run_dir), name)
+    assert re.fullmatch(rf"error: {re.escape(path)}: cannot be read \(.+\)\n",
                         capsys.readouterr().err)
 
 
@@ -846,6 +880,33 @@ def test_cli_compare_run_dirs_checks_every_fingerprint(seed_runs, tmp_path, caps
     err = capsys.readouterr().err
     assert str(edited) in err and actual in err and stamped in err
     assert calls == [0]
+    assert not os.path.exists(tmp_path / "cmp")
+
+
+def test_cli_compare_run_dirs_rejects_a_run_given_twice(seed_runs, tmp_path, capsys,
+                                                       monkeypatch):
+    calls = counting_generate(monkeypatch)
+    run = seed_runs["wtn", 0]
+    again = os.path.join(str(run), os.pardir, run.name)       # another spelling
+    capsys.readouterr()
+    assert main(["compare", str(run), str(seed_runs["wtn_plus", 0]), again,
+                 "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert str(run) in err and again in err
+    assert calls == []
+    assert not os.path.exists(tmp_path / "cmp")
+
+
+def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys):
+    edited = tmp_path / "edited"
+    shutil.copytree(seed_runs["wtn_plus", 0], edited)
+    edit_json(edited / "config.json", lambda doc: doc["evaluation"].update(recall_k=3))
+    assert main(["compare", str(edited), "--out", str(tmp_path / "alone")]) == 0
+    capsys.readouterr()
+    assert main(["compare", str(seed_runs["wtn", 0]), str(edited),
+                 "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert str(seed_runs["wtn", 0]) in err and str(edited) in err and "recall_k" in err
     assert not os.path.exists(tmp_path / "cmp")
 
 

@@ -4,6 +4,7 @@ import pytest
 from wtx.errors import ShapeError, ValidationError
 from wtx.evaluation import (MetricReport, _topk_hits, comparison_csv, comparison_table,
                             evaluate, nn_overlap, norm_stats)
+from wtx.layers import GroupNorm
 from wtx.models import DetectionProxyHead
 
 from conftest import make_model, tiny_config
@@ -131,7 +132,7 @@ def test_novel_split_ranks_over_full_universe(tiny_bench):
 
 
 def test_evaluate_accepts_model(tiny_bench):
-    model = make_model("wtn", dim=16, groups=4)
+    model = make_model("wtn", tiny_bench.source, dim=16, groups=4)
     head = DetectionProxyHead(tiny_bench.num_other, tiny_bench.d_feat)
     rep = evaluate(head, model, tiny_bench, "eval_seen")
     assert 0.0 <= rep.top1 <= 1.0
@@ -201,7 +202,7 @@ def test_overlap_input_validation(rng):
 def test_norm_stats_zero_activations(tiny_bench):
     model = make_model("wtn_plus", tiny_bench.source, dim=16, groups=4, seed=1)
     # force the hidden layer to output a negative constant: post-ReLU all zero
-    gn = model.encoder[1]
+    gn = next(layer for layer in model.encoder if isinstance(layer, GroupNorm))
     gn.gamma.data[...] = 0.0
     gn.beta.data[...] = -1.0
     stats = norm_stats(model, tiny_bench.source)

@@ -7,7 +7,7 @@ from wtx.cli import run_training
 from wtx.config import EvalSettings, ExperimentConfig
 from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged, ValidationError
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
-from wtx.layers import Linear
+from wtx.layers import GroupNorm, InputStandardizer, Linear, ReLU
 from wtx.losses import sigmoid_bce, smooth_l1, total_loss
 from wtx.matrix import load_matrix_json, matrix_hash
 from wtx.models import (DetectionProxyHead, ModelConfig, SourceWeights,
@@ -21,7 +21,7 @@ from conftest import make_model
 
 def tiny_experiment(bench, iterations):
     """An experiment config over ``bench`` with 16-wide models and batch 32."""
-    return ExperimentConfig(benchmark=bench.config, hidden_dim=16, groups=4,
+    return ExperimentConfig(benchmark=bench.config, model=ModelConfig(hidden_dim=16, groups=4),
                             train=TrainConfig(iterations=iterations, batch_size=32),
                             evaluation=EvalSettings(overlap_ks=(1, 2, 5)))
 
@@ -51,15 +51,30 @@ def test_wtn_params_are_exactly_two_linear_layers():
     model = make_model("wtn", seed=0)
     names = [p.name for p in model.parameters()]
     assert names == ["enc1.weight", "enc1.bias", "enc2.weight", "enc2.bias"]
-    assert model.standardizer is None and model.decoder is None
+    assert [type(layer) for layer in model.encoder] == [Linear, ReLU, Linear]
+    assert model.decoder is None
 
 
 def test_wtn_plus_has_standardizer_and_groupnorm_no_decoder():
     src = small_source()
     model = make_model("wtn_plus", src, seed=0)
-    assert model.standardizer is not None
+    assert [type(layer) for layer in model.encoder] == [InputStandardizer, Linear, GroupNorm,
+                                                        ReLU, Linear]
+    standardizer = model.encoder[0]
+    assert np.array_equal(standardizer.mu, src.weights.mean(axis=0))
+    assert np.array_equal(standardizer.sigma, src.weights.std(axis=0))
     assert any("enc_norm" in p.name for p in model.parameters())
     assert model.decoder is None
+
+
+@pytest.mark.parametrize("variant", ["wtn", "wtn_plus", "ae_wtn"])
+def test_model_width_is_the_source_width(variant):
+    src = small_source(d=6)
+    model = make_model(variant, src, dim=16, groups=4)
+    assert model.encoder[-1].weight.data.shape == (6, 16)
+    assert model.encode(src.weights).shape == (12, 6)
+    if model.has_decoder:
+        assert model.decode(model.encode(src.weights)).shape == (12, 6)
 
 
 def test_ae_wtn_encoder_decoder_param_counts_match():
@@ -111,11 +126,6 @@ def test_unknown_variant_rejected():
         make_model("wtn_minus", seed=0)
 
 
-def test_input_norm_requires_source():
-    with pytest.raises(ConfigError):
-        make_model("wtn_plus", None, seed=0)
-
-
 # --- transfer -----------------------------------------------------------------
 
 @pytest.mark.parametrize("variant", ["wtn", "wtn_plus", "ae_wtn"])
@@ -141,9 +151,12 @@ def test_transfer_row_independence(variant):
 
 
 def test_transfer_shape_error():
-    model = make_model("wtn", seed=0)
-    with pytest.raises(ShapeError):
-        model.encode(np.zeros((3, 9)))
+    for variant in ("wtn", "wtn_plus", "ae_wtn"):
+        model = make_model(variant, seed=0)
+        with pytest.raises(ShapeError):
+            model.encode(np.zeros((3, 9)))
+        with pytest.raises(ShapeError):
+            model.encode(np.zeros(8))
 
 
 def test_reconstruct_shape_and_state_error():
@@ -249,7 +262,7 @@ def test_score_dim_mismatch():
 
 def test_train_freezes_source_and_isolates_decoder_at_alpha_zero(tiny_bench):
     bench = tiny_bench
-    mc = ModelConfig(variant="ae_wtn", in_dim=16, hidden_dim=16, out_dim=16, groups=4)
+    mc = ModelConfig(variant="ae_wtn", hidden_dim=16, groups=4)
     model = TransferModel(mc, bench.source, seed=1)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     before = matrix_hash(bench.source.weights)
@@ -285,7 +298,7 @@ def test_train_report_curves_and_csv(tiny_bench, tmp_path):
 
 def test_train_diverged_names_iteration(tiny_bench):
     bench = tiny_bench
-    mc = ModelConfig(variant="wtn", in_dim=16, hidden_dim=16, out_dim=16, groups=4)
+    mc = ModelConfig(variant="wtn", hidden_dim=16, groups=4)
     model = TransferModel(mc, bench.source, seed=3)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     with pytest.raises(TrainingDiverged) as exc:
@@ -308,7 +321,7 @@ def test_train_deterministic_reports(tiny_bench):
     bench = tiny_bench
 
     def one():
-        mc = ModelConfig(variant="ae_wtn", in_dim=16, hidden_dim=16, out_dim=16, groups=4)
+        mc = ModelConfig(variant="ae_wtn", hidden_dim=16, groups=4)
         model = TransferModel(mc, bench.source, seed=5)
         head = DetectionProxyHead(bench.num_other, bench.d_feat)
         rep = train_joint(model, head, bench.source, bench,
@@ -432,7 +445,7 @@ def test_exported_weights_shape_and_bitwise_scoring(tiny_bench, tmp_path):
 
 def test_model_params_round_trip(tiny_bench, tmp_path):
     bench = tiny_bench
-    mc = ModelConfig(variant="wtn_plus", in_dim=16, hidden_dim=16, out_dim=16, groups=4)
+    mc = ModelConfig(variant="wtn_plus", hidden_dim=16, groups=4)
     model = TransferModel(mc, bench.source, seed=8)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     train_joint(model, head, bench.source, bench,

@@ -24,7 +24,7 @@ def test_tracer_measures_train_joint_for_every_variant(tiny_bench):
     tracer.install()
     try:
         for variant in VARIANTS:
-            mc = ModelConfig(variant, in_dim=16, hidden_dim=16, out_dim=16, groups=4)
+            mc = ModelConfig(variant, hidden_dim=16, groups=4)
             model = TransferModel(mc, bench.source, seed=0)
             head = DetectionProxyHead(bench.num_other, bench.d_feat)
             # Through the module attribute: the tracer rebinds names in wtx modules.
