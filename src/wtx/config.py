@@ -62,6 +62,10 @@ class ExperimentConfig:
         if not self.seeds or not all(map(is_seed, self.seeds)):
             raise ConfigError(f"seeds must be a non-empty list of non-negative integers, "
                               f"got {list(self.seeds)!r}")
+        repeated = [s for i, s in enumerate(self.seeds) if s in self.seeds[:i]]
+        if repeated:
+            raise ConfigError(f"seed {repeated[0]} appears more than once in seeds "
+                              f"{list(self.seeds)!r}")
         if self.train.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.train.batch_size}")
         if self.train.iterations < 1:

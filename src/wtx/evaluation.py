@@ -54,21 +54,34 @@ def _topk_hits(logits: np.ndarray, truth: np.ndarray, row_class: np.ndarray,
     """Per row i, whether any of the k highest logits marks a true class of
     the row's class, ``truth[row_class[i]]``, with ties broken toward the
     lowest class index: the first k columns of a stable argsort of -logits,
-    found without sorting. Every value above the row's k-th largest is
-    taken; the remaining slots go to the values equal to it, in column
-    order. Ties are common: the untrained "other" columns all score 0."""
-    n_cols = logits.shape[1]
-    if k >= n_cols:
-        return truth.any(axis=1)[row_class]
-    # Index with a list to copy the column out and free the partitioned copy.
-    kth = np.partition(logits, n_cols - k, axis=1)[:, [n_cols - k]]
-    above = logits > kth
-    tied = logits == kth
-    free = k - above.sum(axis=1, keepdims=True)
-    taken = above | (tied & (np.cumsum(tied, axis=1, dtype=np.int32) <= free))
-    rows, cols = np.nonzero(taken)
-    hits = np.zeros(logits.shape[0], dtype=bool)
-    hits[rows[truth[row_class[rows], cols]]] = True
+    found by counting ranks instead of sorting. A true column t of row i is
+    among them exactly when
+
+        #(j with logits[i, j] > logits[i, t])
+          + #(j < t with logits[i, j] == logits[i, t])  <  k.
+
+    Each class's true columns fill slots in ascending order; per slot, one
+    compare-and-count pass over the rows whose class has that many true
+    columns gives the first term, and the tie term is counted only on the
+    rows where the first is below k. Ties are common: the untrained "other"
+    columns all score 0. The rule holds for every logit but NaN, which ``>``
+    and ``==`` do not order as the sort does; the logits are finite on every
+    path: the generator's features times weights that were trained to a
+    finite loss or reloaded from files that must hold finite numbers."""
+    n_true = truth.sum(axis=1)
+    slots = np.argsort(~truth, axis=1, kind="stable")     # true columns first, ascending
+    row_true = n_true[row_class]
+    cols = np.arange(logits.shape[1])
+    hits = np.zeros(len(row_class), dtype=bool)
+    for s in range(n_true.max(initial=0)):
+        rows = np.flatnonzero(row_true > s)
+        sub = logits if len(rows) == len(logits) else logits[rows]
+        t = slots[row_class[rows], s]
+        lt = sub[np.arange(len(rows)), t][:, None]
+        above = np.count_nonzero(sub > lt, axis=1)
+        near = np.flatnonzero(above < k)
+        tied_before = np.count_nonzero((sub[near] == lt[near]) & (cols < t[near, None]), axis=1)
+        hits[rows[near[above[near] + tied_before < k]]] = True
     return hits
 
 

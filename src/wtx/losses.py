@@ -58,11 +58,18 @@ def sigmoid_bce(logits: np.ndarray, targets: np.ndarray) -> LossValue:
     return LossValue(float(elem.mean()), (_logistic(z, e) - targets) / z.size)
 
 
-def _logistic(z: np.ndarray, e: np.ndarray) -> np.ndarray:
+def _logistic(z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """The logistic function of z, given e = exp(-|z|): 1 / (1 + e) for
     z >= 0 and e / (1 + e) below, so it never overflows either. The mean
-    BCE's gradient w.r.t. z is (logistic - targets) / z.size."""
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+    BCE's gradient w.r.t. z is (logistic - targets) / z.size.
+
+    The numerator is max(z >= 0, e): 1 where z >= 0 (as e <= 1) and e
+    elsewhere, NaN included, so it has the bits of a select between 1 and e
+    without numpy's slow select with a scalar. ``out``, if given, receives
+    the result."""
+    num = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
+    np.maximum(num, e, out=num)
+    return np.divide(num, 1.0 + e, out=num)
 
 
 def total_loss(l_cls: LossValue, l_rec: LossValue | None, alpha: float) -> CombinedLoss:

@@ -9,7 +9,6 @@ from wtx.bench import (BenchConfig, Split, _train_source_classifier, generate_be
                        save_instance)
 from wtx.errors import ConfigError, StateError
 from wtx.evaluation import evaluate
-from wtx.losses import sigmoid_bce
 from wtx.matrix import load_matrix_json, row_l2_norms
 from wtx.models import DetectionProxyHead, ModelConfig, TrainConfig, TransferModel, train_joint
 
@@ -27,6 +26,9 @@ def test_config_validation():
         BenchConfig(eval_samples_per_class=3, min_eval_examples=10).validate()
     with pytest.raises(ConfigError):
         BenchConfig(manifold_dim=100, dim=64).validate()
+    for key in ("source_batch", "source_epochs", "min_eval_examples"):
+        with pytest.raises(ConfigError, match=key):
+            BenchConfig(**{key: 0}).validate()
 
 
 def test_zero_noise_features_equal_prototypes_and_separable():
@@ -216,9 +218,11 @@ def test_norms_reflect_sample_counts():
 
 # --- generation oracles ---------------------------------------------------------
 # The straightforward forms of the generator's loops: one noise draw and one
-# tiled label block per class, giving dense per-example labels, and the full
-# sigmoid_bce (value, check and gradient) against dense one-hot targets on
-# every source batch. The generator must match them bitwise.
+# tiled label block per class, giving dense per-example labels; the W_C
+# nearest neighbours from the full (|C|, |C|, d) difference array; and the
+# mean sigmoid BCE gradient, written out with a masked sigmoid, against dense
+# one-hot targets on every source batch. The generator must match them
+# bitwise.
 
 def oracle_make_split(name, class_ids, prototypes_by_id, universe, total_cols,
                       samples_per_class, noise_std, radius, rng):
@@ -239,6 +243,17 @@ def oracle_make_split(name, class_ids, prototypes_by_id, universe, total_cols,
     return np.vstack(feats), np.vstack(labels), np.asarray(primary, dtype=np.int64)
 
 
+def masked_sigmoid(z):
+    """The logistic function, exponentiated once per sign on the side that
+    cannot overflow."""
+    pos = z >= 0
+    sig = np.empty_like(z)
+    sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    sig[~pos] = ez / (1.0 + ez)
+    return sig
+
+
 def oracle_train_source_classifier(x, y, config, rng):
     w = np.zeros((y.shape[1], x.shape[1]))
     prior = np.clip(y.mean(axis=0), 1e-6, 1.0 - 1e-6)
@@ -248,7 +263,7 @@ def oracle_train_source_classifier(x, y, config, rng):
         order = rng.permutation(n)
         for start in range(0, n, config.source_batch):
             idx = order[start:start + config.source_batch]
-            g = sigmoid_bce(x[idx] @ w.T + b, y[idx]).grad
+            g = (masked_sigmoid(x[idx] @ w.T + b) - y[idx]) / (len(idx) * y.shape[1])
             w -= lr * (g.T @ x[idx])
             b -= lr * g.sum(axis=0)
     return w

@@ -113,6 +113,44 @@ def test_cli_top_level_list_config_exits_2(tmp_path):
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 2
 
 
+@pytest.mark.parametrize("command", ["train", "compare"])
+def test_cli_repeated_seed_exits_2_before_any_work(tmp_path, capsys, monkeypatch, command):
+    # A sweep would write runs/wtn__seed0 twice, and the seed would count
+    # twice in each median.
+    calls = counting_generate(monkeypatch)
+    doc = tiny_doc(iterations=5)
+    doc["seeds"] = [0, 1, 0]
+    argv = [command, "--config", write_config(tmp_path, doc), "--out", str(tmp_path / "out")]
+    capsys.readouterr()
+    assert main(argv + (["--jobs", "1"] if command == "compare" else [])) == 2
+    assert capsys.readouterr().err == "error: seed 0 appears more than once in seeds [0, 1, 0]\n"
+    assert calls == []
+    assert not os.path.exists(tmp_path / "out")
+
+
+# Each benchmark setting that must be at least 1, with what it let through
+# before it was checked.
+BENCH_COUNTS_BELOW_1 = {
+    "source_batch": {"source_batch": 0},           # a range() step of 0
+    "source_epochs": {"source_epochs": 0},         # an untrained, all-zero W_C
+    "min_eval_examples": {"min_eval_examples": 0,  # a NaN top-1 from 0 examples
+                          "eval_samples_per_class": 0},
+}
+
+
+@pytest.mark.parametrize("key", sorted(BENCH_COUNTS_BELOW_1))
+def test_cli_generate_rejects_a_bench_count_below_1(tmp_path, capsys, monkeypatch, key):
+    calls = counting_generate(monkeypatch)
+    doc = tiny_doc()
+    doc["benchmark"].update(BENCH_COUNTS_BELOW_1[key])
+    capsys.readouterr()
+    assert main(["generate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == f"error: {key} must be at least 1, got 0\n"
+    assert calls == []
+    assert not os.path.exists(tmp_path / "out")
+
+
 # Every field of every section, with the JSON types its values may take.
 FIELD_TYPES = {}
 for section, fields_ in config_to_dict(default_config()).items():
@@ -860,6 +898,45 @@ def test_cli_compare_run_dirs_output_bytes(seed_runs, tmp_path):
         "comparison.csv": "5077474e4f1a24c512ffc79c19635bf3a99e1223cc98333fb88bac0485e93c4c",
         "comparison.json": "c5e109dae461e84a51fb0e5d6adc53712d6b5ea031cebd180f63484e71174713",
     }
+
+
+EVAL_ANALYZE_SHA256 = {
+    "metrics__ae_wtn__seed0__eval_novel.json": "69d9692ed9993110ae99305679c398b7dddb9b4e9bca453c3f76f1b8ea97d335",
+    "metrics__ae_wtn__seed0__eval_seen.json": "56cd2b249c373caafaf287dba23c07b28e971a5eb1c686e3125de943ad85f118",
+    "metrics__wtn__seed0__eval_novel.json": "7245ac7e726684d25a3569dca9b3953ded3a014167648f10c150886fb952cdc1",
+    "metrics__wtn__seed0__eval_seen.json": "488e54e0f3ea805881239c2c447d43359dcaf5a83f6327aa8bb9a72d0d82cbba",
+    "metrics__wtn__seed1__eval_novel.json": "3de66a5211d95cc7565df94afd345be845e341f565b2a8b2e1b134b8a912a785",
+    "metrics__wtn__seed1__eval_seen.json": "47a18064feecd57da40249a478ebf8883392c696beae6759c4ab04968e6db36f",
+    "metrics__wtn_plus__seed0__eval_novel.json": "4fdab4db0f554a9eb5837be09dc2b8ee57870f133308c72929413a6c7c2fb86c",
+    "metrics__wtn_plus__seed0__eval_seen.json": "a8bec9c3e502f1437eaf806df7d8bf3de9644230a9e599a9b70ba41bee9771d1",
+    "norm_stats__ae_wtn__seed0.json": "cb671c5baf496e16750573aa5cb40061fc00ef44ef3f356751d786dcc9d68d47",
+    "norm_stats__wtn__seed0.json": "240e9027add8bc8f9fc6d13a95dfe875b1a9826c121745a3d73c9bf446ea53c7",
+    "norm_stats__wtn__seed1.json": "1bc5abcfbf7c4914d0bf8e37dfb6a13ccbf9131d2f260daae14ce12abf9a7026",
+    "norm_stats__wtn_plus__seed0.json": "cfefc81e955104dbae759c4106cb1854e0bb39c930750849c16b5c7078004b9b",
+    "overlap__ae_wtn__seed0.json": "76cf587bf2fd209088220f47fe32310b34f57b518eef7d6b159dd008298b46a1",
+    "overlap__wtn__seed0.json": "5f1e982e2ab411868530d5899a34f6a545c5cdb39fd6800578cdc64905f5a8b9",
+    "overlap__wtn__seed1.json": "657da1c52d422f8be8232b46db19b0cd3f14a6309e1dbb09b4411c3dd0f57c4b",
+    "overlap__wtn_plus__seed0.json": "76cf587bf2fd209088220f47fe32310b34f57b518eef7d6b159dd008298b46a1",
+}
+
+
+def test_cli_eval_and_analyze_output_bytes(seed_runs, tmp_path):
+    """The sha256 of every file ``eval`` and ``analyze`` add to a copy of each
+    seed run, recorded before top-k hits were counted by rank and the
+    generator's loops ran over row blocks (numpy 2.4, OpenBLAS 0.3.31,
+    x86-64). Neither command changes a file that was already there."""
+    got = {}
+    for run in seed_runs.values():
+        copy = tmp_path / run.name
+        shutil.copytree(run, copy)
+        before = read_tree(copy)
+        assert main(["eval", str(copy)]) == 0
+        assert main(["analyze", str(copy)]) == 0
+        after = read_tree(copy)
+        assert {name: after[name] for name in before} == before
+        got.update({name: hashlib.sha256(data).hexdigest()
+                    for name, data in after.items() if name not in before})
+    assert got == EVAL_ANALYZE_SHA256
 
 
 def test_cli_compare_run_dirs_checks_every_fingerprint(seed_runs, tmp_path, capsys,

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
+from hypothesis.extra import numpy as hnp
 
 from wtx.errors import ShapeError, ValidationError
 from wtx.evaluation import (MetricReport, _topk_hits, comparison_csv, comparison_table,
@@ -66,6 +68,40 @@ def test_topk_hits_match_stable_argsort_on_ties():
             order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
             want = np.take_along_axis(truth[index], order, axis=1).any(axis=1)
             np.testing.assert_array_equal(_topk_hits(logits, truth, index, k), want)
+
+
+TIE_HEAVY = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
+SPREAD = st.floats(-1e3, 1e3, allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def topk_cases(draw):
+    """(logits, truth, row_class): any shape, tie-heavy or spread-out finite
+    logits, and classes with any number of true columns. In half the cases
+    row i's first true column takes the row's k-th largest value for a
+    drawn k, so a positive ties at the cut."""
+    n_rows, n_cols, n_classes = (draw(st.integers(lo, hi))
+                                 for lo, hi in ((0, 30), (1, 12), (1, 6)))
+    logits = draw(hnp.arrays(np.float64, (n_rows, n_cols),
+                             elements=draw(st.sampled_from([TIE_HEAVY, SPREAD]))))
+    truth = draw(hnp.arrays(bool, (n_classes, n_cols)))
+    row_class = draw(hnp.arrays(np.int64, n_rows, elements=st.integers(0, n_classes - 1)))
+    if draw(st.booleans()):
+        k = draw(st.integers(1, n_cols))
+        for i, c in enumerate(row_class):
+            if truth[c].any():
+                logits[i, np.argmax(truth[c])] = np.sort(logits[i])[::-1][k - 1]
+    return logits, truth, row_class
+
+
+@settings(max_examples=300, deadline=None)
+@given(topk_cases())
+def test_topk_hits_match_stable_argsort_property(case):
+    logits, truth, row_class = case
+    for k in range(1, logits.shape[1] + 2):
+        order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
+        want = np.take_along_axis(truth[row_class], order, axis=1).any(axis=1)
+        np.testing.assert_array_equal(_topk_hits(logits, truth, row_class, k), want)
 
 
 def oracle_evaluate(head, w, bench, dense, split, k):

@@ -3,7 +3,7 @@ import pytest
 
 from wtx.errors import ConfigError, ShapeError
 from wtx.gradcheck import max_relative_error, numeric_gradient
-from wtx.losses import sigmoid_bce, smooth_l1, total_loss
+from wtx.losses import _logistic, sigmoid_bce, smooth_l1, total_loss
 
 
 def rng(seed=0):
@@ -113,6 +113,27 @@ def test_bce_gradient_equals_the_masked_sigmoid_formula_bitwise():
     with np.errstate(invalid="ignore"):        # the loss term of an infinite logit
         grad = sigmoid_bce(logits, targets).grad
     assert np.array_equal(grad, (sig - targets) / logits.size, equal_nan=True)
+
+
+def test_logistic_has_the_bits_of_the_select_form():
+    # Special values, quiet and signaling NaNs of both signs with payloads,
+    # and random bit patterns, at several offsets so every SIMD lane and
+    # tail sees each.
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 709.8, -709.8, 745.2, -745.2,
+               800.0, -800.0, np.inf, -np.inf, np.nan, -np.nan]
+    nans = [0x7FF0000000000001, 0xFFF4000000000123, 0x7FF8000000000001, 0xFFFC000000000123]
+    bits = np.concatenate([np.array(special).view(np.uint64),
+                           rng(9).integers(0, 2**64, size=4000, dtype=np.uint64),
+                           np.array(nans, dtype=np.uint64)])
+    z = bits.view(np.float64)
+    with np.errstate(all="ignore"):
+        e = np.exp(-np.abs(z))
+        want = np.where(z >= 0, 1.0, e) / (1.0 + e)
+        for offset in range(9):
+            got = _logistic(z[offset:], e[offset:])
+            assert got.tobytes() == want[offset:].tobytes(), offset
+        out = np.empty_like(z)
+        assert _logistic(z, e, out=out) is out and out.tobytes() == want.tobytes()
 
 
 # --- total loss ----------------------------------------------------------------
