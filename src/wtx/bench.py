@@ -7,6 +7,11 @@ spread of per-class weight norms), then emits target-task feature splits
 with a seen/novel class split and a handful of target-only "other"
 classes. Everything is a pure function of (config, seed).
 
+Global class ids are the source classes, ``0 .. |C| - 1``, then the
+"other" classes. A split lists its classes once, in ``class_ids`` (shared
+and "other" for train and eval_seen, novel for eval_novel), and its labels
+live in those classes' columns only.
+
 An example's labels depend only on its class, so a split keeps them once
 per class: one multi-hot row per class, and for each example the index of
 its class's row. No split holds a matrix of one label row per example.
@@ -48,8 +53,8 @@ import numpy as np
 
 from .errors import ConfigError, StateError
 from .losses import _logistic
-from .matrix import (atomic_write_text, matrix_hash, row_l2_norms, save_matrix_json,
-                     save_matrix_npy)
+from .matrix import (atomic_write_text, blocked_sq_dists, matrix_hash, nearest_other_row,
+                     row_l2_norms, save_matrix_json, save_matrix_npy)
 from .models import SourceWeights
 
 
@@ -109,29 +114,28 @@ class BenchConfig:
         if self.clusters > self.num_classes or self.clusters < 1:
             raise ConfigError(f"clusters must be in [1, {self.num_classes}], "
                               f"got {self.clusters}")
-        if self.norm_imbalance < 1.0:
-            raise ConfigError(f"norm_imbalance must be >= 1, got {self.norm_imbalance}")
-        if self.channel_anisotropy < 1.0:
-            raise ConfigError(f"channel_anisotropy must be >= 1, got {self.channel_anisotropy}")
+        for name, low in (("norm_imbalance", 1), ("channel_anisotropy", 1), ("num_other", 0),
+                          ("domain_warp", 0), ("noise_std", 0)):
+            if getattr(self, name) < low:
+                raise ConfigError(f"{name} must be >= {low}, got {getattr(self, name)}")
+        for name in ("source_lr", "feature_scale"):
+            if getattr(self, name) <= 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
         if self.source_samples_per_class < 2:
             raise ConfigError("source_samples_per_class too small to train a classifier")
-        for name in ("source_batch", "source_epochs", "min_eval_examples"):
+        for name in ("source_batch", "source_epochs", "min_eval_examples",
+                     "train_samples_per_class"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be at least 1, got {getattr(self, name)}")
         if self.eval_samples_per_class < self.min_eval_examples:
             raise ConfigError(f"eval_samples_per_class ({self.eval_samples_per_class}) "
                               f"below min_eval_examples ({self.min_eval_examples})")
-        if self.train_samples_per_class < 1 or self.noise_std < 0:
-            raise ConfigError("invalid sample counts or noise level")
         if not 1 <= self.manifold_dim <= self.dim:
             raise ConfigError(f"manifold_dim must be in [1, {self.dim}], "
                               f"got {self.manifold_dim}")
-
-
-@dataclass
-class ClassPrototypes:
-    prototypes: np.ndarray         # (|C|, d)
-    cluster_ids: np.ndarray        # (|C|,) int
+        if not 0.0 <= self.multilabel_fraction <= 1.0:
+            raise ConfigError(f"multilabel_fraction must be in [0, 1], "
+                              f"got {self.multilabel_fraction}")
 
 
 @dataclass
@@ -139,12 +143,10 @@ class Split:
     """Examples of some classes. Example i belongs to the class of row
     ``class_index[i]``: its generating class is ``class_ids[class_index[i]]``
     and its labels are ``class_labels[class_index[i]]``."""
-    name: str
-    features: np.ndarray           # (n, d)
+    features: np.ndarray           # (n, d), read-only
     class_ids: np.ndarray          # (k,) global id of each class of the split
-    class_labels: np.ndarray       # (k, |C| + n_other) multi-hot per class over the global universe
+    class_labels: np.ndarray       # (k, |C| + n_other) multi-hot per class over all global ids
     class_index: np.ndarray        # (n,) row of each example's class
-    universe: np.ndarray           # global ids this split's labels live in
 
     @property
     def primary(self) -> np.ndarray:
@@ -153,9 +155,9 @@ class Split:
 
     @cached_property
     def labels(self) -> np.ndarray:
-        """(k, |universe|) class rows over the split universe, built on first
-        use so that only the splits that are sampled hold a copy."""
-        return self.class_labels[:, self.universe]
+        """(k, k) class rows over the split's own classes, built on first use
+        so that only the splits that are sampled hold a copy."""
+        return self.class_labels[:, self.class_ids]
 
 
 @dataclass
@@ -163,8 +165,9 @@ class BenchmarkInstance:
     config: BenchConfig
     seed: int
     source: SourceWeights
-    prototypes: ClassPrototypes
-    other_prototypes: np.ndarray
+    prototypes: np.ndarray             # (|C|, d)
+    cluster_ids: np.ndarray            # (|C|,) int
+    other_prototypes: np.ndarray       # (num_other, d)
     cooccur_radius: float
     rotation: np.ndarray = None        # source-basis rotation (d x d orthogonal)
     splits: dict[str, Split] = field(default_factory=dict)
@@ -176,7 +179,7 @@ class BenchmarkInstance:
 
     @property
     def d_feat(self) -> int:
-        return self.prototypes.prototypes.shape[1]
+        return self.prototypes.shape[1]
 
     def split(self, name: str) -> Split:
         if name not in self.splits:
@@ -184,16 +187,18 @@ class BenchmarkInstance:
         return self.splits[name]
 
     def sample(self, split_name: str, batch_size: int, rng: np.random.Generator):
-        """Uniform sample with replacement; labels over the split universe."""
+        """Uniform sample with replacement; labels over the split's classes."""
         sp = self.split(split_name)
         if sp.features.shape[0] == 0:
             raise StateError(f"split {split_name!r} is empty")
         idx = rng.integers(0, sp.features.shape[0], size=batch_size)
         return sp.features[idx], sp.labels[sp.class_index[idx]]
 
+    @cached_property
     def fingerprint(self) -> str:
         """SHA-256 over the matrix hashes of the source weights and of every
-        split's features; a run records the fingerprint it was trained on."""
+        split's features; a run records the fingerprint it was trained on.
+        Both are read-only, so it is computed once per instance."""
         h = hashlib.sha256(matrix_hash(self.source.weights).encode())
         for name in sorted(self.splits):
             h.update(matrix_hash(self.splits[name].features).encode())
@@ -252,43 +257,22 @@ def _train_source_classifier(x, class_ids, config: BenchConfig, rng) -> np.ndarr
     return w
 
 
-# The most (row, column, dim) differences _blocked_sq_dists holds at once:
-# 1 MB, which stays in cache. Blocks of 4 MB were slower than one row at a
-# time.
-_BLOCK_ELEMS = 1 << 17
-
-
-def _blocked_sq_dists(a: np.ndarray, b: np.ndarray):
-    """Yield ``(start, d2)`` over blocks of rows of ``a``, where ``d2[i, j]``
-    is the squared Euclidean distance from ``a[start + i]`` to ``b[j]``.
-    Each sum runs over the last, contiguous axis, so it has the bits of
-    ``((b - a[start + i]) ** 2).sum(axis=1)``; blocks bound the memory that
-    the full (len(a), len(b), d) array would take."""
-    step = max(1, _BLOCK_ELEMS // max(b.size, 1))
-    for start in range(0, len(a), step):
-        yield start, ((b - a[start:start + step, None]) ** 2).sum(axis=2)
-
-
-def _make_split(name, class_ids, prototypes_by_id, universe, total_cols,
-                samples_per_class, noise_std, radius, rng) -> Split:
+def _make_split(class_ids, prototypes, samples_per_class, noise_std, radius, rng) -> Split:
     """Draw prototype+noise features, samples_per_class examples per class
-    in class_ids order; a class's label row marks it and the classes whose
-    prototypes sit within the co-occurrence radius, restricted to the split
-    universe. The noise is one draw, which takes the same values from rng as
-    one draw per class."""
-    protos = np.stack([prototypes_by_id[c] for c in class_ids])
-    univ_protos = np.stack([prototypes_by_id[c] for c in universe])
-    rows = np.zeros((len(class_ids), total_cols))
-    for start, d2 in _blocked_sq_dists(protos, univ_protos):
-        rows[start:start + len(d2), universe] = np.sqrt(d2) <= radius     # includes c itself
+    in class_ids order, where ``prototypes[c]`` is the prototype of global
+    id c; a class's label row marks it and the split's classes whose
+    prototypes sit within the co-occurrence radius. The noise is one draw,
+    which takes the same values from rng as one draw per class."""
+    protos = prototypes[class_ids]
+    rows = np.zeros((len(class_ids), len(prototypes)))
+    for start, d2 in blocked_sq_dists(protos, protos):
+        rows[start:start + len(d2), class_ids] = np.sqrt(d2) <= radius     # includes c itself
     rows[np.arange(len(class_ids)), class_ids] = 1.0
     noise = rng.standard_normal((len(class_ids) * samples_per_class, protos.shape[1]))
-    return Split(name=name,
-                 features=np.repeat(protos, samples_per_class, axis=0) + noise_std * noise,
-                 class_ids=np.asarray(class_ids, dtype=np.int64),
-                 class_labels=rows,
-                 class_index=np.repeat(np.arange(len(class_ids)), samples_per_class),
-                 universe=np.asarray(universe, dtype=np.int64))
+    features = np.repeat(protos, samples_per_class, axis=0) + noise_std * noise
+    features.setflags(write=False)
+    return Split(features=features, class_ids=class_ids, class_labels=rows,
+                 class_index=np.repeat(np.arange(len(class_ids)), samples_per_class))
 
 
 def _domain_rotation(d: int, strength: float, rng) -> np.ndarray:
@@ -357,43 +341,23 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
     shared_ids = np.sort(split_rng.permutation(c_total)[:config.num_shared])
     source = SourceWeights.create(w_c, shared_ids)
 
-    total_cols = c_total + config.num_other
-    protos_by_id = {c: prototypes[c] for c in range(c_total)}
-    protos_by_id.update({c_total + i: other_prototypes[i] for i in range(config.num_other)})
-
-    other_ids = list(range(c_total, total_cols))
-    train_universe = list(shared_ids) + other_ids
-    novel_ids = [c for c in range(c_total) if c not in set(shared_ids.tolist())]
+    all_protos = np.vstack([prototypes, other_prototypes])      # row c: global id c
+    train_ids = np.concatenate([shared_ids, np.arange(c_total, c_total + config.num_other)])
 
     # Co-occurrence radius: the multilabel_fraction quantile of
-    # nearest-neighbor distances among the training universe's prototypes,
-    # so the target fraction of training examples carries 2+ labels.
-    train_protos = np.stack([protos_by_id[c] for c in train_universe])
-    d2 = ((train_protos[:, None, :] - train_protos[None, :, :]) ** 2).sum(axis=2)
-    np.fill_diagonal(d2, np.inf)
-    nn_dist = np.sqrt(d2.min(axis=1))
-    radius = float(np.quantile(nn_dist, config.multilabel_fraction))
+    # nearest-neighbor distances among the training classes' prototypes, so
+    # the target fraction of training examples carries 2+ labels.
+    _, nn_d2 = nearest_other_row(all_protos[train_ids])
+    radius = float(np.quantile(np.sqrt(nn_d2), config.multilabel_fraction))
 
-    splits = {
-        "train": _make_split("train", train_universe, protos_by_id, np.asarray(train_universe),
-                             total_cols, config.train_samples_per_class,
-                             config.noise_std, radius, target_rng),
-        "eval_seen": _make_split("eval_seen", train_universe, protos_by_id,
-                                 np.asarray(train_universe), total_cols,
-                                 config.eval_samples_per_class, config.noise_std,
-                                 radius, target_rng),
-        "eval_novel": _make_split("eval_novel", novel_ids, protos_by_id,
-                                  np.asarray(novel_ids), total_cols,
-                                  config.eval_samples_per_class, config.noise_std,
-                                  radius, target_rng),
-    }
+    splits = {name: _make_split(ids, all_protos, n, config.noise_std, radius, target_rng)
+              for name, ids, n in (("train", train_ids, config.train_samples_per_class),
+                                   ("eval_seen", train_ids, config.eval_samples_per_class),
+                                   ("eval_novel", source.novel_index,
+                                    config.eval_samples_per_class))}
 
     norms = row_l2_norms(w_c).ravel()
-    nearest = np.empty(c_total, dtype=np.int64)
-    for start, wd2 in _blocked_sq_dists(w_c, w_c):
-        block = np.arange(len(wd2))
-        wd2[block, start + block] = np.inf
-        nearest[start:start + len(wd2)] = np.argmin(wd2, axis=1)
+    nearest, _ = nearest_other_row(w_c)
     same_cluster = float(np.mean(cluster_ids[nearest] == cluster_ids))
     train = splits["train"]
     multi = float(np.mean((train.class_labels.sum(axis=1) >= 2)[train.class_index]))
@@ -404,7 +368,7 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
     }
 
     return BenchmarkInstance(config=config, seed=seed, source=source,
-                             prototypes=ClassPrototypes(prototypes, cluster_ids),
+                             prototypes=prototypes, cluster_ids=cluster_ids,
                              other_prototypes=other_prototypes,
                              cooccur_radius=radius, rotation=rotation,
                              splits=splits, measured=measured)
@@ -427,7 +391,7 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
         "seed": instance.seed,
         "class_ids": list(range(instance.source.num_classes)),
         "shared_ids": [int(i) for i in instance.source.shared_index],
-        "cluster_ids": [int(i) for i in instance.prototypes.cluster_ids],
+        "cluster_ids": [int(i) for i in instance.cluster_ids],
         "cooccur_radius": instance.cooccur_radius,
         "measured": instance.measured,
         "splits": sorted(instance.splits),
@@ -435,7 +399,7 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
     atomic_write_text(os.path.join(dirpath, "manifest.json"),
                       json.dumps(manifest, sort_keys=True, indent=1))
     save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
-    save_matrix_json(instance.prototypes.prototypes, os.path.join(dirpath, "prototypes.json"))
+    save_matrix_json(instance.prototypes, os.path.join(dirpath, "prototypes.json"))
     save_matrix_json(instance.other_prototypes, os.path.join(dirpath, "other_prototypes.json"))
     save_matrix_json(instance.rotation, os.path.join(dirpath, "rotation.json"))
     for name, sp in instance.splits.items():

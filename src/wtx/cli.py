@@ -35,8 +35,9 @@ reload reads and shape-checks the run's matrix files first, then
 regenerates the benchmark from the config and seed and checks it against
 the recorded ``benchmark_sha256``. ``compare RUN_DIRS`` builds each
 distinct (benchmark config, seed) once and checks every run directory's
-fingerprint against it. It takes each run directory once, and only runs
-scored with one ``evaluation.recall_k``.
+fingerprint against it. It reads every run directory before it builds any
+benchmark, and takes one run per (method, seed), the key of a table row,
+and only runs scored with one ``evaluation.recall_k``.
 
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
@@ -148,21 +149,17 @@ def _run_config_payload(cfg: ExperimentConfig, variant: str, seed: int,
 
 def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
                  alpha: float | None = None, model_overrides: dict | None = None,
-                 method: str | None = None, *, bench: BenchmarkInstance | None = None,
-                 fingerprint: str | None = None) -> dict:
+                 method: str | None = None, *, bench: BenchmarkInstance | None = None) -> dict:
     """Train one (variant, seed) run and write the six files of a trained run
     directory into outdir. The result holds the run's tag, its report, the
     benchmark, the trained model and head, and ``w_d``: W_D, the matrix
     written to ``weights__TAG.json``.
 
-    ``bench`` is the seed's benchmark if the caller has generated it already,
-    and ``fingerprint`` its ``fingerprint()`` if the caller has computed it;
-    what is not given is computed here."""
+    ``bench`` is the seed's benchmark if the caller has generated it already;
+    if not, it is generated here."""
     method = method or variant
     if bench is None:
         bench = generate_benchmark(cfg.benchmark, seed)
-    if fingerprint is None:
-        fingerprint = bench.fingerprint()
     mc = cfg.model_config(variant, **(model_overrides or {}))
     model = TransferModel(mc, bench.source, seed)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
@@ -171,7 +168,7 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
     tag = f"{method}__seed{seed}"
     report = train_joint(model, head, bench.source, bench, tc)
     w_d = model.encode(bench.source.weights)
-    config = _run_config_payload(cfg, variant, seed, alpha, method, fingerprint)
+    config = _run_config_payload(cfg, variant, seed, alpha, method, bench.fingerprint)
     if model_overrides:
         config["resolved"]["model_overrides"] = dict(model_overrides)
 
@@ -191,14 +188,11 @@ def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
 _OVERRIDE_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "variant")
 
 
-def _run_dir_context(run_dir: str, benches: dict | None = None):
-    """Reload config, benchmark, exported weights and head of a finished run.
-    The weights and head files are read and shape-checked first, against
-    the sizes in the config, so a broken run dir fails before any benchmark
-    is built. The regenerated benchmark must have the fingerprint the run
-    recorded. ``benches`` maps (BenchConfig, seed) to a benchmark and its
-    fingerprint; a command that reloads several run dirs passes one dict so
-    that each distinct benchmark is built once."""
+def _read_run_dir(run_dir: str):
+    """Reload the config, exported weights and head of a finished run, as
+    ``(cfg, resolved, tag, w_d, head, overrides)``. The weights and head
+    files are shape-checked against the sizes in the config, so a broken run
+    dir fails before ``_run_benchmark`` builds its benchmark."""
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
@@ -231,18 +225,25 @@ def _run_dir_context(run_dir: str, benches: dict | None = None):
     head = DetectionProxyHead(bc.num_other, bc.dim)
     head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"),
                                                     head.other_weights.data.shape)
-    if benches is None:
-        benches = {}
-    if (bc, seed) not in benches:
-        bench = generate_benchmark(bc, seed)
-        benches[bc, seed] = bench, bench.fingerprint()
-    bench, actual = benches[bc, seed]
+    return cfg, resolved, tag, w_d, head, overrides
+
+
+def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
+                   benches: dict) -> BenchmarkInstance:
+    """The benchmark a run was trained on, regenerated from its config and
+    seed; it must have the fingerprint the run recorded. ``benches`` maps
+    (BenchConfig, seed) to a benchmark; a command that reloads several run
+    dirs passes one dict so that each distinct benchmark is built once."""
+    key = cfg.benchmark, resolved["seed"]
+    if key not in benches:
+        benches[key] = generate_benchmark(*key)
+    actual = benches[key].fingerprint
     stamped = resolved.get("benchmark_sha256")
     if stamped != actual:
         raise ValidationError(f"{run_dir}: the regenerated benchmark has fingerprint "
                               f"{actual}; config.json records "
                               f"{stamped or 'none (retrain the run)'}")
-    return cfg, resolved, tag, bench, w_d, head, overrides
+    return benches[key]
 
 
 def cmd_generate(args) -> int:
@@ -253,7 +254,7 @@ def cmd_generate(args) -> int:
         save_instance(bench, tmp)
         _write_json(os.path.join(tmp, "config.json"),
                     _run_config_payload(cfg, cfg.model.variant, seed, None, "benchmark",
-                                        bench.fingerprint()))
+                                        bench.fingerprint))
     print(f"benchmark written to {args.out}")
     return 0
 
@@ -271,7 +272,8 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = args.run_dir
-    cfg, resolved, tag, bench, w_d, head, _ = _run_dir_context(run_dir)
+    cfg, resolved, tag, w_d, head, _ = _read_run_dir(run_dir)
+    bench = _run_benchmark(run_dir, cfg, resolved, {})
     k = cfg.evaluation.recall_k
     for split in ("eval_seen", "eval_novel"):
         rep = evaluate(head, w_d, bench, split, k=k)
@@ -284,7 +286,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     run_dir = args.run_dir
-    cfg, resolved, tag, bench, w_d, head, overrides = _run_dir_context(run_dir)
+    cfg, resolved, tag, w_d, head, overrides = _read_run_dir(run_dir)
+    bench = _run_benchmark(run_dir, cfg, resolved, {})
     rng = np.random.default_rng(cfg.evaluation.analysis_seed)
     curve = nn_overlap(bench.source.weights, w_d, cfg.evaluation.overlap_ks,
                        cfg.evaluation.sample_classes, rng)
@@ -349,17 +352,15 @@ def _one_blas_thread_env():
 def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
                 runs_dir: str) -> list[dict]:
     """One seed of a compare sweep, run in a worker process: generate the
-    seed's benchmark and its fingerprint once, then train and score every
-    method on it. Returns one row per method, in ``methods`` order."""
+    seed's benchmark once, then train and score every method on it. Returns
+    one row per method, in ``methods`` order."""
     bench = generate_benchmark(cfg.benchmark, seed)
-    fingerprint = bench.fingerprint()
     rows = []
     for method, variant, overrides in methods:
         outdir = os.path.join(runs_dir, f"{method}__seed{seed}")
         os.makedirs(outdir)
         res = run_training(cfg, variant, seed, outdir, alpha=alpha,
-                           model_overrides=overrides, method=method, bench=bench,
-                           fingerprint=fingerprint)
+                           model_overrides=overrides, method=method, bench=bench)
         rows.append(_row_from_run(cfg, method, variant, overrides, seed, res["head"],
                                   res["w_d"], bench))
     return rows
@@ -370,22 +371,22 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     _check_alpha(args.alpha)
     if args.run_dirs:
-        given = {}
-        for rd in args.run_dirs:
-            real = os.path.realpath(rd)
-            if real in given:
-                raise ConfigError(f"run directory {rd} is given twice (also as "
-                                  f"{given[real]}); its scores would count twice")
-            given[real] = rd
         with staged_output(args.out, args.overwrite) as tmp:
-            rows, benches, first = [], {}, None
-            for rd in args.run_dirs:
-                cfg, resolved, tag, bench, w_d, head, overrides = _run_dir_context(rd, benches)
-                k = cfg.evaluation.recall_k
-                first = first or (rd, k)
-                if k != first[1]:
-                    raise ConfigError(f"{first[0]} scores novel_recall at recall_k={first[1]} "
-                                      f"and {rd} at recall_k={k}; one table needs one recall_k")
+            runs = [(rd, *_read_run_dir(rd)) for rd in args.run_dirs]
+            given, k0 = {}, runs[0][1].evaluation.recall_k
+            for rd, cfg, resolved, tag, *_ in runs:
+                key = resolved["method"], resolved["seed"]
+                if key in given:
+                    raise ConfigError(f"{given[key]} and {rd} both hold run {tag}; its "
+                                      f"scores would count twice")
+                given[key] = rd
+                if cfg.evaluation.recall_k != k0:
+                    raise ConfigError(f"{args.run_dirs[0]} scores novel_recall at "
+                                      f"recall_k={k0} and {rd} at recall_k="
+                                      f"{cfg.evaluation.recall_k}; one table needs one recall_k")
+            rows, benches = [], {}
+            for rd, cfg, resolved, tag, w_d, head, overrides in runs:
+                bench = _run_benchmark(rd, cfg, resolved, benches)
                 rows.append(_row_from_run(cfg, resolved["method"], resolved["variant"],
                                           overrides, resolved["seed"], head, w_d, bench))
             table = comparison_table(rows)

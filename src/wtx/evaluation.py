@@ -4,7 +4,8 @@ post-ReLU activation-norm statistics.
 Metrics here are classification proxies (top-1, recall@k) rather than
 detection AP/AR; there are no boxes in the synthetic benchmark. The novel
 split is ranked over the full class universe so novel classes have to
-compete with seen and "other" classes for the argmax.
+compete with seen and "other" classes for the argmax. Evaluation scores
+through ``DetectionProxyHead.score``, the scorer that training uses.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ import numpy as np
 
 from .bench import BenchmarkInstance
 from .errors import ShapeError, StateError, ValidationError
-from .matrix import row_l2_norms
+from .matrix import blocked_sq_dists, row_l2_norms
 from .models import DetectionProxyHead, SourceWeights, TransferModel
 
 
@@ -92,18 +93,16 @@ def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
     ``transferred`` is either a TransferModel or a precomputed (|C|, d)
     weight matrix (e.g. a reloaded export). The seen split ranks over the
     detector's own classes (shared + other); the novel split ranks over
-    everything. Ties break toward the lowest class index.
+    everything. Both are scored by ``head.score``, and ``universe`` holds
+    the global id of each of its columns. Ties break toward the lowest class
+    index.
     """
     sp = instance.split(split)
     w_all = _resolve_transferred(transferred, instance.source)
-    stack = np.vstack([w_all, head.other_weights.data])   # rows aligned with global ids
-
-    if split == "eval_novel":
-        universe = np.arange(stack.shape[0])
-    else:
-        universe = np.asarray(sorted(set(sp.universe.tolist())), dtype=np.int64)
-
-    logits = sp.features @ stack[universe].T
+    n_src = instance.source.num_classes
+    ids = np.arange(n_src) if split == "eval_novel" else instance.source.shared_index
+    logits = head.score(sp.features, w_all[ids])
+    universe = np.concatenate([ids, n_src + np.arange(len(head.other_weights.data))])
     truth = sp.class_labels[:, universe] > 0.5     # one row per class of the split
 
     if k < 1:
@@ -135,11 +134,15 @@ class OverlapCurve:
                           sort_keys=True, indent=1)
 
 
-def _topk_neighbors(w: np.ndarray, anchor: int, k: int) -> np.ndarray:
-    d2 = ((w - w[anchor]) ** 2).sum(axis=1)
-    order = np.argsort(d2, kind="stable")
-    order = order[order != anchor]
-    return order[:k]
+def _topk_neighbors(w: np.ndarray, anchors: np.ndarray, k: int) -> np.ndarray:
+    """(len(anchors), k): each anchor row's k nearest other rows of ``w`` by
+    Euclidean distance, ties broken by row index."""
+    out = np.empty((len(anchors), k), dtype=np.int64)
+    for start, d2 in blocked_sq_dists(w[anchors], w):
+        order = np.argsort(d2, axis=1, kind="stable")
+        others = order != anchors[start:start + len(d2), None]
+        out[start:start + len(d2)] = order[others].reshape(len(d2), -1)[:, :k]
+    return out
 
 
 def nn_overlap(w_ref: np.ndarray, w_test: np.ndarray, k_list,
@@ -157,13 +160,10 @@ def nn_overlap(w_ref: np.ndarray, w_test: np.ndarray, k_list,
     n_sample = min(n_sample_classes, n)
     sampled = np.sort(rng.choice(n, size=n_sample, replace=False))
 
-    counts = np.zeros((n_sample, len(ks)))
-    for i, c in enumerate(sampled):
-        ref_nb = _topk_neighbors(w_ref, int(c), ks[-1])
-        test_nb = _topk_neighbors(w_test, int(c), ks[-1])
-        for j, k in enumerate(ks):
-            counts[i, j] = len(set(ref_nb[:k]) & set(test_nb[:k]))
-    return OverlapCurve(ks=ks, mean_counts=[float(x) for x in counts.mean(axis=0)],
+    ref_nb = _topk_neighbors(w_ref, sampled, ks[-1])
+    test_nb = _topk_neighbors(w_test, sampled, ks[-1])
+    means = [np.mean([len(set(r[:k]) & set(t[:k])) for r, t in zip(ref_nb, test_nb)]) for k in ks]
+    return OverlapCurve(ks=ks, mean_counts=[float(x) for x in means],
                         sampled_class_ids=[int(c) for c in sampled])
 
 

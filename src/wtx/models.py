@@ -23,7 +23,8 @@ follow from ``model.encoder_size`` on; every layer's ``Param.data`` and
 ``zero_grad``, a model hash and the saved parameters each act on one array.
 
 Scoring is a bias-free matrix multiplication of features against the
-stacked transferred and conventionally-learned "other" weights.
+stacked transferred and conventionally-learned "other" weights, written
+once, in ``DetectionProxyHead.score``: training and evaluation both call it.
 """
 
 from __future__ import annotations
@@ -36,7 +37,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU, flatten
 from .losses import sigmoid_bce, smooth_l1, total_loss
-from .matrix import load_matrix_json, matrix_hash, save_matrix_json
+from .matrix import blocked_sq_dists, load_matrix_json, matrix_hash, save_matrix_json
 from .optim import AdamW, SGDMomentum
 
 VARIANTS = ("wtn", "wtn_plus", "ae_wtn")
@@ -415,11 +416,11 @@ def _nearest_seen(source: SourceWeights, k: int) -> np.ndarray:
     shared_idx = source.shared_index
     if k < 1 or k > len(shared_idx):
         raise ValueError(f"k must be in [1, {len(shared_idx)}], got {k}")
-    novel = source.weights[source.novel_index]
-    seen = source.weights[shared_idx]
-    d2 = ((novel[:, None, :] - seen[None, :, :]) ** 2).sum(axis=2)
-    order = np.argsort(d2, axis=1, kind="stable")
-    return order[:, :k]
+    novel_idx = source.novel_index
+    nearest = np.empty((len(novel_idx), k), dtype=np.int64)
+    for start, d2 in blocked_sq_dists(source.weights[novel_idx], source.weights[shared_idx]):
+        nearest[start:start + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
+    return nearest
 
 
 def baseline_nn_transfer(head: ConventionalHead, source: SourceWeights, k: int = 1) -> np.ndarray:

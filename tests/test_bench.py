@@ -29,13 +29,21 @@ def test_config_validation():
     for key in ("source_batch", "source_epochs", "min_eval_examples"):
         with pytest.raises(ConfigError, match=key):
             BenchConfig(**{key: 0}).validate()
+    for key, value in (("multilabel_fraction", -0.1), ("multilabel_fraction", 1.5),
+                       ("num_other", -1), ("source_lr", 0.0), ("source_lr", -1.0),
+                       ("feature_scale", 0.0), ("feature_scale", -8.0), ("domain_warp", -0.5)):
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            BenchConfig(**{key: value}).validate()
+    for key, value in (("multilabel_fraction", 0.0), ("multilabel_fraction", 1.0),
+                       ("num_other", 0), ("domain_warp", 0.0)):
+        BenchConfig(**{key: value}).validate()     # the edges stay valid
 
 
 def test_zero_noise_features_equal_prototypes_and_separable():
     cfg = tiny_config(noise_std=0.0, norm_imbalance=1.0, domain_rotation=0.0,
                       domain_warp=0.0, source_epochs=20, source_lr=40.0)
     bench = generate_benchmark(cfg, seed=0)
-    protos = bench.prototypes.prototypes
+    protos = bench.prototypes
     sp = bench.split("eval_novel")
     for i in range(0, len(sp.primary), 7):
         assert np.array_equal(sp.features[i], protos[sp.primary[i]])
@@ -66,9 +74,19 @@ def test_same_seed_byte_identical_serialization(tmp_path):
 
 
 def test_fingerprint_tracks_the_benchmark(tiny_bench):
-    assert generate_benchmark(tiny_config(), seed=7).fingerprint() == tiny_bench.fingerprint()
+    assert generate_benchmark(tiny_config(), seed=7).fingerprint == tiny_bench.fingerprint
     other = generate_benchmark(tiny_config(noise_std=0.31), seed=7)
-    assert other.fingerprint() != tiny_bench.fingerprint()
+    assert other.fingerprint != tiny_bench.fingerprint
+
+
+def test_split_features_are_read_only(tiny_bench):
+    # The fingerprint is computed once per instance, so the features it
+    # hashes must not change under it.
+    for name, sp in tiny_bench.splits.items():
+        assert not sp.features.flags.writeable, name
+        with pytest.raises(ValueError, match="read-only"):
+            sp.features[0, 0] = 1.0
+    assert not tiny_bench.source.weights.flags.writeable
 
 
 def read_csv_matrix(path):
@@ -108,7 +126,7 @@ def test_no_novel_leakage_into_training(tiny_bench):
     train = bench.split("train")
     labeled = set(int(c) for c in np.flatnonzero(train.class_labels.any(axis=0)))
     assert labeled & novel == set()
-    assert set(int(u) for u in train.universe) & novel == set()
+    assert set(int(u) for u in train.class_ids) & novel == set()
 
 
 def test_every_class_has_min_eval_examples(tiny_bench):
@@ -127,8 +145,8 @@ def test_neighborhood_structure_same_cluster(default_bench):
 
 
 def test_same_cluster_cosine_exceeds_cross(tiny_bench):
-    p = tiny_bench.prototypes.prototypes
-    cid = tiny_bench.prototypes.cluster_ids
+    p = tiny_bench.prototypes
+    cid = tiny_bench.cluster_ids
     pn = p / np.linalg.norm(p, axis=1, keepdims=True)
     cos = pn @ pn.T
     same, cross = [], []
@@ -148,7 +166,7 @@ def test_multilabel_fraction_near_target():
 def test_sample_batch_contracts(tiny_bench, rng):
     feats, labels = tiny_bench.sample("train", 17, rng)
     assert feats.shape[0] == 17 and labels.shape[0] == 17
-    assert labels.shape[1] == len(tiny_bench.split("train").universe)
+    assert labels.shape[1] == len(tiny_bench.split("train").class_ids)
     assert np.all(labels.sum(axis=1) >= 1.0)
 
 
@@ -160,7 +178,7 @@ def test_sample_equals_the_ix_gather(split):
     idx = np.random.default_rng(9).integers(0, sp.features.shape[0], size=64)
     assert np.array_equal(feats, sp.features[idx])
     dense = sp.class_labels[sp.class_index]
-    assert np.array_equal(labels, dense[np.ix_(idx, sp.universe)])
+    assert np.array_equal(labels, dense[np.ix_(idx, sp.class_ids)])
 
 
 def test_only_the_sampled_split_caches_its_labels():
@@ -219,12 +237,13 @@ def test_norms_reflect_sample_counts():
 # --- generation oracles ---------------------------------------------------------
 # The straightforward forms of the generator's loops: one noise draw and one
 # tiled label block per class, giving dense per-example labels; the W_C
-# nearest neighbours from the full (|C|, |C|, d) difference array; and the
+# nearest neighbours and the co-occurrence radius from full (n, n, d)
+# difference arrays; and the
 # mean sigmoid BCE gradient, written out with a masked sigmoid, against dense
 # one-hot targets on every source batch. The generator must match them
 # bitwise.
 
-def oracle_make_split(name, class_ids, prototypes_by_id, universe, total_cols,
+def oracle_make_split(class_ids, prototypes_by_id, universe, total_cols,
                       samples_per_class, noise_std, radius, rng):
     """(features, dense labels, primary) of a split, one row per example."""
     univ_protos = np.stack([prototypes_by_id[c] for c in universe])
@@ -271,10 +290,19 @@ def oracle_train_source_classifier(x, y, config, rng):
 
 def oracle_nn_same_cluster(bench):
     """The W_C nearest-neighbour statistic from the full (|C|, |C|, d) array."""
-    w_c, cluster_ids = bench.source.weights, bench.prototypes.cluster_ids
+    w_c, cluster_ids = bench.source.weights, bench.cluster_ids
     wd2 = ((w_c[:, None, :] - w_c[None, :, :]) ** 2).sum(axis=2)
     np.fill_diagonal(wd2, np.inf)
     return float(np.mean(cluster_ids[np.argmin(wd2, axis=1)] == cluster_ids))
+
+
+def oracle_cooccur_radius(bench):
+    """The multilabel_fraction quantile of the train classes' nearest-neighbour
+    prototype distances, from the full (n, n, d) difference array."""
+    protos = np.vstack([bench.prototypes, bench.other_prototypes])[bench.split("train").class_ids]
+    d2 = ((protos[:, None, :] - protos[None, :, :]) ** 2).sum(axis=2)
+    np.fill_diagonal(d2, np.inf)
+    return float(np.quantile(np.sqrt(d2.min(axis=1)), bench.config.multilabel_fraction))
 
 
 def same_bits(a, b):
@@ -288,16 +316,16 @@ GENERATION_CONFIGS = {"tiny": tiny_config(), "default": BenchConfig(),
 def oracle_benchmark(cfg, seed):
     """The benchmark built with the oracle loops, and each split's dense
     (features, labels, primary). Its splits hold one class row per example
-    (``class_index`` is the identity), so every statistic the generator
-    takes from the class rows is taken from the dense rows."""
-    dense = {}
+    (``class_index`` is the identity and ``class_ids`` the primary ids), so
+    every statistic the generator takes from the class rows is taken from
+    the dense rows. A split's universe is its own class list."""
 
-    def make_split(name, class_ids, prototypes_by_id, universe, *args):
-        feats, labels, primary = dense[name] = oracle_make_split(
-            name, class_ids, prototypes_by_id, universe, *args)
-        return Split(name=name, features=feats, class_ids=primary, class_labels=labels,
-                     class_index=np.arange(len(primary)),
-                     universe=np.asarray(universe, dtype=np.int64))
+    def make_split(class_ids, prototypes, *args):
+        feats, labels, primary = oracle_make_split(
+            class_ids, dict(enumerate(prototypes)), np.asarray(class_ids), len(prototypes),
+            *args)
+        return Split(features=feats, class_ids=primary, class_labels=labels,
+                     class_index=np.arange(len(primary)))
 
     def train_source_classifier(x, class_ids, config, rng):
         y = np.zeros((len(class_ids), config.num_classes))
@@ -307,7 +335,9 @@ def oracle_benchmark(cfg, seed):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(wtx.bench, "_make_split", make_split)
         mp.setattr(wtx.bench, "_train_source_classifier", train_source_classifier)
-        return generate_benchmark(cfg, seed), dense
+        bench = generate_benchmark(cfg, seed)
+    return bench, {name: (sp.features, sp.class_labels, sp.class_ids)
+                   for name, sp in bench.splits.items()}
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -324,12 +354,12 @@ def test_generation_matches_the_oracle_loops_bitwise(config, seed):
         assert same_bits(got.features, features), name
         assert same_bits(got.class_labels[got.class_index], labels), name
         assert same_bits(got.primary, primary), name
-        assert same_bits(got.universe, want.split(name).universe), name
-        assert len(got.class_ids) == len(np.unique(primary)), name   # one row per class
+        assert same_bits(got.class_ids, np.unique(primary)), name   # one row per class
     assert bench.cooccur_radius.hex() == want.cooccur_radius.hex()
+    assert bench.cooccur_radius.hex() == oracle_cooccur_radius(bench).hex()
     assert bench.measured == want.measured
     assert bench.measured["nn_same_cluster_fraction"] == oracle_nn_same_cluster(bench)
-    assert bench.fingerprint() == want.fingerprint()
+    assert bench.fingerprint == want.fingerprint
 
 
 @pytest.mark.parametrize("seed", [0, 1])
@@ -338,7 +368,7 @@ def test_sample_matches_the_dense_oracle_gather(config, seed):
     bench = generate_benchmark(GENERATION_CONFIGS[config], seed)
     _, dense = oracle_benchmark(GENERATION_CONFIGS[config], seed)
     for name, (features, labels, _) in dense.items():
-        universe = bench.split(name).universe
+        universe = bench.split(name).class_ids
         for draw in range(3):
             rng = np.random.default_rng(100 * seed + draw)
             ref = np.random.default_rng(100 * seed + draw)

@@ -13,10 +13,11 @@ from concurrent.futures import Future
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wtx.bench import BenchmarkInstance, generate_benchmark
+from wtx.bench import generate_benchmark
 from wtx.cli import main, run_training, staged_output
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
+from wtx.matrix import matrix_hash
 
 from conftest import assert_no_worker_left, tiny_config
 
@@ -147,6 +148,32 @@ def test_cli_generate_rejects_a_bench_count_below_1(tmp_path, capsys, monkeypatc
     assert main(["generate", "--config", write_config(tmp_path, doc),
                  "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err == f"error: {key} must be at least 1, got 0\n"
+    assert calls == []
+    assert not os.path.exists(tmp_path / "out")
+
+
+# Each benchmark setting out of its range, with what it let through before
+# it was checked.
+BENCH_OUT_OF_RANGE = [
+    ("multilabel_fraction", 1.5),    # a traceback from np.quantile, exit 1
+    ("num_other", -1),               # a traceback from a negative array size, exit 1
+    ("source_lr", 0.0),              # an untrained, all-zero W_C
+    ("source_lr", -1.0),             # a W_C trained by gradient ascent
+    ("feature_scale", 0.0),          # a divide by zero; every example multi-labeled
+    ("domain_warp", -0.5),           # silently treated as 0
+]
+
+
+@pytest.mark.parametrize("key, value", BENCH_OUT_OF_RANGE)
+def test_cli_generate_rejects_a_bench_setting_out_of_range(tmp_path, capsys, monkeypatch,
+                                                           key, value):
+    calls = counting_generate(monkeypatch)
+    doc = tiny_doc()
+    doc["benchmark"][key] = value
+    capsys.readouterr()
+    assert main(["generate", "--config", write_config(tmp_path, doc),
+                 "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {key} must be ")
     assert calls == []
     assert not os.path.exists(tmp_path / "out")
 
@@ -414,21 +441,25 @@ def test_cli_compare_generates_each_benchmark_once(tmp_path, monkeypatch):
 
 
 def test_cli_compare_fingerprints_each_benchmark_once(tmp_path, monkeypatch):
-    calls = []
-    fingerprint = BenchmarkInstance.fingerprint
+    # A fingerprint hashes W_C first, and nothing else in wtx.bench hashes
+    # it; each seed has its own W_C.
+    import wtx.bench
+    w_c_hashes = []
 
-    def counting(self):
-        calls.append(self.seed)
-        return fingerprint(self)
+    def counting(m):
+        digest = matrix_hash(m)
+        if m.shape == (tiny_config().num_classes, tiny_config().dim):
+            w_c_hashes.append(digest)
+        return digest
 
-    monkeypatch.setattr(BenchmarkInstance, "fingerprint", counting)
+    monkeypatch.setattr(wtx.bench, "matrix_hash", counting)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     doc = tiny_doc(iterations=5)
     doc["seeds"] = [0, 1, 2, 3, 4]
     cfg_path = write_config(tmp_path, doc)
     sweep = tmp_path / "sweep"
     assert main(["compare", "--config", cfg_path, "--out", str(sweep)]) == 0
-    assert sorted(calls) == [0, 1, 2, 3, 4]     # not once per (method, seed)
+    assert len(set(w_c_hashes)) == len(w_c_hashes) == 5     # not once per (method, seed)
 
     # A run trained on its own computes its own fingerprint; the sweep's
     # shared one gives the same config.json bytes.
@@ -962,16 +993,20 @@ def test_cli_compare_run_dirs_checks_every_fingerprint(seed_runs, tmp_path, caps
 
 def test_cli_compare_run_dirs_rejects_a_run_given_twice(seed_runs, tmp_path, capsys,
                                                        monkeypatch):
+    # A run is its (method, seed), the key of a table row: the same dir
+    # spelled another way and a copy of it both count its scores twice.
     calls = counting_generate(monkeypatch)
     run = seed_runs["wtn", 0]
-    again = os.path.join(str(run), os.pardir, run.name)       # another spelling
-    capsys.readouterr()
-    assert main(["compare", str(run), str(seed_runs["wtn_plus", 0]), again,
-                 "--out", str(tmp_path / "cmp")]) == 2
-    err = capsys.readouterr().err
-    assert str(run) in err and again in err
-    assert calls == []
-    assert not os.path.exists(tmp_path / "cmp")
+    copy = tmp_path / "copy"
+    shutil.copytree(run, copy)
+    for again in (os.path.join(str(run), os.pardir, run.name), str(copy)):
+        capsys.readouterr()
+        assert main(["compare", str(run), str(seed_runs["wtn_plus", 0]), again,
+                     "--out", str(tmp_path / "cmp")]) == 2
+        err = capsys.readouterr().err
+        assert str(run) in err and again in err
+        assert calls == []
+        assert not os.path.exists(tmp_path / "cmp")
 
 
 def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys):

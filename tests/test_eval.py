@@ -15,7 +15,7 @@ from wtx.bench import generate_benchmark
 
 
 def oracle_head_and_weights(bench):
-    protos = bench.prototypes.prototypes
+    protos = bench.prototypes
     beta = 4.0 / np.mean(np.sum(protos ** 2, axis=1))
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     head.other_weights.data[...] = beta * bench.other_prototypes
@@ -110,7 +110,7 @@ def oracle_evaluate(head, w, bench, dense, split, k):
     features, labels, primary = dense[split]
     stack = np.vstack([w, head.other_weights.data])
     universe = (np.arange(stack.shape[0]) if split == "eval_novel"
-                else np.unique(bench.split(split).universe))
+                else np.unique(bench.split(split).class_ids))
     logits = features @ stack[universe].T
     truth = labels[:, universe] > 0.5
     top1_hit = truth[np.arange(len(logits)), np.argmax(logits, axis=1)]
@@ -196,19 +196,25 @@ def test_overlap_isometry_case(rng):
 
 
 def test_overlap_matches_brute_force_oracle(rng):
-    w_ref = rng.standard_normal((30, 8))
-    w_test = rng.standard_normal((30, 8))
-    ks = [1, 4, 9]
-    curve = nn_overlap(w_ref, w_test, ks, 30, np.random.default_rng(3))
+    # The second case, 300 rows of 8, takes several 1 MB distance blocks; its
+    # duplicated rows tie exactly, and the tie goes to the lower row index.
+    cases = [(rng.standard_normal((30, 8)), rng.standard_normal((30, 8)), [1, 4, 9]),
+             (rng.standard_normal((300, 8)), rng.standard_normal((300, 8)), [1, 3, 12])]
+    for w in cases[1][:2]:
+        w[150:200] = w[:50]
+        w[250:260] = w[7]
+    for w_ref, w_test, ks in cases:
+        n = len(w_ref)
+        curve = nn_overlap(w_ref, w_test, ks, n, np.random.default_rng(3))
 
-    def topk(w, anchor, k):
-        d = [(np.sum((w[j] - w[anchor]) ** 2), j) for j in range(len(w)) if j != anchor]
-        d.sort()
-        return set(j for _, j in d[:k])
+        def topk(w, anchor, k):
+            d = [(np.sum((w[j] - w[anchor]) ** 2), j) for j in range(len(w)) if j != anchor]
+            d.sort()
+            return set(j for _, j in d[:k])
 
-    for j, k in enumerate(ks):
-        want = np.mean([len(topk(w_ref, c, k) & topk(w_test, c, k)) for c in range(30)])
-        assert curve.mean_counts[j] == pytest.approx(want)
+        for j, k in enumerate(ks):
+            want = np.mean([len(topk(w_ref, c, k) & topk(w_test, c, k)) for c in range(n)])
+            assert curve.mean_counts[j] == pytest.approx(want)
 
 
 def test_overlap_monotone_in_k(rng):

@@ -484,15 +484,28 @@ def test_nn_baseline_inherits_exact_match_row():
 
 
 def test_nn_baseline_matches_brute_force_oracle():
+    # The second case, 150 novel rows against 150 seen rows of 16, takes
+    # several 1 MB distance blocks; novel rows that repeat seen rows, and seen
+    # rows that repeat each other, tie exactly, and the tie goes to the lower
+    # index.
     rng = np.random.default_rng(12)
-    src = SourceWeights.create(rng.standard_normal((30, 8)), list(range(12)))
+    cases = [(rng.standard_normal((30, 8)), 12, rng.standard_normal((15, 8))),
+             (rng.standard_normal((300, 16)), 150, rng.standard_normal((153, 16)))]
+    big = cases[1][0]
+    big[1:40:2] = big[0:40:2]
+    big[150:190] = big[0:40]
     from wtx.models import ConventionalHead
-    head = ConventionalHead(weights=rng.standard_normal((15, 8)), n_shared=12)
-    got = baseline_nn_transfer(head, src, k=1)
-    shared, novel = src.shared_index, src.novel_index
-    for i, n in enumerate(novel):
-        dists = [np.sum((src.weights[n] - src.weights[s]) ** 2) for s in shared]
-        assert np.array_equal(got[i], head.weights[int(np.argmin(dists))])
+    for w, n_shared, head_rows in cases:
+        src = SourceWeights.create(w, list(range(n_shared)))
+        head = ConventionalHead(weights=head_rows, n_shared=n_shared)
+        shared, novel = src.shared_index, src.novel_index
+        for k in (1, 3):
+            got = baseline_nn_transfer(head, src, k=k)
+            for i, n in enumerate(novel):
+                dists = sorted((np.sum((src.weights[n] - src.weights[s]) ** 2), j)
+                               for j, s in enumerate(shared))
+                nearest = [j for _, j in dists[:k]]
+                assert np.array_equal(got[i], head.weights[nearest].mean(axis=0))
 
 
 def test_nn_baseline_k_out_of_range():
