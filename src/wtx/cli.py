@@ -37,7 +37,17 @@ the recorded ``benchmark_sha256``. ``compare RUN_DIRS`` builds each
 distinct (benchmark config, seed) once and checks every run directory's
 fingerprint against it. It reads every run directory before it builds any
 benchmark, and takes one run per (method, seed), the key of a table row,
-and only runs scored with one ``evaluation.recall_k``.
+and only runs scored with one ``evaluation.recall_k``. It scores the runs
+as they were trained, so the sweep flags ``--config``, ``--seed``,
+``--grid`` and ``--alpha`` exit 2 with RUN_DIRS, before any run directory
+is read; ``--jobs`` has a default and is ignored.
+
+``METHODS`` is the one method table: it maps each method label, the
+METHOD of a run's tag, to the variant and the model overrides it trains.
+Each variant's name is the label of that variant as configured, so
+``train --variant`` takes a label. The default sweep trains the labels of
+``SWEEP_METHODS`` and ``--grid`` those of ``GRID_METHODS`` (the
+input-norm x group-norm ablation).
 
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
@@ -147,20 +157,31 @@ def _run_config_payload(cfg: ExperimentConfig, variant: str, seed: int,
     return doc
 
 
-def run_training(cfg: ExperimentConfig, variant: str, seed: int, outdir: str,
-                 alpha: float | None = None, model_overrides: dict | None = None,
-                 method: str | None = None, *, bench: BenchmarkInstance | None = None) -> dict:
-    """Train one (variant, seed) run and write the six files of a trained run
-    directory into outdir. The result holds the run's tag, its report, the
-    benchmark, the trained model and head, and ``w_d``: W_D, the matrix
-    written to ``weights__TAG.json``.
+# Each method label with the variant and the model overrides it trains.
+METHODS = {
+    "wtn": ("wtn", {}),
+    "wtn_plus": ("wtn_plus", {}),
+    "ae_wtn": ("ae_wtn", {}),
+    "wtn_plus_in_only": ("wtn_plus", {"feature_norm": False}),
+    "wtn_plus_gn_only": ("wtn_plus", {"input_norm": False}),
+}
+SWEEP_METHODS = ("wtn", "wtn_plus", "ae_wtn")
+GRID_METHODS = ("wtn", "wtn_plus_in_only", "wtn_plus_gn_only", "wtn_plus")
+
+
+def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str,
+                 alpha: float | None = None, *, bench: BenchmarkInstance | None = None) -> dict:
+    """Train one (method, seed) run, ``method`` a label of ``METHODS``, and
+    write the six files of a trained run directory into outdir. The result
+    holds the run's tag, its report, the benchmark, the trained model and
+    head, and ``w_d``: W_D, the matrix written to ``weights__TAG.json``.
 
     ``bench`` is the seed's benchmark if the caller has generated it already;
     if not, it is generated here."""
-    method = method or variant
+    variant, model_overrides = METHODS[method]
     if bench is None:
         bench = generate_benchmark(cfg.benchmark, seed)
-    mc = cfg.model_config(variant, **(model_overrides or {}))
+    mc = cfg.model_config(variant, **model_overrides)
     model = TransferModel(mc, bench.source, seed)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     tc = cfg.train_config(seed, alpha)
@@ -302,21 +323,6 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-GRID_METHODS = (
-    # method label, variant, model overrides
-    ("wtn", "wtn", {}),
-    ("wtn_plus_in_only", "wtn_plus", {"feature_norm": False}),
-    ("wtn_plus_gn_only", "wtn_plus", {"input_norm": False}),
-    ("wtn_plus", "wtn_plus", {}),
-)
-
-
-def _sweep_methods(grid: bool):
-    if grid:
-        return GRID_METHODS
-    return (("wtn", "wtn", {}), ("wtn_plus", "wtn_plus", {}), ("ae_wtn", "ae_wtn", {}))
-
-
 def _row_from_run(cfg: ExperimentConfig, method: str, variant: str, overrides: dict,
                   seed: int, head, w_d, bench) -> dict:
     mc = cfg.model_config(variant, **overrides)
@@ -356,21 +362,30 @@ def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
     one row per method, in ``methods`` order."""
     bench = generate_benchmark(cfg.benchmark, seed)
     rows = []
-    for method, variant, overrides in methods:
+    for method in methods:
         outdir = os.path.join(runs_dir, f"{method}__seed{seed}")
         os.makedirs(outdir)
-        res = run_training(cfg, variant, seed, outdir, alpha=alpha,
-                           model_overrides=overrides, method=method, bench=bench)
-        rows.append(_row_from_run(cfg, method, variant, overrides, seed, res["head"],
+        res = run_training(cfg, method, seed, outdir, alpha=alpha, bench=bench)
+        rows.append(_row_from_run(cfg, method, *METHODS[method], seed, res["head"],
                                   res["w_d"], bench))
     return rows
+
+
+def _write_comparison(outdir: str, rows: list[dict]) -> None:
+    table = comparison_table(rows)
+    _write_json(os.path.join(outdir, "comparison.json"), table)
+    atomic_write_text(os.path.join(outdir, "comparison.csv"), comparison_csv(table))
 
 
 def cmd_compare(args) -> int:
     if args.jobs < 1:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
-    _check_alpha(args.alpha)
     if args.run_dirs:
+        for flag, value in (("--config", args.config), ("--seed", args.seed),
+                            ("--grid", args.grid or None), ("--alpha", args.alpha)):
+            if value is not None:
+                raise ConfigError(f"{flag} configures a sweep; compare RUN_DIRS "
+                                  f"scores the given runs as they were trained")
         with staged_output(args.out, args.overwrite) as tmp:
             runs = [(rd, *_read_run_dir(rd)) for rd in args.run_dirs]
             given, k0 = {}, runs[0][1].evaluation.recall_k
@@ -389,19 +404,18 @@ def cmd_compare(args) -> int:
                 bench = _run_benchmark(rd, cfg, resolved, benches)
                 rows.append(_row_from_run(cfg, resolved["method"], resolved["variant"],
                                           overrides, resolved["seed"], head, w_d, bench))
-            table = comparison_table(rows)
-            _write_json(os.path.join(tmp, "comparison.json"), table)
-            atomic_write_text(os.path.join(tmp, "comparison.csv"), comparison_csv(table))
+            _write_comparison(tmp, rows)
         print(f"comparison written to {args.out}")
         return 0
 
+    _check_alpha(args.alpha)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
     cfg = _load_config(args.config)
     seeds = _resolve_seeds(cfg, args.seed)
-    methods = _sweep_methods(args.grid)
+    methods = GRID_METHODS if args.grid else SWEEP_METHODS
     with staged_output(args.out, args.overwrite) as sweep_tmp:
         runs_dir = os.path.join(sweep_tmp, "runs")
         os.makedirs(runs_dir)
@@ -425,9 +439,7 @@ def cmd_compare(args) -> int:
             pool.shutdown(cancel_futures=True)
         per_seed = [future.result() for future in futures]
         rows = [seed_rows[m] for m in range(len(methods)) for seed_rows in per_seed]
-        table = comparison_table(rows)
-        _write_json(os.path.join(sweep_tmp, "comparison.json"), table)
-        atomic_write_text(os.path.join(sweep_tmp, "comparison.csv"), comparison_csv(table))
+        _write_comparison(sweep_tmp, rows)
     print(f"comparison written to {args.out}")
     return 0
 
@@ -444,7 +456,7 @@ def cmd_gradcheck(args) -> int:
         worst = max(rs, key=lambda r: r.error)
         status = "PASS" if all(r.passed for r in rs) else "FAIL"
         ok &= status == "PASS"
-        print(f"{status} {name:<16} max_rel_err={worst.error:.3e} tol={worst.tol:.0e} "
+        print(f"{status} {name:<17} max_rel_err={worst.error:.3e} tol={worst.tol:.0e} "
               f"(over {len(rs)} seeds)")
     return 0 if ok else 1
 

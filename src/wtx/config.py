@@ -68,6 +68,15 @@ class ExperimentConfig:
                               f"{list(self.seeds)!r}")
         if self.train.batch_size < 1:
             raise ConfigError(f"batch_size must be at least 1, got {self.train.batch_size}")
+        tr = self.train
+        for name in ("adamw_lr", "head_lr"):
+            if not getattr(tr, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(tr, name)}")
+        for name in ("adamw_weight_decay", "head_weight_decay"):
+            if getattr(tr, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(tr, name)}")
+        if not 0 <= tr.head_momentum < 1:
+            raise ConfigError(f"head_momentum must be in [0, 1), got {tr.head_momentum}")
         if self.train.iterations < 1:
             raise ConfigError(f"iterations must be at least 1, got {self.train.iterations}")
         check_alpha(self.train.alpha, "train.alpha")

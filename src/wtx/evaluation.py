@@ -200,8 +200,8 @@ def norm_stats(model: TransferModel, source: SourceWeights) -> NormStats:
 
 # --- comparison tables ------------------------------------------------------
 
-TABLE_COLUMNS = ("method", "seed", "input_norm", "group_norm",
-                 "seen_top1", "novel_top1", "novel_recall")
+METRIC_COLUMNS = ("seen_top1", "novel_top1", "novel_recall")
+TABLE_COLUMNS = ("method", "seed", "input_norm", "group_norm") + METRIC_COLUMNS
 
 
 def comparison_table(rows: list[dict]) -> dict:
@@ -225,10 +225,9 @@ def comparison_table(rows: list[dict]) -> dict:
     for m in methods:
         group = [r for r in out_rows if r["method"] == m]
         med = {"method": m, "seed": "median",
-               "input_norm": group[0]["input_norm"], "group_norm": group[0]["group_norm"],
-               "seen_top1": float(np.median([r["seen_top1"] for r in group])),
-               "novel_top1": float(np.median([r["novel_top1"] for r in group])),
-               "novel_recall": float(np.median([r["novel_recall"] for r in group]))}
+               "input_norm": group[0]["input_norm"], "group_norm": group[0]["group_norm"]}
+        for c in METRIC_COLUMNS:
+            med[c] = float(np.median([r[c] for r in group]))
         out_rows.append(med)
     return {"columns": list(TABLE_COLUMNS), "rows": out_rows,
             "benchmark_echo": echo0}

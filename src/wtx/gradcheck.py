@@ -1,5 +1,7 @@
 """Central finite-difference gradient checking for every layer, both losses,
-and the end-to-end miniature training objective.
+the head's detection loss, and the end-to-end miniature training objective
+on both of its paths: every class row through the encoder (AE-WTN) and the
+shared rows only (WTN+).
 
 The checks perturb the arrays in place that the closure reads, so the
 closure must reference the original array object. Errors are measured as
@@ -113,6 +115,21 @@ def _check_sigmoid_bce(rng) -> float:
                               numeric_gradient(f, logits))
 
 
+def _check_detection_loss(rng) -> float:
+    """``DetectionProxyHead.loss``: its returned row gradient and the
+    gradient it adds to the "other" rows."""
+    head = DetectionProxyHead(n_other=2, d_feat=8)
+    head.other_weights.data[...] = 0.1 * rng.standard_normal((2, 8))
+    rows = rng.standard_normal((3, 8))
+    feats = rng.standard_normal((4, 8))
+    labels = (rng.random((4, 5)) < 0.4).astype(np.float64)
+    f = lambda: head.loss(feats, labels, rows)[0].value
+    d_rows = head.loss(feats, labels, rows, backprop=True)[1]
+    other = head.other_weights
+    return max(max_relative_error(d_rows, numeric_gradient(f, rows)),
+               max_relative_error(other.grad, numeric_gradient(f, other.data)))
+
+
 def miniature_setup(seed: int, variant: str = "ae_wtn"):
     """|C|=6, |S|=3, d=8, hidden=8, G=2, batch=4 joint objective fixture."""
     rng = np.random.default_rng(seed)
@@ -127,9 +144,9 @@ def miniature_setup(seed: int, variant: str = "ae_wtn"):
     return model, head, source, feats, labels
 
 
-def _check_end_to_end(rng) -> float:
+def _check_end_to_end(rng, variant: str = "ae_wtn") -> float:
     seed = int(rng.integers(0, 2**31))
-    model, head, source, feats, labels = miniature_setup(seed)
+    model, head, source, feats, labels = miniature_setup(seed, variant)
     alpha = 20.0
 
     def f():
@@ -149,7 +166,9 @@ _CHECKS = [
     ("classbatchnorm", _check_classbatchnorm, 1e-5),
     ("smooth_l1", _check_smooth_l1, 1e-5),
     ("sigmoid_bce", _check_sigmoid_bce, 1e-5),
+    ("detection_loss", _check_detection_loss, 1e-5),
     ("end_to_end", _check_end_to_end, 1e-4),
+    ("end_to_end_shared", lambda rng: _check_end_to_end(rng, "wtn_plus"), 1e-4),
 ]
 
 

@@ -25,6 +25,16 @@ follow from ``model.encoder_size`` on; every layer's ``Param.data`` and
 Scoring is a bias-free matrix multiplication of features against the
 stacked transferred and conventionally-learned "other" weights, written
 once, in ``DetectionProxyHead.score``: training and evaluation both call it.
+The detection loss on those scores, the mean sigmoid BCE, and its gradient
+are written once too, in ``DetectionProxyHead.loss``, which joint training
+and the baselines' head training both call.
+
+Every method ends in the same pair: W_D, a (|C|, d) row for every source
+class, and a ``DetectionProxyHead``. A transfer model's W_D is its encoding
+of W_C. The non-transfer baselines train the seen rows and the head
+directly (``train_conventional_head``) and fill the novel rows from the
+nearest seen classes (``baseline_nn_transfer``, ``baseline_lsda_bias``), so
+``evaluation.evaluate`` scores every method alike.
 """
 
 from __future__ import annotations
@@ -36,7 +46,7 @@ import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU, flatten
-from .losses import sigmoid_bce, smooth_l1, total_loss
+from .losses import LossValue, sigmoid_bce, smooth_l1, total_loss
 from .matrix import blocked_sq_dists, load_matrix_json, matrix_hash, save_matrix_json
 from .optim import AdamW, SGDMomentum
 
@@ -209,6 +219,18 @@ class DetectionProxyHead:
         stack = np.vstack([w_transferred, self.other_weights.data])
         return features @ stack.T
 
+    def loss(self, features: np.ndarray, labels: np.ndarray, rows: np.ndarray,
+             backprop: bool = False) -> tuple[LossValue, np.ndarray | None]:
+        """Mean sigmoid BCE of ``score(features, rows)`` against ``labels``,
+        and with ``backprop`` the gradient w.r.t. ``rows``; the "other" rows'
+        gradient is then added to ``other_weights.grad``."""
+        l_cls = sigmoid_bce(self.score(features, rows), labels)
+        if not backprop:
+            return l_cls, None
+        dstack = l_cls.grad.T @ features                 # (len(rows) + n_other, d_feat)
+        self.other_weights.grad += dstack[len(rows):]
+        return l_cls, dstack[:len(rows)]
+
 
 @dataclass
 class TrainConfig:
@@ -266,8 +288,7 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
     else:
         w_shared = model.encode(source.weights[shared_idx])
 
-    logits = head.score(features, w_shared)
-    l_cls = sigmoid_bce(logits, labels)
+    l_cls, d_shared = head.loss(features, labels, w_shared, backprop)
 
     l_rec = None
     if reconstruct:
@@ -277,17 +298,13 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
     comb = total_loss(l_cls, l_rec, alpha)
 
     if backprop:
-        dlogits = comb.grad_cls
-        dstack = dlogits.T @ features                    # (|S| + n_other, d_feat)
-        n_s = len(shared_idx)
-        head.other_weights.grad += dstack[n_s:]
         if all_rows:
             dout = np.zeros_like(out_all)
-            dout[shared_idx] += dstack[:n_s]
+            dout[shared_idx] += d_shared
             if l_rec is not None:
                 dout += model.decode_backward(comb.grad_rec)
         else:
-            dout = dstack[:n_s]
+            dout = d_shared
         model.encode_backward(dout)
 
     return l_cls, l_rec, comb.value
@@ -362,58 +379,40 @@ def load_model_params(model: TransferModel, path: str) -> None:
 
 # --- Non-WTN baselines -----------------------------------------------------
 
-@dataclass
-class ConventionalHead:
-    """Per-class weights learned without any transfer network.
-
-    Row order: shared classes (in source order) then "other" classes.
-    ``lsda_biases`` is present when the seen rows were parameterized as
-    frozen W_C rows plus learned additive biases.
-    """
-    weights: np.ndarray
-    n_shared: int
-    lsda_biases: np.ndarray | None = None
-
-
-def train_conventional_head(source: SourceWeights, data, d_feat: int, *,
-                            mode: str = "plain", iterations: int = 600,
-                            batch_size: int = 128, lr: float = 0.02,
+def train_conventional_head(source: SourceWeights, data, *, mode: str = "plain",
+                            iterations: int = 600, batch_size: int = 128, lr: float = 0.02,
                             momentum: float = 0.9, weight_decay: float = 1e-4,
-                            seed: int = 0) -> ConventionalHead:
-    """Train a plain linear head (or LSDA-style biases) on the target task."""
+                            seed: int = 0) -> tuple[np.ndarray, DetectionProxyHead]:
+    """Train (|S|, d) seen rows and a head's "other" rows, with no transfer
+    network, and return ``(w_seen, head)``. The seen rows are learned from
+    zero (``plain``) or as offsets added to the frozen W_C rows (``lsda``)."""
     if mode not in ("plain", "lsda"):
         raise ConfigError(f"unknown head mode {mode!r}")
-    shared_idx = source.shared_index
-    n_s = len(shared_idx)
-    n_other = data.num_other
     rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
-
-    # The learned rows are one (n_s + n_other, d_feat) array added to a fixed
-    # base: the W_C seen rows in lsda mode, zeros otherwise.
-    base = np.zeros((n_s + n_other, d_feat))
-    if mode == "lsda":
-        if source.dim != d_feat:
-            raise ShapeError(f"lsda needs d_src == d_feat, got {source.dim} vs {d_feat}")
-        base[:n_s] = source.weights[shared_idx]
-    learned, grad = np.zeros_like(base), np.zeros_like(base)
-    opt = SGDMomentum(learned, grad, lr=lr, momentum=momentum, weight_decay=weight_decay)
+    shape = len(source.shared_index), source.dim
+    base = source.weights[source.shared_index] if mode == "lsda" else np.zeros(shape)
+    learned, grad = np.zeros(shape), np.zeros(shape)
+    head = DetectionProxyHead(data.num_other, source.dim)
+    # Elementwise steps: the same bits as one optimizer over [seen; other].
+    sgd, other = dict(lr=lr, momentum=momentum, weight_decay=weight_decay), head.other_weights
+    opts = [SGDMomentum(learned, grad, **sgd), SGDMomentum(other.data, other.grad, **sgd)]
 
     for _ in range(iterations):
         feats, labels = data.sample("train", batch_size, rng)
-        logits = feats @ (base + learned).T
-        lv = sigmoid_bce(logits, labels)
-        grad += lv.grad.T @ feats
-        opt.step()
-        opt.zero_grad()
-
-    biases = learned[:n_s] if mode == "lsda" else None
-    return ConventionalHead(weights=base + learned, n_shared=n_s, lsda_biases=biases)
+        grad += head.loss(feats, labels, base + learned, backprop=True)[1]
+        for opt in opts:
+            opt.step()
+            opt.zero_grad()
+    return base + learned, head
 
 
-def _nearest_seen(source: SourceWeights, k: int) -> np.ndarray:
+def _nearest_seen(source: SourceWeights, k: int, w_seen: np.ndarray) -> np.ndarray:
     """Indices (into the shared list) of each novel class's k nearest seen
     classes by Euclidean distance in W_C space, ties broken by class index."""
     shared_idx = source.shared_index
+    if w_seen.shape != (len(shared_idx), source.dim):
+        raise ShapeError(f"seen rows {w_seen.shape} do not match the {len(shared_idx)} "
+                         f"seen classes of width {source.dim}")
     if k < 1 or k > len(shared_idx):
         raise ValueError(f"k must be in [1, {len(shared_idx)}], got {k}")
     novel_idx = source.novel_index
@@ -423,17 +422,26 @@ def _nearest_seen(source: SourceWeights, k: int) -> np.ndarray:
     return nearest
 
 
-def baseline_nn_transfer(head: ConventionalHead, source: SourceWeights, k: int = 1) -> np.ndarray:
-    """Novel weights copied (k=1) or averaged from the nearest seen classes'
-    conventionally learned rows."""
-    nearest = _nearest_seen(source, k)
-    return head.weights[:head.n_shared][nearest].mean(axis=1)
+def _with_novel_rows(w_seen: np.ndarray, source: SourceWeights,
+                     novel_rows: np.ndarray) -> np.ndarray:
+    """W_D: ``w_seen`` in the shared rows and ``novel_rows`` in the novel ones."""
+    w_d = np.empty((source.num_classes, source.dim))
+    w_d[source.shared_index] = w_seen
+    w_d[source.novel_index] = novel_rows
+    return w_d
 
 
-def baseline_lsda_bias(head: ConventionalHead, source: SourceWeights, k: int = 1) -> np.ndarray:
-    """Novel weight = own W_C row + mean learned bias of k nearest seen classes."""
-    if head.lsda_biases is None:
-        raise StateError("head was not trained in lsda mode (no learned biases)")
-    nearest = _nearest_seen(source, k)
-    mean_bias = head.lsda_biases[nearest].mean(axis=1)
-    return source.weights[source.novel_index] + mean_bias
+def baseline_nn_transfer(w_seen: np.ndarray, source: SourceWeights, k: int = 1) -> np.ndarray:
+    """W_D with each novel row copied (k=1) or averaged from the rows of
+    ``w_seen`` of the k nearest seen classes in W_C space."""
+    nearest = _nearest_seen(source, k, w_seen)
+    return _with_novel_rows(w_seen, source, w_seen[nearest].mean(axis=1))
+
+
+def baseline_lsda_bias(w_seen: np.ndarray, source: SourceWeights, k: int = 1) -> np.ndarray:
+    """W_D with each novel row its own W_C row plus the mean offset,
+    ``w_seen - W_C[S]``, of the k nearest seen classes."""
+    nearest = _nearest_seen(source, k, w_seen)
+    offset = w_seen - source.weights[source.shared_index]
+    return _with_novel_rows(w_seen, source,
+                            source.weights[source.novel_index] + offset[nearest].mean(axis=1))

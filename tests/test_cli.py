@@ -68,6 +68,17 @@ def test_config_rejects_bad_values():
         config_from_dict({"model": {"variant": "wtnplus"}})
     with pytest.raises(ConfigError):
         config_from_dict({"seeds": []})
+    # Optimizer settings that ascend the gradient, train nothing, diverge or
+    # grow the weights.
+    for key, value in (("adamw_lr", -0.001), ("adamw_lr", 0), ("head_lr", 0),
+                       ("head_lr", -0.02), ("head_momentum", 1.5), ("head_momentum", 1),
+                       ("head_momentum", -0.1), ("adamw_weight_decay", -5),
+                       ("head_weight_decay", -1e-4)):
+        with pytest.raises(ConfigError, match=f"^{key} must be "):
+            config_from_dict({"train": {key: value}})
+    for key, value in (("head_momentum", 0), ("adamw_weight_decay", 0),
+                       ("head_weight_decay", 0), ("adamw_lr", 1e-300)):
+        config_from_dict({"train": {key: value}})     # the edges stay valid
 
 
 def replaced(doc, path, value):
@@ -545,11 +556,13 @@ def test_cli_bad_alpha_exits_2_before_any_work(tmp_path, monkeypatch, capsys, co
 
 
 BAD_TRAIN_MESSAGES = {"alpha": "train.alpha must be finite and >= 0",
-                      "iterations": "iterations must be at least 1"}
+                      "iterations": "iterations must be at least 1",
+                      "adamw_lr": "error: adamw_lr must be > 0, got -0.001"}
 
 
 @pytest.mark.parametrize("key, value", [("alpha", -1.0), ("alpha", -1e-300),
-                                        ("iterations", 0), ("iterations", -3)])
+                                        ("iterations", 0), ("iterations", -3),
+                                        ("adamw_lr", -0.001)])
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_cli_bad_train_config_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command,
                                                       key, value):
@@ -691,6 +704,13 @@ def test_cli_compare_grid_structure(tmp_path):
     flags = {(r["input_norm"], r["group_norm"]) for r in per_seed}
     assert len(per_seed) == 4
     assert flags == {(False, False), (True, False), (False, True), (True, True)}
+    # Recorded before the sweep's methods came from one method table (numpy
+    # 2.4, OpenBLAS 0.3.31, x86-64).
+    tree = read_tree(out)
+    assert hashlib.sha256(tree["comparison.json"]).hexdigest() == \
+        "21993953d7ad535b5d569cef05315881feb04a6d9e7482e68043848ee34deafa"
+    assert hashlib.sha256(tree["comparison.csv"]).hexdigest() == \
+        "ba7174b66813c4548a22387769f60b6b1b62a6d4c57a3c4ff71bf067ab6fab0f"
 
 
 @pytest.fixture(scope="module")
@@ -1007,6 +1027,23 @@ def test_cli_compare_run_dirs_rejects_a_run_given_twice(seed_runs, tmp_path, cap
         assert str(run) in err and again in err
         assert calls == []
         assert not os.path.exists(tmp_path / "cmp")
+
+
+@pytest.mark.parametrize("flags", [["--config", "/nonexistent/config.json"], ["--seed", "0"],
+                                   ["--grid"], ["--alpha", "0"]], ids=lambda f: f[0])
+def test_cli_compare_run_dirs_rejects_the_sweep_flags(seed_runs, tmp_path, capsys, monkeypatch,
+                                                      flags):
+    # The sweep flags do nothing to runs that are already trained; given
+    # with RUN_DIRS they exit 2 before any run dir is read.
+    import wtx.cli
+    read = []
+    monkeypatch.setattr(wtx.cli, "_read_run_dir", read.append)
+    capsys.readouterr()
+    assert main(["compare", str(seed_runs["wtn", 0]), str(seed_runs["wtn", 1]), *flags,
+                 "--out", str(tmp_path / "cmp")]) == 2
+    assert capsys.readouterr().err.startswith(f"error: {flags[0]} configures a sweep")
+    assert read == []
+    assert not os.path.exists(tmp_path / "cmp")
 
 
 def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys):

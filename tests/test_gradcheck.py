@@ -23,6 +23,7 @@ def test_suite_all_pass_two_seeds():
     results = run_gradient_suite(seeds=range(2))
     names = {r.name for r in results}
     assert names == {"linear", "relu", "standardizer", "groupnorm",
-                     "classbatchnorm", "smooth_l1", "sigmoid_bce", "end_to_end"}
+                     "classbatchnorm", "smooth_l1", "sigmoid_bce", "detection_loss",
+                     "end_to_end", "end_to_end_shared"}
     for r in results:
         assert r.passed, f"{r.name} seed {r.seed}: {r.error:.2e} >= {r.tol}"

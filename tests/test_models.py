@@ -6,6 +6,7 @@ import pytest
 from wtx.cli import run_training
 from wtx.config import EvalSettings, ExperimentConfig
 from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged, ValidationError
+from wtx.evaluation import evaluate
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.layers import GroupNorm, InputStandardizer, Linear, ReLU
 from wtx.losses import sigmoid_bce, smooth_l1, total_loss
@@ -14,7 +15,7 @@ from wtx.models import (DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
                         baseline_nn_transfer, joint_losses, load_model_params,
                         save_model_params, train_conventional_head, train_joint)
-from wtx.optim import AdamW
+from wtx.optim import AdamW, SGDMomentum
 
 from conftest import make_model
 
@@ -475,12 +476,10 @@ def test_nn_baseline_inherits_exact_match_row():
     w = rng.standard_normal((8, 6))
     w[5] = w[2]                      # novel class 5 duplicates seen class 2
     src = SourceWeights.create(w, [0, 1, 2, 3])
-    head_rows = rng.standard_normal((4 + 2, 6))
-    from wtx.models import ConventionalHead
-    head = ConventionalHead(weights=head_rows, n_shared=4)
-    novel_w = baseline_nn_transfer(head, src, k=1)
-    # novel classes are [4, 5, 6, 7]; class 5 is row index 1 of the novel list
-    assert np.array_equal(novel_w[1], head_rows[2])
+    w_seen = rng.standard_normal((4 + 2, 6))[:4]
+    w_d = baseline_nn_transfer(w_seen, src, k=1)
+    assert np.array_equal(w_d[5], w_seen[2])
+    assert np.array_equal(w_d[:4], w_seen)
 
 
 def test_nn_baseline_matches_brute_force_oracle():
@@ -494,54 +493,121 @@ def test_nn_baseline_matches_brute_force_oracle():
     big = cases[1][0]
     big[1:40:2] = big[0:40:2]
     big[150:190] = big[0:40]
-    from wtx.models import ConventionalHead
     for w, n_shared, head_rows in cases:
         src = SourceWeights.create(w, list(range(n_shared)))
-        head = ConventionalHead(weights=head_rows, n_shared=n_shared)
+        w_seen = head_rows[:n_shared]
         shared, novel = src.shared_index, src.novel_index
         for k in (1, 3):
-            got = baseline_nn_transfer(head, src, k=k)
-            for i, n in enumerate(novel):
+            got = baseline_nn_transfer(w_seen, src, k=k)
+            assert np.array_equal(got[shared], w_seen)
+            for n in novel:
                 dists = sorted((np.sum((src.weights[n] - src.weights[s]) ** 2), j)
                                for j, s in enumerate(shared))
                 nearest = [j for _, j in dists[:k]]
-                assert np.array_equal(got[i], head.weights[nearest].mean(axis=0))
+                assert np.array_equal(got[n], w_seen[nearest].mean(axis=0))
+
+
+def test_lsda_baseline_matches_brute_force_oracle():
+    rng = np.random.default_rng(16)
+    src = SourceWeights.create(rng.standard_normal((30, 8)), list(range(12)))
+    w_seen = rng.standard_normal((12, 8))
+    shared, novel = src.shared_index, src.novel_index
+    for k in (1, 3):
+        got = baseline_lsda_bias(w_seen, src, k=k)
+        assert np.array_equal(got[shared], w_seen)
+        for n in novel:
+            dists = sorted((np.sum((src.weights[n] - src.weights[s]) ** 2), j)
+                           for j, s in enumerate(shared))
+            nearest = [j for _, j in dists[:k]]
+            offset = np.mean([w_seen[j] - src.weights[shared[j]] for j in nearest], axis=0)
+            assert np.allclose(got[n], src.weights[n] + offset, rtol=0, atol=1e-15)
 
 
 def test_nn_baseline_k_out_of_range():
     src = small_source(13, n=10, shared=4)
-    from wtx.models import ConventionalHead
-    head = ConventionalHead(weights=np.zeros((6, 8)), n_shared=4)
+    w_seen = np.zeros((4, 8))
     with pytest.raises(ValueError):
-        baseline_nn_transfer(head, src, k=5)
+        baseline_nn_transfer(w_seen, src, k=5)
     with pytest.raises(ValueError):
-        baseline_nn_transfer(head, src, k=0)
+        baseline_nn_transfer(w_seen, src, k=0)
 
 
 def test_lsda_zero_biases_returns_source_rows():
+    # Seen rows equal to their W_C rows have a zero offset, so every row of
+    # W_D is its W_C row.
     src = small_source(14, n=10, shared=4, d=8)
-    from wtx.models import ConventionalHead
-    head = ConventionalHead(weights=np.vstack([src.weights[src.shared_index],
-                                               np.zeros((2, 8))]),
-                            n_shared=4, lsda_biases=np.zeros((4, 8)))
-    out = baseline_lsda_bias(head, src, k=2)
-    assert np.array_equal(out, src.weights[src.novel_index])
+    out = baseline_lsda_bias(src.weights[src.shared_index], src, k=2)
+    assert np.array_equal(out, src.weights)
 
 
-def test_lsda_requires_biases():
+def test_baselines_require_one_row_per_seen_class():
     src = small_source(15, n=10, shared=4)
-    from wtx.models import ConventionalHead
-    head = ConventionalHead(weights=np.zeros((6, 8)), n_shared=4)
-    with pytest.raises(StateError):
-        baseline_lsda_bias(head, src, k=1)
+    for baseline in (baseline_nn_transfer, baseline_lsda_bias):
+        for shape in ((5, 8), (3, 8), (1, 8), (4, 7)):
+            with pytest.raises(ShapeError, match="do not match the 4 seen classes of width 8"):
+                baseline(np.zeros(shape), src, k=1)
 
 
 def test_conventional_head_trains_and_reports_modes(tiny_bench):
     bench = tiny_bench
-    plain = train_conventional_head(bench.source, bench, bench.d_feat,
-                                    mode="plain", iterations=60, batch_size=32, seed=1)
-    assert plain.lsda_biases is None
-    assert plain.weights.shape == (10 + 3, 16)
-    lsda = train_conventional_head(bench.source, bench, bench.d_feat,
-                                   mode="lsda", iterations=60, batch_size=32, seed=1)
-    assert lsda.lsda_biases is not None and lsda.lsda_biases.shape == (10, 16)
+    for mode in ("plain", "lsda"):
+        w_seen, head = train_conventional_head(bench.source, bench, mode=mode,
+                                               iterations=60, batch_size=32, seed=1)
+        assert w_seen.shape == (10, 16)
+        assert isinstance(head, DetectionProxyHead)
+        assert head.other_weights.data.shape == (3, 16)
+        assert np.all(head.other_weights.grad == 0.0)
+        base = bench.source.weights[bench.source.shared_index] if mode == "lsda" else 0.0
+        assert np.any(w_seen != base) and np.any(head.other_weights.data != 0.0)
+
+
+def stacked_conventional_head(source, data, mode, iterations, batch_size, seed,
+                              lr=0.02, momentum=0.9, weight_decay=1e-4):
+    """The reference loop: one SGDMomentum over the stacked [seen; other]
+    rows, learned on top of a fixed base (the W_C seen rows in lsda mode,
+    zeros otherwise) and scored as ``feats @ (base + learned).T``. Returns the
+    seen rows and the "other" rows."""
+    shared_idx = source.shared_index
+    n_s = len(shared_idx)
+    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    base = np.zeros((n_s + data.num_other, source.dim))
+    if mode == "lsda":
+        base[:n_s] = source.weights[shared_idx]
+    learned, grad = np.zeros_like(base), np.zeros_like(base)
+    opt = SGDMomentum(learned, grad, lr=lr, momentum=momentum, weight_decay=weight_decay)
+    for _ in range(iterations):
+        feats, labels = data.sample("train", batch_size, rng)
+        lv = sigmoid_bce(feats @ (base + learned).T, labels)
+        grad += lv.grad.T @ feats
+        opt.step()
+        opt.zero_grad()
+    weights = base + learned
+    return weights[:n_s], weights[n_s:]
+
+
+@pytest.mark.parametrize("mode", ["plain", "lsda"])
+def test_conventional_head_matches_the_stacked_reference_bitwise(tiny_bench, mode):
+    w_seen, head = train_conventional_head(tiny_bench.source, tiny_bench, mode=mode,
+                                           iterations=60, batch_size=32, seed=3)
+    want_seen, want_other = stacked_conventional_head(tiny_bench.source, tiny_bench, mode,
+                                                      iterations=60, batch_size=32, seed=3)
+    assert np.array_equal(w_seen, want_seen)
+    assert np.array_equal(head.other_weights.data, want_other)
+
+
+@pytest.mark.parametrize("mode, baseline", [("plain", baseline_nn_transfer),
+                                            ("lsda", baseline_lsda_bias)])
+def test_baseline_w_d_and_head_are_scored_by_evaluate(tiny_bench, mode, baseline):
+    bench = tiny_bench
+    w_seen, head = train_conventional_head(bench.source, bench, mode=mode,
+                                           iterations=200, batch_size=32, seed=1)
+    w_d = baseline(w_seen, bench.source, k=2)
+    assert w_d.shape == bench.source.weights.shape
+    assert np.array_equal(w_d[bench.source.shared_index], w_seen)
+    seen = evaluate(head, w_d, bench, "eval_seen", k=3)
+    novel = evaluate(head, w_d, bench, "eval_novel", k=3)
+    assert seen.universe == [*bench.source.shared_index.tolist(), 24, 25, 26]
+    assert novel.universe == list(range(24 + 3))
+    # 13 detector classes: chance top-1 is about 0.08.
+    assert seen.top1 > 0.5
+    assert 0.0 <= novel.top1 <= novel.recall_k <= 1.0
