@@ -38,20 +38,26 @@ as a string, to the ascending list of the global column ids its examples
 are labeled with, ``{"3": [3, 17], "5": [5], ...}``. Columns
 ``0 .. |C| - 1`` are the source classes and ``|C| .. |C| + num_other - 1``
 the target-only classes. The labels of example ``i`` are the list of the
-class on line ``i`` of ``SPLIT_primary.csv``.
+class on line ``i`` of ``SPLIT_primary.csv``. Nothing in the package reads
+this export back.
+
+The benchmark cache of ``wtx.cli`` stores an instance in another format,
+one ``.npz`` archive per instance (``instance_entry``, read back by
+``load_instance_entry``) that holds every array and the fingerprint.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
 import numpy as np
 
-from .errors import ConfigError, StateError
+from .errors import ConfigError, StateError, ValidationError
 from .losses import _logistic
 from .matrix import (atomic_write_text, blocked_sq_dists, matrix_hash, nearest_other_row,
                      row_l2_norms, save_matrix_json, save_matrix_npy)
@@ -383,8 +389,8 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
     allow_pickle=False)``), ``SPLIT_primary.csv`` and
     ``SPLIT_class_labels.json``, each class id mapped to its ascending
     positive column ids (the module docstring gives the formats). Nothing in
-    the package reads them back: every command that needs a benchmark
-    regenerates it from the config and seed."""
+    the package reads them back: a command that needs a benchmark gets it
+    from the benchmark cache or the generator."""
     os.makedirs(dirpath, exist_ok=True)
     manifest = {
         "config": asdict(instance.config),
@@ -411,3 +417,56 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
         atomic_write_text(os.path.join(dirpath, f"{name}_primary.csv"),
                           "\n".join(map(str, sp.primary.tolist())) + "\n")
 
+
+# --- cache entries ------------------------------------------------------------
+
+_SPLIT_ARRAYS = tuple(f.name for f in fields(Split))
+
+
+def instance_entry(instance: BenchmarkInstance) -> bytes:
+    """The instance as one uncompressed ``.npz`` archive: every array, and a
+    ``meta`` string of JSON with the config, seed, co-occurrence radius,
+    measured statistics, split names and fingerprint. Split arrays are named
+    ``SPLIT.FIELD``. ``load_instance_entry`` reads it back."""
+    meta = {"config": asdict(instance.config), "seed": instance.seed,
+            "cooccur_radius": instance.cooccur_radius, "measured": instance.measured,
+            "splits": list(instance.splits), "fingerprint": instance.fingerprint}
+    arrays = {"meta": np.array(json.dumps(meta)),
+              "source_weights": instance.source.weights,
+              "shared_mask": instance.source.shared_mask,
+              "prototypes": instance.prototypes, "cluster_ids": instance.cluster_ids,
+              "other_prototypes": instance.other_prototypes, "rotation": instance.rotation}
+    for name, sp in instance.splits.items():
+        arrays.update({f"{name}.{f}": getattr(sp, f) for f in _SPLIT_ARRAYS})
+    buf = io.BytesIO()
+    np.savez(buf, **arrays)
+    return buf.getvalue()
+
+
+def load_instance_entry(path: str, config: BenchConfig, seed: int) -> BenchmarkInstance:
+    """The instance in an entry that ``instance_entry`` wrote for (config,
+    seed), read without unpickling. W_C and the split features come back
+    read-only, as ``generate_benchmark`` makes them. An entry of another
+    (config, seed), or one whose arrays do not hash to its stored
+    fingerprint, raises ValidationError; a file that is not such an archive
+    raises what numpy or the zip reader raise."""
+    # The file is opened here: np.load leaves its own file open when the
+    # archive fails to parse.
+    with open(path, "rb") as f, np.load(f, allow_pickle=False) as archive:
+        a = {name: archive[name] for name in archive.files}
+    meta = json.loads(str(a["meta"]))
+    if meta["config"] != asdict(config) or meta["seed"] != seed:
+        raise ValidationError(f"{path}: an entry of another benchmark")
+    splits = {name: Split(**{f: a[f"{name}.{f}"] for f in _SPLIT_ARRAYS})
+              for name in meta["splits"]}
+    for sp in splits.values():
+        sp.features.setflags(write=False)
+    instance = BenchmarkInstance(
+        config=config, seed=seed,
+        source=SourceWeights.create(a["source_weights"], np.flatnonzero(a["shared_mask"])),
+        prototypes=a["prototypes"], cluster_ids=a["cluster_ids"],
+        other_prototypes=a["other_prototypes"], cooccur_radius=meta["cooccur_radius"],
+        rotation=a["rotation"], splits=splits, measured=meta["measured"])
+    if instance.fingerprint != meta["fingerprint"]:
+        raise ValidationError(f"{path}: the arrays do not hash to the stored fingerprint")
+    return instance

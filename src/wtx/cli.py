@@ -30,13 +30,33 @@ under ``runs/TAG/``):
 ``generate`` writes ``config.json`` (with method ``benchmark``) and the
 benchmark export listed in the ``wtx.bench`` docstring.
 
+Every command that needs a benchmark (``generate``, ``train``, each
+``compare`` sweep worker and each reload) gets it from one benchmark cache.
+An entry is ``$XDG_CACHE_HOME/wtx/benchmarks/KEY.npz``, under ``~/.cache``
+when XDG_CACHE_HOME is unset, in a directory of mode 0700. KEY is the
+sha256 of canonical JSON of the benchmark config, the seed and a stamp of
+what else the benchmark's bits may depend on: the sha256 of this package's
+``.py`` sources, the Python and numpy versions, numpy's BLAS name and
+version, and the host name and architecture. An entry (the format of
+``wtx.bench.instance_entry``) is used only if it reads back whole and its
+arrays hash to the fingerprint stored in it; otherwise the benchmark is
+built by ``generate_benchmark`` and its entry written. An error reading the
+cache counts as a miss and an error writing it is ignored, so the cache
+changes no exit code and no output byte. After each write the least
+recently used entries are deleted until the directory holds at most
+``CACHE_BYTES`` (512 MiB); a hit counts as a use.
+
 ``eval``, ``analyze`` and ``compare RUN_DIRS`` reload a run directory. A
-reload reads and shape-checks the run's matrix files first, then
-regenerates the benchmark from the config and seed and checks it against
-the recorded ``benchmark_sha256``. ``compare RUN_DIRS`` builds each
-distinct (benchmark config, seed) once and checks every run directory's
-fingerprint against it. It reads every run directory before it builds any
-benchmark, and takes one run per (method, seed), the key of a table row,
+reload reads and shape-checks the run's matrix files first, then gets the
+benchmark of the config and seed and checks its fingerprint, hashed from
+the arrays in hand, against the recorded ``benchmark_sha256``. A cached
+benchmark that does not match is built by the generator again before the
+mismatch is reported, so the message is about a regenerated benchmark. A
+run's method must be a label of ``METHODS`` with that label's variant and
+model overrides. ``compare RUN_DIRS`` gets each distinct (benchmark config,
+seed) once and checks every run directory's fingerprint against it. It
+reads every run directory before it gets any benchmark, and takes one run
+per (method, seed), the key of a table row,
 and only runs scored with one ``evaluation.recall_k``. It scores the runs
 as they were trained, so the sweep flags ``--config``, ``--seed``,
 ``--grid`` and ``--alpha`` exit 2 with RUN_DIRS, before any run directory
@@ -65,8 +85,11 @@ initializer could run; this process's own values are restored afterwards.
 from __future__ import annotations
 
 import argparse
+import functools
+import hashlib
 import json
 import os
+import platform
 import shutil
 import sys
 from contextlib import contextmanager
@@ -74,7 +97,8 @@ from dataclasses import asdict, fields
 
 import numpy as np
 
-from .bench import BenchmarkInstance, generate_benchmark, save_instance
+from .bench import (BenchConfig, BenchmarkInstance, generate_benchmark, instance_entry,
+                    load_instance_entry, save_instance)
 from .config import (ExperimentConfig, check_alpha, check_section, config_from_dict,
                      config_to_dict, default_config, is_seed)
 from .errors import ConfigError, StateError, TrainingDiverged, ValidationError, WorkerDied
@@ -157,6 +181,89 @@ def _run_config_payload(cfg: ExperimentConfig, variant: str, seed: int,
     return doc
 
 
+# The benchmark cache keeps at most this many bytes of entries.
+CACHE_BYTES = 512 << 20
+
+
+@functools.cache
+def _cache_stamp() -> dict:
+    """What a benchmark's bits may depend on besides its config and seed:
+    this package's sources, Python, numpy and its BLAS, and the host."""
+    package = os.path.dirname(os.path.abspath(__file__))
+    sources = hashlib.sha256()
+    for name in sorted(os.listdir(package)):
+        if name.endswith(".py"):
+            with open(os.path.join(package, name), "rb") as f:
+                sources.update(name.encode() + b"\0" + hashlib.sha256(f.read()).digest())
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except (TypeError, KeyError):       # a numpy without the dict form
+        blas = {}
+    return {"sources": sources.hexdigest(), "python": sys.version, "numpy": np.__version__,
+            "blas": [blas.get("name"), blas.get("version")],
+            "host": platform.node(), "arch": platform.machine()}
+
+
+def _cache_key(config: BenchConfig, seed: int) -> str:
+    doc = {"benchmark": asdict(config), "seed": seed, "stamp": _cache_stamp()}
+    return hashlib.sha256(json.dumps(doc, sort_keys=True, separators=(",", ":"))
+                          .encode()).hexdigest()
+
+
+def _cache_dir() -> str:
+    base = os.environ.get("XDG_CACHE_HOME", "")
+    if not os.path.isabs(base):         # unset, empty or relative: the default
+        base = os.path.join(os.path.expanduser("~"), ".cache")
+    return os.path.join(base, "wtx", "benchmarks")
+
+
+def _store_entry(path: str, bench: BenchmarkInstance) -> None:
+    """Write the cache entry, then delete the least recently used entries
+    until the directory holds at most CACHE_BYTES. An OSError ends this
+    quietly: the cache only saves time."""
+    cache_dir = os.path.dirname(path)
+    try:
+        os.makedirs(cache_dir, mode=0o700, exist_ok=True)
+        atomic_write_text(path, instance_entry(bench))
+        entries = []
+        for entry in os.scandir(cache_dir):
+            if entry.name.endswith(".npz") and not entry.name.startswith("."):
+                st = entry.stat()
+                entries.append((st.st_mtime_ns, entry.name, st.st_size))
+        held = sum(size for *_, size in entries)
+        for _, name, size in sorted(entries):
+            if held <= CACHE_BYTES:
+                break
+            os.unlink(os.path.join(cache_dir, name))
+            held -= size
+    except OSError:
+        pass
+
+
+def _benchmark(config: BenchConfig, seed: int, *,
+               look_up: bool = True) -> tuple[BenchmarkInstance, bool]:
+    """The benchmark of (config, seed) and whether it came from the cache.
+    A cache entry is used only if it reads back whole and its arrays hash
+    to its stored fingerprint; anything else builds the benchmark with
+    ``generate_benchmark`` and writes its entry. ``look_up=False`` builds
+    without reading the cache."""
+    path = os.path.join(_cache_dir(), _cache_key(config, seed) + ".npz")
+    if look_up:
+        try:
+            bench = load_instance_entry(path, config, seed)
+        except Exception:       # any read error or failed check is a miss
+            pass
+        else:
+            try:
+                os.utime(path)          # most recently used
+            except OSError:
+                pass
+            return bench, True
+    bench = generate_benchmark(config, seed)
+    _store_entry(path, bench)
+    return bench, False
+
+
 # Each method label with the variant and the model overrides it trains.
 METHODS = {
     "wtn": ("wtn", {}),
@@ -176,11 +283,11 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str,
     holds the run's tag, its report, the benchmark, the trained model and
     head, and ``w_d``: W_D, the matrix written to ``weights__TAG.json``.
 
-    ``bench`` is the seed's benchmark if the caller has generated it already;
-    if not, it is generated here."""
+    ``bench`` is the seed's benchmark if the caller has it already; if not,
+    it comes from the benchmark cache or the generator."""
     variant, model_overrides = METHODS[method]
     if bench is None:
-        bench = generate_benchmark(cfg.benchmark, seed)
+        bench, _ = _benchmark(cfg.benchmark, seed)
     mc = cfg.model_config(variant, **model_overrides)
     model = TransferModel(mc, bench.source, seed)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
@@ -238,8 +345,19 @@ def _read_run_dir(run_dir: str):
     # The variant is resolved on its own; an override may not replace it.
     overrides = check_section(ModelConfig, resolved.get("model_overrides", {}),
                               "resolved.model_overrides", _OVERRIDE_KEYS)
+    # The method names the run's files, so it must be a label of METHODS
+    # before any path is built from it.
+    method = resolved["method"]
+    if method not in METHODS:
+        raise ConfigError(f"{cfg_path}: resolved method {method!r} is not one of "
+                          f"{', '.join(METHODS)}")
+    if (resolved["variant"], overrides) != METHODS[method]:
+        raise ConfigError(f"{cfg_path}: method {method!r} trains variant "
+                          f"{METHODS[method][0]!r} with model_overrides {METHODS[method][1]}; "
+                          f"the resolved block gives variant {resolved['variant']!r} with "
+                          f"model_overrides {overrides}")
     cfg = config_from_dict(doc)
-    tag = f"{resolved['method']}__seed{seed}"
+    tag = f"{method}__seed{seed}"
     bc = cfg.benchmark
     w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"),
                            (bc.num_classes, bc.dim))
@@ -251,27 +369,33 @@ def _read_run_dir(run_dir: str):
 
 def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
                    benches: dict) -> BenchmarkInstance:
-    """The benchmark a run was trained on, regenerated from its config and
-    seed; it must have the fingerprint the run recorded. ``benches`` maps
-    (BenchConfig, seed) to a benchmark; a command that reloads several run
-    dirs passes one dict so that each distinct benchmark is built once."""
+    """The benchmark a run was trained on, from its config and seed; its
+    fingerprint, hashed from the arrays in hand, must be the one the run
+    recorded. A cached benchmark that does not match is built again before
+    the mismatch is reported. ``benches`` maps (BenchConfig, seed) to a
+    (benchmark, cached) pair; a command that reloads several run dirs
+    passes one dict so that each distinct benchmark is loaded once."""
     key = cfg.benchmark, resolved["seed"]
     if key not in benches:
-        benches[key] = generate_benchmark(*key)
-    actual = benches[key].fingerprint
+        benches[key] = _benchmark(*key)
     stamped = resolved.get("benchmark_sha256")
+    bench, cached = benches[key]
+    if bench.fingerprint != stamped and cached:
+        benches[key] = _benchmark(*key, look_up=False)
+        bench = benches[key][0]
+    actual = bench.fingerprint
     if stamped != actual:
         raise ValidationError(f"{run_dir}: the regenerated benchmark has fingerprint "
                               f"{actual}; config.json records "
                               f"{stamped or 'none (retrain the run)'}")
-    return benches[key]
+    return bench
 
 
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seeds(cfg, args.seed)[0]
     with staged_output(args.out, args.overwrite) as tmp:
-        bench = generate_benchmark(cfg.benchmark, seed)
+        bench, _ = _benchmark(cfg.benchmark, seed)
         save_instance(bench, tmp)
         _write_json(os.path.join(tmp, "config.json"),
                     _run_config_payload(cfg, cfg.model.variant, seed, None, "benchmark",
@@ -357,10 +481,10 @@ def _one_blas_thread_env():
 
 def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
                 runs_dir: str) -> list[dict]:
-    """One seed of a compare sweep, run in a worker process: generate the
-    seed's benchmark once, then train and score every method on it. Returns
-    one row per method, in ``methods`` order."""
-    bench = generate_benchmark(cfg.benchmark, seed)
+    """One seed of a compare sweep, run in a worker process: get the seed's
+    benchmark once, then train and score every method on it. Returns one row
+    per method, in ``methods`` order."""
+    bench, _ = _benchmark(cfg.benchmark, seed)
     rows = []
     for method in methods:
         outdir = os.path.join(runs_dir, f"{method}__seed{seed}")

@@ -86,7 +86,14 @@ class ReLU:
 
     def forward(self, x: np.ndarray) -> np.ndarray:
         self._mask = x > 0
-        return np.where(self._mask, x, 0.0)
+        # The bits of where(x > 0, x, 0.0) without numpy's slow scalar
+        # select: fmax gives -0.0 for -0.0, which adding 0.0 turns into 0.0,
+        # and 0.0 for NaN, except for a signaling NaN in its scalar tail loop.
+        out = np.fmax(x, 0.0)
+        out += 0.0
+        if np.isnan(out).any():
+            out[np.isnan(out)] = 0.0
+        return out
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if self._mask is None:
@@ -115,6 +122,7 @@ class InputStandardizer:
         self.mu = np.asarray(mu, dtype=np.float64)
         self.sigma = np.asarray(sigma, dtype=np.float64)
         self.epsilon = float(epsilon)
+        self._scale = self.sigma + self.epsilon
         self._seen_forward = False
 
     @classmethod
@@ -128,13 +136,13 @@ class InputStandardizer:
         if x.ndim != 2 or x.shape[1] != self.mu.shape[0]:
             raise ShapeError(f"standardizer expects (batch, {self.mu.shape[0]}), got {x.shape}")
         self._seen_forward = True
-        return (x - self.mu) / (self.sigma + self.epsilon)
+        return (x - self.mu) / self._scale
 
     def backward(self, dout: np.ndarray) -> np.ndarray:
         if not self._seen_forward:
             raise StateError("standardizer backward called before forward")
         self._seen_forward = False
-        return dout / (self.sigma + self.epsilon)
+        return dout / self._scale
 
     def params(self):
         return []

@@ -40,7 +40,7 @@ nearest seen classes (``baseline_nn_transfer``, ``baseline_lsda_bias``), so
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -260,8 +260,7 @@ class TrainingReport:
     model_hash_final: str = ""
 
     def to_json(self) -> str:
-        payload = asdict(self)
-        del payload["curve"]
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curve"}
         return json.dumps(payload, sort_keys=True, indent=1)
 
 

@@ -46,6 +46,26 @@ def assert_no_worker_left():
         assert b"multiprocessing.resource_tracker" in cmdline, (pid, cmdline)
 
 
+@pytest.fixture(scope="session", autouse=True)
+def session_cache_home(tmp_path_factory):
+    """Point the benchmark cache of every command the suite runs, those of
+    session and module fixtures included, at a directory of the session
+    instead of the user's cache."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", str(tmp_path_factory.mktemp("session_cache")))
+        yield
+
+
+@pytest.fixture(autouse=True)
+def cache_home(tmp_path_factory, monkeypatch):
+    """A fresh, empty benchmark cache for each test, outside its tmp_path,
+    so that a test which counts builds counts only its own; returns the
+    cache's base directory."""
+    home = tmp_path_factory.mktemp("cache")
+    monkeypatch.setenv("XDG_CACHE_HOME", str(home))
+    return home
+
+
 @pytest.fixture(scope="session")
 def tiny_bench():
     """Small benchmark instance shared by model and evaluation tests."""

@@ -1,5 +1,6 @@
 import concurrent.futures
 import copy
+import dataclasses
 import hashlib
 import json
 import os
@@ -10,10 +11,11 @@ import subprocess
 import sys
 from concurrent.futures import Future
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from wtx.bench import generate_benchmark
+from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_instance_entry
 from wtx.cli import main, run_training, staged_output
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
@@ -677,18 +679,45 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
     ("compare", "seed", None),
     ("eval", "method", 0),
     ("compare", "method", ["ae_wtn"]),
+    # The method names the run's files: it must be a label of METHODS, with
+    # that label's variant and model overrides.
+    ("eval", "method", "x/../../escaped"),
+    ("analyze", "method", "benchmark"),
+    ("compare", "method", "wtn"),
+    ("eval", "variant", "wtn"),
+    ("analyze", "model_overrides", {"feature_norm": False}),
 ])
-def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, command, key, value):
+def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, command, key,
+                                                value):
+    import wtx.cli
     cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
     run_dir = str(tmp_path / "run")
     assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
     with open(os.path.join(run_dir, "config.json")) as f:
         doc = json.load(f)
     write_config(tmp_path, replaced(doc, ("resolved", key), value), name="run/config.json")
+    for name in ("weights__x", "head__x"):      # would let "x/../../escaped" resolve
+        os.mkdir(os.path.join(run_dir, name))
+    opened = []
+    monkeypatch.setattr(wtx.cli, "load_matrix_json", lambda *a: opened.append(a))
     argv = [command, run_dir] + (["--out", str(tmp_path / "cmp")] if command == "compare" else [])
     capsys.readouterr()
     assert main(argv) == 2
     assert key in capsys.readouterr().err
+    assert opened == []         # no file named from the tag was opened
+
+
+def test_cli_reload_of_an_unknown_method_names_the_file_and_the_labels(trained_run, tmp_path,
+                                                                       capsys):
+    import wtx.cli
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    edit_json(run_dir / "config.json", lambda doc: doc["resolved"].update(method="ridge"))
+    capsys.readouterr()
+    assert main(["eval", str(run_dir)]) == 2
+    err = capsys.readouterr().err
+    assert str(run_dir / "config.json") in err and "'ridge'" in err
+    assert all(label in err for label in wtx.cli.METHODS)
 
 
 def test_cli_compare_grid_structure(tmp_path):
@@ -835,8 +864,9 @@ def test_cli_analyze_rejects_name_keyed_model_params(trained_run, tmp_path, caps
 def test_cli_analyze_rejects_params_of_another_model_size(trained_run, tmp_path, capsys):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
-    edit_json(run_dir / "config.json",
-              lambda doc: doc["resolved"].update(model_overrides={"hidden_dim": 8}))
+    # A method's model overrides are fixed by METHODS; the config's model
+    # section sets the width.
+    edit_json(run_dir / "config.json", lambda doc: doc["model"].update(hidden_dim=8))
     assert main(["eval", str(run_dir)]) == 0      # eval does not read the parameters
     capsys.readouterr()
     assert main(["analyze", str(run_dir)]) == 2
@@ -1096,3 +1126,216 @@ def test_cli_generate_tiny_bytes(tmp_path):
                  "--out", str(out)]) == 0
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in read_tree(out).items()} == TINY_GENERATE_SHA256
+
+
+# --- benchmark cache --------------------------------------------------------------
+
+def cache_entries(cache_home):
+    """The file names in the benchmark cache under ``cache_home``."""
+    root = cache_home / "wtx" / "benchmarks"
+    return sorted(os.listdir(root)) if root.exists() else []
+
+
+def instance_parts(bench):
+    """Every array of a benchmark instance by name, and its other fields."""
+    arrays, other = {}, {"splits": list(bench.splits)}
+    for f in dataclasses.fields(bench):
+        value = getattr(bench, f.name)
+        if f.name == "source":
+            arrays.update({f"source.{g.name}": getattr(value, g.name)
+                           for g in dataclasses.fields(value)})
+        elif f.name == "splits":
+            arrays.update({f"{name}.{g.name}": getattr(sp, g.name)
+                           for name, sp in value.items() for g in dataclasses.fields(sp)})
+        elif isinstance(value, np.ndarray):
+            arrays[f.name] = value
+        else:
+            other[f.name] = value
+    return arrays, other
+
+
+def assert_same_instance(got, want):
+    """The same arrays (dtype, shape, layout, write flag and bits), the same
+    other fields and the same fingerprint."""
+    got_arrays, got_other = instance_parts(got)
+    want_arrays, want_other = instance_parts(want)
+    assert got_other == want_other
+    assert list(got_arrays) == list(want_arrays)
+    for name, a in got_arrays.items():
+        b = want_arrays[name]
+        assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable) == \
+            (b.dtype, b.shape, b.flags.c_contiguous, b.flags.writeable), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.fingerprint == want.fingerprint
+
+
+def test_cache_hit_equals_a_fresh_build(cache_home):
+    import wtx.cli
+    config = tiny_config()
+    built, cached = wtx.cli._benchmark(config, 5)
+    assert not cached and len(cache_entries(cache_home)) == 1
+    hit, cached = wtx.cli._benchmark(config, 5)
+    assert cached and hit is not built
+    fresh = generate_benchmark(config, 5)
+    assert_same_instance(built, fresh)
+    assert_same_instance(hit, fresh)
+    assert not hit.source.weights.flags.writeable      # W_C and features are read-only
+    assert stat.S_IMODE(os.stat(cache_home / "wtx" / "benchmarks").st_mode) == 0o700
+
+
+def run_all_reloads(root):
+    """eval and analyze on every run of a sweep tree, then compare over the
+    runs; returns the tree."""
+    runs = sorted(str(p) for p in (root / "runs").iterdir())
+    for run in runs:
+        assert main(["eval", run]) == 0
+        assert main(["analyze", run]) == 0
+    assert main(["compare", *runs, "--out", str(root / "table")]) == 0
+    return read_tree(root)
+
+
+def test_cli_cold_and_warm_commands_give_the_same_bytes(tmp_path, monkeypatch, cache_home):
+    doc = tiny_doc(iterations=5)
+    cfg_path = write_config(tmp_path, doc)
+    # Cold, in spawned workers: each writes the entry of its seed.
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "cold"),
+                 "--jobs", "2"]) == 0
+    assert len(cache_entries(cache_home)) == len(doc["seeds"])
+    calls = counting_generate(monkeypatch)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "warm")]) == 0
+    assert calls == []
+    assert read_tree(tmp_path / "warm") == read_tree(tmp_path / "cold")
+
+    for name in ("a", "b"):
+        shutil.copytree(tmp_path / "cold", tmp_path / name)
+    shutil.rmtree(cache_home / "wtx")
+    cold = run_all_reloads(tmp_path / "a")
+    assert sorted(calls) == doc["seeds"]        # once per seed, then from the cache
+    warm = run_all_reloads(tmp_path / "b")
+    assert sorted(calls) == doc["seeds"]        # no build at all
+    assert warm == cold
+
+
+def rewrite_entry(path, edit):
+    """Apply ``edit`` to the arrays of a cache entry, by name, and write them
+    back as an entry."""
+    with np.load(path) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    edit(arrays)
+    np.savez(path, **arrays)
+
+
+def stale_entry(path, bench):
+    """An entry whose arrays hash to its stored fingerprint, but not to the
+    generator's: one train feature is changed before the entry is made."""
+    features = bench.splits["train"].features.copy()
+    features[0, 0] += 1.0
+    splits = dict(bench.splits, train=dataclasses.replace(bench.splits["train"],
+                                                          features=features))
+    with open(path, "wb") as f:
+        f.write(instance_entry(dataclasses.replace(bench, splits=splits)))
+
+
+def altered_features(arrays):
+    arrays["train.features"] = arrays["train.features"] + 1.0    # fingerprint kept
+
+
+@pytest.mark.parametrize("fault, command", [
+    ("truncated", "train"), ("truncated", "eval"), ("altered", "train"), ("altered", "eval"),
+    # Its own fingerprint checks out; only the run's record shows it stale.
+    ("stale", "eval"),
+])
+def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home, fault,
+                                               command):
+    import wtx.cli
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    run_dir = tmp_path / "run"
+    train = ["train", "--config", cfg_path, "--seed", "0", "--out"]
+    assert main(train + [str(run_dir)]) == 0
+    trained = read_tree(run_dir)
+    assert main(["eval", str(run_dir)]) == 0
+    evaluated = read_tree(run_dir)
+    [name] = cache_entries(cache_home)
+    path = cache_home / "wtx" / "benchmarks" / name
+    config = tiny_config()
+    if fault == "truncated":
+        path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
+    elif fault == "altered":
+        rewrite_entry(path, altered_features)
+    else:
+        stale_entry(path, generate_benchmark(config, 0))
+        bench, cached = wtx.cli._benchmark(config, 0)     # a hit, by its own fingerprint
+        assert cached and bench.fingerprint != generate_benchmark(config, 0).fingerprint
+    calls = counting_generate(monkeypatch)
+    if command == "train":
+        assert main(train + [str(tmp_path / "again")]) == 0
+        assert read_tree(tmp_path / "again") == trained
+    else:
+        assert main(["eval", str(run_dir)]) == 0
+        assert read_tree(run_dir) == evaluated
+    assert calls == [0]
+    assert cache_entries(cache_home) == [name]
+    assert_same_instance(load_instance_entry(str(path), config, 0),
+                         generate_benchmark(config, 0))
+
+
+def test_cli_unwritable_cache_changes_no_exit_code_or_byte(tmp_path, monkeypatch, capsys):
+    """The same commands, in two directories of the same layout: one with
+    a working cache, one whose cache location is a file, so that no entry
+    can be read or written. Exit codes, output and trees are the same."""
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    commands = [["generate", "--config", "config.json", "--out", "bench"],
+                ["train", "--config", "config.json", "--out", "run", "--seed", "1"],
+                ["eval", "run"], ["analyze", "run"], ["eval", "missing"],
+                ["compare", "--config", "config.json", "--out", "sweep"],
+                ["compare", "run", "sweep/runs/wtn__seed0", "--out", "table"]]
+    results = {}
+    for name in ("working", "broken"):
+        root = tmp_path / name
+        root.mkdir()
+        write_config(root, tiny_doc(iterations=5))
+        (root / "cache").write_text("not a directory")
+        if name == "broken":
+            monkeypatch.setenv("XDG_CACHE_HOME", str(root / "cache"))
+        monkeypatch.chdir(root)
+        capsys.readouterr()
+        codes = [main(argv) for argv in commands]
+        results[name] = codes, capsys.readouterr(), read_tree(root)
+    assert results["working"][0] == [0, 0, 0, 0, 2, 0, 0]
+    assert results["broken"] == results["working"]
+
+
+def test_cache_key_changes_with_the_seed_each_config_field_and_the_stamp(monkeypatch):
+    import wtx.cli
+    config = BenchConfig()
+    stamp = wtx.cli._cache_stamp()
+    assert set(stamp) == {"sources", "python", "numpy", "blas", "host", "arch"}
+    keys = [wtx.cli._cache_key(config, 0), wtx.cli._cache_key(config, 1)]
+    for f in dataclasses.fields(BenchConfig):
+        changed = dataclasses.replace(config, **{f.name: getattr(config, f.name) + 1})
+        keys.append(wtx.cli._cache_key(changed, 0))
+    for name in stamp:
+        with monkeypatch.context() as mp:
+            mp.setattr(wtx.cli, "_cache_stamp", lambda name=name: {**stamp, name: "other"})
+            keys.append(wtx.cli._cache_key(config, 0))
+    assert len(set(keys)) == len(keys) == 2 + len(dataclasses.fields(BenchConfig)) + len(stamp)
+    assert wtx.cli._cache_key(BenchConfig(), 0) == keys[0]
+
+
+def test_cache_evicts_the_least_recently_used_first(monkeypatch, cache_home):
+    import wtx.cli
+    config = tiny_config()
+    root = cache_home / "wtx" / "benchmarks"
+    paths = {}
+    for seed in range(3):
+        wtx.cli._benchmark(config, seed)
+        [paths[seed]] = set(root.iterdir()) - set(paths.values())
+        os.utime(paths[seed], ns=(10**18 + seed * 10**9,) * 2)     # seed 0 oldest
+    assert wtx.cli._benchmark(config, 0)[1]                         # a hit: now the newest
+    size = max(p.stat().st_size for p in paths.values())
+    monkeypatch.setattr(wtx.cli, "CACHE_BYTES", int(2.5 * size))
+    wtx.cli._benchmark(config, 3)
+    [new] = set(root.iterdir()) - set(paths.values())
+    assert set(root.iterdir()) == {paths[0], new}      # seeds 1 and 2, the oldest, went
+    assert sum(p.stat().st_size for p in root.iterdir()) <= wtx.cli.CACHE_BYTES

@@ -93,6 +93,24 @@ def test_relu_gradient_is_masked_upstream():
     assert np.all(dx[x < 0] == 0.0)
 
 
+def test_relu_has_the_bits_of_the_select_form():
+    # Signed zeros, subnormals, infinities, quiet and signaling NaNs of both
+    # signs with payloads, and random bit patterns, at several offsets so
+    # every SIMD lane and tail sees each.
+    special = [0.0, -0.0, 5e-324, -5e-324, 1e-300, -1e-300, 1.0, -1.0, np.inf, -np.inf,
+               np.nan, -np.nan]
+    nans = [0x7FF0000000000001, 0xFFF4000000000123, 0x7FF8000000000001, 0xFFFC000000000123]
+    bits = np.concatenate([np.array(special).view(np.uint64),
+                           rng(9).integers(0, 2**64, size=200_000, dtype=np.uint64),
+                           np.array(nans, dtype=np.uint64)])
+    x = bits.view(np.float64)
+    with np.errstate(invalid="ignore"):
+        want = np.where(x > 0, x, 0.0)
+        for offset in range(9):
+            got = ReLU().forward(x[offset:].reshape(1, -1))
+            assert got.tobytes() == want[offset:].tobytes(), offset
+
+
 # --- input standardizer -----------------------------------------------------
 
 def test_standardizer_population_std():
