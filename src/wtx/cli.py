@@ -22,13 +22,21 @@ under ``runs/TAG/``):
     model_params__TAG.json   the transfer model's parameter store
     head__TAG.json           the head's "other"-class weights
 
+The resolved block holds exactly ``method``, ``seed``, ``alpha`` and
+``benchmark_sha256``; the method's entry in ``METHODS`` names the model.
+A reload exits 2 on any other key there, naming it, before it opens a file
+named from the tag: a run dir that records ``variant`` or
+``model_overrides`` was written by an older ``wtx`` and must be retrained.
+
 ``eval`` adds ``metrics__TAG__eval_seen.json`` and
 ``metrics__TAG__eval_novel.json``; ``analyze`` adds ``overlap__TAG.json``
 (neighbor overlap of W_D with W_C) and ``norm_stats__TAG.json``
-(post-ReLU activation-norm statistics). ``compare`` writes
-``comparison.json`` and ``comparison.csv`` into its output directory.
-``generate`` writes ``config.json`` (with method ``benchmark``) and the
-benchmark export listed in the ``wtx.bench`` docstring.
+(post-ReLU activation-norm statistics). A metrics file's ``config_echo``
+restates the resolved block; it stays until the benchmark harness stops
+reading it (ROADMAP item 4). ``compare`` writes ``comparison.json`` and
+``comparison.csv`` into its output directory. ``generate`` writes
+``config.json`` (with method ``benchmark``) and the benchmark export listed
+in the ``wtx.bench`` docstring.
 
 Every command that needs a benchmark (``generate``, ``train``, each
 ``compare`` sweep worker and each reload) gets it from one benchmark cache.
@@ -43,8 +51,9 @@ arrays hash to the fingerprint stored in it; otherwise the benchmark is
 built by ``generate_benchmark`` and its entry written. An error reading the
 cache counts as a miss and an error writing it is ignored, so the cache
 changes no exit code and no output byte. After each write the least
-recently used entries are deleted until the directory holds at most
-``CACHE_BYTES`` (512 MiB); a hit counts as a use.
+recently used files, a killed writer's temp file included, are deleted
+until the directory holds at most ``CACHE_BYTES`` (512 MiB); a hit counts
+as a use.
 
 ``eval``, ``analyze`` and ``compare RUN_DIRS`` reload a run directory. A
 reload reads and shape-checks the run's matrix files first, then gets the
@@ -52,22 +61,21 @@ benchmark of the config and seed and checks its fingerprint, hashed from
 the arrays in hand, against the recorded ``benchmark_sha256``. A cached
 benchmark that does not match is built by the generator again before the
 mismatch is reported, so the message is about a regenerated benchmark. A
-run's method must be a label of ``METHODS`` with that label's variant and
-model overrides. ``compare RUN_DIRS`` gets each distinct (benchmark config,
-seed) once and checks every run directory's fingerprint against it. It
-reads every run directory before it gets any benchmark, and takes one run
-per (method, seed), the key of a table row,
+run's method must be a label of ``METHODS``. ``compare RUN_DIRS`` gets each
+distinct (benchmark config, seed) once and checks every run directory's
+fingerprint against it. It reads every run directory before it gets any
+benchmark, and takes one run per (method, seed), the key of a table row,
 and only runs scored with one ``evaluation.recall_k``. It scores the runs
 as they were trained, so the sweep flags ``--config``, ``--seed``,
 ``--grid`` and ``--alpha`` exit 2 with RUN_DIRS, before any run directory
 is read; ``--jobs`` has a default and is ignored.
 
 ``METHODS`` is the one method table: it maps each method label, the
-METHOD of a run's tag, to the variant and the model overrides it trains.
-Each variant's name is the label of that variant as configured, so
-``train --variant`` takes a label. The default sweep trains the labels of
-``SWEEP_METHODS`` and ``--grid`` those of ``GRID_METHODS`` (the
-input-norm x group-norm ablation).
+METHOD of a run's tag, to the variant and the model overrides it trains,
+and only ``_model_config`` reads an entry. Each variant's name is the
+label of that variant as configured, so ``train --variant`` takes a label.
+The default sweep trains the labels of ``SWEEP_METHODS`` and ``--grid``
+those of ``GRID_METHODS`` (the input-norm x group-norm ablation).
 
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
@@ -93,14 +101,14 @@ import platform
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict, fields
+from dataclasses import asdict
 
 import numpy as np
 
 from .bench import (BenchConfig, BenchmarkInstance, generate_benchmark, instance_entry,
                     load_instance_entry, save_instance)
-from .config import (ExperimentConfig, check_alpha, check_section, config_from_dict,
-                     config_to_dict, default_config, is_seed)
+from .config import (ExperimentConfig, check_alpha, config_from_dict, config_to_dict,
+                     default_config, is_seed)
 from .errors import ConfigError, StateError, TrainingDiverged, ValidationError, WorkerDied
 from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
@@ -172,12 +180,12 @@ def _write_json(path: str, payload) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
-def _run_config_payload(cfg: ExperimentConfig, variant: str, seed: int,
-                        alpha: float | None, method: str, fingerprint: str) -> dict:
+def _run_config_payload(cfg: ExperimentConfig, seed: int, alpha: float | None,
+                        method: str, fingerprint: str) -> dict:
     doc = config_to_dict(cfg)
-    doc["resolved"] = {"variant": variant, "seed": seed,
+    doc["resolved"] = {"method": method, "seed": seed,
                        "alpha": cfg.train.alpha if alpha is None else alpha,
-                       "method": method, "benchmark_sha256": fingerprint}
+                       "benchmark_sha256": fingerprint}
     return doc
 
 
@@ -218,8 +226,10 @@ def _cache_dir() -> str:
 
 
 def _store_entry(path: str, bench: BenchmarkInstance) -> None:
-    """Write the cache entry, then delete the least recently used entries
-    until the directory holds at most CACHE_BYTES. An OSError ends this
+    """Write the cache entry, then delete the least recently used files
+    until the directory holds at most CACHE_BYTES. Every regular file
+    counts, so the temp file of a writer killed before its rename goes too;
+    a writer still at work holds the newest file. An OSError ends this
     quietly: the cache only saves time."""
     cache_dir = os.path.dirname(path)
     try:
@@ -227,8 +237,8 @@ def _store_entry(path: str, bench: BenchmarkInstance) -> None:
         atomic_write_text(path, instance_entry(bench))
         entries = []
         for entry in os.scandir(cache_dir):
-            if entry.name.endswith(".npz") and not entry.name.startswith("."):
-                st = entry.stat()
+            if entry.is_file(follow_symlinks=False):
+                st = entry.stat(follow_symlinks=False)
                 entries.append((st.st_mtime_ns, entry.name, st.st_size))
         held = sum(size for *_, size in entries)
         for _, name, size in sorted(entries):
@@ -276,6 +286,12 @@ SWEEP_METHODS = ("wtn", "wtn_plus", "ae_wtn")
 GRID_METHODS = ("wtn", "wtn_plus_in_only", "wtn_plus_gn_only", "wtn_plus")
 
 
+def _model_config(cfg: ExperimentConfig, method: str) -> ModelConfig:
+    """The model config that ``method``, a label of ``METHODS``, trains."""
+    variant, overrides = METHODS[method]
+    return cfg.model_config(variant, **overrides)
+
+
 def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str,
                  alpha: float | None = None, *, bench: BenchmarkInstance | None = None) -> dict:
     """Train one (method, seed) run, ``method`` a label of ``METHODS``, and
@@ -285,20 +301,16 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str,
 
     ``bench`` is the seed's benchmark if the caller has it already; if not,
     it comes from the benchmark cache or the generator."""
-    variant, model_overrides = METHODS[method]
     if bench is None:
         bench, _ = _benchmark(cfg.benchmark, seed)
-    mc = cfg.model_config(variant, **model_overrides)
-    model = TransferModel(mc, bench.source, seed)
+    model = TransferModel(_model_config(cfg, method), bench.source, seed)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     tc = cfg.train_config(seed, alpha)
 
     tag = f"{method}__seed{seed}"
     report = train_joint(model, head, bench.source, bench, tc)
     w_d = model.encode(bench.source.weights)
-    config = _run_config_payload(cfg, variant, seed, alpha, method, bench.fingerprint)
-    if model_overrides:
-        config["resolved"]["model_overrides"] = dict(model_overrides)
+    config = _run_config_payload(cfg, seed, alpha, method, bench.fingerprint)
 
     columns = ("iteration", "l_cls", "l_rec", "total")
     losses = [",".join(columns)] + [",".join(map(repr, row))
@@ -313,50 +325,39 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str,
             "w_d": w_d}
 
 
-_OVERRIDE_KEYS = tuple(f.name for f in fields(ModelConfig) if f.name != "variant")
-
-
 def _read_run_dir(run_dir: str):
     """Reload the config, exported weights and head of a finished run, as
-    ``(cfg, resolved, tag, w_d, head, overrides)``. The weights and head
-    files are shape-checked against the sizes in the config, so a broken run
-    dir fails before ``_run_benchmark`` builds its benchmark."""
+    ``(cfg, resolved, tag, w_d, head)``. The resolved block must hold only
+    the keys a run records; the weights and head files are shape-checked
+    against the sizes in the config, so a broken run dir fails before
+    ``_run_benchmark`` builds its benchmark."""
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
     doc = read_json(cfg_path)
-    resolved = doc.pop("resolved", None)
+    resolved = doc.pop("resolved", None) if isinstance(doc, dict) else None
+    try:
+        cfg = config_from_dict(doc)
+    except ConfigError as e:
+        raise ConfigError(f"{cfg_path}: {e}") from None
     if not isinstance(resolved, dict):
-        raise ConfigError(f"{run_dir}/config.json lacks the 'resolved' block")
-    missing = [key for key in ("seed", "variant", "method") if key not in resolved]
+        raise ConfigError(f"{cfg_path} lacks the 'resolved' block")
+    # Only the keys _run_config_payload writes; the method names the model.
+    unknown = sorted(set(resolved) - {"method", "seed", "alpha", "benchmark_sha256"})
+    if unknown:
+        raise ConfigError(f"{cfg_path}: the 'resolved' block has key(s) {unknown}, which "
+                          f"a run no longer records (retrain the run)")
+    missing = [key for key in ("seed", "method") if key not in resolved]
     if missing:
-        raise ConfigError(f"{run_dir}/config.json: the 'resolved' block lacks "
-                          f"{', '.join(missing)}")
-    seed = resolved["seed"]
+        raise ConfigError(f"{cfg_path}: the 'resolved' block lacks {', '.join(missing)}")
+    seed, method = resolved["seed"], resolved["method"]
     if not is_seed(seed):
-        raise ConfigError(f"{run_dir}/config.json: resolved seed {seed!r} is not a "
-                          f"non-negative integer")
-    if not isinstance(resolved["method"], str):
-        raise ConfigError(f"{run_dir}/config.json: resolved method {resolved['method']!r} "
-                          f"is not a string")
-    if resolved["variant"] not in VARIANTS:
-        raise ConfigError(f"{run_dir}/config.json: resolved variant {resolved['variant']!r} "
-                          f"is not one of {VARIANTS}")
-    # The variant is resolved on its own; an override may not replace it.
-    overrides = check_section(ModelConfig, resolved.get("model_overrides", {}),
-                              "resolved.model_overrides", _OVERRIDE_KEYS)
+        raise ConfigError(f"{cfg_path}: resolved seed {seed!r} is not a non-negative integer")
     # The method names the run's files, so it must be a label of METHODS
     # before any path is built from it.
-    method = resolved["method"]
-    if method not in METHODS:
+    if not isinstance(method, str) or method not in METHODS:
         raise ConfigError(f"{cfg_path}: resolved method {method!r} is not one of "
                           f"{', '.join(METHODS)}")
-    if (resolved["variant"], overrides) != METHODS[method]:
-        raise ConfigError(f"{cfg_path}: method {method!r} trains variant "
-                          f"{METHODS[method][0]!r} with model_overrides {METHODS[method][1]}; "
-                          f"the resolved block gives variant {resolved['variant']!r} with "
-                          f"model_overrides {overrides}")
-    cfg = config_from_dict(doc)
     tag = f"{method}__seed{seed}"
     bc = cfg.benchmark
     w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"),
@@ -364,7 +365,7 @@ def _read_run_dir(run_dir: str):
     head = DetectionProxyHead(bc.num_other, bc.dim)
     head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"),
                                                     head.other_weights.data.shape)
-    return cfg, resolved, tag, w_d, head, overrides
+    return cfg, resolved, tag, w_d, head
 
 
 def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
@@ -398,8 +399,7 @@ def cmd_generate(args) -> int:
         bench, _ = _benchmark(cfg.benchmark, seed)
         save_instance(bench, tmp)
         _write_json(os.path.join(tmp, "config.json"),
-                    _run_config_payload(cfg, cfg.model.variant, seed, None, "benchmark",
-                                        bench.fingerprint))
+                    _run_config_payload(cfg, seed, None, "benchmark", bench.fingerprint))
     print(f"benchmark written to {args.out}")
     return 0
 
@@ -417,7 +417,7 @@ def cmd_train(args) -> int:
 
 def cmd_eval(args) -> int:
     run_dir = args.run_dir
-    cfg, resolved, tag, w_d, head, _ = _read_run_dir(run_dir)
+    cfg, resolved, tag, w_d, head = _read_run_dir(run_dir)
     bench = _run_benchmark(run_dir, cfg, resolved, {})
     k = cfg.evaluation.recall_k
     for split in ("eval_seen", "eval_novel"):
@@ -431,15 +431,15 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     run_dir = args.run_dir
-    cfg, resolved, tag, w_d, head, overrides = _read_run_dir(run_dir)
+    cfg, resolved, tag, w_d, head = _read_run_dir(run_dir)
     bench = _run_benchmark(run_dir, cfg, resolved, {})
     rng = np.random.default_rng(cfg.evaluation.analysis_seed)
     curve = nn_overlap(bench.source.weights, w_d, cfg.evaluation.overlap_ks,
                        cfg.evaluation.sample_classes, rng)
     atomic_write_text(os.path.join(run_dir, f"overlap__{tag}.json"), curve.to_json())
 
-    mc = cfg.model_config(resolved["variant"], **overrides)
-    model = TransferModel(mc, bench.source, resolved["seed"])
+    model = TransferModel(_model_config(cfg, resolved["method"]), bench.source,
+                          resolved["seed"])
     load_model_params(model, os.path.join(run_dir, f"model_params__{tag}.json"))
     stats = norm_stats(model, bench.source)
     atomic_write_text(os.path.join(run_dir, f"norm_stats__{tag}.json"), stats.to_json())
@@ -447,9 +447,8 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _row_from_run(cfg: ExperimentConfig, method: str, variant: str, overrides: dict,
-                  seed: int, head, w_d, bench) -> dict:
-    mc = cfg.model_config(variant, **overrides)
+def _row_from_run(cfg: ExperimentConfig, method: str, seed: int, head, w_d, bench) -> dict:
+    mc = _model_config(cfg, method)
     k = cfg.evaluation.recall_k
     seen = evaluate(head, w_d, bench, "eval_seen", k=k)
     novel = evaluate(head, w_d, bench, "eval_novel", k=k)
@@ -490,8 +489,7 @@ def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
         outdir = os.path.join(runs_dir, f"{method}__seed{seed}")
         os.makedirs(outdir)
         res = run_training(cfg, method, seed, outdir, alpha=alpha, bench=bench)
-        rows.append(_row_from_run(cfg, method, *METHODS[method], seed, res["head"],
-                                  res["w_d"], bench))
+        rows.append(_row_from_run(cfg, method, seed, res["head"], res["w_d"], bench))
     return rows
 
 
@@ -524,10 +522,10 @@ def cmd_compare(args) -> int:
                                       f"recall_k={k0} and {rd} at recall_k="
                                       f"{cfg.evaluation.recall_k}; one table needs one recall_k")
             rows, benches = [], {}
-            for rd, cfg, resolved, tag, w_d, head, overrides in runs:
+            for rd, cfg, resolved, tag, w_d, head in runs:
                 bench = _run_benchmark(rd, cfg, resolved, benches)
-                rows.append(_row_from_run(cfg, resolved["method"], resolved["variant"],
-                                          overrides, resolved["seed"], head, w_d, bench))
+                rows.append(_row_from_run(cfg, resolved["method"], resolved["seed"], head,
+                                          w_d, bench))
             _write_comparison(tmp, rows)
         print(f"comparison written to {args.out}")
         return 0

@@ -247,8 +247,6 @@ class TrainConfig:
 
 @dataclass
 class TrainingReport:
-    variant: str
-    seed: int
     curve: dict = field(default_factory=dict)   # iteration -> lists; not in to_json
     final_l_cls: float = 0.0
     final_l_rec: float = 0.0
@@ -328,7 +326,7 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
                            lr=config.head_lr, momentum=config.head_momentum,
                            weight_decay=config.head_weight_decay)
 
-    report = TrainingReport(variant=model.variant, seed=config.seed)
+    report = TrainingReport()
     report.w_c_hash_before = matrix_hash(source.weights)
     if model.has_decoder:
         report.decoder_hash_init = matrix_hash(model.data[model.encoder_size:])

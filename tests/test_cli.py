@@ -308,7 +308,12 @@ def test_cli_run_directory_format(tmp_path):
     assert (run_dir / "losses__ae_wtn__seed1.csv").read_text() == "\n".join(want) + "\n"
     assert (run_dir / "report.json").read_text() == res["report"].to_json()
     report = json.loads((run_dir / "report.json").read_text())
-    assert "config_echo" not in report and "curve" not in report
+    assert not {"config_echo", "curve", "variant", "seed"} & set(report)
+    # A run is its method and seed; METHODS names the model it trained.
+    resolved = json.loads((run_dir / "config.json").read_text())["resolved"]
+    assert resolved == {"method": "ae_wtn", "seed": 1,
+                        "alpha": config_from_dict(tiny_doc()).train.alpha,
+                        "benchmark_sha256": res["bench"].fingerprint}
     assert report["final_total"] == curve["total"][-1]
 
     assert main(["eval", str(run_dir)]) == 0
@@ -612,7 +617,7 @@ def test_cli_eval_malformed_resolved_exits_2(tmp_path, capsys):
     assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
     with open(os.path.join(run_dir, "config.json")) as f:
         doc = json.load(f)
-    for key in ("seed", "variant", "method", "bad seed"):
+    for key in ("seed", "method", "bad seed"):
         broken = copy.deepcopy(doc)
         if key == "bad seed":
             broken["resolved"]["seed"] = "zero"
@@ -660,14 +665,15 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, key, value", [
+    # A run dir written before a run was named by its method and seed alone
+    # records its variant, and some its model overrides, in the resolved
+    # block. Whatever the value, the key itself exits 2 and asks for a retrain.
     ("eval", "variant", "wtn_minus"),
     ("analyze", "model_overrides", [1]),
     ("analyze", "model_overrides", {"feature_norm": "no"}),
     ("compare", "model_overrides", {"dropout": 0.5}),
-    # The variant is resolved on its own; an override may not replace it.
     *[(command, "model_overrides", {"variant": "wtn"})
       for command in ("eval", "analyze", "compare")],
-    # The model's width is W_C's and its epsilon the layers' own: not overridable.
     ("analyze", "model_overrides", {"eps": 0.5}),
     ("analyze", "model_overrides", {"in_dim": 8}),
     ("analyze", "model_overrides", {"out_dim": 8}),
@@ -679,11 +685,12 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
     ("compare", "seed", None),
     ("eval", "method", 0),
     ("compare", "method", ["ae_wtn"]),
-    # The method names the run's files: it must be a label of METHODS, with
-    # that label's variant and model overrides.
+    # The method names the run's files: it must be a label of METHODS.
     ("eval", "method", "x/../../escaped"),
     ("analyze", "method", "benchmark"),
-    ("compare", "method", "wtn"),
+    # The same keys with the values an older run dir held: the variant and
+    # overrides of its method's METHODS entry.
+    ("compare", "variant", "ae_wtn"),
     ("eval", "variant", "wtn"),
     ("analyze", "model_overrides", {"feature_norm": False}),
 ])
@@ -705,6 +712,20 @@ def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, c
     assert main(argv) == 2
     assert key in capsys.readouterr().err
     assert opened == []         # no file named from the tag was opened
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
+def test_cli_reload_of_another_methods_label_reads_that_methods_files(trained_run, tmp_path,
+                                                                       capsys, command):
+    # The method alone names the run's files and model: an ae_wtn run
+    # relabelled wtn is read as a wtn run, whose weights are not there.
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    edit_json(run_dir / "config.json", lambda doc: doc["resolved"].update(method="wtn"))
+    capsys.readouterr()
+    assert run_command(command, run_dir, tmp_path) == 2
+    assert re.fullmatch(rf"error: {re.escape(str(run_dir / 'weights__wtn__seed0.json'))}: "
+                        rf"cannot be read \(.+\)\n", capsys.readouterr().err)
 
 
 def test_cli_reload_of_an_unknown_method_names_the_file_and_the_labels(trained_run, tmp_path,
@@ -794,12 +815,17 @@ def test_cli_reload_config_syntax_error_names_the_file(trained_run, tmp_path, ca
                                                        command):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
-    (run_dir / "config.json").write_text(TRUNCATED_CONFIG)
-    capsys.readouterr()
-    assert run_command(command, run_dir, tmp_path) == 2
     path = os.path.join(str(run_dir), "config.json")
-    assert re.fullmatch(rf"error: {re.escape(path)}: not valid JSON \(.+\)\n",
-                        capsys.readouterr().err)
+    for text, message in [(TRUNCATED_CONFIG, r"not valid JSON \(.+\)"),
+                          # Valid JSON, but not an object: the message of a
+                          # top-level config.
+                          ("[]", "the config must be a JSON object, got list"),
+                          ('"x"', "the config must be a JSON object, got str"),
+                          ("3", "the config must be a JSON object, got int")]:
+        (run_dir / "config.json").write_text(text)
+        capsys.readouterr()
+        assert run_command(command, run_dir, tmp_path) == 2
+        assert re.fullmatch(rf"error: {re.escape(path)}: {message}\n", capsys.readouterr().err)
 
 
 NOT_UTF8 = b"\xff\xfe{}"
@@ -982,14 +1008,14 @@ def test_cli_compare_run_dirs_output_bytes(seed_runs, tmp_path):
 
 
 EVAL_ANALYZE_SHA256 = {
-    "metrics__ae_wtn__seed0__eval_novel.json": "69d9692ed9993110ae99305679c398b7dddb9b4e9bca453c3f76f1b8ea97d335",
-    "metrics__ae_wtn__seed0__eval_seen.json": "56cd2b249c373caafaf287dba23c07b28e971a5eb1c686e3125de943ad85f118",
-    "metrics__wtn__seed0__eval_novel.json": "7245ac7e726684d25a3569dca9b3953ded3a014167648f10c150886fb952cdc1",
-    "metrics__wtn__seed0__eval_seen.json": "488e54e0f3ea805881239c2c447d43359dcaf5a83f6327aa8bb9a72d0d82cbba",
-    "metrics__wtn__seed1__eval_novel.json": "3de66a5211d95cc7565df94afd345be845e341f565b2a8b2e1b134b8a912a785",
-    "metrics__wtn__seed1__eval_seen.json": "47a18064feecd57da40249a478ebf8883392c696beae6759c4ab04968e6db36f",
-    "metrics__wtn_plus__seed0__eval_novel.json": "4fdab4db0f554a9eb5837be09dc2b8ee57870f133308c72929413a6c7c2fb86c",
-    "metrics__wtn_plus__seed0__eval_seen.json": "a8bec9c3e502f1437eaf806df7d8bf3de9644230a9e599a9b70ba41bee9771d1",
+    "metrics__ae_wtn__seed0__eval_novel.json": "3d7cf1441486f8f6d44dad4db9619ef007aed0d2e45af95c8177186523a513d1",
+    "metrics__ae_wtn__seed0__eval_seen.json": "93f0c41021c18dd9e3f91c87c6c8aa7807f76ddcb3874510643ec44328f53a0e",
+    "metrics__wtn__seed0__eval_novel.json": "c0c32339c6bbebc930ac7b779441ab19414be83918fd4bee2610cd933d8466a9",
+    "metrics__wtn__seed0__eval_seen.json": "75b8cd7233b25534c7d5ff4b45777d5bf6107e9df0b199be278eaa99559c2a17",
+    "metrics__wtn__seed1__eval_novel.json": "98a2250d40191e7d5ee8e44ef947aff977d58d0f7f075e4b32f3890aef1d9798",
+    "metrics__wtn__seed1__eval_seen.json": "aee0d322d544c683ebb83c6d9346d23acacba04c2b6b6f2103577a6f33bbe7e8",
+    "metrics__wtn_plus__seed0__eval_novel.json": "483a539df8289f64e43854cc8069a39f56857660b14eadc0d29c50463a11f39c",
+    "metrics__wtn_plus__seed0__eval_seen.json": "0be6302424b07b64dba4c45c2c4507cc0d0aaa3278a9dbfbf11d41236c624a8a",
     "norm_stats__ae_wtn__seed0.json": "cb671c5baf496e16750573aa5cb40061fc00ef44ef3f356751d786dcc9d68d47",
     "norm_stats__wtn__seed0.json": "240e9027add8bc8f9fc6d13a95dfe875b1a9826c121745a3d73c9bf446ea53c7",
     "norm_stats__wtn__seed1.json": "1bc5abcfbf7c4914d0bf8e37dfb6a13ccbf9131d2f260daae14ce12abf9a7026",
@@ -1005,7 +1031,9 @@ def test_cli_eval_and_analyze_output_bytes(seed_runs, tmp_path):
     """The sha256 of every file ``eval`` and ``analyze`` add to a copy of each
     seed run, recorded before top-k hits were counted by rank and the
     generator's loops ran over row blocks (numpy 2.4, OpenBLAS 0.3.31,
-    x86-64). Neither command changes a file that was already there."""
+    x86-64). The metrics hashes were recorded again when the resolved block,
+    which their ``config_echo`` restates, lost ``variant``; no other hash
+    changed. Neither command changes a file that was already there."""
     got = {}
     for run in seed_runs.values():
         copy = tmp_path / run.name
@@ -1092,7 +1120,7 @@ def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys
 # --- generate bytes ---------------------------------------------------------------
 
 TINY_GENERATE_SHA256 = {
-    "config.json": "3d2c71479083954a9b486115533d7bad6556277fe00bdb352b76499332b6125c",
+    "config.json": "cd6605864fc1c8edbe389c55bfe51efdc0768de0a329307c6cfe1ff17b2bacab",
     "eval_novel_features.npy": "21d4e90b7832b835ff2c99f9f7c29a8519a2b7d0163072d459480bc9bab19037",
     "eval_novel_class_labels.json":
         "8d01cb44e510f4eff98c946ad3bfe284c3f26f693eb4c9c2c8ec4f145858b7e5",
@@ -1120,7 +1148,8 @@ def test_cli_generate_tiny_bytes(tmp_path):
     ``*_class_labels.json`` hashes were recorded when those files replaced
     the per-example ``*_labels.csv`` matrices, and the ``*_features.npy``
     hashes when those files replaced the repr-text ``*_features.csv``; no
-    other hash changed either time."""
+    other hash changed either time. The ``config.json`` hash was recorded
+    again when its resolved block lost ``variant``."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0
@@ -1334,8 +1363,13 @@ def test_cache_evicts_the_least_recently_used_first(monkeypatch, cache_home):
         os.utime(paths[seed], ns=(10**18 + seed * 10**9,) * 2)     # seed 0 oldest
     assert wtx.cli._benchmark(config, 0)[1]                         # a hit: now the newest
     size = max(p.stat().st_size for p in paths.values())
+    # The temp file of a writer killed before its rename, older than every
+    # entry: it counts against the cap and goes first.
+    orphan = root / f".tmp-{'0' * 16}-{paths[1].name}"
+    orphan.write_bytes(b"\0" * size)
+    os.utime(orphan, ns=(10**18 - 10**9,) * 2)
     monkeypatch.setattr(wtx.cli, "CACHE_BYTES", int(2.5 * size))
     wtx.cli._benchmark(config, 3)
     [new] = set(root.iterdir()) - set(paths.values())
-    assert set(root.iterdir()) == {paths[0], new}      # seeds 1 and 2, the oldest, went
+    assert set(root.iterdir()) == {paths[0], new}      # the orphan, seeds 1 and 2 went
     assert sum(p.stat().st_size for p in root.iterdir()) <= wtx.cli.CACHE_BYTES
