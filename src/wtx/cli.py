@@ -15,18 +15,21 @@ A run directory holds one (method, seed) run, named by the tag
 writes them. ``train`` writes six (a ``compare`` sweep writes the same six
 under ``runs/TAG/``):
 
-    config.json              the experiment config and the resolved run block
+    config.json              the config the run was trained with
     report.json              final losses; W_C, decoder and model hashes
     losses__TAG.csv          the losses of every training iteration
     weights__TAG.json        W_D, the transferred weights of every source class
     model_params__TAG.json   the transfer model's parameter store
     head__TAG.json           the head's "other"-class weights
 
-The resolved block holds exactly ``method``, ``seed``, ``alpha`` and
-``benchmark_sha256``; the method's entry in ``METHODS`` names the model.
-A reload exits 2 on any other key there, naming it, before it opens a file
-named from the tag: a run dir that records ``variant`` or
-``model_overrides`` was written by an older ``wtx`` and must be retrained.
+The run's ``config.json`` is its experiment config with ``model.variant``
+set to the method, ``seeds`` to ``[SEED]`` and ``train.alpha`` to any
+``--alpha``, plus a ``resolved`` block that holds ``benchmark_sha256``
+alone. Without that block the file trains the run again, byte for byte. A
+reload exits 2, naming the file, before it opens a file named from the tag,
+if the config is invalid, if ``seeds`` is not one seed or if ``resolved``
+holds anything else: a run dir written by an older ``wtx`` (one with
+``model.input_norm``, say, or ``resolved.method``) must be retrained.
 
 ``eval`` adds ``metrics__TAG__eval_seen.json`` and
 ``metrics__TAG__eval_novel.json``; ``analyze`` adds ``overlap__TAG.json``
@@ -35,8 +38,8 @@ named from the tag: a run dir that records ``variant`` or
 restates the resolved block; it stays until the benchmark harness stops
 reading it (ROADMAP item 4). ``compare`` writes ``comparison.json`` and
 ``comparison.csv`` into its output directory. ``generate`` writes
-``config.json`` (with method ``benchmark``) and the benchmark export listed
-in the ``wtx.bench`` docstring.
+``config.json`` (the config with its one seed, and the resolved block) and
+the benchmark export listed in the ``wtx.bench`` docstring.
 
 Every command that needs a benchmark (``generate``, ``train``, each
 ``compare`` sweep worker and each reload) gets it from one benchmark cache.
@@ -60,20 +63,18 @@ reload reads and shape-checks the run's matrix files first, then gets the
 benchmark of the config and seed and checks its fingerprint, hashed from
 the arrays in hand, against the recorded ``benchmark_sha256``. A cached
 benchmark that does not match is built by the generator again before the
-mismatch is reported, so the message is about a regenerated benchmark. A
-run's method must be a label of ``METHODS``. ``compare RUN_DIRS`` gets each
-distinct (benchmark config, seed) once and checks every run directory's
-fingerprint against it. It reads every run directory before it gets any
-benchmark, and takes one run per (method, seed), the key of a table row,
-and only runs scored with one ``evaluation.recall_k``. It scores the runs
-as they were trained, so the sweep flags ``--config``, ``--seed``,
-``--grid`` and ``--alpha`` exit 2 with RUN_DIRS, before any run directory
-is read; ``--jobs`` has a default and is ignored.
+mismatch is reported, so the message is about a regenerated benchmark.
+``compare RUN_DIRS`` gets each distinct (benchmark config, seed) once and
+checks every run directory's fingerprint against it. It reads every run
+directory before it gets any benchmark, and takes one run per (method,
+seed), the key of a table row, and only runs scored with one
+``evaluation.recall_k``. It scores the runs as they were trained, so the
+sweep flags ``--config``, ``--seed``, ``--grid`` and ``--alpha`` exit 2
+with RUN_DIRS, before any run directory is read; ``--jobs`` has a default
+and is ignored.
 
-``METHODS`` is the one method table: it maps each method label, the
-METHOD of a run's tag, to the variant and the model overrides it trains,
-and only ``_model_config`` reads an entry. Each variant's name is the
-label of that variant as configured, so ``train --variant`` takes a label.
+A method, the METHOD of a run's tag, is a variant label of
+``wtx.models.VARIANT_LAYERS``, and ``train --variant`` takes any of them.
 The default sweep trains the labels of ``SWEEP_METHODS`` and ``--grid``
 those of ``GRID_METHODS`` (the input-norm x group-norm ablation).
 
@@ -101,27 +102,31 @@ import platform
 import shutil
 import sys
 from contextlib import contextmanager
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import numpy as np
 
 from .bench import (BenchConfig, BenchmarkInstance, generate_benchmark, instance_entry,
                     load_instance_entry, save_instance)
 from .config import (ExperimentConfig, check_alpha, config_from_dict, config_to_dict,
-                     default_config, is_seed)
+                     default_config)
 from .errors import ConfigError, StateError, TrainingDiverged, ValidationError, WorkerDied
 from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_json
-from .models import (VARIANTS, DetectionProxyHead, ModelConfig, TransferModel,
-                     load_model_params, save_model_params, train_joint)
+from .models import (VARIANT_LAYERS, DetectionProxyHead, TransferModel, load_model_params,
+                     save_model_params, train_joint)
 
 
-def _load_config(path: str | None) -> ExperimentConfig:
-    if path is None:
-        return default_config()
-    return config_from_dict(read_json(path))
+def _load_config(path: str | None, alpha: float | None = None) -> ExperimentConfig:
+    """The config at ``path`` (the default config if None) with an
+    ``--alpha`` folded into its train section. A bad ``--alpha`` is
+    reported before the file is read."""
+    if alpha is not None:
+        check_alpha(alpha, "--alpha")
+    cfg = default_config() if path is None else config_from_dict(read_json(path))
+    return cfg if alpha is None else replace(cfg, train=replace(cfg.train, alpha=alpha))
 
 
 def _env_seed() -> int | None:
@@ -141,12 +146,6 @@ def _resolve_seeds(cfg: ExperimentConfig, cli_seed: int | None) -> list[int]:
     if seed < 0:
         raise ConfigError(f"seed must be non-negative, got {seed}")
     return [seed]
-
-
-def _check_alpha(alpha: float | None) -> None:
-    """An ``--alpha`` must be a finite weight >= 0; checked before any work."""
-    if alpha is not None:
-        check_alpha(alpha, "--alpha")
 
 
 @contextmanager
@@ -180,13 +179,8 @@ def _write_json(path: str, payload) -> None:
     atomic_write_text(path, json.dumps(payload, sort_keys=True, indent=1))
 
 
-def _run_config_payload(cfg: ExperimentConfig, seed: int, alpha: float | None,
-                        method: str, fingerprint: str) -> dict:
-    doc = config_to_dict(cfg)
-    doc["resolved"] = {"method": method, "seed": seed,
-                       "alpha": cfg.train.alpha if alpha is None else alpha,
-                       "benchmark_sha256": fingerprint}
-    return doc
+def _run_config_payload(cfg: ExperimentConfig, fingerprint: str) -> dict:
+    return {**config_to_dict(cfg), "resolved": {"benchmark_sha256": fingerprint}}
 
 
 # The benchmark cache keeps at most this many bytes of entries.
@@ -274,43 +268,29 @@ def _benchmark(config: BenchConfig, seed: int, *,
     return bench, False
 
 
-# Each method label with the variant and the model overrides it trains.
-METHODS = {
-    "wtn": ("wtn", {}),
-    "wtn_plus": ("wtn_plus", {}),
-    "ae_wtn": ("ae_wtn", {}),
-    "wtn_plus_in_only": ("wtn_plus", {"feature_norm": False}),
-    "wtn_plus_gn_only": ("wtn_plus", {"input_norm": False}),
-}
 SWEEP_METHODS = ("wtn", "wtn_plus", "ae_wtn")
 GRID_METHODS = ("wtn", "wtn_plus_in_only", "wtn_plus_gn_only", "wtn_plus")
 
 
-def _model_config(cfg: ExperimentConfig, method: str) -> ModelConfig:
-    """The model config that ``method``, a label of ``METHODS``, trains."""
-    variant, overrides = METHODS[method]
-    return cfg.model_config(variant, **overrides)
-
-
-def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str,
-                 alpha: float | None = None, *, bench: BenchmarkInstance | None = None) -> dict:
-    """Train one (method, seed) run, ``method`` a label of ``METHODS``, and
-    write the six files of a trained run directory into outdir. The result
-    holds the run's tag, its report, the benchmark, the trained model and
+def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
+                 bench: BenchmarkInstance | None = None) -> dict:
+    """Train one (method, seed) run, ``method`` a label of
+    ``VARIANT_LAYERS``, and write the six files of a trained run directory
+    into outdir. The result holds the run's tag, its config (``cfg`` with
+    that variant and seed), its report, the benchmark, the trained model and
     head, and ``w_d``: W_D, the matrix written to ``weights__TAG.json``.
 
     ``bench`` is the seed's benchmark if the caller has it already; if not,
     it comes from the benchmark cache or the generator."""
     if bench is None:
         bench, _ = _benchmark(cfg.benchmark, seed)
-    model = TransferModel(_model_config(cfg, method), bench.source, seed)
+    run_cfg = replace(cfg, model=cfg.model_config(method), seeds=(seed,))
+    model = TransferModel(run_cfg.model, bench.source, seed)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
-    tc = cfg.train_config(seed, alpha)
 
     tag = f"{method}__seed{seed}"
-    report = train_joint(model, head, bench.source, bench, tc)
+    report = train_joint(model, head, bench.source, bench, run_cfg.train_config(seed))
     w_d = model.encode(bench.source.weights)
-    config = _run_config_payload(cfg, seed, alpha, method, bench.fingerprint)
 
     columns = ("iteration", "l_cls", "l_rec", "total")
     losses = [",".join(columns)] + [",".join(map(repr, row))
@@ -320,17 +300,20 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str,
     save_model_params(model, os.path.join(outdir, f"model_params__{tag}.json"))
     save_matrix_json(head.other_weights.data, os.path.join(outdir, f"head__{tag}.json"))
     atomic_write_text(os.path.join(outdir, "report.json"), report.to_json())
-    _write_json(os.path.join(outdir, "config.json"), config)
-    return {"tag": tag, "report": report, "bench": bench, "model": model, "head": head,
-            "w_d": w_d}
+    _write_json(os.path.join(outdir, "config.json"),
+                _run_config_payload(run_cfg, bench.fingerprint))
+    return {"tag": tag, "config": run_cfg, "report": report, "bench": bench, "model": model,
+            "head": head, "w_d": w_d}
 
 
 def _read_run_dir(run_dir: str):
     """Reload the config, exported weights and head of a finished run, as
-    ``(cfg, resolved, tag, w_d, head)``. The resolved block must hold only
-    the keys a run records; the weights and head files are shape-checked
-    against the sizes in the config, so a broken run dir fails before
-    ``_run_benchmark`` builds its benchmark."""
+    ``(cfg, resolved, tag, w_d, head)``. ``cfg`` is the config the run was
+    trained with: its variant is the run's method and its one seed the
+    run's seed. The resolved block must hold the benchmark fingerprint
+    alone; the weights and head files are shape-checked against the sizes
+    in the config, so a broken run dir fails before ``_run_benchmark``
+    builds its benchmark."""
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
@@ -340,25 +323,15 @@ def _read_run_dir(run_dir: str):
         cfg = config_from_dict(doc)
     except ConfigError as e:
         raise ConfigError(f"{cfg_path}: {e}") from None
-    if not isinstance(resolved, dict):
-        raise ConfigError(f"{cfg_path} lacks the 'resolved' block")
-    # Only the keys _run_config_payload writes; the method names the model.
-    unknown = sorted(set(resolved) - {"method", "seed", "alpha", "benchmark_sha256"})
-    if unknown:
-        raise ConfigError(f"{cfg_path}: the 'resolved' block has key(s) {unknown}, which "
-                          f"a run no longer records (retrain the run)")
-    missing = [key for key in ("seed", "method") if key not in resolved]
-    if missing:
-        raise ConfigError(f"{cfg_path}: the 'resolved' block lacks {', '.join(missing)}")
-    seed, method = resolved["seed"], resolved["method"]
-    if not is_seed(seed):
-        raise ConfigError(f"{cfg_path}: resolved seed {seed!r} is not a non-negative integer")
-    # The method names the run's files, so it must be a label of METHODS
-    # before any path is built from it.
-    if not isinstance(method, str) or method not in METHODS:
-        raise ConfigError(f"{cfg_path}: resolved method {method!r} is not one of "
-                          f"{', '.join(METHODS)}")
-    tag = f"{method}__seed{seed}"
+    if len(cfg.seeds) != 1:
+        raise ConfigError(f"{cfg_path}: a run has one seed, but seeds is {list(cfg.seeds)}")
+    if not isinstance(resolved, dict) or set(resolved) != {"benchmark_sha256"}:
+        got = sorted(resolved) if isinstance(resolved, dict) else resolved
+        raise ConfigError(f"{cfg_path}: the 'resolved' block must hold benchmark_sha256 "
+                          f"alone, got {got!r} (retrain the run)")
+    # The config's checks made the variant a label of VARIANT_LAYERS and the
+    # seed a non-negative integer, so the tag is safe to build paths from.
+    tag = f"{cfg.model.variant}__seed{cfg.seeds[0]}"
     bc = cfg.benchmark
     w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"),
                            (bc.num_classes, bc.dim))
@@ -376,10 +349,10 @@ def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
     the mismatch is reported. ``benches`` maps (BenchConfig, seed) to a
     (benchmark, cached) pair; a command that reloads several run dirs
     passes one dict so that each distinct benchmark is loaded once."""
-    key = cfg.benchmark, resolved["seed"]
+    key = cfg.benchmark, cfg.seeds[0]
     if key not in benches:
         benches[key] = _benchmark(*key)
-    stamped = resolved.get("benchmark_sha256")
+    stamped = resolved["benchmark_sha256"]
     bench, cached = benches[key]
     if bench.fingerprint != stamped and cached:
         benches[key] = _benchmark(*key, look_up=False)
@@ -387,8 +360,7 @@ def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
     actual = bench.fingerprint
     if stamped != actual:
         raise ValidationError(f"{run_dir}: the regenerated benchmark has fingerprint "
-                              f"{actual}; config.json records "
-                              f"{stamped or 'none (retrain the run)'}")
+                              f"{actual}; config.json records {stamped}")
     return bench
 
 
@@ -399,18 +371,17 @@ def cmd_generate(args) -> int:
         bench, _ = _benchmark(cfg.benchmark, seed)
         save_instance(bench, tmp)
         _write_json(os.path.join(tmp, "config.json"),
-                    _run_config_payload(cfg, seed, None, "benchmark", bench.fingerprint))
+                    _run_config_payload(replace(cfg, seeds=(seed,)), bench.fingerprint))
     print(f"benchmark written to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    _check_alpha(args.alpha)
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.alpha)
     variant = args.variant or cfg.model.variant
     seed = _resolve_seeds(cfg, args.seed)[0]
     with staged_output(args.out, args.overwrite) as tmp:
-        res = run_training(cfg, variant, seed, tmp, alpha=args.alpha)
+        res = run_training(cfg, variant, seed, tmp)
     print(f"run {res['tag']} written to {args.out}")
     return 0
 
@@ -438,8 +409,7 @@ def cmd_analyze(args) -> int:
                        cfg.evaluation.sample_classes, rng)
     atomic_write_text(os.path.join(run_dir, f"overlap__{tag}.json"), curve.to_json())
 
-    model = TransferModel(_model_config(cfg, resolved["method"]), bench.source,
-                          resolved["seed"])
+    model = TransferModel(cfg.model, bench.source, cfg.seeds[0])
     load_model_params(model, os.path.join(run_dir, f"model_params__{tag}.json"))
     stats = norm_stats(model, bench.source)
     atomic_write_text(os.path.join(run_dir, f"norm_stats__{tag}.json"), stats.to_json())
@@ -447,14 +417,15 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _row_from_run(cfg: ExperimentConfig, method: str, seed: int, head, w_d, bench) -> dict:
-    mc = _model_config(cfg, method)
+def _row_from_run(cfg: ExperimentConfig, head, w_d, bench) -> dict:
+    """The comparison row of the run that ``cfg``, a run's config, trained."""
+    method, layers = cfg.model.variant, VARIANT_LAYERS[cfg.model.variant]
     k = cfg.evaluation.recall_k
     seen = evaluate(head, w_d, bench, "eval_seen", k=k)
     novel = evaluate(head, w_d, bench, "eval_novel", k=k)
-    return {"method": method, "seed": seed,
-            "input_norm": mc.resolved_input_norm(),
-            "group_norm": mc.resolved_feature_norm(),
+    return {"method": method, "seed": cfg.seeds[0],
+            "input_norm": layers.input_norm,
+            "group_norm": layers.feature_norm,
             "seen_top1": seen.top1, "novel_top1": novel.top1,
             "novel_recall": novel.recall_k,
             "benchmark_echo": asdict(cfg.benchmark)}
@@ -478,8 +449,7 @@ def _one_blas_thread_env():
                 os.environ[name] = value
 
 
-def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
-                runs_dir: str) -> list[dict]:
+def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, runs_dir: str) -> list[dict]:
     """One seed of a compare sweep, run in a worker process: get the seed's
     benchmark once, then train and score every method on it. Returns one row
     per method, in ``methods`` order."""
@@ -488,8 +458,8 @@ def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, alpha: float | None,
     for method in methods:
         outdir = os.path.join(runs_dir, f"{method}__seed{seed}")
         os.makedirs(outdir)
-        res = run_training(cfg, method, seed, outdir, alpha=alpha, bench=bench)
-        rows.append(_row_from_run(cfg, method, seed, res["head"], res["w_d"], bench))
+        res = run_training(cfg, method, seed, outdir, bench=bench)
+        rows.append(_row_from_run(res["config"], res["head"], res["w_d"], bench))
     return rows
 
 
@@ -512,11 +482,10 @@ def cmd_compare(args) -> int:
             runs = [(rd, *_read_run_dir(rd)) for rd in args.run_dirs]
             given, k0 = {}, runs[0][1].evaluation.recall_k
             for rd, cfg, resolved, tag, *_ in runs:
-                key = resolved["method"], resolved["seed"]
-                if key in given:
-                    raise ConfigError(f"{given[key]} and {rd} both hold run {tag}; its "
+                if tag in given:
+                    raise ConfigError(f"{given[tag]} and {rd} both hold run {tag}; its "
                                       f"scores would count twice")
-                given[key] = rd
+                given[tag] = rd
                 if cfg.evaluation.recall_k != k0:
                     raise ConfigError(f"{args.run_dirs[0]} scores novel_recall at "
                                       f"recall_k={k0} and {rd} at recall_k="
@@ -524,18 +493,16 @@ def cmd_compare(args) -> int:
             rows, benches = [], {}
             for rd, cfg, resolved, tag, w_d, head in runs:
                 bench = _run_benchmark(rd, cfg, resolved, benches)
-                rows.append(_row_from_run(cfg, resolved["method"], resolved["seed"], head,
-                                          w_d, bench))
+                rows.append(_row_from_run(cfg, head, w_d, bench))
             _write_comparison(tmp, rows)
         print(f"comparison written to {args.out}")
         return 0
 
-    _check_alpha(args.alpha)
     import multiprocessing
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    cfg = _load_config(args.config)
+    cfg = _load_config(args.config, args.alpha)
     seeds = _resolve_seeds(cfg, args.seed)
     methods = GRID_METHODS if args.grid else SWEEP_METHODS
     with staged_output(args.out, args.overwrite) as sweep_tmp:
@@ -546,7 +513,7 @@ def cmd_compare(args) -> int:
         try:
             # The pool starts its workers as jobs are submitted.
             with _one_blas_thread_env():
-                futures = [pool.submit(_sweep_seed, cfg, methods, seed, args.alpha, runs_dir)
+                futures = [pool.submit(_sweep_seed, cfg, methods, seed, runs_dir)
                            for seed in seeds]
             for future in as_completed(futures):
                 future.result()     # the first failed seed raises here
@@ -602,7 +569,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("train", help="train one (variant, seed) run")
     common(sp)
-    sp.add_argument("--variant", choices=VARIANTS)
+    sp.add_argument("--variant", choices=list(VARIANT_LAYERS))
     sp.add_argument("--alpha", type=float, help="reconstruction loss weight override")
     sp.set_defaults(func=cmd_train)
 

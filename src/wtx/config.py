@@ -8,13 +8,20 @@ field (an int field takes no bool or float, a float field no NaN or
 Infinity). Configs round-trip through JSON losslessly.
 
 The ``model`` section is ``models.ModelConfig`` as it is. It holds no width:
-a model's rows are as wide as the source weights, ``benchmark.dim``.
+a model's rows are as wide as the source weights, ``benchmark.dim``. Its
+``variant`` is a label of ``models.VARIANT_LAYERS``, which fixes the layers
+the model builds.
+
+A trained run's ``config.json`` is the config it was trained with: its
+``model.variant`` is the run's method, its ``seeds`` the run's one seed and
+its ``train.alpha`` the weight it trained with, so that file, without the
+``resolved`` block the CLI adds, trains the run again.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 
 from .bench import BenchConfig
 from .errors import ConfigError
@@ -50,15 +57,11 @@ class EvalSettings:
 class ExperimentConfig:
     benchmark: BenchConfig
     model: ModelConfig = ModelConfig()
-    train: TrainConfig = None
-    evaluation: EvalSettings = None
+    train: TrainConfig = field(default_factory=TrainConfig)
+    evaluation: EvalSettings = field(default_factory=EvalSettings)
     seeds: tuple = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
-        if self.train is None:
-            object.__setattr__(self, "train", TrainConfig())
-        if self.evaluation is None:
-            object.__setattr__(self, "evaluation", EvalSettings())
         if not self.seeds or not all(map(is_seed, self.seeds)):
             raise ConfigError(f"seeds must be a non-empty list of non-negative integers, "
                               f"got {list(self.seeds)!r}")
@@ -90,15 +93,12 @@ class ExperimentConfig:
                               f"got {list(ev.overlap_ks)}")
         self.model.validate()
 
-    def model_config(self, variant: str | None = None, **overrides) -> ModelConfig:
-        """The model section with ``variant`` (if given) and ``overrides`` applied."""
-        return replace(self.model, variant=variant or self.model.variant, **overrides)
+    def model_config(self, variant: str) -> ModelConfig:
+        """The model section with ``variant``, a label of ``VARIANT_LAYERS``."""
+        return replace(self.model, variant=variant)
 
-    def train_config(self, seed: int, alpha: float | None = None) -> TrainConfig:
-        tc = replace(self.train, seed=seed)
-        if alpha is not None:
-            tc = replace(tc, alpha=alpha)
-        return tc
+    def train_config(self, seed: int) -> TrainConfig:
+        return replace(self.train, seed=seed)
 
 
 # The seed is per run, not part of the experiment document.
@@ -110,7 +110,6 @@ _TYPE_CHECKS = {
     "int": _is_int,
     "float": lambda v: _is_int(v) or isinstance(v, float) and math.isfinite(v),
     "str": lambda v: isinstance(v, str),
-    "bool | None": lambda v: v is None or isinstance(v, bool),
     "tuple": lambda v: isinstance(v, (list, tuple)) and all(_is_int(x) for x in v),
 }
 
@@ -161,7 +160,7 @@ def config_from_dict(doc: dict) -> ExperimentConfig:
     ev = dict(check_section(EvalSettings, doc.get("evaluation", {}), "evaluation"))
     if "overlap_ks" in ev:
         ev["overlap_ks"] = tuple(ev["overlap_ks"])
-    seeds = doc.get("seeds", [0, 1, 2, 3, 4])
+    seeds = doc.get("seeds", list(ExperimentConfig.seeds))
     if not isinstance(seeds, list):
         raise ConfigError(f"seeds must be a list of integers, got {seeds!r}")
     return ExperimentConfig(benchmark=bench, model=model, train=train,

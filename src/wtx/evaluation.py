@@ -24,7 +24,6 @@ from .models import DetectionProxyHead, SourceWeights, TransferModel
 @dataclass
 class MetricReport:
     split: str
-    universe: list[int]
     top1: float
     recall_k: float
     k: int
@@ -33,7 +32,7 @@ class MetricReport:
     config_echo: dict = field(default_factory=dict)
 
     def to_json(self) -> str:
-        payload = {"split": self.split, "universe": self.universe, "top1": self.top1,
+        payload = {"split": self.split, "top1": self.top1,
                    f"recall@{self.k}": self.recall_k,
                    "per_class": {str(k): v for k, v in sorted(self.per_class.items())},
                    "seed": self.seed, "config_echo": self.config_echo}
@@ -93,9 +92,8 @@ def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
     ``transferred`` is either a TransferModel or a precomputed (|C|, d)
     weight matrix (e.g. a reloaded export). The seen split ranks over the
     detector's own classes (shared + other); the novel split ranks over
-    everything. Both are scored by ``head.score``, and ``universe`` holds
-    the global id of each of its columns. Ties break toward the lowest class
-    index.
+    everything. Both are scored by ``head.score``. Ties break toward the
+    lowest class index.
     """
     sp = instance.split(split)
     w_all = _resolve_transferred(transferred, instance.source)
@@ -117,9 +115,9 @@ def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
     per_class = {c: {"count": n, "top1": h / n}
                  for c, n, h in zip(sp.class_ids.tolist(), counts, hits) if n}
 
-    return MetricReport(split=split, universe=[int(u) for u in universe],
-                        top1=float(top1_hit.mean()), recall_k=float(recall_hit.mean()),
-                        k=k, per_class=per_class, seed=instance.seed)
+    return MetricReport(split=split, top1=float(top1_hit.mean()),
+                        recall_k=float(recall_hit.mean()), k=k, per_class=per_class,
+                        seed=instance.seed)
 
 
 @dataclass

@@ -1,19 +1,25 @@
 """Transfer networks, the detection-proxy head, joint training, and baselines.
 
 The transfer network maps each source class's weight vector to a target
-classification weight vector. Three variants share one implementation:
+classification weight vector. Five variants share one implementation, and
+``VARIANT_LAYERS``, the one variant table, fixes the layers each builds:
 
-* ``wtn``       plain two-layer MLP,
-* ``wtn_plus``  adds frozen per-channel input standardization and group
-                normalization of the hidden features,
-* ``ae_wtn``    adds a mirrored decoder trained with a smooth-L1
-                reconstruction loss over every source class.
+* ``wtn``               plain two-layer MLP,
+* ``wtn_plus``          adds frozen per-channel input standardization and
+                        group normalization of the hidden features,
+* ``ae_wtn``            WTN+ plus a mirrored decoder trained with a
+                        smooth-L1 reconstruction loss over every source class,
+* ``wtn_plus_in_only``  WTN+ with input standardization only,
+* ``wtn_plus_gn_only``  WTN+ with group normalization only.
 
-``ModelConfig`` is the experiment config's ``model`` section. A model's rows
-are as wide as the source weights W_C. Its encoder and decoder are plain
-layer lists that one forward and one backward loop run; with input
-standardization on, the encoder's first layer is the frozen standardizer,
-fitted on W_C.
+The first three are the paper's networks, ``VARIANTS``; the last two
+complete its input-norm x group-norm ablation.
+
+``ModelConfig`` is the experiment config's ``model`` section; its
+``variant`` is any label of the table. A model's rows are as wide as the
+source weights W_C. Its encoder and decoder are plain layer lists that one
+forward and one backward loop run; with input standardization on, the
+encoder's first layer is the frozen standardizer, fitted on W_C.
 
 Each model keeps its trainable state in one parameter store: two float64
 vectors, ``model.data`` and ``model.grad``, built by ``layers.flatten``.
@@ -41,6 +47,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field, fields
+from typing import NamedTuple
 
 import numpy as np
 
@@ -50,6 +57,21 @@ from .losses import LossValue, sigmoid_bce, smooth_l1, total_loss
 from .matrix import blocked_sq_dists, load_matrix_json, matrix_hash, save_matrix_json
 from .optim import AdamW, SGDMomentum
 
+
+class Layers(NamedTuple):
+    """The optional layers of a variant."""
+    input_norm: bool        # the frozen input standardizer
+    feature_norm: bool      # normalization of the hidden features
+    decoder: bool           # the reconstruction decoder
+
+
+VARIANT_LAYERS = {
+    "wtn": Layers(input_norm=False, feature_norm=False, decoder=False),
+    "wtn_plus": Layers(input_norm=True, feature_norm=True, decoder=False),
+    "ae_wtn": Layers(input_norm=True, feature_norm=True, decoder=True),
+    "wtn_plus_in_only": Layers(input_norm=True, feature_norm=False, decoder=False),
+    "wtn_plus_gn_only": Layers(input_norm=False, feature_norm=True, decoder=False),
+}
 VARIANTS = ("wtn", "wtn_plus", "ae_wtn")
 
 
@@ -95,30 +117,17 @@ class ModelConfig:
     hidden_dim: int = 64
     groups: int = 8
     norm_kind: str = "group"       # "group" or "class_batch"
-    # None means "use the variant's default"; explicit booleans drive the
-    # normalization ablation grid.
-    input_norm: bool | None = None
-    feature_norm: bool | None = None
-
-    def resolved_input_norm(self) -> bool:
-        if self.input_norm is not None:
-            return self.input_norm
-        return self.variant in ("wtn_plus", "ae_wtn")
-
-    def resolved_feature_norm(self) -> bool:
-        if self.feature_norm is not None:
-            return self.feature_norm
-        return self.variant in ("wtn_plus", "ae_wtn")
 
     def validate(self):
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant {self.variant!r}, expected one of {VARIANTS}")
+        if self.variant not in VARIANT_LAYERS:
+            raise ConfigError(f"unknown variant {self.variant!r}, expected one of "
+                              f"{tuple(VARIANT_LAYERS)}")
         if self.hidden_dim < 1 or self.groups < 1:
             raise ConfigError(f"hidden_dim and groups must be at least 1, got "
                               f"{self.hidden_dim} and {self.groups}")
         if self.norm_kind not in ("group", "class_batch"):
             raise ConfigError(f"unknown norm_kind {self.norm_kind!r}")
-        if self.resolved_feature_norm() and self.norm_kind == "group" \
+        if VARIANT_LAYERS[self.variant].feature_norm and self.norm_kind == "group" \
                 and self.hidden_dim % self.groups != 0:
             raise ConfigError(f"hidden_dim ({self.hidden_dim}) not divisible by "
                               f"groups ({self.groups})")
@@ -137,27 +146,29 @@ def _backward(layers, g: np.ndarray) -> np.ndarray:
 
 
 class TransferModel:
-    """Encoder: [standardizer,] Linear, [norm,] ReLU, Linear. For ae_wtn, a
-    decoder: Linear, [norm,] ReLU, Linear. Rows in and out are ``source.dim``
-    wide."""
+    """Encoder: [standardizer,] Linear, [norm,] ReLU, Linear. With a decoder
+    (ae_wtn): Linear, [norm,] ReLU, Linear. The variant's ``VARIANT_LAYERS``
+    entry says which optional layers there are. Rows in and out are
+    ``source.dim`` wide."""
 
     def __init__(self, config: ModelConfig, source: SourceWeights, seed: int):
         config.validate()
         self.variant = config.variant
+        spec = VARIANT_LAYERS[config.variant]
         dim, hidden = source.dim, config.hidden_dim
         init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
         def block(name):
             layers = [Linear(dim, hidden, init_rng, name=f"{name}1")]
-            if config.resolved_feature_norm():
+            if spec.feature_norm:
                 layers.append(ClassBatchNorm(hidden, name=f"{name}_norm")
                               if config.norm_kind == "class_batch"
                               else GroupNorm(hidden, config.groups, name=f"{name}_norm"))
             return layers + [ReLU(), Linear(hidden, dim, init_rng, name=f"{name}2")]
 
         self.encoder = ([InputStandardizer.fit(source.weights)]
-                        if config.resolved_input_norm() else []) + block("enc")
-        self.decoder = block("dec") if config.variant == "ae_wtn" else None
+                        if spec.input_norm else []) + block("enc")
+        self.decoder = block("dec") if spec.decoder else None
         self.encoder_size = sum(p.data.size for layer in self.encoder for p in layer.params())
         self.data, self.grad = flatten(self.parameters())
 

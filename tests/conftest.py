@@ -28,6 +28,16 @@ def make_model(variant, source=None, *, dim=8, groups=2, seed=0, **overrides):
     return TransferModel(ModelConfig(variant, **kwargs), source, seed)
 
 
+def top1_over(head, w_d, bench, split, ids):
+    """The top-1 of ``split`` with its examples ranked over the global class
+    ids ``ids``: i < |C| is row i of ``w_d``, and |C| + j the head's "other"
+    row j."""
+    sp = bench.split(split)
+    ids = np.asarray(ids)
+    logits = sp.features @ np.vstack([w_d, head.other_weights.data])[ids].T
+    return float((sp.class_labels[sp.class_index, ids[np.argmax(logits, axis=1)]] > 0.5).mean())
+
+
 def assert_no_worker_left():
     """No pool worker of this process outlives the command that started it.
     The one child that may stay is multiprocessing's resource tracker, which

@@ -63,6 +63,11 @@ def test_config_rejects_unknown_keys():
         config_from_dict({"model": {"weight_decay": 0.1}})
     with pytest.raises(ConfigError):
         config_from_dict({"trian": {}})
+    # The variant alone fixes a model's layers; these flags are gone.
+    for key in ("input_norm", "feature_norm"):
+        for value in (True, False, None):
+            with pytest.raises(ConfigError, match=key):
+                config_from_dict({"model": {key: value}})
 
 
 def test_config_rejects_bad_values():
@@ -309,11 +314,12 @@ def test_cli_run_directory_format(tmp_path):
     assert (run_dir / "report.json").read_text() == res["report"].to_json()
     report = json.loads((run_dir / "report.json").read_text())
     assert not {"config_echo", "curve", "variant", "seed"} & set(report)
-    # A run is its method and seed; METHODS names the model it trained.
-    resolved = json.loads((run_dir / "config.json").read_text())["resolved"]
-    assert resolved == {"method": "ae_wtn", "seed": 1,
-                        "alpha": config_from_dict(tiny_doc()).train.alpha,
-                        "benchmark_sha256": res["bench"].fingerprint}
+    # config.json is the config the run was trained with, its method and
+    # seed included, and the benchmark fingerprint.
+    doc = json.loads((run_dir / "config.json").read_text())
+    assert doc.pop("resolved") == {"benchmark_sha256": res["bench"].fingerprint}
+    assert doc == config_to_dict(res["config"])
+    assert (doc["model"]["variant"], doc["seeds"]) == ("ae_wtn", [1])
     assert report["final_total"] == curve["total"][-1]
 
     assert main(["eval", str(run_dir)]) == 0
@@ -360,7 +366,7 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     assert main(["train", "--config", cfg_path, "--out", run_dir]) == 0
     with open(os.path.join(run_dir, "config.json")) as f:
         doc = json.load(f)
-    assert doc["resolved"]["seed"] == 1
+    assert doc["seeds"] == [1]
 
 
 @pytest.mark.parametrize("how", ["flag", "env"])
@@ -611,22 +617,25 @@ def test_cli_compare_worker_death_exits_4(tmp_path):
     assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
 
 
-def test_cli_eval_malformed_resolved_exits_2(tmp_path, capsys):
-    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
-    run_dir = str(tmp_path / "run")
-    assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
-    with open(os.path.join(run_dir, "config.json")) as f:
-        doc = json.load(f)
-    for key in ("seed", "method", "bad seed"):
+def test_cli_eval_malformed_resolved_exits_2(trained_run, tmp_path, capsys):
+    # The resolved block is an object that holds the benchmark fingerprint
+    # and nothing else.
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    doc = json.loads((run_dir / "config.json").read_text())
+    stamped = doc["resolved"]["benchmark_sha256"]
+    for resolved in (None, [], "x", {"benchmark_sha256": stamped, "seed": 0}):
         broken = copy.deepcopy(doc)
-        if key == "bad seed":
-            broken["resolved"]["seed"] = "zero"
+        if resolved is None:
+            del broken["resolved"]
         else:
-            del broken["resolved"][key]
+            broken["resolved"] = resolved
         write_config(tmp_path, broken, name="run/config.json")
         capsys.readouterr()
-        assert main(["eval", run_dir]) == 2
-        assert key.split()[-1] in capsys.readouterr().err
+        assert main(["eval", str(run_dir)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {run_dir / 'config.json'}: the 'resolved' block ")
+        assert "retrain the run" in err
 
 
 def test_cli_run_files_follow_umask(tmp_path):
@@ -665,9 +674,10 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
 
 
 @pytest.mark.parametrize("command, key, value", [
-    # A run dir written before a run was named by its method and seed alone
-    # records its variant, and some its model overrides, in the resolved
-    # block. Whatever the value, the key itself exits 2 and asks for a retrain.
+    # The resolved block holds the benchmark fingerprint alone. Older run
+    # dirs record more there: the variant and some the model overrides, or
+    # the method, seed and alpha that the config itself now holds. Whatever
+    # the value, such a key exits 2, names itself and asks for a retrain.
     ("eval", "variant", "wtn_minus"),
     ("analyze", "model_overrides", [1]),
     ("analyze", "model_overrides", {"feature_norm": "no"}),
@@ -677,7 +687,6 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
     ("analyze", "model_overrides", {"eps": 0.5}),
     ("analyze", "model_overrides", {"in_dim": 8}),
     ("analyze", "model_overrides", {"out_dim": 8}),
-    # A seed is a non-negative JSON integer and a method a string.
     ("eval", "seed", 0.7),
     ("eval", "seed", "0"),
     ("eval", "seed", True),
@@ -685,14 +694,14 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
     ("compare", "seed", None),
     ("eval", "method", 0),
     ("compare", "method", ["ae_wtn"]),
-    # The method names the run's files: it must be a label of METHODS.
     ("eval", "method", "x/../../escaped"),
     ("analyze", "method", "benchmark"),
-    # The same keys with the values an older run dir held: the variant and
-    # overrides of its method's METHODS entry.
+    # The values an older run dir held: the ones its config agreed with.
     ("compare", "variant", "ae_wtn"),
     ("eval", "variant", "wtn"),
     ("analyze", "model_overrides", {"feature_norm": False}),
+    ("eval", "alpha", 20.0),
+    ("compare", "method", "ae_wtn"),
 ])
 def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, command, key,
                                                 value):
@@ -710,8 +719,52 @@ def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, c
     argv = [command, run_dir] + (["--out", str(tmp_path / "cmp")] if command == "compare" else [])
     capsys.readouterr()
     assert main(argv) == 2
-    assert key in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert key in err and "retrain the run" in err
     assert opened == []         # no file named from the tag was opened
+
+
+@pytest.mark.parametrize("path, value", [
+    # A run has one seed.
+    (("seeds",), []),
+    (("seeds",), [0, 1]),
+    # The variant names the run's files: it must be a label of VARIANT_LAYERS.
+    (("model", "variant"), "x/../../escaped"),
+    (("model", "variant"), 0),
+], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
+@pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
+def test_cli_reload_of_a_config_that_names_no_run_exits_2(trained_run, tmp_path, capsys,
+                                                          monkeypatch, command, path, value):
+    import wtx.cli
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    doc = json.loads((run_dir / "config.json").read_text())
+    write_config(tmp_path, replaced(doc, path, value), name="run/config.json")
+    opened = []
+    monkeypatch.setattr(wtx.cli, "load_matrix_json", lambda *a: opened.append(a))
+    capsys.readouterr()
+    assert run_command(command, run_dir, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {run_dir / 'config.json'}: ") and path[-1] in err
+    assert opened == []         # no file named from the tag was opened
+
+
+def test_cli_a_runs_config_trains_the_run_again(tmp_path):
+    # A run's config.json, without its resolved block, is the config it
+    # was trained with: the method, the seed and --alpha are in it.
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=20))
+    first, again = tmp_path / "first", tmp_path / "again"
+    assert main(["train", "--config", cfg_path, "--out", str(first),
+                 "--variant", "wtn_plus_gn_only", "--seed", "3", "--alpha", "0"]) == 0
+    doc = json.loads((first / "config.json").read_text())
+    del doc["resolved"]
+    assert (doc["model"]["variant"], doc["seeds"], doc["train"]["alpha"]) == \
+        ("wtn_plus_gn_only", [3], 0.0)
+    assert main(["train", "--config", write_config(tmp_path, doc, name="own.json"),
+                 "--out", str(again)]) == 0
+    trained = read_tree(first)
+    assert "weights__wtn_plus_gn_only__seed3.json" in trained
+    assert read_tree(again) == trained      # config.json included
 
 
 @pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
@@ -721,7 +774,7 @@ def test_cli_reload_of_another_methods_label_reads_that_methods_files(trained_ru
     # relabelled wtn is read as a wtn run, whose weights are not there.
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
-    edit_json(run_dir / "config.json", lambda doc: doc["resolved"].update(method="wtn"))
+    edit_json(run_dir / "config.json", lambda doc: doc["model"].update(variant="wtn"))
     capsys.readouterr()
     assert run_command(command, run_dir, tmp_path) == 2
     assert re.fullmatch(rf"error: {re.escape(str(run_dir / 'weights__wtn__seed0.json'))}: "
@@ -733,12 +786,12 @@ def test_cli_reload_of_an_unknown_method_names_the_file_and_the_labels(trained_r
     import wtx.cli
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
-    edit_json(run_dir / "config.json", lambda doc: doc["resolved"].update(method="ridge"))
+    edit_json(run_dir / "config.json", lambda doc: doc["model"].update(variant="ridge"))
     capsys.readouterr()
     assert main(["eval", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert str(run_dir / "config.json") in err and "'ridge'" in err
-    assert all(label in err for label in wtx.cli.METHODS)
+    assert all(label in err for label in wtx.models.VARIANT_LAYERS)
 
 
 def test_cli_compare_grid_structure(tmp_path):
@@ -890,8 +943,8 @@ def test_cli_analyze_rejects_name_keyed_model_params(trained_run, tmp_path, caps
 def test_cli_analyze_rejects_params_of_another_model_size(trained_run, tmp_path, capsys):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
-    # A method's model overrides are fixed by METHODS; the config's model
-    # section sets the width.
+    # The variant fixes a model's layers; the config's model section sets
+    # the width.
     edit_json(run_dir / "config.json", lambda doc: doc["model"].update(hidden_dim=8))
     assert main(["eval", str(run_dir)]) == 0      # eval does not read the parameters
     capsys.readouterr()
@@ -1008,14 +1061,14 @@ def test_cli_compare_run_dirs_output_bytes(seed_runs, tmp_path):
 
 
 EVAL_ANALYZE_SHA256 = {
-    "metrics__ae_wtn__seed0__eval_novel.json": "3d7cf1441486f8f6d44dad4db9619ef007aed0d2e45af95c8177186523a513d1",
-    "metrics__ae_wtn__seed0__eval_seen.json": "93f0c41021c18dd9e3f91c87c6c8aa7807f76ddcb3874510643ec44328f53a0e",
-    "metrics__wtn__seed0__eval_novel.json": "c0c32339c6bbebc930ac7b779441ab19414be83918fd4bee2610cd933d8466a9",
-    "metrics__wtn__seed0__eval_seen.json": "75b8cd7233b25534c7d5ff4b45777d5bf6107e9df0b199be278eaa99559c2a17",
-    "metrics__wtn__seed1__eval_novel.json": "98a2250d40191e7d5ee8e44ef947aff977d58d0f7f075e4b32f3890aef1d9798",
-    "metrics__wtn__seed1__eval_seen.json": "aee0d322d544c683ebb83c6d9346d23acacba04c2b6b6f2103577a6f33bbe7e8",
-    "metrics__wtn_plus__seed0__eval_novel.json": "483a539df8289f64e43854cc8069a39f56857660b14eadc0d29c50463a11f39c",
-    "metrics__wtn_plus__seed0__eval_seen.json": "0be6302424b07b64dba4c45c2c4507cc0d0aaa3278a9dbfbf11d41236c624a8a",
+    "metrics__ae_wtn__seed0__eval_novel.json": "ffa0277bf67b6f6a005e28341ba28f93fc3aa439e0bc36ecb2244305fcd87805",
+    "metrics__ae_wtn__seed0__eval_seen.json": "ead08d25b67fe43a985225d95e0b222ddef707f3e9c4246224e7b03c8f1cb237",
+    "metrics__wtn__seed0__eval_novel.json": "0b32cd50e94f5319d685d0f6179770912537ac873f442616702f4212b592de03",
+    "metrics__wtn__seed0__eval_seen.json": "3b8218972e3e770d286dab9ec15454fb4382e4dbbc254057b81b0f0ff0f940d4",
+    "metrics__wtn__seed1__eval_novel.json": "b6523e2c21a0754848f6d70e730040b3943e7ab641e9e45794294fc37455d27a",
+    "metrics__wtn__seed1__eval_seen.json": "759c23928216ee984eafa5ffb256fba71df019e9a8c919a7db7c17d68e238d02",
+    "metrics__wtn_plus__seed0__eval_novel.json": "febb90999b463b13ba10a6ed39fab8e0ebe1579aa069261072aad555dfb2f57b",
+    "metrics__wtn_plus__seed0__eval_seen.json": "ead08d25b67fe43a985225d95e0b222ddef707f3e9c4246224e7b03c8f1cb237",
     "norm_stats__ae_wtn__seed0.json": "cb671c5baf496e16750573aa5cb40061fc00ef44ef3f356751d786dcc9d68d47",
     "norm_stats__wtn__seed0.json": "240e9027add8bc8f9fc6d13a95dfe875b1a9826c121745a3d73c9bf446ea53c7",
     "norm_stats__wtn__seed1.json": "1bc5abcfbf7c4914d0bf8e37dfb6a13ccbf9131d2f260daae14ce12abf9a7026",
@@ -1032,8 +1085,10 @@ def test_cli_eval_and_analyze_output_bytes(seed_runs, tmp_path):
     seed run, recorded before top-k hits were counted by rank and the
     generator's loops ran over row blocks (numpy 2.4, OpenBLAS 0.3.31,
     x86-64). The metrics hashes were recorded again when the resolved block,
-    which their ``config_echo`` restates, lost ``variant``; no other hash
-    changed. Neither command changes a file that was already there."""
+    which their ``config_echo`` restates, lost ``variant``, and again when
+    it kept only ``benchmark_sha256`` and the metrics lost ``universe``; no
+    other hash changed. Neither command changes a file that was already
+    there."""
     got = {}
     for run in seed_runs.values():
         copy = tmp_path / run.name
@@ -1120,7 +1175,7 @@ def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys
 # --- generate bytes ---------------------------------------------------------------
 
 TINY_GENERATE_SHA256 = {
-    "config.json": "cd6605864fc1c8edbe389c55bfe51efdc0768de0a329307c6cfe1ff17b2bacab",
+    "config.json": "43b28c13f2d130ee4b0e559bb702763fde3faa249785a8c7b468d203c0abe0a2",
     "eval_novel_features.npy": "21d4e90b7832b835ff2c99f9f7c29a8519a2b7d0163072d459480bc9bab19037",
     "eval_novel_class_labels.json":
         "8d01cb44e510f4eff98c946ad3bfe284c3f26f693eb4c9c2c8ec4f145858b7e5",
@@ -1149,7 +1204,9 @@ def test_cli_generate_tiny_bytes(tmp_path):
     the per-example ``*_labels.csv`` matrices, and the ``*_features.npy``
     hashes when those files replaced the repr-text ``*_features.csv``; no
     other hash changed either time. The ``config.json`` hash was recorded
-    again when its resolved block lost ``variant``."""
+    again when its resolved block lost ``variant``, and again when the seed
+    moved into ``seeds``, the norm flags left the model section and the
+    resolved block kept only ``benchmark_sha256``."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0
