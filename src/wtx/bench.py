@@ -16,34 +16,12 @@ An example's labels depend only on its class, so a split keeps them once
 per class: one multi-hot row per class, and for each example the index of
 its class's row. No split holds a matrix of one label row per example.
 
-``save_instance`` exports an instance; ``wtx generate`` writes it next to
-the run-style ``config.json``. The tree, with SPLIT one of ``train``,
-``eval_seen`` and ``eval_novel``:
-
-    manifest.json            config, seed, class ids, shared ids, cluster ids,
-                             co-occurrence radius, measured statistics, splits
-    source_weights.json      W_C, the learned (|C|, d) source weights
-    prototypes.json          the (|C|, d) class prototypes
-    other_prototypes.json    the prototypes of the target-only classes
-    rotation.json            the (d, d) source-basis rotation
-    SPLIT_features.npy       the (examples, d) features, one row per example
-    SPLIT_primary.csv        each example's generating class id, one per line
-    SPLIT_class_labels.json  each class's positive label columns
-
-The ``.json`` matrices use the JSON format of ``wtx.matrix``. A features
-file is numpy's ``.npy`` format: float64, C order, exact to the bit, with
-the shape in its header; read it with ``numpy.load(path, allow_pickle=False)``.
-A class-label file is one JSON object that maps each class id of the split,
-as a string, to the ascending list of the global column ids its examples
-are labeled with, ``{"3": [3, 17], "5": [5], ...}``. Columns
-``0 .. |C| - 1`` are the source classes and ``|C| .. |C| + num_other - 1``
-the target-only classes. The labels of example ``i`` are the list of the
-class on line ``i`` of ``SPLIT_primary.csv``. Nothing in the package reads
-this export back.
-
-The benchmark cache of ``wtx.cli`` stores an instance in another format,
-one ``.npz`` archive per instance (``instance_entry``, read back by
-``load_instance_entry``) that holds every array and the fingerprint.
+An instance has one on-disk form: one uncompressed ``.npz`` archive
+(``instance_entry``, read back by ``load_instance_entry``) that holds every
+array and a ``meta`` JSON document with the config, the seed, the
+fingerprint and the other facts of the instance. The benchmark cache of
+``wtx.cli`` stores it, and ``wtx generate`` writes it with
+``save_instance``.
 """
 
 from __future__ import annotations
@@ -60,7 +38,7 @@ import numpy as np
 from .errors import ConfigError, StateError, ValidationError
 from .losses import _logistic
 from .matrix import (atomic_write_text, blocked_sq_dists, matrix_hash, nearest_other_row,
-                     row_l2_norms, save_matrix_json, save_matrix_npy)
+                     row_l2_norms, save_matrix_json)
 from .models import SourceWeights
 
 
@@ -380,47 +358,16 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
                              splits=splits, measured=measured)
 
 
-# --- directory serialization ------------------------------------------------
-
-def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
-    """Export the instance: ``manifest.json``, the source weights,
-    prototypes, other prototypes and rotation as matrix JSON files, and per
-    split ``SPLIT_features.npy`` (read it with ``numpy.load(path,
-    allow_pickle=False)``), ``SPLIT_primary.csv`` and
-    ``SPLIT_class_labels.json``, each class id mapped to its ascending
-    positive column ids (the module docstring gives the formats). Nothing in
-    the package reads them back: a command that needs a benchmark gets it
-    from the benchmark cache or the generator."""
-    os.makedirs(dirpath, exist_ok=True)
-    manifest = {
-        "config": asdict(instance.config),
-        "seed": instance.seed,
-        "class_ids": list(range(instance.source.num_classes)),
-        "shared_ids": [int(i) for i in instance.source.shared_index],
-        "cluster_ids": [int(i) for i in instance.cluster_ids],
-        "cooccur_radius": instance.cooccur_radius,
-        "measured": instance.measured,
-        "splits": sorted(instance.splits),
-    }
-    atomic_write_text(os.path.join(dirpath, "manifest.json"),
-                      json.dumps(manifest, sort_keys=True, indent=1))
-    save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
-    save_matrix_json(instance.prototypes, os.path.join(dirpath, "prototypes.json"))
-    save_matrix_json(instance.other_prototypes, os.path.join(dirpath, "other_prototypes.json"))
-    save_matrix_json(instance.rotation, os.path.join(dirpath, "rotation.json"))
-    for name, sp in instance.splits.items():
-        save_matrix_npy(sp.features, os.path.join(dirpath, f"{name}_features.npy"))
-        class_labels = {str(c): np.flatnonzero(row).tolist()
-                        for c, row in zip(sp.class_ids.tolist(), sp.class_labels)}
-        atomic_write_text(os.path.join(dirpath, f"{name}_class_labels.json"),
-                          json.dumps(class_labels))
-        atomic_write_text(os.path.join(dirpath, f"{name}_primary.csv"),
-                          "\n".join(map(str, sp.primary.tolist())) + "\n")
-
-
-# --- cache entries ------------------------------------------------------------
+# --- the archive ------------------------------------------------------------
 
 _SPLIT_ARRAYS = tuple(f.name for f in fields(Split))
+
+
+def _entry_meta(instance: BenchmarkInstance) -> str:
+    return json.dumps({"config": asdict(instance.config), "seed": instance.seed,
+                       "cooccur_radius": instance.cooccur_radius,
+                       "measured": instance.measured, "splits": list(instance.splits),
+                       "fingerprint": instance.fingerprint})
 
 
 def instance_entry(instance: BenchmarkInstance) -> bytes:
@@ -428,10 +375,7 @@ def instance_entry(instance: BenchmarkInstance) -> bytes:
     ``meta`` string of JSON with the config, seed, co-occurrence radius,
     measured statistics, split names and fingerprint. Split arrays are named
     ``SPLIT.FIELD``. ``load_instance_entry`` reads it back."""
-    meta = {"config": asdict(instance.config), "seed": instance.seed,
-            "cooccur_radius": instance.cooccur_radius, "measured": instance.measured,
-            "splits": list(instance.splits), "fingerprint": instance.fingerprint}
-    arrays = {"meta": np.array(json.dumps(meta)),
+    arrays = {"meta": np.array(_entry_meta(instance)),
               "source_weights": instance.source.weights,
               "shared_mask": instance.source.shared_mask,
               "prototypes": instance.prototypes, "cluster_ids": instance.cluster_ids,
@@ -441,6 +385,15 @@ def instance_entry(instance: BenchmarkInstance) -> bytes:
     buf = io.BytesIO()
     np.savez(buf, **arrays)
     return buf.getvalue()
+
+
+def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
+    """Write the instance into the directory ``dirpath``: ``benchmark.npz``,
+    its ``instance_entry``; ``manifest.json``, the entry's ``meta``
+    document; and ``source_weights.json``, W_C as a JSON matrix."""
+    atomic_write_text(os.path.join(dirpath, "benchmark.npz"), instance_entry(instance))
+    atomic_write_text(os.path.join(dirpath, "manifest.json"), _entry_meta(instance))
+    save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
 
 
 def load_instance_entry(path: str, config: BenchConfig, seed: int) -> BenchmarkInstance:

@@ -7,8 +7,12 @@ non-finite loss, 4 a ``compare`` sweep worker process died (killed, say, or
 unable to start). Outputs are staged in a temporary directory and renamed
 into place, so a failed command leaves no partial output behind. An
 existing ``--out`` is replaced only with ``--overwrite`` and only if it is a
-directory; both are checked before any work starts. The WTX_SEED
-environment variable overrides the configured seed(s).
+directory; both are checked before any work starts.
+
+``train`` and ``generate`` use one seed: ``--seed`` if given, else the
+WTX_SEED environment variable, else the first of the config's ``seeds``.
+A ``compare`` sweep runs every seed of ``seeds``, or the one seed that
+``--seed`` or WTX_SEED gives.
 
 A run directory holds one (method, seed) run, named by the tag
 ``METHOD__seedSEED``, and states each fact in one file. Only this module
@@ -37,9 +41,15 @@ holds anything else: a run dir written by an older ``wtx`` (one with
 (post-ReLU activation-norm statistics). A metrics file's ``config_echo``
 restates the resolved block; it stays until the benchmark harness stops
 reading it (ROADMAP item 4). ``compare`` writes ``comparison.json`` and
-``comparison.csv`` into its output directory. ``generate`` writes
-``config.json`` (the config with its one seed, and the resolved block) and
-the benchmark export listed in the ``wtx.bench`` docstring.
+``comparison.csv`` into its output directory; their rows are sorted by
+method, in the order of ``wtx.models.VARIANT_LAYERS``, then by seed.
+
+``generate`` writes three files: ``benchmark.npz``, the benchmark in the
+format of ``wtx.bench.instance_entry`` and byte for byte the cache entry of
+its config and seed (below), which ``wtx.bench.load_instance_entry`` reads
+back; ``manifest.json``, the archive's ``meta`` document (the config, seed
+and fingerprint among others); and ``source_weights.json``, W_C as a JSON
+matrix.
 
 Every command that needs a benchmark (``generate``, ``train``, each
 ``compare`` sweep worker and each reload) gets it from one benchmark cache.
@@ -75,14 +85,16 @@ and is ignored.
 
 A method, the METHOD of a run's tag, is a variant label of
 ``wtx.models.VARIANT_LAYERS``, and ``train --variant`` takes any of them.
-The default sweep trains the labels of ``SWEEP_METHODS`` and ``--grid``
-those of ``GRID_METHODS`` (the input-norm x group-norm ablation).
+The default sweep trains the paper's networks, ``wtx.models.VARIANTS``,
+and ``--grid`` the labels of ``GRID_METHODS`` (the input-norm x group-norm
+ablation).
 
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
 are seeds). A job generates its seed's benchmark once and trains and scores
-every method of the sweep on it. The rows are put back in method-major
-order, so the output does not depend on the worker count. Workers are
+every method of the sweep on it. The table sorts its rows, so the output
+does not depend on the worker count; a config whose seeds are not in
+ascending order gets its rows in ascending seed order. Workers are
 spawned, not forked, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
 MKL_NUM_THREADS set to 1: the matrices here are small, so a second BLAS
 thread per process only competes with the other workers for the cores.
@@ -115,8 +127,8 @@ from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_json
-from .models import (VARIANT_LAYERS, DetectionProxyHead, TransferModel, load_model_params,
-                     save_model_params, train_joint)
+from .models import (VARIANT_LAYERS, VARIANTS, DetectionProxyHead, TransferModel,
+                     load_model_params, save_model_params, train_joint)
 
 
 def _load_config(path: str | None, alpha: float | None = None) -> ExperimentConfig:
@@ -268,7 +280,6 @@ def _benchmark(config: BenchConfig, seed: int, *,
     return bench, False
 
 
-SWEEP_METHODS = ("wtn", "wtn_plus", "ae_wtn")
 GRID_METHODS = ("wtn", "wtn_plus_in_only", "wtn_plus_gn_only", "wtn_plus")
 
 
@@ -368,10 +379,7 @@ def cmd_generate(args) -> int:
     cfg = _load_config(args.config)
     seed = _resolve_seeds(cfg, args.seed)[0]
     with staged_output(args.out, args.overwrite) as tmp:
-        bench, _ = _benchmark(cfg.benchmark, seed)
-        save_instance(bench, tmp)
-        _write_json(os.path.join(tmp, "config.json"),
-                    _run_config_payload(replace(cfg, seeds=(seed,)), bench.fingerprint))
+        save_instance(_benchmark(cfg.benchmark, seed)[0], tmp)
     print(f"benchmark written to {args.out}")
     return 0
 
@@ -504,7 +512,7 @@ def cmd_compare(args) -> int:
 
     cfg = _load_config(args.config, args.alpha)
     seeds = _resolve_seeds(cfg, args.seed)
-    methods = GRID_METHODS if args.grid else SWEEP_METHODS
+    methods = GRID_METHODS if args.grid else VARIANTS
     with staged_output(args.out, args.overwrite) as sweep_tmp:
         runs_dir = os.path.join(sweep_tmp, "runs")
         os.makedirs(runs_dir)
@@ -526,9 +534,7 @@ def cmd_compare(args) -> int:
             # Drop the seeds not yet started; wait for the running ones so
             # that none writes into the staging directory after its removal.
             pool.shutdown(cancel_futures=True)
-        per_seed = [future.result() for future in futures]
-        rows = [seed_rows[m] for m in range(len(methods)) for seed_rows in per_seed]
-        _write_comparison(sweep_tmp, rows)
+        _write_comparison(sweep_tmp, [row for future in futures for row in future.result()])
     print(f"comparison written to {args.out}")
     return 0
 
@@ -557,7 +563,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(sp, out=True):
         sp.add_argument("--config", help="experiment config JSON (defaults used if omitted)")
-        sp.add_argument("--seed", type=int, help="override the config seed")
+        sp.add_argument("--seed", type=int,
+                        help="the one seed to use (default: WTX_SEED if set, else the "
+                             "config's seeds; train and generate use the first)")
         if out:
             sp.add_argument("--out", required=True, help="output directory")
             sp.add_argument("--overwrite", action="store_true",

@@ -7,22 +7,15 @@ oracles that define correctness live in the test suite.
 Every squared Euclidean distance comes from ``blocked_sq_dists``, a block
 of rows at a time; ``nearest_other_row`` finds each row's nearest other row.
 
-Two on-disk formats, both exact to the bit:
-
-- JSON (``save_matrix_json``, ``load_matrix_json``) for every matrix the
-  package reads back: ``{"rows": R, "cols": C, "data": [...]}`` with each
-  value written as its ``repr``, which round-trips float64 exactly. The
-  loader validates the document and its shape.
-- numpy's ``.npy`` (``save_matrix_npy``) for the bulk export of
-  ``wtx generate``, which nothing in the package reads back: a header with
-  the dtype and shape, then the raw float64 values in C order. Read it with
-  ``numpy.load(path, allow_pickle=False)``.
+One on-disk format, exact to the bit: JSON (``save_matrix_json``,
+``load_matrix_json``), ``{"rows": R, "cols": C, "data": [...]}`` with each
+value written as its ``repr``, which round-trips float64 exactly. The
+loader validates the document and its shape.
 """
 
 from __future__ import annotations
 
 import hashlib
-import io
 import json
 import os
 
@@ -147,10 +140,3 @@ def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndar
         raise ValidationError(f"{path} holds a {rows}x{cols} matrix where "
                               f"{shape[0]}x{shape[1]} is needed")
     return m.reshape(rows, cols)
-
-
-def save_matrix_npy(m: np.ndarray, path: str) -> None:
-    """The matrix as a float64, C-order ``.npy`` file; no pickled objects."""
-    buf = io.BytesIO()
-    np.save(buf, np.ascontiguousarray(as_matrix(m)), allow_pickle=False)
-    atomic_write_text(path, buf.getvalue())

@@ -13,7 +13,9 @@ classification weight vector. Five variants share one implementation, and
 * ``wtn_plus_gn_only``  WTN+ with group normalization only.
 
 The first three are the paper's networks, ``VARIANTS``; the last two
-complete its input-norm x group-norm ablation.
+complete its input-norm x group-norm ablation. The table lists the labels
+from the plainest network to the fullest, and a comparison table puts its
+rows in that order.
 
 ``ModelConfig`` is the experiment config's ``model`` section; its
 ``variant`` is any label of the table. A model's rows are as wide as the
@@ -67,10 +69,10 @@ class Layers(NamedTuple):
 
 VARIANT_LAYERS = {
     "wtn": Layers(input_norm=False, feature_norm=False, decoder=False),
-    "wtn_plus": Layers(input_norm=True, feature_norm=True, decoder=False),
-    "ae_wtn": Layers(input_norm=True, feature_norm=True, decoder=True),
     "wtn_plus_in_only": Layers(input_norm=True, feature_norm=False, decoder=False),
     "wtn_plus_gn_only": Layers(input_norm=False, feature_norm=True, decoder=False),
+    "wtn_plus": Layers(input_norm=True, feature_norm=True, decoder=False),
+    "ae_wtn": Layers(input_norm=True, feature_norm=True, decoder=True),
 }
 VARIANTS = ("wtn", "wtn_plus", "ae_wtn")
 

@@ -1,3 +1,4 @@
+import dataclasses
 import glob
 import multiprocessing
 
@@ -54,6 +55,39 @@ def assert_no_worker_left():
         except FileNotFoundError:      # it exited since the listing
             continue
         assert b"multiprocessing.resource_tracker" in cmdline, (pid, cmdline)
+
+
+def instance_parts(bench):
+    """Every array of a benchmark instance by name, and its other fields."""
+    arrays, other = {}, {"splits": list(bench.splits)}
+    for f in dataclasses.fields(bench):
+        value = getattr(bench, f.name)
+        if f.name == "source":
+            arrays.update({f"source.{g.name}": getattr(value, g.name)
+                           for g in dataclasses.fields(value)})
+        elif f.name == "splits":
+            arrays.update({f"{name}.{g.name}": getattr(sp, g.name)
+                           for name, sp in value.items() for g in dataclasses.fields(sp)})
+        elif isinstance(value, np.ndarray):
+            arrays[f.name] = value
+        else:
+            other[f.name] = value
+    return arrays, other
+
+
+def assert_same_instance(got, want):
+    """The same arrays (dtype, shape, layout, write flag and bits), the same
+    other fields and the same fingerprint."""
+    got_arrays, got_other = instance_parts(got)
+    want_arrays, want_other = instance_parts(want)
+    assert got_other == want_other
+    assert list(got_arrays) == list(want_arrays)
+    for name, a in got_arrays.items():
+        b = want_arrays[name]
+        assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable) == \
+            (b.dtype, b.shape, b.flags.c_contiguous, b.flags.writeable), name
+        assert a.tobytes() == b.tobytes(), name
+    assert got.fingerprint == want.fingerprint
 
 
 @pytest.fixture(scope="session", autouse=True)

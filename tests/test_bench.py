@@ -3,16 +3,17 @@ import pytest
 
 import json
 import os
+from dataclasses import asdict
 
 import wtx.bench
 from wtx.bench import (BenchConfig, Split, _train_source_classifier, generate_benchmark,
-                       save_instance)
+                       instance_entry, load_instance_entry, save_instance)
 from wtx.errors import ConfigError, StateError
 from wtx.evaluation import evaluate
 from wtx.matrix import load_matrix_json, row_l2_norms
 from wtx.models import DetectionProxyHead, ModelConfig, TrainConfig, TransferModel, train_joint
 
-from conftest import tiny_config
+from conftest import assert_same_instance, tiny_config
 
 
 def test_config_validation():
@@ -62,15 +63,13 @@ def test_norm_imbalance_levels(default_bench):
 
 def test_same_seed_byte_identical_serialization(tmp_path):
     cfg = tiny_config()
-    a_dir, b_dir = str(tmp_path / "a"), str(tmp_path / "b")
-    save_instance(generate_benchmark(cfg, seed=5), a_dir)
-    save_instance(generate_benchmark(cfg, seed=5), b_dir)
-    names = sorted(os.listdir(a_dir))
-    assert names == sorted(os.listdir(b_dir))
+    for name in ("a", "b"):
+        (tmp_path / name).mkdir()
+        save_instance(generate_benchmark(cfg, seed=5), str(tmp_path / name))
+    names = sorted(os.listdir(tmp_path / "a"))
+    assert names == sorted(os.listdir(tmp_path / "b"))
     for name in names:
-        with open(os.path.join(a_dir, name), "rb") as fa, \
-             open(os.path.join(b_dir, name), "rb") as fb:
-            assert fa.read() == fb.read(), name
+        assert (tmp_path / "a" / name).read_bytes() == (tmp_path / "b" / name).read_bytes(), name
 
 
 def test_fingerprint_tracks_the_benchmark(tiny_bench):
@@ -89,35 +88,24 @@ def test_split_features_are_read_only(tiny_bench):
     assert not tiny_bench.source.weights.flags.writeable
 
 
-def read_csv_matrix(path):
-    with open(path) as f:
-        return np.asarray([[float(x) for x in line.split(",")] for line in f])
-
-
 def test_instance_round_trip(tmp_path):
-    # The export is one-way, so the test parses it back itself, and rebuilds
-    # the dense per-example labels from the class-label and primary files.
-    bench = generate_benchmark(tiny_config(), seed=3)
-    total_cols = bench.source.num_classes + bench.num_other
-    d = tmp_path / "inst"
-    save_instance(bench, str(d))
-    manifest = json.loads((d / "manifest.json").read_text())
-    assert manifest["shared_ids"] == bench.source.shared_index.tolist()
-    assert np.array_equal(load_matrix_json(str(d / "source_weights.json")),
-                          bench.source.weights)
-    assert np.array_equal(load_matrix_json(str(d / "rotation.json")), bench.rotation)
-    assert not list(d.glob("*_features.csv"))
-    for name, sp in bench.splits.items():
-        features = np.load(d / f"{name}_features.npy", allow_pickle=False)
-        assert same_bits(features, sp.features)      # float64, the split's shape, every bit
-        primary = read_csv_matrix(d / f"{name}_primary.csv").ravel()
-        assert np.array_equal(primary, sp.primary)
-        class_labels = json.loads((d / f"{name}_class_labels.json").read_text())
-        assert list(class_labels) == [str(c) for c in sp.class_ids]
-        dense = np.zeros((len(primary), total_cols))
-        for i, c in enumerate(primary):
-            dense[i, class_labels[str(int(c))]] = 1.0
-        assert same_bits(dense, sp.class_labels[sp.class_index])
+    # The archive is the instance's one on-disk form: it reads back bitwise,
+    # fingerprint included, and next to it sit only its meta document and W_C.
+    cfg = tiny_config()
+    want = generate_benchmark(cfg, seed=3)
+    save_instance(want, str(tmp_path))
+    assert sorted(os.listdir(tmp_path)) == ["benchmark.npz", "manifest.json",
+                                            "source_weights.json"]
+    assert (tmp_path / "benchmark.npz").read_bytes() == instance_entry(want)
+    assert_same_instance(load_instance_entry(str(tmp_path / "benchmark.npz"), cfg, 3),
+                         generate_benchmark(cfg, seed=3))
+    with np.load(tmp_path / "benchmark.npz") as archive:
+        assert (tmp_path / "manifest.json").read_text() == str(archive["meta"])
+    manifest = json.loads((tmp_path / "manifest.json").read_text())
+    assert (manifest["config"], manifest["seed"], manifest["fingerprint"]) == \
+        (asdict(cfg), 3, want.fingerprint)
+    assert same_bits(load_matrix_json(str(tmp_path / "source_weights.json")),
+                     want.source.weights)
 
 
 def test_no_novel_leakage_into_training(tiny_bench):

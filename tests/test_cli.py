@@ -20,8 +20,9 @@ from wtx.cli import main, run_training, staged_output
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
 from wtx.matrix import matrix_hash
+from wtx.models import VARIANTS
 
-from conftest import assert_no_worker_left, tiny_config
+from conftest import assert_no_worker_left, assert_same_instance, tiny_config
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
 
@@ -369,6 +370,17 @@ def test_cli_env_seed_override(tmp_path, monkeypatch):
     assert doc["seeds"] == [1]
 
 
+def test_cli_train_and_generate_use_the_first_configured_seed(tmp_path, monkeypatch):
+    # Without --seed or WTX_SEED, the first of the config's seeds, not the
+    # smallest.
+    monkeypatch.delenv("WTX_SEED", raising=False)
+    cfg_path = write_config(tmp_path, dict(tiny_doc(iterations=5), seeds=[1, 0]))
+    assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
+    assert "weights__ae_wtn__seed1.json" in os.listdir(tmp_path / "run")
+    assert main(["generate", "--config", cfg_path, "--out", str(tmp_path / "bench")]) == 0
+    assert json.loads((tmp_path / "bench" / "manifest.json").read_text())["seed"] == 1
+
+
 @pytest.mark.parametrize("how", ["flag", "env"])
 def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, how):
     argv = ["generate", "--config", write_config(tmp_path, tiny_doc()),
@@ -411,7 +423,7 @@ def test_cli_compare_sweep_structure(tmp_path):
     assert_no_worker_left()
     with open(os.path.join(out, "comparison.json")) as f:
         table = json.load(f)
-    # 3 variants x 2 seeds + 3 median rows, method-major
+    # 3 variants x 2 seeds + 3 median rows, sorted by method, then seed
     assert len(table["rows"]) == 9
     assert [(r["method"], r["seed"]) for r in table["rows"][:6]] == [
         (m, s) for m in ("wtn", "wtn_plus", "ae_wtn") for s in (0, 1)]
@@ -1060,6 +1072,23 @@ def test_cli_compare_run_dirs_output_bytes(seed_runs, tmp_path):
     }
 
 
+def test_cli_compare_run_dirs_in_any_order_writes_the_sweep_table(tmp_path, monkeypatch):
+    # The rows of both are sorted by method, then seed: a sweep over
+    # unsorted seeds, and compare over its runs in reversed order, write the
+    # same bytes.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    cfg_path = write_config(tmp_path, dict(tiny_doc(iterations=5), seeds=[1, 0]))
+    sweep = tmp_path / "sweep"
+    assert main(["compare", "--config", cfg_path, "--out", str(sweep)]) == 0
+    runs = sorted((str(p) for p in (sweep / "runs").iterdir()), reverse=True)
+    assert main(["compare", *runs, "--out", str(tmp_path / "cmp")]) == 0
+    for name in ("comparison.json", "comparison.csv"):
+        assert (tmp_path / "cmp" / name).read_bytes() == (sweep / name).read_bytes(), name
+    rows = json.loads((sweep / "comparison.json").read_text())["rows"]
+    assert [(r["method"], r["seed"]) for r in rows] == \
+        [(m, s) for m in VARIANTS for s in (0, 1)] + [(m, "median") for m in VARIANTS]
+
+
 EVAL_ANALYZE_SHA256 = {
     "metrics__ae_wtn__seed0__eval_novel.json": "ffa0277bf67b6f6a005e28341ba28f93fc3aa439e0bc36ecb2244305fcd87805",
     "metrics__ae_wtn__seed0__eval_seen.json": "ead08d25b67fe43a985225d95e0b222ddef707f3e9c4246224e7b03c8f1cb237",
@@ -1175,43 +1204,42 @@ def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys
 # --- generate bytes ---------------------------------------------------------------
 
 TINY_GENERATE_SHA256 = {
-    "config.json": "43b28c13f2d130ee4b0e559bb702763fde3faa249785a8c7b468d203c0abe0a2",
-    "eval_novel_features.npy": "21d4e90b7832b835ff2c99f9f7c29a8519a2b7d0163072d459480bc9bab19037",
-    "eval_novel_class_labels.json":
-        "8d01cb44e510f4eff98c946ad3bfe284c3f26f693eb4c9c2c8ec4f145858b7e5",
-    "eval_novel_primary.csv": "ebc44d15ef75e72290bb801a5fecf8ef725b44bff30375d0da4184adc1e36433",
-    "eval_seen_features.npy": "c95018ce2d0417308e40ef2f28486ee021d0ae4f1864f4365eb7d662cd8f3ea4",
-    "eval_seen_class_labels.json":
-        "02a4ed1fff473487f28871994c625019315407b32e48c6d27f5d40ad9ec8c771",
-    "eval_seen_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
-    "manifest.json": "6d6d60ee18ced6f0416ae08f77ebd93934c4a206ce344ecefcf368b74568c636",
-    "other_prototypes.json": "ecabb8accc0ccbc2d4686a4db3aa54a83051e6387931eb03e387a9361a478b5b",
-    "prototypes.json": "3d8377eafdd275e3b3233c5a15b9f6555d777c16c7687ede3654636977492b67",
-    "rotation.json": "212d8e9ffe40bea303336bb0453cb859705ee5fe8c522e45e5d1c83a88caa05d",
+    "benchmark.npz": "df658fd9d33150c5f89a5bee5933d178d104ec625f7d0ab0d7e11ad8d644fcab",
+    "manifest.json": "8d2c7f89971263994739139c8538a73301ba913f41c2011363fab43e29cd0ba0",
     "source_weights.json": "d771511a2646695dd72c9d1572c5d12d5f4ea4df3bed01e6ce8746237d75d8c0",
-    "train_features.npy": "11b5bb5c497597093933e1d35573e1eac64c14eb532064d8f525d2c4b45cf411",
-    "train_class_labels.json":
-        "02a4ed1fff473487f28871994c625019315407b32e48c6d27f5d40ad9ec8c771",
-    "train_primary.csv": "73175b94d291d24ed59a6de6bf8b6d261dc26bad9c9cf44d407373a6ce035b35",
 }
 
 
 def test_cli_generate_tiny_bytes(tmp_path):
-    """The sha256 of every file of a tiny ``wtx generate``, recorded before
-    the generator drew each split's noise in one call and the writers
-    formatted row by row (numpy 2.4, OpenBLAS 0.3.31, x86-64). The
-    ``*_class_labels.json`` hashes were recorded when those files replaced
-    the per-example ``*_labels.csv`` matrices, and the ``*_features.npy``
-    hashes when those files replaced the repr-text ``*_features.csv``; no
-    other hash changed either time. The ``config.json`` hash was recorded
-    again when its resolved block lost ``variant``, and again when the seed
-    moved into ``seeds``, the norm flags left the model section and the
-    resolved block kept only ``benchmark_sha256``."""
+    """The sha256 of every file of a tiny ``wtx generate`` (numpy 2.4,
+    OpenBLAS 0.3.31, x86-64). ``source_weights.json`` keeps the hash it had
+    when generate wrote a 15-file export tree. The ``benchmark.npz`` and
+    ``manifest.json`` hashes were recorded when that tree gave way to the
+    benchmark's cache-entry archive and the archive's ``meta`` document."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in read_tree(out).items()} == TINY_GENERATE_SHA256
+
+
+def test_cli_generate_writes_the_cache_entry(tmp_path, monkeypatch, cache_home):
+    """generate's archive is the cache entry of its config and seed, built
+    cold or read warm, and reads back as the generator's instance; the
+    output holds nothing else but its meta document and W_C."""
+    cfg_path = write_config(tmp_path, tiny_doc())
+    calls = counting_generate(monkeypatch)
+    for name in ("cold", "warm"):
+        out = tmp_path / name
+        assert main(["generate", "--config", cfg_path, "--out", str(out)]) == 0
+        assert sorted(os.listdir(out)) == ["benchmark.npz", "manifest.json",
+                                           "source_weights.json"]
+        [entry] = cache_entries(cache_home)
+        assert (out / "benchmark.npz").read_bytes() == \
+            (cache_home / "wtx" / "benchmarks" / entry).read_bytes()
+    assert calls == [0]             # the first of the config's seeds, built once
+    assert_same_instance(load_instance_entry(str(out / "benchmark.npz"), tiny_config(), 0),
+                         generate_benchmark(tiny_config(), 0))
 
 
 # --- benchmark cache --------------------------------------------------------------
@@ -1220,39 +1248,6 @@ def cache_entries(cache_home):
     """The file names in the benchmark cache under ``cache_home``."""
     root = cache_home / "wtx" / "benchmarks"
     return sorted(os.listdir(root)) if root.exists() else []
-
-
-def instance_parts(bench):
-    """Every array of a benchmark instance by name, and its other fields."""
-    arrays, other = {}, {"splits": list(bench.splits)}
-    for f in dataclasses.fields(bench):
-        value = getattr(bench, f.name)
-        if f.name == "source":
-            arrays.update({f"source.{g.name}": getattr(value, g.name)
-                           for g in dataclasses.fields(value)})
-        elif f.name == "splits":
-            arrays.update({f"{name}.{g.name}": getattr(sp, g.name)
-                           for name, sp in value.items() for g in dataclasses.fields(sp)})
-        elif isinstance(value, np.ndarray):
-            arrays[f.name] = value
-        else:
-            other[f.name] = value
-    return arrays, other
-
-
-def assert_same_instance(got, want):
-    """The same arrays (dtype, shape, layout, write flag and bits), the same
-    other fields and the same fingerprint."""
-    got_arrays, got_other = instance_parts(got)
-    want_arrays, want_other = instance_parts(want)
-    assert got_other == want_other
-    assert list(got_arrays) == list(want_arrays)
-    for name, a in got_arrays.items():
-        b = want_arrays[name]
-        assert (a.dtype, a.shape, a.flags.c_contiguous, a.flags.writeable) == \
-            (b.dtype, b.shape, b.flags.c_contiguous, b.flags.writeable), name
-        assert a.tobytes() == b.tobytes(), name
-    assert got.fingerprint == want.fingerprint
 
 
 def test_cache_hit_equals_a_fresh_build(cache_home):

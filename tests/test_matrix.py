@@ -1,14 +1,12 @@
 import json
 import math
-import os
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.errors import ValidationError
-from wtx.matrix import (load_matrix_json, matrix_hash, row_l2_norms, save_matrix_json,
-                        save_matrix_npy)
+from wtx.matrix import load_matrix_json, matrix_hash, row_l2_norms, save_matrix_json
 
 
 def test_transpose_involution():
@@ -94,8 +92,7 @@ def test_load_matrix_json_rejects_values_of_another_type(tmp_path_factory, data)
 
 
 # --- serializer bytes -------------------------------------------------------------
-# The JSON writer must give exactly the text of repr(float(x)) per element; the
-# .npy writer must give back exactly the bits it was given.
+# The JSON writer must give exactly the text of repr(float(x)) per element.
 
 EDGE_VALUES = [-0.0, 5e-324, 1e-05, 1e16, 1.7976931348623157e308, 1 / 3]
 
@@ -111,7 +108,6 @@ def serializer_cases(default_bench):
     return {
         "edges": np.stack([edges, -edges[::-1]]),
         "edges_column": edges[:, None],
-        "edges_transposed": np.stack([edges, -edges[::-1]]).T,    # Fortran order
         "zero_rows": np.zeros((0, 4)),
         "zero_cols": np.zeros((3, 0)),
         "default_labels": train.class_labels[train.class_index],
@@ -125,15 +121,3 @@ def test_serializers_write_the_repr_of_every_value(tmp_path, default_bench, case
     save_matrix_json(m, str(tmp_path / "m.json"))
     assert (tmp_path / "m.json").read_text() == json_oracle(m)
 
-
-@pytest.mark.parametrize("case", ["edges", "edges_column", "edges_transposed", "zero_rows",
-                                  "zero_cols", "default_labels"])
-def test_save_matrix_npy_keeps_every_bit(tmp_path, default_bench, case):
-    m = serializer_cases(default_bench)[case]
-    path = tmp_path / "m.npy"
-    save_matrix_npy(m, str(path))
-    back = np.load(path, allow_pickle=False)
-    assert back.dtype == np.float64 and back.shape == m.shape
-    assert back.flags.c_contiguous
-    assert back.tobytes() == np.ascontiguousarray(m, dtype=np.float64).tobytes()
-    assert os.listdir(tmp_path) == ["m.npy"]        # no temp file left behind
