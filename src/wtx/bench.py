@@ -22,6 +22,12 @@ array and a ``meta`` JSON document with the config, the seed, the
 fingerprint and the other facts of the instance. The benchmark cache of
 ``wtx.cli`` stores it, and ``wtx generate`` writes it with
 ``save_instance``.
+
+``meta`` also holds ``array_hashes``, the ``matrix_hash`` of W_C and of
+each split's features, and the fingerprint is computed from them. A load
+may read only some splits. It checks each hashed array it reads against
+its hash and the hashes against the fingerprint, so a damaged array fails
+only the loads that read it.
 """
 
 from __future__ import annotations
@@ -179,13 +185,22 @@ class BenchmarkInstance:
         return sp.features[idx], sp.labels[sp.class_index[idx]]
 
     @cached_property
+    def array_hashes(self) -> dict[str, str]:
+        """The ``matrix_hash`` of W_C and of every split's features, by archive
+        member name, computed once: both are read-only. ``load_instance_entry``
+        sets the archive's hashes."""
+        return {"source_weights": matrix_hash(self.source.weights),
+                **{f"{name}.features": matrix_hash(sp.features)
+                   for name, sp in self.splits.items()}}
+
+    @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 over the matrix hashes of the source weights and of every
-        split's features; a run records the fingerprint it was trained on.
-        Both are read-only, so it is computed once per instance."""
-        h = hashlib.sha256(matrix_hash(self.source.weights).encode())
-        for name in sorted(self.splits):
-            h.update(matrix_hash(self.splits[name].features).encode())
+        """SHA-256 over the array hashes, W_C's first, then the features' in
+        member name order; a run records the fingerprint it was trained on."""
+        hashes = self.array_hashes
+        h = hashlib.sha256(hashes["source_weights"].encode())
+        for name in sorted(hashes.keys() - {"source_weights"}):
+            h.update(hashes[name].encode())
         return h.hexdigest()
 
 
@@ -367,13 +382,15 @@ def _entry_meta(instance: BenchmarkInstance) -> str:
     return json.dumps({"config": asdict(instance.config), "seed": instance.seed,
                        "cooccur_radius": instance.cooccur_radius,
                        "measured": instance.measured, "splits": list(instance.splits),
+                       "array_hashes": instance.array_hashes,
                        "fingerprint": instance.fingerprint})
 
 
 def instance_entry(instance: BenchmarkInstance) -> bytes:
     """The instance as one uncompressed ``.npz`` archive: every array, and a
     ``meta`` string of JSON with the config, seed, co-occurrence radius,
-    measured statistics, split names and fingerprint. Split arrays are named
+    measured statistics, split names, array hashes and fingerprint. Split
+    arrays are named
     ``SPLIT.FIELD``. ``load_instance_entry`` reads it back."""
     arrays = {"meta": np.array(_entry_meta(instance)),
               "source_weights": instance.source.weights,
@@ -396,30 +413,39 @@ def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
     save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
 
 
-def load_instance_entry(path: str, config: BenchConfig, seed: int) -> BenchmarkInstance:
+def load_instance_entry(path: str, config: BenchConfig, seed: int,
+                        splits=None) -> BenchmarkInstance:
     """The instance in an entry that ``instance_entry`` wrote for (config,
-    seed), read without unpickling. W_C and the split features come back
-    read-only, as ``generate_benchmark`` makes them. An entry of another
-    (config, seed), or one whose arrays do not hash to its stored
-    fingerprint, raises ValidationError; a file that is not such an archive
-    raises what numpy or the zip reader raise."""
+    seed), read without unpickling: W_C, the small arrays and the splits
+    named in ``splits`` (every split if None; ``split`` of another raises
+    StateError). W_C and the split features come back read-only, as
+    ``generate_benchmark`` makes them. An entry of another (config, seed),
+    or one where an array read or the hashes do not hash to what is stored,
+    raises ValidationError; a file that is not such an archive raises what
+    numpy, the zip reader or a missing ``meta`` key raise."""
     # The file is opened here: np.load leaves its own file open when the
     # archive fails to parse.
     with open(path, "rb") as f, np.load(f, allow_pickle=False) as archive:
-        a = {name: archive[name] for name in archive.files}
-    meta = json.loads(str(a["meta"]))
-    if meta["config"] != asdict(config) or meta["seed"] != seed:
-        raise ValidationError(f"{path}: an entry of another benchmark")
-    splits = {name: Split(**{f: a[f"{name}.{f}"] for f in _SPLIT_ARRAYS})
-              for name in meta["splits"]}
-    for sp in splits.values():
+        meta = json.loads(str(archive["meta"]))
+        if meta["config"] != asdict(config) or meta["seed"] != seed:
+            raise ValidationError(f"{path}: an entry of another benchmark")
+        names = [s for s in meta["splits"] if splits is None or s in splits]
+        a = {member: archive[member] for member in archive.files
+             if member != "meta" and ("." not in member or member.split(".")[0] in names)}
+    hashes = meta["array_hashes"]
+    for member in ("source_weights", *(f"{s}.features" for s in names)):
+        if matrix_hash(a[member]) != hashes.get(member):
+            raise ValidationError(f"{path}: {member} does not hash to its stored hash")
+    loaded = {s: Split(**{f: a[f"{s}.{f}"] for f in _SPLIT_ARRAYS}) for s in names}
+    for sp in loaded.values():
         sp.features.setflags(write=False)
     instance = BenchmarkInstance(
         config=config, seed=seed,
         source=SourceWeights.create(a["source_weights"], np.flatnonzero(a["shared_mask"])),
         prototypes=a["prototypes"], cluster_ids=a["cluster_ids"],
         other_prototypes=a["other_prototypes"], cooccur_radius=meta["cooccur_radius"],
-        rotation=a["rotation"], splits=splits, measured=meta["measured"])
+        rotation=a["rotation"], splits=loaded, measured=meta["measured"])
+    vars(instance)["array_hashes"] = hashes     # the cached_property's value
     if instance.fingerprint != meta["fingerprint"]:
-        raise ValidationError(f"{path}: the arrays do not hash to the stored fingerprint")
+        raise ValidationError(f"{path}: the array hashes do not hash to the stored fingerprint")
     return instance

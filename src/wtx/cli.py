@@ -23,8 +23,8 @@ under ``runs/TAG/``):
     report.json              final losses; W_C, decoder and model hashes
     losses__TAG.csv          the losses of every training iteration
     weights__TAG.json        W_D, the transferred weights of every source class
-    model_params__TAG.json   the transfer model's parameter store
     head__TAG.json           the head's "other"-class weights
+    norm_stats__TAG.json     post-ReLU activation-norm statistics of the model
 
 The run's ``config.json`` is its experiment config with ``model.variant``
 set to the method, ``seeds`` to ``[SEED]`` and ``train.alpha`` to any
@@ -36,13 +36,14 @@ holds anything else: a run dir written by an older ``wtx`` (one with
 ``model.input_norm``, say, or ``resolved.method``) must be retrained.
 
 ``eval`` adds ``metrics__TAG__eval_seen.json`` and
-``metrics__TAG__eval_novel.json``; ``analyze`` adds ``overlap__TAG.json``
-(neighbor overlap of W_D with W_C) and ``norm_stats__TAG.json``
-(post-ReLU activation-norm statistics). A metrics file's ``config_echo``
-restates the resolved block; it stays until the benchmark harness stops
-reading it (ROADMAP item 4). ``compare`` writes ``comparison.json`` and
-``comparison.csv`` into its output directory; their rows are sorted by
-method, in the order of ``wtx.models.VARIANT_LAYERS``, then by seed.
+``metrics__TAG__eval_novel.json``; ``analyze`` adds only
+``overlap__TAG.json`` (neighbor overlap of W_D with W_C), from W_C and W_D.
+A run dir trained before ``train`` wrote the norm stats has none; retrain
+it to get them. A metrics file's ``config_echo`` restates the resolved
+block; it stays until the benchmark harness stops reading it (ROADMAP item
+4). ``compare`` writes ``comparison.json`` and ``comparison.csv`` into its
+output directory; their rows are sorted by method, in the order of
+``wtx.models.VARIANT_LAYERS``, then by seed.
 
 ``generate`` writes three files: ``benchmark.npz``, the benchmark in the
 format of ``wtx.bench.instance_entry`` and byte for byte the cache entry of
@@ -59,27 +60,31 @@ sha256 of canonical JSON of the benchmark config, the seed and a stamp of
 what else the benchmark's bits may depend on: the sha256 of this package's
 ``.py`` sources, the Python and numpy versions, numpy's BLAS name and
 version, and the host name and architecture. An entry (the format of
-``wtx.bench.instance_entry``) is used only if it reads back whole and its
-arrays hash to the fingerprint stored in it; otherwise the benchmark is
-built by ``generate_benchmark`` and its entry written. An error reading the
-cache counts as a miss and an error writing it is ignored, so the cache
-changes no exit code and no output byte. After each write the least
-recently used files, a killed writer's temp file included, are deleted
-until the directory holds at most ``CACHE_BYTES`` (512 MiB); a hit counts
-as a use.
+``wtx.bench.instance_entry``) is used only if what the command reads of it
+passes the checks of ``wtx.bench.load_instance_entry``; otherwise the
+benchmark is built by ``generate_benchmark`` and its entry written.
+``generate``, ``train`` and a sweep read every split and the reloads fewer
+(below), so a damaged array is repaired by the first command that reads it.
+An error reading the cache counts as a miss and an error writing it is
+ignored, so the cache changes no exit code and no output byte. After each
+write the least recently used files, a killed writer's temp file included,
+are deleted until the directory holds at most ``CACHE_BYTES`` (512 MiB); a
+hit counts as a use.
 
 ``eval``, ``analyze`` and ``compare RUN_DIRS`` reload a run directory. A
 reload reads and shape-checks the run's matrix files first, then gets the
-benchmark of the config and seed and checks its fingerprint, hashed from
-the arrays in hand, against the recorded ``benchmark_sha256``. A cached
-benchmark that does not match is built by the generator again before the
-mismatch is reported, so the message is about a regenerated benchmark.
-``compare RUN_DIRS`` gets each distinct (benchmark config, seed) once and
-checks every run directory's fingerprint against it. It reads every run
-directory before it gets any benchmark, and takes one run per (method,
-seed), the key of a table row, and only runs scored with one
-``evaluation.recall_k``. It scores the runs as they were trained, so the
-sweep flags ``--config``, ``--seed``, ``--grid`` and ``--alpha`` exit 2
+benchmark of the config and seed and checks its fingerprint against the
+recorded ``benchmark_sha256``. Of a cache entry, each reads W_C and the
+small arrays, and ``eval`` and ``compare RUN_DIRS`` the ``eval_seen`` and
+``eval_novel`` splits too; W_C and the features read are checked against
+their stored hashes. A cached benchmark that does not match is built by the
+generator again before the mismatch is reported, so the message is about a
+regenerated benchmark. ``compare RUN_DIRS`` gets each distinct (benchmark
+config, seed) once and checks every run directory's fingerprint against it.
+It reads every run directory before it gets any benchmark, and takes one
+run per (method, seed), the key of a table row, and only runs scored with
+one ``evaluation.recall_k``. It scores the runs as they were trained, so
+the sweep flags ``--config``, ``--seed``, ``--grid`` and ``--alpha`` exit 2
 with RUN_DIRS, before any run directory is read; ``--jobs`` has a default
 and is ignored.
 
@@ -127,8 +132,7 @@ from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_json
-from .models import (VARIANT_LAYERS, VARIANTS, DetectionProxyHead, TransferModel,
-                     load_model_params, save_model_params, train_joint)
+from .models import VARIANT_LAYERS, VARIANTS, DetectionProxyHead, TransferModel, train_joint
 
 
 def _load_config(path: str | None, alpha: float | None = None) -> ExperimentConfig:
@@ -162,10 +166,11 @@ def _resolve_seeds(cfg: ExperimentConfig, cli_seed: int | None) -> list[int]:
 
 @contextmanager
 def staged_output(final_path: str, overwrite: bool):
-    """Create the output directory atomically: build in a temp dir, rename.
-    The output is checked before the body runs: an existing one must be a
-    directory, and is replaced only with ``overwrite``. The temp dir is
-    removed if the body or the final swap fails."""
+    """Create the output directory atomically: build in a temp dir, rename. The
+    output is checked before the body runs: an existing one must be a
+    directory, and is replaced only with ``overwrite``, and a temp dir that
+    cannot be made raises ConfigError. The temp dir is removed if the body or
+    the final swap fails."""
     final_path = os.path.abspath(final_path)
     if os.path.lexists(final_path):
         if not overwrite:
@@ -176,7 +181,10 @@ def staged_output(final_path: str, overwrite: bool):
     tmp = final_path + f".staging{os.getpid()}"
     if os.path.exists(tmp):
         shutil.rmtree(tmp)
-    os.makedirs(tmp)
+    try:
+        os.makedirs(tmp)
+    except OSError as e:        # say, a parent that is a file
+        raise ConfigError(f"output {final_path} cannot be created ({e.strerror})") from None
     try:
         yield tmp
         if os.path.exists(final_path):
@@ -256,17 +264,17 @@ def _store_entry(path: str, bench: BenchmarkInstance) -> None:
         pass
 
 
-def _benchmark(config: BenchConfig, seed: int, *,
-               look_up: bool = True) -> tuple[BenchmarkInstance, bool]:
-    """The benchmark of (config, seed) and whether it came from the cache.
-    A cache entry is used only if it reads back whole and its arrays hash
-    to its stored fingerprint; anything else builds the benchmark with
-    ``generate_benchmark`` and writes its entry. ``look_up=False`` builds
-    without reading the cache."""
+def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True,
+               splits=None) -> tuple[BenchmarkInstance, bool]:
+    """The benchmark of (config, seed) and whether it came from the cache. A
+    hit holds the splits named in ``splits`` (every split if None) and is used
+    only if it passes the checks of ``load_instance_entry``; anything else
+    builds the whole benchmark with ``generate_benchmark`` and writes its
+    entry. ``look_up=False`` builds without reading the cache."""
     path = os.path.join(_cache_dir(), _cache_key(config, seed) + ".npz")
     if look_up:
         try:
-            bench = load_instance_entry(path, config, seed)
+            bench = load_instance_entry(path, config, seed, splits)
         except Exception:       # any read error or failed check is a miss
             pass
         else:
@@ -281,6 +289,8 @@ def _benchmark(config: BenchConfig, seed: int, *,
 
 
 GRID_METHODS = ("wtn", "wtn_plus_in_only", "wtn_plus_gn_only", "wtn_plus")
+# The splits that scoring reads.
+EVAL_SPLITS = ("eval_seen", "eval_novel")
 
 
 def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
@@ -308,7 +318,8 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
                                     for row in zip(*(report.curve[c] for c in columns))]
     atomic_write_text(os.path.join(outdir, f"losses__{tag}.csv"), "\n".join(losses) + "\n")
     save_matrix_json(w_d, os.path.join(outdir, f"weights__{tag}.json"))
-    save_model_params(model, os.path.join(outdir, f"model_params__{tag}.json"))
+    atomic_write_text(os.path.join(outdir, f"norm_stats__{tag}.json"),
+                      norm_stats(model, bench.source).to_json())
     save_matrix_json(head.other_weights.data, os.path.join(outdir, f"head__{tag}.json"))
     atomic_write_text(os.path.join(outdir, "report.json"), report.to_json())
     _write_json(os.path.join(outdir, "config.json"),
@@ -353,16 +364,16 @@ def _read_run_dir(run_dir: str):
 
 
 def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
-                   benches: dict) -> BenchmarkInstance:
-    """The benchmark a run was trained on, from its config and seed; its
-    fingerprint, hashed from the arrays in hand, must be the one the run
-    recorded. A cached benchmark that does not match is built again before
-    the mismatch is reported. ``benches`` maps (BenchConfig, seed) to a
-    (benchmark, cached) pair; a command that reloads several run dirs
-    passes one dict so that each distinct benchmark is loaded once."""
+                   benches: dict, splits) -> BenchmarkInstance:
+    """The benchmark a run was trained on, from its config and seed, with
+    at least the splits named in ``splits``; its fingerprint must be the
+    one the run recorded. A cached benchmark that does not match is built
+    again before the mismatch is reported. ``benches`` maps (BenchConfig,
+    seed) to a (benchmark, cached) pair; a command that reloads several run
+    dirs passes one dict so that each distinct benchmark is loaded once."""
     key = cfg.benchmark, cfg.seeds[0]
     if key not in benches:
-        benches[key] = _benchmark(*key)
+        benches[key] = _benchmark(*key, splits=splits)
     stamped = resolved["benchmark_sha256"]
     bench, cached = benches[key]
     if bench.fingerprint != stamped and cached:
@@ -397,9 +408,9 @@ def cmd_train(args) -> int:
 def cmd_eval(args) -> int:
     run_dir = args.run_dir
     cfg, resolved, tag, w_d, head = _read_run_dir(run_dir)
-    bench = _run_benchmark(run_dir, cfg, resolved, {})
+    bench = _run_benchmark(run_dir, cfg, resolved, {}, EVAL_SPLITS)
     k = cfg.evaluation.recall_k
-    for split in ("eval_seen", "eval_novel"):
+    for split in EVAL_SPLITS:
         rep = evaluate(head, w_d, bench, split, k=k)
         rep.config_echo = {"resolved": resolved}
         atomic_write_text(os.path.join(run_dir, f"metrics__{tag}__{split}.json"),
@@ -411,16 +422,11 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     run_dir = args.run_dir
     cfg, resolved, tag, w_d, head = _read_run_dir(run_dir)
-    bench = _run_benchmark(run_dir, cfg, resolved, {})
+    bench = _run_benchmark(run_dir, cfg, resolved, {}, ())
     rng = np.random.default_rng(cfg.evaluation.analysis_seed)
     curve = nn_overlap(bench.source.weights, w_d, cfg.evaluation.overlap_ks,
                        cfg.evaluation.sample_classes, rng)
     atomic_write_text(os.path.join(run_dir, f"overlap__{tag}.json"), curve.to_json())
-
-    model = TransferModel(cfg.model, bench.source, cfg.seeds[0])
-    load_model_params(model, os.path.join(run_dir, f"model_params__{tag}.json"))
-    stats = norm_stats(model, bench.source)
-    atomic_write_text(os.path.join(run_dir, f"norm_stats__{tag}.json"), stats.to_json())
     print(f"analysis written to {run_dir}")
     return 0
 
@@ -429,8 +435,7 @@ def _row_from_run(cfg: ExperimentConfig, head, w_d, bench) -> dict:
     """The comparison row of the run that ``cfg``, a run's config, trained."""
     method, layers = cfg.model.variant, VARIANT_LAYERS[cfg.model.variant]
     k = cfg.evaluation.recall_k
-    seen = evaluate(head, w_d, bench, "eval_seen", k=k)
-    novel = evaluate(head, w_d, bench, "eval_novel", k=k)
+    seen, novel = (evaluate(head, w_d, bench, split, k=k) for split in EVAL_SPLITS)
     return {"method": method, "seed": cfg.seeds[0],
             "input_norm": layers.input_norm,
             "group_norm": layers.feature_norm,
@@ -500,7 +505,7 @@ def cmd_compare(args) -> int:
                                       f"{cfg.evaluation.recall_k}; one table needs one recall_k")
             rows, benches = [], {}
             for rd, cfg, resolved, tag, w_d, head in runs:
-                bench = _run_benchmark(rd, cfg, resolved, benches)
+                bench = _run_benchmark(rd, cfg, resolved, benches, EVAL_SPLITS)
                 rows.append(_row_from_run(cfg, head, w_d, bench))
             _write_comparison(tmp, rows)
         print(f"comparison written to {args.out}")

@@ -69,11 +69,12 @@ def nearest_other_row(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def matrix_hash(m: np.ndarray) -> str:
-    """SHA-256 over shape and raw bytes; detects any byte-level change."""
+    """SHA-256 over shape and raw bytes; detects any byte-level change. The
+    C-contiguous array is hashed through its buffer, without a copy."""
     m = np.ascontiguousarray(m)
     h = hashlib.sha256()
     h.update(repr(m.shape).encode())
-    h.update(m.tobytes())
+    h.update(m)
     return h.hexdigest()
 
 

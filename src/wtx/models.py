@@ -28,7 +28,7 @@ vectors, ``model.data`` and ``model.grad``, built by ``layers.flatten``.
 The encoder's parameters come first, in layer order, and the decoder's
 follow from ``model.encoder_size`` on; every layer's ``Param.data`` and
 ``Param.grad`` are reshaped views of their slice. So an optimizer step,
-``zero_grad``, a model hash and the saved parameters each act on one array.
+``zero_grad`` and a model hash each act on one array.
 
 Scoring is a bias-free matrix multiplication of features against the
 stacked transferred and conventionally-learned "other" weights, written
@@ -56,7 +56,7 @@ import numpy as np
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU, flatten
 from .losses import LossValue, sigmoid_bce, smooth_l1, total_loss
-from .matrix import blocked_sq_dists, load_matrix_json, matrix_hash, save_matrix_json
+from .matrix import blocked_sq_dists, matrix_hash
 from .optim import AdamW, SGDMomentum
 
 
@@ -374,17 +374,6 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
         report.decoder_hash_final = matrix_hash(model.data[model.encoder_size:])
     report.model_hash_final = matrix_hash(model.data)
     return report
-
-
-def save_model_params(model: TransferModel, path: str) -> None:
-    """Serialize the parameter store as a one-row JSON matrix."""
-    save_matrix_json(model.data.reshape(1, -1), path)
-
-
-def load_model_params(model: TransferModel, path: str) -> None:
-    """Restore a store saved by save_model_params into a model built with the
-    same configuration; a store of another size raises ValidationError."""
-    model.data[...] = load_matrix_json(path, (1, model.data.size))[0]
 
 
 # --- Non-WTN baselines -----------------------------------------------------

@@ -1,14 +1,16 @@
 import numpy as np
 import pytest
 
+import io
+import itertools
 import json
 import os
-from dataclasses import asdict
+from dataclasses import asdict, replace
 
 import wtx.bench
 from wtx.bench import (BenchConfig, Split, _train_source_classifier, generate_benchmark,
                        instance_entry, load_instance_entry, save_instance)
-from wtx.errors import ConfigError, StateError
+from wtx.errors import ConfigError, StateError, ValidationError
 from wtx.evaluation import evaluate
 from wtx.matrix import load_matrix_json, row_l2_norms
 from wtx.models import DetectionProxyHead, ModelConfig, TrainConfig, TransferModel, train_joint
@@ -106,6 +108,62 @@ def test_instance_round_trip(tmp_path):
         (asdict(cfg), 3, want.fingerprint)
     assert same_bits(load_matrix_json(str(tmp_path / "source_weights.json")),
                      want.source.weights)
+
+
+SPLIT_NAMES = ("train", "eval_seen", "eval_novel")
+
+
+@pytest.mark.parametrize("splits", [names for r in range(len(SPLIT_NAMES) + 1)
+                                    for names in itertools.combinations(SPLIT_NAMES, r)],
+                         ids=lambda names: "+".join(names) or "none")
+def test_a_partial_load_holds_the_named_splits_of_the_whole_instance(tmp_path, splits):
+    cfg = tiny_config()
+    whole = generate_benchmark(cfg, seed=3)
+    path = tmp_path / "benchmark.npz"
+    path.write_bytes(instance_entry(whole))
+    part = load_instance_entry(str(path), cfg, 3, splits=splits)
+    want = replace(whole, splits={name: sp for name, sp in whole.splits.items()
+                                  if name in splits})
+    vars(want)["array_hashes"] = whole.array_hashes     # a load keeps the whole's hashes
+    assert_same_instance(part, want)
+    assert part.fingerprint == whole.fingerprint
+    for name in set(SPLIT_NAMES) - set(splits):
+        with pytest.raises(StateError, match=f"no split named '{name}'"):
+            part.split(name)
+
+
+def rewritten_entry(tmp_path, bench, edit):
+    """The entry of ``bench`` with ``edit`` applied to its arrays by name,
+    written to a file; returns the path."""
+    with np.load(io.BytesIO(instance_entry(bench))) as archive:
+        arrays = {name: archive[name] for name in archive.files}
+    edit(arrays)
+    path = tmp_path / "entry.npz"
+    np.savez(path, **arrays)
+    return str(path)
+
+
+def test_a_load_checks_the_arrays_it_reads_and_the_hashes_of_the_rest(tmp_path):
+    cfg = tiny_config()
+    bench = generate_benchmark(cfg, seed=3)
+    evals = ("eval_seen", "eval_novel")
+
+    def alter_train(arrays):
+        arrays["train.features"] = arrays["train.features"] + 1.0
+
+    path = rewritten_entry(tmp_path, bench, alter_train)
+    assert load_instance_entry(path, cfg, 3, splits=evals).fingerprint == bench.fingerprint
+    with pytest.raises(ValidationError, match="train.features does not hash to its stored hash"):
+        load_instance_entry(path, cfg, 3)
+
+    def alter_train_hash(arrays):
+        meta = json.loads(str(arrays["meta"]))
+        meta["array_hashes"]["train.features"] = "0" * 64
+        arrays["meta"] = np.array(json.dumps(meta))
+
+    path = rewritten_entry(tmp_path, bench, alter_train_hash)
+    with pytest.raises(ValidationError, match="do not hash to the stored fingerprint"):
+        load_instance_entry(path, cfg, 3, splits=evals)
 
 
 def test_no_novel_leakage_into_training(tiny_bench):

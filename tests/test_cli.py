@@ -19,6 +19,7 @@ from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_inst
 from wtx.cli import main, run_training, staged_output
 from wtx.config import config_from_dict, config_to_dict, default_config
 from wtx.errors import ConfigError
+from wtx.evaluation import norm_stats
 from wtx.matrix import matrix_hash
 from wtx.models import VARIANTS
 
@@ -299,8 +300,8 @@ def test_cli_run_directory_format(tmp_path):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(run_dir), "--seed", "1"]) == 0
     trained = {"config.json", "report.json", "losses__ae_wtn__seed1.csv",
-               "weights__ae_wtn__seed1.json", "model_params__ae_wtn__seed1.json",
-               "head__ae_wtn__seed1.json"}
+               "weights__ae_wtn__seed1.json", "head__ae_wtn__seed1.json",
+               "norm_stats__ae_wtn__seed1.json"}
     assert set(os.listdir(run_dir)) == trained
 
     # The same run trained in-process gives the losses CSV and report.json.
@@ -313,6 +314,8 @@ def test_cli_run_directory_format(tmp_path):
         in zip(curve["iteration"], curve["l_cls"], curve["l_rec"], curve["total"])]
     assert (run_dir / "losses__ae_wtn__seed1.csv").read_text() == "\n".join(want) + "\n"
     assert (run_dir / "report.json").read_text() == res["report"].to_json()
+    assert (run_dir / "norm_stats__ae_wtn__seed1.json").read_text() == \
+        norm_stats(res["model"], res["bench"].source).to_json()
     report = json.loads((run_dir / "report.json").read_text())
     assert not {"config_echo", "curve", "variant", "seed"} & set(report)
     # config.json is the config the run was trained with, its method and
@@ -329,8 +332,7 @@ def test_cli_run_directory_format(tmp_path):
     assert set(os.listdir(run_dir)) == evaluated
 
     assert main(["analyze", str(run_dir)]) == 0
-    assert set(os.listdir(run_dir)) == evaluated | {"overlap__ae_wtn__seed1.json",
-                                                    "norm_stats__ae_wtn__seed1.json"}
+    assert set(os.listdir(run_dir)) == evaluated | {"overlap__ae_wtn__seed1.json"}
 
 
 def test_cli_existing_output_requires_overwrite(tmp_path):
@@ -863,7 +865,7 @@ CORRUPTIONS = {
 @pytest.mark.parametrize("corruption", sorted(CORRUPTIONS))
 @pytest.mark.parametrize("prefix, command", [
     (prefix, command) for prefix in ("weights", "head") for command in ("eval", "analyze", "compare")
-] + [("model_params", "analyze")])
+])
 def test_cli_reload_rejects_malformed_matrix_files(trained_run, tmp_path, capsys,
                                                    prefix, command, corruption):
     run_dir = tmp_path / "run"
@@ -939,33 +941,16 @@ def test_cli_reload_directory_in_place_of_a_file_exits_2(trained_run, tmp_path, 
                         capsys.readouterr().err)
 
 
-def test_cli_analyze_rejects_name_keyed_model_params(trained_run, tmp_path, capsys):
-    # The format written before the parameter store: one matrix per name.
-    run_dir = tmp_path / "run"
-    shutil.copytree(trained_run, run_dir)
-    path = run_dir / "model_params__ae_wtn__seed0.json"
-    values = json.loads(path.read_text())["data"]
-    path.write_text(json.dumps({"enc1.bias": {"rows": 1, "cols": 16, "data": values[:16]},
-                                "enc1.weight": {"rows": 16, "cols": 16,
-                                                "data": values[16:272]}}))
-    assert main(["analyze", str(run_dir)]) == 2
-    assert "model_params__ae_wtn__seed0.json" in capsys.readouterr().err
-
-
-def test_cli_analyze_rejects_params_of_another_model_size(trained_run, tmp_path, capsys):
-    run_dir = tmp_path / "run"
-    shutil.copytree(trained_run, run_dir)
-    # The variant fixes a model's layers; the config's model section sets
-    # the width.
-    edit_json(run_dir / "config.json", lambda doc: doc["model"].update(hidden_dim=8))
-    assert main(["eval", str(run_dir)]) == 0      # eval does not read the parameters
-    capsys.readouterr()
-    assert main(["analyze", str(run_dir)]) == 2
-    err = capsys.readouterr().err
-    assert "model_params__ae_wtn__seed0.json holds a 1x" in err and "is needed" in err
-
-
 # --- output directory -------------------------------------------------------------
+
+def out_command(command, cfg_path, run_dir):
+    """The argv, less ``--out``, of each command that writes an output
+    directory."""
+    return {"generate": ["generate", "--config", cfg_path],
+            "train": ["train", "--config", cfg_path],
+            "compare": ["compare", "--config", cfg_path],
+            "compare RUN_DIRS": ["compare", str(run_dir)]}[command]
+
 
 @pytest.mark.parametrize("command", ["generate", "train", "compare", "compare RUN_DIRS"])
 def test_cli_out_that_is_a_file_exits_2_before_any_work(trained_run, tmp_path, capsys,
@@ -974,16 +959,29 @@ def test_cli_out_that_is_a_file_exits_2_before_any_work(trained_run, tmp_path, c
     cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
     out = tmp_path / "out"
     out.write_text("keep me")
-    argv = {"generate": ["generate", "--config", cfg_path],
-            "train": ["train", "--config", cfg_path],
-            "compare": ["compare", "--config", cfg_path],
-            "compare RUN_DIRS": ["compare", str(trained_run)]}[command]
+    argv = out_command(command, cfg_path, trained_run)
     assert main(argv + ["--out", str(out), "--overwrite"]) == 2
     assert capsys.readouterr().err == \
         f"error: output {out} is not a directory; --overwrite replaces only a directory\n"
     assert calls == []
     assert out.read_text() == "keep me"
     assert sorted(os.listdir(tmp_path)) == ["config.json", "out"]     # no staging dir
+
+
+@pytest.mark.parametrize("command", ["generate", "train", "compare", "compare RUN_DIRS"])
+def test_cli_out_that_cannot_be_created_exits_2_before_any_work(trained_run, tmp_path, capsys,
+                                                                monkeypatch, command):
+    calls = counting_generate(monkeypatch)
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    (tmp_path / "file").write_text("keep me")
+    out = tmp_path / "file" / "x"
+    argv = out_command(command, cfg_path, trained_run)
+    assert main(argv + ["--out", str(out)]) == 2
+    assert re.fullmatch(rf"error: output {re.escape(str(out))} cannot be created \(.+\)\n",
+                        capsys.readouterr().err)
+    assert calls == []
+    assert (tmp_path / "file").read_text() == "keep me"
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "file"]
 
 
 def test_cli_out_that_is_a_symlink_exits_2(tmp_path, capsys):
@@ -1110,13 +1108,15 @@ EVAL_ANALYZE_SHA256 = {
 
 
 def test_cli_eval_and_analyze_output_bytes(seed_runs, tmp_path):
-    """The sha256 of every file ``eval`` and ``analyze`` add to a copy of each
-    seed run, recorded before top-k hits were counted by rank and the
-    generator's loops ran over row blocks (numpy 2.4, OpenBLAS 0.3.31,
-    x86-64). The metrics hashes were recorded again when the resolved block,
-    which their ``config_echo`` restates, lost ``variant``, and again when
-    it kept only ``benchmark_sha256`` and the metrics lost ``universe``; no
-    other hash changed. Neither command changes a file that was already
+    """The sha256 of the norm stats ``train`` writes and of every file
+    ``eval`` and ``analyze`` add to a copy of each seed run, recorded before
+    top-k hits were counted by rank and the generator's loops ran over row
+    blocks (numpy 2.4, OpenBLAS 0.3.31, x86-64). The metrics hashes were
+    recorded again when the resolved block, which their ``config_echo``
+    restates, lost ``variant``, and again when it kept only
+    ``benchmark_sha256`` and the metrics lost ``universe``; no other hash
+    changed, and the norm stats kept theirs when ``train`` took them over
+    from ``analyze``. Neither command changes a file that was already
     there."""
     got = {}
     for run in seed_runs.values():
@@ -1127,8 +1127,8 @@ def test_cli_eval_and_analyze_output_bytes(seed_runs, tmp_path):
         assert main(["analyze", str(copy)]) == 0
         after = read_tree(copy)
         assert {name: after[name] for name in before} == before
-        got.update({name: hashlib.sha256(data).hexdigest()
-                    for name, data in after.items() if name not in before})
+        got.update({name: hashlib.sha256(data).hexdigest() for name, data in after.items()
+                    if name not in before or name.startswith("norm_stats__")})
     assert got == EVAL_ANALYZE_SHA256
 
 
@@ -1204,8 +1204,8 @@ def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys
 # --- generate bytes ---------------------------------------------------------------
 
 TINY_GENERATE_SHA256 = {
-    "benchmark.npz": "df658fd9d33150c5f89a5bee5933d178d104ec625f7d0ab0d7e11ad8d644fcab",
-    "manifest.json": "8d2c7f89971263994739139c8538a73301ba913f41c2011363fab43e29cd0ba0",
+    "benchmark.npz": "bfe2e6822e68bdc9faf6bc5a39db1b9d309966f4867c8bcdc6255f186b7e6762",
+    "manifest.json": "6fac68a4d9f5ed14d06a21a46e16630f245746b9a247b60ee3c60c1462b0855a",
     "source_weights.json": "d771511a2646695dd72c9d1572c5d12d5f4ea4df3bed01e6ce8746237d75d8c0",
 }
 
@@ -1215,7 +1215,9 @@ def test_cli_generate_tiny_bytes(tmp_path):
     OpenBLAS 0.3.31, x86-64). ``source_weights.json`` keeps the hash it had
     when generate wrote a 15-file export tree. The ``benchmark.npz`` and
     ``manifest.json`` hashes were recorded when that tree gave way to the
-    benchmark's cache-entry archive and the archive's ``meta`` document."""
+    benchmark's cache-entry archive and the archive's ``meta`` document, and
+    again when ``meta`` gained ``array_hashes``; the rest of ``meta`` kept
+    its text."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0
@@ -1318,12 +1320,22 @@ def stale_entry(path, bench):
         f.write(instance_entry(dataclasses.replace(bench, splits=splits)))
 
 
-def altered_features(arrays):
-    arrays["train.features"] = arrays["train.features"] + 1.0    # fingerprint kept
+def altered(member):
+    """An edit for ``rewrite_entry`` that changes the array ``member`` and
+    keeps the stored hashes and fingerprint."""
+    def edit(arrays):
+        arrays[member] = arrays[member] + 1.0
+    return edit
+
+
+# The array that the "altered" case changes for each command: one it reads.
+ALTERED_MEMBER = {"train": "train.features", "eval": "eval_novel.features",
+                  "analyze": "source_weights"}
 
 
 @pytest.mark.parametrize("fault, command", [
     ("truncated", "train"), ("truncated", "eval"), ("altered", "train"), ("altered", "eval"),
+    ("altered", "analyze"),
     # Its own fingerprint checks out; only the run's record shows it stale.
     ("stale", "eval"),
 ])
@@ -1336,6 +1348,7 @@ def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home
     assert main(train + [str(run_dir)]) == 0
     trained = read_tree(run_dir)
     assert main(["eval", str(run_dir)]) == 0
+    assert main(["analyze", str(run_dir)]) == 0
     evaluated = read_tree(run_dir)
     [name] = cache_entries(cache_home)
     path = cache_home / "wtx" / "benchmarks" / name
@@ -1343,7 +1356,7 @@ def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home
     if fault == "truncated":
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     elif fault == "altered":
-        rewrite_entry(path, altered_features)
+        rewrite_entry(path, altered(ALTERED_MEMBER[command]))
     else:
         stale_entry(path, generate_benchmark(config, 0))
         bench, cached = wtx.cli._benchmark(config, 0)     # a hit, by its own fingerprint
@@ -1353,12 +1366,83 @@ def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home
         assert main(train + [str(tmp_path / "again")]) == 0
         assert read_tree(tmp_path / "again") == trained
     else:
-        assert main(["eval", str(run_dir)]) == 0
+        assert main([command, str(run_dir)]) == 0
         assert read_tree(run_dir) == evaluated
     assert calls == [0]
     assert cache_entries(cache_home) == [name]
     assert_same_instance(load_instance_entry(str(path), config, 0),
                          generate_benchmark(config, 0))
+
+
+def test_cli_a_damaged_array_is_repaired_by_the_first_command_that_reads_it(
+        tmp_path, monkeypatch, cache_home):
+    # eval reads no train split: it scores from an entry with altered train
+    # features and leaves the entry as it is; train reads them and rebuilds.
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    run_dir = tmp_path / "run"
+    train = ["train", "--config", cfg_path, "--seed", "0", "--out"]
+    assert main(train + [str(run_dir)]) == 0
+    trained = read_tree(run_dir)
+    assert main(["eval", str(run_dir)]) == 0
+    evaluated = read_tree(run_dir)
+    [name] = cache_entries(cache_home)
+    path = cache_home / "wtx" / "benchmarks" / name
+    rewrite_entry(path, altered("train.features"))
+    damaged = path.read_bytes()
+    calls = counting_generate(monkeypatch)
+    assert main(["eval", str(run_dir)]) == 0
+    assert read_tree(run_dir) == evaluated
+    assert calls == [] and path.read_bytes() == damaged
+    assert main(train + [str(tmp_path / "again")]) == 0
+    assert read_tree(tmp_path / "again") == trained
+    assert calls == [0]
+    assert cache_entries(cache_home) == [name]
+    assert_same_instance(load_instance_entry(str(path), tiny_config(), 0),
+                         generate_benchmark(tiny_config(), 0))
+
+
+def loaded_members(monkeypatch):
+    """Record the name of every archive member that an ``np.load`` archive
+    hands out; returns the list."""
+    loaded = []
+    getitem = np.lib.npyio.NpzFile.__getitem__
+
+    def recording(self, key):
+        loaded.append(key)
+        return getitem(self, key)
+
+    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+    return loaded
+
+
+def test_cli_commands_load_only_the_arrays_they_use(tmp_path, monkeypatch, cache_home):
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    cfg_path = write_config(tmp_path, dict(tiny_doc(iterations=5), seeds=[0]))
+    # A cold generate writes the entry that every command below reads.
+    assert main(["generate", "--config", cfg_path, "--out", str(tmp_path / "cold")]) == 0
+    with np.load(tmp_path / "cold" / "benchmark.npz") as archive:
+        every = set(archive.files)
+    loaded = loaded_members(monkeypatch)
+    run = str(tmp_path / "run")
+    commands = {
+        "generate": ["generate", "--config", cfg_path, "--out", str(tmp_path / "warm")],
+        "train": ["train", "--config", cfg_path, "--out", run],
+        "sweep": ["compare", "--config", cfg_path, "--out", str(tmp_path / "sweep")],
+        "eval": ["eval", run],
+        "analyze": ["analyze", run],
+        "compare RUN_DIRS": ["compare", run, "--out", str(tmp_path / "cmp")],
+    }
+    members = {}
+    for command, argv in commands.items():
+        loaded.clear()
+        assert main(argv) == 0, command
+        members[command] = set(loaded)
+    split_members = {m for m in every if "." in m}
+    train_members = {m for m in split_members if m.startswith("train.")}
+    assert len(train_members) == 4 and len(split_members) == 12
+    assert members == {"generate": every, "train": every, "sweep": every,
+                       "eval": every - train_members, "analyze": every - split_members,
+                       "compare RUN_DIRS": every - train_members}
 
 
 def test_cli_unwritable_cache_changes_no_exit_code_or_byte(tmp_path, monkeypatch, capsys):

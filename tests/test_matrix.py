@@ -1,3 +1,4 @@
+import hashlib
 import json
 import math
 
@@ -52,6 +53,18 @@ def test_matrix_hash_detects_any_change():
     m2[1, 1] = np.nextafter(m2[1, 1], np.inf)
     assert matrix_hash(m2) != h
     assert matrix_hash(m.copy()) == h
+
+
+@pytest.mark.parametrize("view", ["c_order", "fortran_order", "sliced", "zero_rows"])
+def test_matrix_hash_equals_the_hash_of_the_copied_bytes(view):
+    # The array is hashed through its buffer; the digest is that of the
+    # bytes of its C-ordered copy.
+    m = np.random.default_rng(3).standard_normal((6, 5))
+    m = {"c_order": m, "fortran_order": np.asfortranarray(m), "sliced": m[1::2, ::-2],
+         "zero_rows": m[:0]}[view]
+    h = hashlib.sha256(repr(m.shape).encode())
+    h.update(np.ascontiguousarray(m).tobytes())
+    assert matrix_hash(m) == h.hexdigest()
 
 
 def test_load_matrix_json_names_a_truncated_file(tmp_path):

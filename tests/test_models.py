@@ -5,7 +5,7 @@ import pytest
 
 from wtx.cli import run_training
 from wtx.config import EvalSettings, ExperimentConfig
-from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged, ValidationError
+from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from wtx.evaluation import evaluate
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.layers import GroupNorm, InputStandardizer, Linear, ReLU
@@ -13,8 +13,8 @@ from wtx.losses import sigmoid_bce, smooth_l1, total_loss
 from wtx.matrix import load_matrix_json, matrix_hash
 from wtx.models import (DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
-                        baseline_nn_transfer, joint_losses, load_model_params,
-                        save_model_params, train_conventional_head, train_joint)
+                        baseline_nn_transfer, joint_losses, train_conventional_head,
+                        train_joint)
 from wtx.optim import AdamW, SGDMomentum
 
 from conftest import make_model, top1_over
@@ -442,31 +442,6 @@ def test_exported_weights_shape_and_bitwise_scoring(tiny_bench, tmp_path):
     novel_rows = exported[bench.source.novel_index]
     recomputed = model.encode(bench.source.weights[bench.source.novel_index])
     assert np.max(np.abs(novel_rows - recomputed)) < 1e-12
-
-
-def test_model_params_round_trip(tiny_bench, tmp_path):
-    bench = tiny_bench
-    mc = ModelConfig(variant="wtn_plus", hidden_dim=16, groups=4)
-    model = TransferModel(mc, bench.source, seed=8)
-    head = DetectionProxyHead(bench.num_other, bench.d_feat)
-    train_joint(model, head, bench.source, bench,
-                TrainConfig(iterations=30, batch_size=32, seed=8))
-    path = str(tmp_path / "params.json")
-    save_model_params(model, path)
-    clone = TransferModel(mc, bench.source, seed=8)
-    assert not np.array_equal(clone.data, model.data)
-    load_model_params(clone, path)
-    assert np.array_equal(clone.data, model.data)
-    assert load_matrix_json(path).shape == (1, model.data.size)
-
-
-def test_model_params_of_another_size_rejected(tmp_path):
-    path = str(tmp_path / "params.json")
-    saved, other = make_model("wtn"), make_model("wtn", hidden_dim=4, groups=1)
-    save_model_params(saved, path)
-    with pytest.raises(ValidationError, match=f"holds a 1x{saved.data.size} matrix where "
-                                              f"1x{other.data.size} is needed"):
-        load_model_params(other, path)
 
 
 # --- baselines -----------------------------------------------------------------
