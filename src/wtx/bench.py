@@ -23,11 +23,11 @@ fingerprint and the other facts of the instance. The benchmark cache of
 ``wtx.cli`` stores it, and ``wtx generate`` writes it with
 ``save_instance``.
 
-``meta`` also holds ``array_hashes``, the ``matrix_hash`` of W_C and of
-each split's features, and the fingerprint is computed from them. A load
-may read only some splits. It checks each hashed array it reads against
-its hash and the hashes against the fingerprint, so a damaged array fails
-only the loads that read it.
+``meta`` also holds ``array_hashes``, the ``matrix_hash`` of every array,
+and the fingerprint is computed from those of W_C and each split's
+features. A load may read only some splits. It checks each array it reads
+against its hash and the hashes against the fingerprint, so a damaged
+array fails only the loads that read it.
 """
 
 from __future__ import annotations
@@ -97,7 +97,7 @@ class BenchConfig:
     count_skew: float = 1.35
     min_eval_examples: int = 10
 
-    def validate(self):
+    def __post_init__(self):
         if not 0 < self.num_shared < self.num_classes:
             raise ConfigError(f"num_shared must be in (0, {self.num_classes}), "
                               f"got {self.num_shared}")
@@ -186,20 +186,18 @@ class BenchmarkInstance:
 
     @cached_property
     def array_hashes(self) -> dict[str, str]:
-        """The ``matrix_hash`` of W_C and of every split's features, by archive
-        member name, computed once: both are read-only. ``load_instance_entry``
-        sets the archive's hashes."""
-        return {"source_weights": matrix_hash(self.source.weights),
-                **{f"{name}.features": matrix_hash(sp.features)
-                   for name, sp in self.splits.items()}}
+        """The ``matrix_hash`` of every array of the archive, by member name,
+        computed once. ``load_instance_entry`` sets the archive's hashes."""
+        return {member: matrix_hash(a) for member, a in _entry_arrays(self).items()}
 
     @cached_property
     def fingerprint(self) -> str:
-        """SHA-256 over the array hashes, W_C's first, then the features' in
-        member name order; a run records the fingerprint it was trained on."""
+        """SHA-256 over the hashes of W_C and then of each split's features,
+        in member name order; a run records the fingerprint it was trained on.
+        W_C and the features are read-only, so it is computed once."""
         hashes = self.array_hashes
         h = hashlib.sha256(hashes["source_weights"].encode())
-        for name in sorted(hashes.keys() - {"source_weights"}):
+        for name in sorted(n for n in hashes if n.endswith(".features")):
             h.update(hashes[name].encode())
         return h.hexdigest()
 
@@ -285,7 +283,6 @@ def _domain_rotation(d: int, strength: float, rng) -> np.ndarray:
 
 
 def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
-    config.validate()
     ss = np.random.SeedSequence(seed)
     proto_rng, count_rng, source_rng, split_rng, target_rng, rot_rng = \
         (np.random.default_rng(s) for s in ss.spawn(6))
@@ -386,21 +383,25 @@ def _entry_meta(instance: BenchmarkInstance) -> str:
                        "fingerprint": instance.fingerprint})
 
 
-def instance_entry(instance: BenchmarkInstance) -> bytes:
-    """The instance as one uncompressed ``.npz`` archive: every array, and a
-    ``meta`` string of JSON with the config, seed, co-occurrence radius,
-    measured statistics, split names, array hashes and fingerprint. Split
-    arrays are named
-    ``SPLIT.FIELD``. ``load_instance_entry`` reads it back."""
-    arrays = {"meta": np.array(_entry_meta(instance)),
-              "source_weights": instance.source.weights,
+def _entry_arrays(instance: BenchmarkInstance) -> dict[str, np.ndarray]:
+    """Every array of the instance by archive member name; split arrays are
+    named ``SPLIT.FIELD``."""
+    arrays = {"source_weights": instance.source.weights,
               "shared_mask": instance.source.shared_mask,
               "prototypes": instance.prototypes, "cluster_ids": instance.cluster_ids,
               "other_prototypes": instance.other_prototypes, "rotation": instance.rotation}
     for name, sp in instance.splits.items():
         arrays.update({f"{name}.{f}": getattr(sp, f) for f in _SPLIT_ARRAYS})
+    return arrays
+
+
+def instance_entry(instance: BenchmarkInstance) -> bytes:
+    """The instance as one uncompressed ``.npz`` archive: every array, and a
+    ``meta`` string of JSON with the config, seed, co-occurrence radius,
+    measured statistics, split names, array hashes and fingerprint.
+    ``load_instance_entry`` reads it back."""
     buf = io.BytesIO()
-    np.savez(buf, **arrays)
+    np.savez(buf, meta=np.array(_entry_meta(instance)), **_entry_arrays(instance))
     return buf.getvalue()
 
 
@@ -420,9 +421,10 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
     named in ``splits`` (every split if None; ``split`` of another raises
     StateError). W_C and the split features come back read-only, as
     ``generate_benchmark`` makes them. An entry of another (config, seed),
-    or one where an array read or the hashes do not hash to what is stored,
-    raises ValidationError; a file that is not such an archive raises what
-    numpy, the zip reader or a missing ``meta`` key raise."""
+    or one where an array read does not hash to its stored hash or the
+    hashes do not hash to the stored fingerprint, raises ValidationError; a
+    file that is not such an archive raises what numpy, the zip reader or a
+    missing ``meta`` key raise."""
     # The file is opened here: np.load leaves its own file open when the
     # archive fails to parse.
     with open(path, "rb") as f, np.load(f, allow_pickle=False) as archive:
@@ -433,7 +435,7 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
         a = {member: archive[member] for member in archive.files
              if member != "meta" and ("." not in member or member.split(".")[0] in names)}
     hashes = meta["array_hashes"]
-    for member in ("source_weights", *(f"{s}.features" for s in names)):
+    for member in a:
         if matrix_hash(a[member]) != hashes.get(member):
             raise ValidationError(f"{path}: {member} does not hash to its stored hash")
     loaded = {s: Split(**{f: a[f"{s}.{f}"] for f in _SPLIT_ARRAYS}) for s in names}

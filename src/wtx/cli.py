@@ -9,10 +9,10 @@ into place, so a failed command leaves no partial output behind. An
 existing ``--out`` is replaced only with ``--overwrite`` and only if it is a
 directory; both are checked before any work starts.
 
-``train`` and ``generate`` use one seed: ``--seed`` if given, else the
-WTX_SEED environment variable, else the first of the config's ``seeds``.
-A ``compare`` sweep runs every seed of ``seeds``, or the one seed that
-``--seed`` or WTX_SEED gives.
+The config is the one source of a run's settings. ``--seed`` replaces the
+config's seeds; ``train`` and ``generate`` use the first of the seeds, and
+a ``compare`` sweep runs every one. ``train --variant`` picks the method,
+so one config and ``--seed`` name any run of a sweep.
 
 A run directory holds one (method, seed) run, named by the tag
 ``METHOD__seedSEED``, and states each fact in one file. Only this module
@@ -27,13 +27,13 @@ under ``runs/TAG/``):
     norm_stats__TAG.json     post-ReLU activation-norm statistics of the model
 
 The run's ``config.json`` is its experiment config with ``model.variant``
-set to the method, ``seeds`` to ``[SEED]`` and ``train.alpha`` to any
-``--alpha``, plus a ``resolved`` block that holds ``benchmark_sha256``
-alone. Without that block the file trains the run again, byte for byte. A
-reload exits 2, naming the file, before it opens a file named from the tag,
-if the config is invalid, if ``seeds`` is not one seed or if ``resolved``
-holds anything else: a run dir written by an older ``wtx`` (one with
-``model.input_norm``, say, or ``resolved.method``) must be retrained.
+set to the method and ``seeds`` to ``[SEED]``, plus a ``resolved`` block
+that holds ``benchmark_sha256`` alone. Without that block the file trains
+the run again, byte for byte. A reload exits 2, naming the file, before it
+opens a file named from the tag, if the config is invalid, if ``seeds`` is
+not one seed or if ``resolved`` holds anything else: a run dir written by
+an older ``wtx`` (one with ``model.input_norm``, say, or
+``resolved.method``) must be retrained.
 
 ``eval`` adds ``metrics__TAG__eval_seen.json`` and
 ``metrics__TAG__eval_novel.json``; ``analyze`` adds only
@@ -76,17 +76,17 @@ reload reads and shape-checks the run's matrix files first, then gets the
 benchmark of the config and seed and checks its fingerprint against the
 recorded ``benchmark_sha256``. Of a cache entry, each reads W_C and the
 small arrays, and ``eval`` and ``compare RUN_DIRS`` the ``eval_seen`` and
-``eval_novel`` splits too; W_C and the features read are checked against
-their stored hashes. A cached benchmark that does not match is built by the
-generator again before the mismatch is reported, so the message is about a
+``eval_novel`` splits too; every array read is checked against its stored
+hash. A cached benchmark that does not match is built by the generator
+again before the mismatch is reported, so the message is about a
 regenerated benchmark. ``compare RUN_DIRS`` gets each distinct (benchmark
 config, seed) once and checks every run directory's fingerprint against it.
 It reads every run directory before it gets any benchmark, and takes one
 run per (method, seed), the key of a table row, and only runs scored with
 one ``evaluation.recall_k``. It scores the runs as they were trained, so
-the sweep flags ``--config``, ``--seed``, ``--grid`` and ``--alpha`` exit 2
-with RUN_DIRS, before any run directory is read; ``--jobs`` has a default
-and is ignored.
+the sweep flags ``--config``, ``--seed`` and ``--grid`` exit 2 with
+RUN_DIRS, before any run directory is read; ``--jobs`` has a default and
+is ignored.
 
 A method, the METHOD of a run's tag, is a variant label of
 ``wtx.models.VARIANT_LAYERS``, and ``train --variant`` takes any of them.
@@ -125,8 +125,7 @@ import numpy as np
 
 from .bench import (BenchConfig, BenchmarkInstance, generate_benchmark, instance_entry,
                     load_instance_entry, save_instance)
-from .config import (ExperimentConfig, check_alpha, config_from_dict, config_to_dict,
-                     default_config)
+from .config import ExperimentConfig, config_from_dict, config_to_dict, default_config
 from .errors import ConfigError, StateError, TrainingDiverged, ValidationError, WorkerDied
 from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
@@ -135,33 +134,11 @@ from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_
 from .models import VARIANT_LAYERS, VARIANTS, DetectionProxyHead, TransferModel, train_joint
 
 
-def _load_config(path: str | None, alpha: float | None = None) -> ExperimentConfig:
-    """The config at ``path`` (the default config if None) with an
-    ``--alpha`` folded into its train section. A bad ``--alpha`` is
-    reported before the file is read."""
-    if alpha is not None:
-        check_alpha(alpha, "--alpha")
+def _load_config(path: str | None, seed: int | None) -> ExperimentConfig:
+    """The config at ``path`` (the default config if None), with its seeds
+    replaced by ``seed`` if one is given."""
     cfg = default_config() if path is None else config_from_dict(read_json(path))
-    return cfg if alpha is None else replace(cfg, train=replace(cfg.train, alpha=alpha))
-
-
-def _env_seed() -> int | None:
-    raw = os.environ.get("WTX_SEED")
-    if raw is None:
-        return None
-    try:
-        return int(raw)
-    except ValueError:
-        raise ConfigError(f"WTX_SEED must be an integer, got {raw!r}")
-
-
-def _resolve_seeds(cfg: ExperimentConfig, cli_seed: int | None) -> list[int]:
-    seed = cli_seed if cli_seed is not None else _env_seed()
-    if seed is None:
-        return list(cfg.seeds)
-    if seed < 0:
-        raise ConfigError(f"seed must be non-negative, got {seed}")
-    return [seed]
+    return cfg if seed is None else replace(cfg, seeds=(seed,))
 
 
 @contextmanager
@@ -387,20 +364,18 @@ def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
 
 
 def cmd_generate(args) -> int:
-    cfg = _load_config(args.config)
-    seed = _resolve_seeds(cfg, args.seed)[0]
+    cfg = _load_config(args.config, args.seed)
     with staged_output(args.out, args.overwrite) as tmp:
-        save_instance(_benchmark(cfg.benchmark, seed)[0], tmp)
+        save_instance(_benchmark(cfg.benchmark, cfg.seeds[0])[0], tmp)
     print(f"benchmark written to {args.out}")
     return 0
 
 
 def cmd_train(args) -> int:
-    cfg = _load_config(args.config, args.alpha)
+    cfg = _load_config(args.config, args.seed)
     variant = args.variant or cfg.model.variant
-    seed = _resolve_seeds(cfg, args.seed)[0]
     with staged_output(args.out, args.overwrite) as tmp:
-        res = run_training(cfg, variant, seed, tmp)
+        res = run_training(cfg, variant, cfg.seeds[0], tmp)
     print(f"run {res['tag']} written to {args.out}")
     return 0
 
@@ -487,7 +462,7 @@ def cmd_compare(args) -> int:
         raise ConfigError(f"--jobs must be at least 1, got {args.jobs}")
     if args.run_dirs:
         for flag, value in (("--config", args.config), ("--seed", args.seed),
-                            ("--grid", args.grid or None), ("--alpha", args.alpha)):
+                            ("--grid", args.grid or None)):
             if value is not None:
                 raise ConfigError(f"{flag} configures a sweep; compare RUN_DIRS "
                                   f"scores the given runs as they were trained")
@@ -515,19 +490,18 @@ def cmd_compare(args) -> int:
     from concurrent.futures import ProcessPoolExecutor, as_completed
     from concurrent.futures.process import BrokenProcessPool
 
-    cfg = _load_config(args.config, args.alpha)
-    seeds = _resolve_seeds(cfg, args.seed)
+    cfg = _load_config(args.config, args.seed)
     methods = GRID_METHODS if args.grid else VARIANTS
     with staged_output(args.out, args.overwrite) as sweep_tmp:
         runs_dir = os.path.join(sweep_tmp, "runs")
         os.makedirs(runs_dir)
-        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(seeds)),
+        pool = ProcessPoolExecutor(max_workers=min(args.jobs, len(cfg.seeds)),
                                    mp_context=multiprocessing.get_context("spawn"))
         try:
             # The pool starts its workers as jobs are submitted.
             with _one_blas_thread_env():
                 futures = [pool.submit(_sweep_seed, cfg, methods, seed, runs_dir)
-                           for seed in seeds]
+                           for seed in cfg.seeds]
             for future in as_completed(futures):
                 future.result()     # the first failed seed raises here
         except BrokenProcessPool:
@@ -569,8 +543,8 @@ def build_parser() -> argparse.ArgumentParser:
     def common(sp, out=True):
         sp.add_argument("--config", help="experiment config JSON (defaults used if omitted)")
         sp.add_argument("--seed", type=int,
-                        help="the one seed to use (default: WTX_SEED if set, else the "
-                             "config's seeds; train and generate use the first)")
+                        help="the one seed to use, in place of the config's seeds "
+                             "(train and generate use the first of those)")
         if out:
             sp.add_argument("--out", required=True, help="output directory")
             sp.add_argument("--overwrite", action="store_true",
@@ -583,7 +557,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp = sub.add_parser("train", help="train one (variant, seed) run")
     common(sp)
     sp.add_argument("--variant", choices=list(VARIANT_LAYERS))
-    sp.add_argument("--alpha", type=float, help="reconstruction loss weight override")
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="compute metrics for a finished run")
@@ -599,7 +572,6 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("run_dirs", nargs="*", help="evaluated run directories to aggregate")
     sp.add_argument("--grid", action="store_true",
                     help="sweep the input-norm x group-norm ablation grid")
-    sp.add_argument("--alpha", type=float)
     usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")
                    else os.cpu_count() or 1)
     sp.add_argument("--jobs", type=int, default=usable_cpus,

@@ -7,6 +7,12 @@ running with a default, and so is a value whose JSON type does not match its
 field (an int field takes no bool or float, a float field no NaN or
 Infinity). Configs round-trip through JSON losslessly.
 
+A config object is valid once built: each section (``BenchConfig``,
+``ModelConfig``, ``TrainConfig``, ``EvalSettings``) checks its own values
+when it is constructed, ``replace`` included, and ``ExperimentConfig``
+checks its seeds and the one rule that spans two sections, ``overlap_ks``
+against the benchmark's class count. Bad values raise ConfigError.
+
 The ``model`` section is ``models.ModelConfig`` as it is. It holds no width:
 a model's rows are as wide as the source weights, ``benchmark.dim``. Its
 ``variant`` is a label of ``models.VARIANT_LAYERS``, which fixes the layers
@@ -21,7 +27,7 @@ its ``train.alpha`` the weight it trained with, so that file, without the
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 from .bench import BenchConfig
 from .errors import ConfigError
@@ -37,12 +43,6 @@ def is_seed(value) -> bool:
     return _is_int(value) and value >= 0
 
 
-def check_alpha(alpha: float, name: str) -> None:
-    """The reconstruction-loss weight ``name`` must be finite and >= 0."""
-    if not (math.isfinite(alpha) and alpha >= 0):
-        raise ConfigError(f"{name} must be finite and >= 0, got {alpha}")
-
-
 @dataclass(frozen=True)
 class EvalSettings:
     recall_k: int = 5
@@ -52,13 +52,21 @@ class EvalSettings:
     # from training noise.
     analysis_seed: int = 990001
 
+    def __post_init__(self):
+        if self.recall_k < 1 or self.sample_classes < 1:
+            raise ConfigError(f"recall_k and sample_classes must be at least 1, "
+                              f"got {self.recall_k} and {self.sample_classes}")
+        if not is_seed(self.analysis_seed):
+            raise ConfigError(f"analysis_seed must be a non-negative integer, "
+                              f"got {self.analysis_seed!r}")
+
 
 @dataclass(frozen=True)
 class ExperimentConfig:
     benchmark: BenchConfig
     model: ModelConfig = ModelConfig()
-    train: TrainConfig = field(default_factory=TrainConfig)
-    evaluation: EvalSettings = field(default_factory=EvalSettings)
+    train: TrainConfig = TrainConfig()
+    evaluation: EvalSettings = EvalSettings()
     seeds: tuple = (0, 1, 2, 3, 4)
 
     def __post_init__(self):
@@ -69,29 +77,11 @@ class ExperimentConfig:
         if repeated:
             raise ConfigError(f"seed {repeated[0]} appears more than once in seeds "
                               f"{list(self.seeds)!r}")
-        if self.train.batch_size < 1:
-            raise ConfigError(f"batch_size must be at least 1, got {self.train.batch_size}")
-        tr = self.train
-        for name in ("adamw_lr", "head_lr"):
-            if not getattr(tr, name) > 0:
-                raise ConfigError(f"{name} must be > 0, got {getattr(tr, name)}")
-        for name in ("adamw_weight_decay", "head_weight_decay"):
-            if getattr(tr, name) < 0:
-                raise ConfigError(f"{name} must be >= 0, got {getattr(tr, name)}")
-        if not 0 <= tr.head_momentum < 1:
-            raise ConfigError(f"head_momentum must be in [0, 1), got {tr.head_momentum}")
-        if self.train.iterations < 1:
-            raise ConfigError(f"iterations must be at least 1, got {self.train.iterations}")
-        check_alpha(self.train.alpha, "train.alpha")
-        self.benchmark.validate()
-        ev, last = self.evaluation, self.benchmark.num_classes - 1
-        if ev.recall_k < 1 or ev.sample_classes < 1:
-            raise ConfigError(f"recall_k and sample_classes must be at least 1, "
-                              f"got {ev.recall_k} and {ev.sample_classes}")
-        if not ev.overlap_ks or not all(1 <= k <= last for k in ev.overlap_ks):
+        last = self.benchmark.num_classes - 1
+        ks = self.evaluation.overlap_ks
+        if not ks or not all(1 <= k <= last for k in ks):
             raise ConfigError(f"overlap_ks must be a non-empty list inside [1, {last}], "
-                              f"got {list(ev.overlap_ks)}")
-        self.model.validate()
+                              f"got {list(ks)}")
 
     def model_config(self, variant: str) -> ModelConfig:
         """The model section with ``variant``, a label of ``VARIANT_LAYERS``."""

@@ -48,6 +48,7 @@ nearest seen classes (``baseline_nn_transfer``, ``baseline_lsda_bias``), so
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field, fields
 from typing import NamedTuple
 
@@ -120,7 +121,7 @@ class ModelConfig:
     groups: int = 8
     norm_kind: str = "group"       # "group" or "class_batch"
 
-    def validate(self):
+    def __post_init__(self):
         if self.variant not in VARIANT_LAYERS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of "
                               f"{tuple(VARIANT_LAYERS)}")
@@ -154,7 +155,6 @@ class TransferModel:
     ``source.dim`` wide."""
 
     def __init__(self, config: ModelConfig, source: SourceWeights, seed: int):
-        config.validate()
         self.variant = config.variant
         spec = VARIANT_LAYERS[config.variant]
         dim, hidden = source.dim, config.hidden_dim
@@ -245,7 +245,7 @@ class DetectionProxyHead:
         return l_cls, dstack[:len(rows)]
 
 
-@dataclass
+@dataclass(frozen=True)
 class TrainConfig:
     iterations: int = 600
     batch_size: int = 128
@@ -256,6 +256,22 @@ class TrainConfig:
     head_momentum: float = 0.9
     head_weight_decay: float = 1e-4
     seed: int = 0
+
+    def __post_init__(self):
+        if self.batch_size < 1:
+            raise ConfigError(f"batch_size must be at least 1, got {self.batch_size}")
+        for name in ("adamw_lr", "head_lr"):
+            if not getattr(self, name) > 0:
+                raise ConfigError(f"{name} must be > 0, got {getattr(self, name)}")
+        for name in ("adamw_weight_decay", "head_weight_decay"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0, got {getattr(self, name)}")
+        if not 0 <= self.head_momentum < 1:
+            raise ConfigError(f"head_momentum must be in [0, 1), got {self.head_momentum}")
+        if self.iterations < 1:
+            raise ConfigError(f"iterations must be at least 1, got {self.iterations}")
+        if not (math.isfinite(self.alpha) and self.alpha >= 0):
+            raise ConfigError(f"train.alpha must be finite and >= 0, got {self.alpha}")
 
 
 @dataclass
@@ -366,9 +382,9 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
 
     report.curve = {"iteration": iters, "l_cls": cls_curve,
                     "l_rec": rec_curve, "total": total_curve}
-    report.final_l_cls = cls_curve[-1] if cls_curve else 0.0
-    report.final_l_rec = rec_curve[-1] if rec_curve else 0.0
-    report.final_total = total_curve[-1] if total_curve else 0.0
+    report.final_l_cls = cls_curve[-1]
+    report.final_l_rec = rec_curve[-1]
+    report.final_total = total_curve[-1]
     report.w_c_hash_after = matrix_hash(source.weights)
     if model.has_decoder:
         report.decoder_hash_final = matrix_hash(model.data[model.encoder_size:])

@@ -19,27 +19,26 @@ from conftest import assert_same_instance, tiny_config
 
 
 def test_config_validation():
-    with pytest.raises(ConfigError):
-        BenchConfig(num_shared=200, num_classes=200).validate()
-    with pytest.raises(ConfigError):
-        BenchConfig(clusters=300).validate()
-    with pytest.raises(ConfigError):
-        BenchConfig(norm_imbalance=0.5).validate()
-    with pytest.raises(ConfigError):
-        BenchConfig(eval_samples_per_class=3, min_eval_examples=10).validate()
-    with pytest.raises(ConfigError):
-        BenchConfig(manifold_dim=100, dim=64).validate()
+    # A BenchConfig checks itself when it is built.
+    for kwargs in (dict(num_shared=200, num_classes=200), dict(clusters=300),
+                   dict(norm_imbalance=0.5), dict(eval_samples_per_class=3,
+                                                  min_eval_examples=10),
+                   dict(manifold_dim=100, dim=64)):
+        with pytest.raises(ConfigError):
+            BenchConfig(**kwargs)
     for key in ("source_batch", "source_epochs", "min_eval_examples"):
         with pytest.raises(ConfigError, match=key):
-            BenchConfig(**{key: 0}).validate()
+            BenchConfig(**{key: 0})
     for key, value in (("multilabel_fraction", -0.1), ("multilabel_fraction", 1.5),
                        ("num_other", -1), ("source_lr", 0.0), ("source_lr", -1.0),
                        ("feature_scale", 0.0), ("feature_scale", -8.0), ("domain_warp", -0.5)):
         with pytest.raises(ConfigError, match=f"^{key} "):
-            BenchConfig(**{key: value}).validate()
+            BenchConfig(**{key: value})
+        with pytest.raises(ConfigError, match=f"^{key} "):
+            replace(BenchConfig(), **{key: value})
     for key, value in (("multilabel_fraction", 0.0), ("multilabel_fraction", 1.0),
                        ("num_other", 0), ("domain_warp", 0.0)):
-        BenchConfig(**{key: value}).validate()     # the edges stay valid
+        BenchConfig(**{key: value})     # the edges stay valid
 
 
 def test_zero_noise_features_equal_prototypes_and_separable():
@@ -164,6 +163,22 @@ def test_a_load_checks_the_arrays_it_reads_and_the_hashes_of_the_rest(tmp_path):
     path = rewritten_entry(tmp_path, bench, alter_train_hash)
     with pytest.raises(ValidationError, match="do not hash to the stored fingerprint"):
         load_instance_entry(path, cfg, 3, splits=evals)
+
+
+def test_a_load_checks_every_array_of_the_entry(tmp_path):
+    # Every member is hashed, not only W_C and the features: altered labels
+    # or class ids would score a run wrong with nothing to show for it.
+    cfg = tiny_config()
+    bench = generate_benchmark(cfg, seed=3)
+    members = list(wtx.bench._entry_arrays(bench))
+    assert list(bench.array_hashes) == members and len(members) == 18
+    for member in members:
+        def alter(arrays):
+            a = arrays[member]
+            arrays[member] = ~a if a.dtype == bool else a + 1
+        path = rewritten_entry(tmp_path, bench, alter)
+        with pytest.raises(ValidationError, match=f": {member} does not hash to its stored hash"):
+            load_instance_entry(path, cfg, 3)
 
 
 def test_no_novel_leakage_into_training(tiny_bench):

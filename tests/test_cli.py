@@ -17,11 +17,12 @@ from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_instance_entry
 from wtx.cli import main, run_training, staged_output
-from wtx.config import config_from_dict, config_to_dict, default_config
+from wtx.config import (EvalSettings, ExperimentConfig, config_from_dict, config_to_dict,
+                        default_config)
 from wtx.errors import ConfigError
 from wtx.evaluation import norm_stats
 from wtx.matrix import matrix_hash
-from wtx.models import VARIANTS
+from wtx.models import VARIANTS, ModelConfig, TrainConfig
 
 from conftest import assert_no_worker_left, assert_same_instance, tiny_config
 
@@ -116,6 +117,7 @@ def replaced(doc, path, value):
     (("train", "iterations"), True),
     (("evaluation", "recall_k"), 0),
     (("evaluation", "sample_classes"), 0),
+    (("evaluation", "analysis_seed"), -1),
     (("evaluation", "overlap_ks"), [1, 500]),
     (("evaluation", "overlap_ks"), []),
     (("model", "dropout"), 0.0),
@@ -196,6 +198,47 @@ def test_cli_generate_rejects_a_bench_setting_out_of_range(tmp_path, capsys, mon
     assert capsys.readouterr().err.startswith(f"error: {key} must be ")
     assert calls == []
     assert not os.path.exists(tmp_path / "out")
+
+
+# Each config section with a bad value, and the start of its message
+# (test_bench.py checks BenchConfig's the same way). The first three
+# TrainConfig cases were accepted while only ExperimentConfig checked the
+# train section: iterations=0 trained nothing and reported losses of zero,
+# alpha=nan failed only later, as TrainingDiverged, and batch_size=0 gave
+# a RuntimeWarning, then TrainingDiverged.
+SECTION_FAULTS = [
+    (TrainConfig, {"iterations": 0}, "iterations must be at least 1"),
+    (TrainConfig, {"alpha": float("nan")}, "train.alpha must be finite and >= 0"),
+    (TrainConfig, {"batch_size": 0}, "batch_size must be at least 1"),
+    (TrainConfig, {"head_momentum": 1.0}, "head_momentum must be in [0, 1)"),
+    (TrainConfig, {"adamw_weight_decay": -1e-4}, "adamw_weight_decay must be >= 0"),
+    (ModelConfig, {"variant": "wtn_minus"}, "unknown variant 'wtn_minus'"),
+    (ModelConfig, {"hidden_dim": 9}, "hidden_dim (9) not divisible by groups (8)"),
+    (ModelConfig, {"norm_kind": "layer"}, "unknown norm_kind 'layer'"),
+    (EvalSettings, {"recall_k": 0}, "recall_k and sample_classes must be at least 1"),
+    (EvalSettings, {"sample_classes": 0}, "recall_k and sample_classes must be at least 1"),
+    # Accepted once, and then `wtx analyze` died with a ValueError traceback.
+    (EvalSettings, {"analysis_seed": -1}, "analysis_seed must be a non-negative integer"),
+    (ExperimentConfig, {"seeds": (-1,)}, "seeds must be a non-empty list"),
+    (ExperimentConfig, {"seeds": (0, 0)}, "seed 0 appears more than once"),
+    (ExperimentConfig, {"evaluation": EvalSettings(overlap_ks=(1, 200))},
+     "overlap_ks must be a non-empty list inside [1, 199]"),
+]
+
+
+@pytest.mark.parametrize("cls, bad, message", SECTION_FAULTS,
+                         ids=[f"{cls.__name__}.{key}={value!r}"
+                              for cls, bad, _ in SECTION_FAULTS for key, value in bad.items()])
+def test_each_config_section_checks_itself_when_built(cls, bad, message):
+    # Built directly or by replace, a section with a bad value raises;
+    # no caller has to remember to check it.
+    base = {"benchmark": BenchConfig()} if cls is ExperimentConfig else {}
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        cls(**base, **bad)
+    with pytest.raises(ConfigError, match=f"^{re.escape(message)}"):
+        dataclasses.replace(cls(**base), **bad)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        setattr(cls(**base), *next(iter(bad.items())))
 
 
 # Every field of every section, with the JSON types its values may take.
@@ -352,30 +395,31 @@ def test_cli_train_diverged_exits_3(tmp_path, capsys):
 
 
 def test_cli_alpha_zero_decoder_untouched_reported(tmp_path):
-    cfg_path = write_config(tmp_path, tiny_doc())
+    cfg_path = write_config(tmp_path, tiny_doc(alpha=0.0))
     run_dir = str(tmp_path / "run")
-    assert main(["train", "--config", cfg_path, "--out", run_dir,
-                 "--seed", "1", "--alpha", "0"]) == 0
+    assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "1"]) == 0
     with open(os.path.join(run_dir, "report.json")) as f:
         report = json.load(f)
     assert report["decoder_hash_init"] == report["decoder_hash_final"]
     assert "curve" not in report     # the losses CSV holds it
 
 
-def test_cli_env_seed_override(tmp_path, monkeypatch):
-    cfg_path = write_config(tmp_path, tiny_doc())
-    monkeypatch.setenv("WTX_SEED", "1")
-    run_dir = str(tmp_path / "run_env")
-    assert main(["train", "--config", cfg_path, "--out", run_dir]) == 0
-    with open(os.path.join(run_dir, "config.json")) as f:
-        doc = json.load(f)
-    assert doc["seeds"] == [1]
+def test_cli_seed_replaces_the_configs_seeds(tmp_path, monkeypatch):
+    # --seed need not be one of the config's seeds; a sweep runs it alone.
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    argv = ["--config", cfg_path, "--seed", "4", "--out"]
+    assert main(["train", *argv, str(tmp_path / "run")]) == 0
+    assert json.loads((tmp_path / "run" / "config.json").read_text())["seeds"] == [4]
+    assert main(["generate", *argv, str(tmp_path / "bench")]) == 0
+    assert json.loads((tmp_path / "bench" / "manifest.json").read_text())["seed"] == 4
+    assert main(["compare", *argv, str(tmp_path / "sweep")]) == 0
+    assert sorted(os.listdir(tmp_path / "sweep" / "runs")) == \
+        sorted(f"{method}__seed4" for method in VARIANTS)
 
 
-def test_cli_train_and_generate_use_the_first_configured_seed(tmp_path, monkeypatch):
-    # Without --seed or WTX_SEED, the first of the config's seeds, not the
-    # smallest.
-    monkeypatch.delenv("WTX_SEED", raising=False)
+def test_cli_train_and_generate_use_the_first_configured_seed(tmp_path):
+    # Without --seed, the first of the config's seeds, not the smallest.
     cfg_path = write_config(tmp_path, dict(tiny_doc(iterations=5), seeds=[1, 0]))
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
     assert "weights__ae_wtn__seed1.json" in os.listdir(tmp_path / "run")
@@ -383,15 +427,16 @@ def test_cli_train_and_generate_use_the_first_configured_seed(tmp_path, monkeypa
     assert json.loads((tmp_path / "bench" / "manifest.json").read_text())["seed"] == 1
 
 
-@pytest.mark.parametrize("how", ["flag", "env"])
-def test_cli_negative_seed_exits_2(tmp_path, monkeypatch, how):
-    argv = ["generate", "--config", write_config(tmp_path, tiny_doc()),
-            "--out", str(tmp_path / "bench")]
-    if how == "flag":
-        argv += ["--seed", "-1"]
-    else:
-        monkeypatch.setenv("WTX_SEED", "-1")
+@pytest.mark.parametrize("how", ["flag", "config"])
+def test_cli_negative_seed_exits_2(tmp_path, capsys, how):
+    # The config's own check covers a seed from either place.
+    doc = dict(tiny_doc(), seeds=[-1]) if how == "config" else tiny_doc()
+    argv = ["generate", "--config", write_config(tmp_path, doc),
+            "--out", str(tmp_path / "bench")] + (["--seed", "-1"] if how == "flag" else [])
     assert main(argv) == 2
+    assert "seeds must be a non-empty list of non-negative integers, got [-1]" in \
+        capsys.readouterr().err
+    assert not os.path.exists(tmp_path / "bench")
 
 
 def test_cli_byte_identical_reruns(tmp_path):
@@ -480,15 +525,13 @@ def test_cli_compare_generates_each_benchmark_once(tmp_path, monkeypatch):
 
 def test_cli_compare_fingerprints_each_benchmark_once(tmp_path, monkeypatch):
     # A fingerprint hashes W_C first, and nothing else in wtx.bench hashes
-    # it; each seed has its own W_C.
+    # it; each seed has its own W_C, whose hash each run's report records.
     import wtx.bench
-    w_c_hashes = []
+    digests = []
 
     def counting(m):
-        digest = matrix_hash(m)
-        if m.shape == (tiny_config().num_classes, tiny_config().dim):
-            w_c_hashes.append(digest)
-        return digest
+        digests.append(matrix_hash(m))
+        return digests[-1]
 
     monkeypatch.setattr(wtx.bench, "matrix_hash", counting)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
@@ -497,7 +540,10 @@ def test_cli_compare_fingerprints_each_benchmark_once(tmp_path, monkeypatch):
     cfg_path = write_config(tmp_path, doc)
     sweep = tmp_path / "sweep"
     assert main(["compare", "--config", cfg_path, "--out", str(sweep)]) == 0
-    assert len(set(w_c_hashes)) == len(w_c_hashes) == 5     # not once per (method, seed)
+    w_c = {json.loads(report.read_text())["w_c_hash_before"]
+           for report in (sweep / "runs").glob("*/report.json")}
+    assert len(w_c) == 5
+    assert sorted(d for d in digests if d in w_c) == sorted(w_c)  # not once per (method, seed)
 
     # A run trained on its own computes its own fingerprint; the sweep's
     # shared one gives the same config.json bytes.
@@ -572,12 +618,17 @@ def test_cli_compare_leaves_no_worker_running(tmp_path, lr, code):
 @pytest.mark.parametrize("command", ["train", "compare"])
 def test_cli_bad_alpha_exits_2_before_any_work(tmp_path, monkeypatch, capsys, command,
                                                alpha):
+    # train.alpha is the one way to set the weight. A non-finite one is no
+    # JSON number (json writes NaN and Infinity, which the loader refuses),
+    # and a negative one fails the train section's own check.
     calls = counting_generate(monkeypatch)
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
-    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5, alpha=float(alpha)))
     out = tmp_path / "out"
-    assert main([command, "--config", cfg_path, "--out", str(out), f"--alpha={alpha}"]) == 2
-    assert "--alpha must be finite and >= 0" in capsys.readouterr().err
+    assert main([command, "--config", cfg_path, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert (f"train.alpha must be of type float, got {float(alpha)}" in err
+            if alpha in ("nan", "inf", "-inf") else "train.alpha must be finite and >= 0" in err)
     assert calls == []
     assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
 
@@ -765,11 +816,11 @@ def test_cli_reload_of_a_config_that_names_no_run_exits_2(trained_run, tmp_path,
 
 def test_cli_a_runs_config_trains_the_run_again(tmp_path):
     # A run's config.json, without its resolved block, is the config it
-    # was trained with: the method, the seed and --alpha are in it.
-    cfg_path = write_config(tmp_path, tiny_doc(iterations=20))
+    # was trained with: the method, the seed and train.alpha are in it.
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=20, alpha=0.0))
     first, again = tmp_path / "first", tmp_path / "again"
     assert main(["train", "--config", cfg_path, "--out", str(first),
-                 "--variant", "wtn_plus_gn_only", "--seed", "3", "--alpha", "0"]) == 0
+                 "--variant", "wtn_plus_gn_only", "--seed", "3"]) == 0
     doc = json.loads((first / "config.json").read_text())
     del doc["resolved"]
     assert (doc["model"]["variant"], doc["seeds"], doc["train"]["alpha"]) == \
@@ -1172,7 +1223,7 @@ def test_cli_compare_run_dirs_rejects_a_run_given_twice(seed_runs, tmp_path, cap
 
 
 @pytest.mark.parametrize("flags", [["--config", "/nonexistent/config.json"], ["--seed", "0"],
-                                   ["--grid"], ["--alpha", "0"]], ids=lambda f: f[0])
+                                   ["--grid"]], ids=lambda f: f[0])
 def test_cli_compare_run_dirs_rejects_the_sweep_flags(seed_runs, tmp_path, capsys, monkeypatch,
                                                       flags):
     # The sweep flags do nothing to runs that are already trained; given
@@ -1204,8 +1255,8 @@ def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys
 # --- generate bytes ---------------------------------------------------------------
 
 TINY_GENERATE_SHA256 = {
-    "benchmark.npz": "bfe2e6822e68bdc9faf6bc5a39db1b9d309966f4867c8bcdc6255f186b7e6762",
-    "manifest.json": "6fac68a4d9f5ed14d06a21a46e16630f245746b9a247b60ee3c60c1462b0855a",
+    "benchmark.npz": "1aa030e84ce5d1a5c97bcb76085fe208e603337dc26454dabfa7cf2361535657",
+    "manifest.json": "c6a25a565ef811f308532366a6fbf7b6059010d38db23340500a278b0d8155d6",
     "source_weights.json": "d771511a2646695dd72c9d1572c5d12d5f4ea4df3bed01e6ce8746237d75d8c0",
 }
 
@@ -1215,14 +1266,30 @@ def test_cli_generate_tiny_bytes(tmp_path):
     OpenBLAS 0.3.31, x86-64). ``source_weights.json`` keeps the hash it had
     when generate wrote a 15-file export tree. The ``benchmark.npz`` and
     ``manifest.json`` hashes were recorded when that tree gave way to the
-    benchmark's cache-entry archive and the archive's ``meta`` document, and
-    again when ``meta`` gained ``array_hashes``; the rest of ``meta`` kept
-    its text."""
+    benchmark's cache-entry archive and the archive's ``meta`` document,
+    again when ``meta`` gained ``array_hashes`` and again when those came
+    to cover every array, not only W_C and the features; the rest of
+    ``meta`` kept its text."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0
     assert {name: hashlib.sha256(data).hexdigest()
             for name, data in read_tree(out).items()} == TINY_GENERATE_SHA256
+
+
+DEFAULT_COMPARISON_SHA256 = "adbe2fd2081742a45adfc6e0c619cc715b9196f0a52cc53d6c63d0f00d72e723"
+
+
+def test_cli_default_sweep_comparison_bytes(tmp_path):
+    """The sha256 of the ``comparison.json`` of the default sweep, ``wtx
+    compare --jobs 2`` with the bundled config and a cold benchmark cache:
+    3 methods x 5 seeds at the default size. It is the referee for a change
+    that must keep every output byte (numpy 2.4.6, scipy-openblas 0.3.31,
+    x86-64)."""
+    out = tmp_path / "sweep"
+    assert main(["compare", "--jobs", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest() == \
+        DEFAULT_COMPARISON_SHA256
 
 
 def test_cli_generate_writes_the_cache_entry(tmp_path, monkeypatch, cache_home):
@@ -1328,14 +1395,18 @@ def altered(member):
     return edit
 
 
-# The array that the "altered" case changes for each command: one it reads.
-ALTERED_MEMBER = {"train": "train.features", "eval": "eval_novel.features",
-                  "analyze": "source_weights"}
+# The array that an "altered" fault changes for each command: one it reads.
+# Labels are hashed as features are: a zeroed or shifted label row would
+# score every method wrong and still exit 0.
+ALTERED_MEMBER = {("altered", "train"): "train.features",
+                  ("altered", "eval"): "eval_novel.features",
+                  ("altered", "analyze"): "source_weights",
+                  ("altered_labels", "eval"): "eval_novel.class_labels"}
 
 
 @pytest.mark.parametrize("fault, command", [
     ("truncated", "train"), ("truncated", "eval"), ("altered", "train"), ("altered", "eval"),
-    ("altered", "analyze"),
+    ("altered", "analyze"), ("altered_labels", "eval"),
     # Its own fingerprint checks out; only the run's record shows it stale.
     ("stale", "eval"),
 ])
@@ -1355,8 +1426,8 @@ def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home
     config = tiny_config()
     if fault == "truncated":
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
-    elif fault == "altered":
-        rewrite_entry(path, altered(ALTERED_MEMBER[command]))
+    elif fault.startswith("altered"):
+        rewrite_entry(path, altered(ALTERED_MEMBER[fault, command]))
     else:
         stale_entry(path, generate_benchmark(config, 0))
         bench, cached = wtx.cli._benchmark(config, 0)     # a hit, by its own fingerprint
@@ -1478,8 +1549,10 @@ def test_cache_key_changes_with_the_seed_each_config_field_and_the_stamp(monkeyp
     assert set(stamp) == {"sources", "python", "numpy", "blas", "host", "arch"}
     keys = [wtx.cli._cache_key(config, 0), wtx.cli._cache_key(config, 1)]
     for f in dataclasses.fields(BenchConfig):
-        changed = dataclasses.replace(config, **{f.name: getattr(config, f.name) + 1})
-        keys.append(wtx.cli._cache_key(changed, 0))
+        # A valid value: multilabel_fraction stays inside [0, 1].
+        value = getattr(config, f.name)
+        value = value / 2 if f.name == "multilabel_fraction" else value + 1
+        keys.append(wtx.cli._cache_key(dataclasses.replace(config, **{f.name: value}), 0))
     for name in stamp:
         with monkeypatch.context() as mp:
             mp.setattr(wtx.cli, "_cache_stamp", lambda name=name: {**stamp, name: "other"})
