@@ -23,6 +23,13 @@ source weights W_C. Its encoder and decoder are plain layer lists that one
 forward and one backward loop run; with input standardization on, the
 encoder's first layer is the frozen standardizer, fitted on W_C.
 
+W_C is frozen, and so is the standardizer, so training prepares the input
+once: ``frozen_input`` keeps W_C through the standardizer, computed on first
+use for each read-only W_C array, and a training pass starts at the first
+Linear, from those rows or their shared ones. Its backward pass stops at
+that Linear's parameter gradients: nothing reads a gradient for W_C.
+``encode`` and ``encode_backward`` run the whole encoder and are unchanged.
+
 Each model keeps its trainable state in one parameter store: two float64
 vectors, ``model.data`` and ``model.grad``, built by ``layers.flatten``.
 The encoder's parameters come first, in layer order, and the decoder's
@@ -170,6 +177,8 @@ class TransferModel:
 
         self.encoder = ([InputStandardizer.fit(source.weights)]
                         if spec.input_norm else []) + block("enc")
+        self.frozen = int(spec.input_norm)      # leading encoder layers with no parameters
+        self._frozen_input = None, None         # (W_C, its rows through them)
         self.decoder = block("dec") if spec.decoder else None
         self.encoder_size = sum(p.data.size for layer in self.encoder for p in layer.params())
         self.data, self.grad = flatten(self.parameters())
@@ -191,6 +200,21 @@ class TransferModel:
 
     def encode_backward(self, dout: np.ndarray) -> np.ndarray:
         return _backward(self.encoder, dout)
+
+    def frozen_input(self, source: SourceWeights) -> np.ndarray:
+        """W_C through the encoder's ``frozen`` leading layers: the rows that
+        ``encoder[frozen:]`` reads. They are computed once for a read-only
+        W_C array and kept while that same array comes back; a writable W_C
+        could change in place, so its rows are computed on every call."""
+        w = source.weights
+        if not self.frozen:
+            return w
+        key, rows = self._frozen_input
+        if key is not w or w.flags.writeable:
+            rows = _forward(self.encoder[:self.frozen], w)
+            rows.setflags(write=False)
+            self._frozen_input = w, rows
+        return rows
 
     def _decoder(self) -> list:
         if self.decoder is None:
@@ -303,16 +327,20 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
     shown. Otherwise each row is transferred on its own (the frozen input
     standardizer and group norm work row by row), so the encoder sees only
     the shared rows and gives them the same values and gradients.
+
+    The pass starts from ``model.frozen_input(source)`` at the first Linear,
+    and its backward pass ends in that Linear's parameter gradients.
     Returns (l_cls, l_rec_or_None, total_scalar).
     """
     shared_idx = source.shared_index
     reconstruct = model.has_decoder and alpha != 0.0
     all_rows = reconstruct or any(isinstance(layer, ClassBatchNorm) for layer in model.encoder)
+    layers, x = model.encoder[model.frozen:], model.frozen_input(source)
     if all_rows:
-        out_all = model.encode(source.weights)
+        out_all = _forward(layers, x)
         w_shared = out_all[shared_idx]
     else:
-        w_shared = model.encode(source.weights[shared_idx])
+        w_shared = _forward(layers, x[shared_idx])
 
     l_cls, d_shared = head.loss(features, labels, w_shared, backprop)
 
@@ -331,7 +359,7 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
                 dout += model.decode_backward(comb.grad_rec)
         else:
             dout = d_shared
-        model.encode_backward(dout)
+        layers[0].backward_params(_backward(layers[1:], dout))
 
     return l_cls, l_rec, comb.value
 

@@ -6,6 +6,8 @@ whole-array operations however many layers the store holds. AdamW applies
 weight decay decoupled from the adaptive update; SGDMomentum uses the
 classic coupled L2 form (decay added to the gradient). Both are fully
 deterministic: identical state and gradients give identical updates.
+An AdamW step makes no temporaries: it computes the textbook expression,
+operation for operation, in two scratch arrays of the store's shape.
 """
 
 from __future__ import annotations
@@ -25,18 +27,31 @@ class AdamW:
         self.t = 0
         self.m = np.zeros_like(data)
         self.v = np.zeros_like(data)
+        self._a = np.empty_like(data)
+        self._b = np.empty_like(data)
 
     def step(self):
         self.t += 1
         bc1 = 1.0 - self.beta1 ** self.t
         bc2 = 1.0 - self.beta2 ** self.t
+        a, b = self._a, self._b
         if self.weight_decay:
             self.data *= 1.0 - self.lr * self.weight_decay
         self.m *= self.beta1
-        self.m += (1.0 - self.beta1) * self.grad
+        np.multiply(self.grad, 1.0 - self.beta1, out=a)
+        self.m += a
         self.v *= self.beta2
-        self.v += (1.0 - self.beta2) * self.grad * self.grad
-        self.data -= self.lr * (self.m / bc1) / (np.sqrt(self.v / bc2) + self.eps)
+        np.multiply(self.grad, 1.0 - self.beta2, out=a)
+        a *= self.grad
+        self.v += a
+        # data -= lr * (m / bc1) / (sqrt(v / bc2) + eps)
+        np.divide(self.m, bc1, out=a)
+        a *= self.lr
+        np.divide(self.v, bc2, out=b)
+        np.sqrt(b, out=b)
+        b += self.eps
+        a /= b
+        self.data -= a
 
     def zero_grad(self):
         self.grad[...] = 0.0

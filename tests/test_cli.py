@@ -16,13 +16,14 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_instance_entry
-from wtx.cli import main, run_training, staged_output
+from wtx.cli import _load_config, main, run_training, staged_output
 from wtx.config import (EvalSettings, ExperimentConfig, config_from_dict, config_to_dict,
                         default_config)
 from wtx.errors import ConfigError
 from wtx.evaluation import norm_stats
 from wtx.matrix import matrix_hash
-from wtx.models import VARIANTS, ModelConfig, TrainConfig
+from wtx.models import (VARIANTS, DetectionProxyHead, ModelConfig, TrainConfig,
+                        TransferModel, train_joint)
 
 from conftest import assert_no_worker_left, assert_same_instance, tiny_config
 
@@ -57,6 +58,27 @@ def test_config_round_trip_lossless():
     doc = config_to_dict(cfg)
     again = config_to_dict(config_from_dict(doc))
     assert doc == again
+
+
+@pytest.mark.parametrize("name, classes, clusters", [("oi_shape", 557, 56),
+                                                    ("vg_shape", 700, 70)])
+def test_preset_builds_its_benchmark_and_trains_ae_wtn(name, classes, clusters):
+    # The presets differ from the default config in the class counts alone.
+    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
+    cfg = _load_config(path, None)
+    want = dataclasses.replace(default_config().benchmark, num_classes=classes,
+                               num_shared=500, clusters=clusters)
+    assert cfg == dataclasses.replace(default_config(), benchmark=want)
+    seed = cfg.seeds[0]
+    bench = generate_benchmark(cfg.benchmark, seed)
+    assert len(bench.source.shared_index) == 500
+    assert len(bench.source.novel_index) == classes - 500
+    model = TransferModel(cfg.model_config("ae_wtn"), bench.source, seed)
+    head = DetectionProxyHead(bench.num_other, bench.d_feat)
+    report = train_joint(model, head, bench.source, bench,
+                         dataclasses.replace(cfg.train_config(seed), iterations=3))
+    assert report.curve["iteration"] == [0, 1, 2]
+    assert np.isfinite(report.final_total)
 
 
 def test_config_rejects_unknown_keys():

@@ -3,7 +3,7 @@ import pytest
 
 from wtx.errors import ConfigError, ShapeError, StateError
 from wtx.gradcheck import max_relative_error, numeric_gradient
-from wtx.layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, ReLU
+from wtx.layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, ReLU, group_sum
 
 
 def rng(seed=0):
@@ -265,6 +265,72 @@ def test_groupnorm_matches_the_mean_var_formula_bitwise():
         want = inv_std * (dxhat - dxhat.mean(axis=2, keepdims=True)
                           - xh * (dxhat * xh).mean(axis=2, keepdims=True))
         assert np.array_equal(dx, want.reshape(x.shape))
+
+
+def same_bits(got, want):
+    """Equal bits, except that any NaN equals any NaN: IEEE 754 leaves the
+    sign of a NaN made from two NaN operands to the implementation."""
+    nan = np.isnan(want)
+    return (got.shape == want.shape and np.array_equal(np.isnan(got), nan)
+            and got[~nan].tobytes() == want[~nan].tobytes())
+
+
+def awkward_values(r, shape):
+    """Random signs and magnitudes from 1e-300 to 1e300, with a share of
+    +-0.0, +-inf, NaN and subnormals."""
+    x = r.choice([-1.0, 1.0], shape) * 10.0 ** r.uniform(-300, 300, shape)
+    specials = [0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.2e-310, -1e-315]
+    x[r.random(shape) < 0.2] = 0.0
+    pick = r.random(shape) < 0.1
+    x[pick] = r.choice(specials, pick.sum())
+    return x
+
+
+def test_group_sum_has_the_bits_of_numpy_sum_at_every_width():
+    # Widths 8-128 take the pairwise path (8 with no accumulator copy), the
+    # others both fallbacks; all -0.0 groups check the final add of 0.0.
+    r = rng(26)
+    for c in range(1, 131):
+        cases = [awkward_values(r, (6, 5, c)), r.standard_normal((6, 5, c)),
+                 np.full((2, 3, c), -0.0), np.zeros((0, 3, c))]
+        for g in cases:
+            with np.errstate(over="ignore", invalid="ignore"):
+                got, want = group_sum(g), g.sum(axis=2, keepdims=True)
+            assert same_bits(got, want), c
+
+
+def sum_groupnorm(gn, x, dout):
+    """The oracle: GroupNorm's forward and input gradient with every group
+    summed by ``sum(axis=2)``."""
+    g = x.reshape(x.shape[0], gn.groups, -1)
+    c = g.shape[2]
+    d = g - g.sum(axis=2, keepdims=True) / c
+    inv_std = 1.0 / np.sqrt((d * d).sum(axis=2, keepdims=True) / c + gn.eps)
+    xhat = (d * inv_std).reshape(x.shape)
+    dxhat = (dout * gn.gamma.data).reshape(g.shape)
+    xh = xhat.reshape(g.shape)
+    m1 = dxhat.sum(axis=2, keepdims=True) / c
+    m2 = (dxhat * xh).sum(axis=2, keepdims=True) / c
+    dx = inv_std * (dxhat - m1 - xh * m2)
+    return gn.gamma.data * xhat + gn.beta.data, dx.reshape(x.shape)
+
+
+@pytest.mark.parametrize("channels, groups", [(64, 8), (64, 2), (60, 5), (8, 2), (260, 2)])
+def test_groupnorm_matches_the_sum_oracle_bitwise(channels, groups):
+    # Group widths 8, 32 and 12 take group_sum's pairwise path; 4 and 130
+    # fall back to sum.
+    r = rng(27)
+    gn = GroupNorm(channels, groups)
+    gn.gamma.data[...] = r.uniform(0.5, 1.5, channels)
+    gn.beta.data[...] = r.standard_normal(channels)
+    for x in (r.standard_normal((50, channels)), awkward_values(r, (50, channels))):
+        dout = r.standard_normal(x.shape)
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            want_out, want_dx = sum_groupnorm(gn, x, dout)
+            got_out = gn.forward(x)
+            got_dx = gn.backward(dout)
+        assert same_bits(got_out, want_out)
+        assert same_bits(got_dx, want_dx)
 
 
 def test_groupnorm_indivisible_channels_rejected():

@@ -11,7 +11,7 @@ from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.layers import GroupNorm, InputStandardizer, Linear, ReLU
 from wtx.losses import sigmoid_bce, smooth_l1, total_loss
 from wtx.matrix import load_matrix_json, matrix_hash
-from wtx.models import (DetectionProxyHead, ModelConfig, SourceWeights,
+from wtx.models import (VARIANT_LAYERS, DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
                         baseline_nn_transfer, joint_losses, train_conventional_head,
                         train_joint)
@@ -397,13 +397,33 @@ def joint_pass(joint, bench, variant, alpha, overrides, monkeypatch):
     return l_cls, total, model, head, rows
 
 
+CB = {"norm_kind": "class_batch"}
+
+
+# Every variant x alpha {0, 20} x norm kind (group is the default), and
+# whether the encoder sees every class row: reconstruction reads every row,
+# and class-batch statistics mix them.
 @pytest.mark.parametrize("variant, alpha, overrides, all_rows", [
     ("wtn", 20.0, {}, False),
     ("wtn_plus", 20.0, {}, False),
     ("ae_wtn", 0.0, {}, False),
-    ("wtn_plus_in_only", 20.0, {"norm_kind": "class_batch"}, False),
-    ("wtn_plus", 20.0, {"norm_kind": "class_batch"}, True),    # statistics mix rows
-    ("ae_wtn", 20.0, {}, True),                                # reconstructs every row
+    ("wtn_plus_in_only", 20.0, CB, False),
+    ("wtn_plus", 20.0, CB, True),
+    ("ae_wtn", 20.0, {}, True),
+    ("wtn", 0.0, {}, False),
+    ("wtn_plus_in_only", 0.0, {}, False),
+    ("wtn_plus_in_only", 20.0, {}, False),
+    ("wtn_plus_gn_only", 0.0, {}, False),
+    ("wtn_plus_gn_only", 20.0, {}, False),
+    ("wtn_plus", 0.0, {}, False),
+    ("wtn", 0.0, CB, False),
+    ("wtn", 20.0, CB, False),
+    ("wtn_plus_in_only", 0.0, CB, False),
+    ("wtn_plus_gn_only", 0.0, CB, True),
+    ("wtn_plus_gn_only", 20.0, CB, True),
+    ("wtn_plus", 0.0, CB, True),
+    ("ae_wtn", 0.0, CB, True),
+    ("ae_wtn", 20.0, CB, True),
 ])
 def test_joint_losses_matches_the_all_rows_oracle_bitwise(default_bench, monkeypatch,
                                                           variant, alpha, overrides, all_rows):
@@ -421,6 +441,79 @@ def test_joint_losses_matches_the_all_rows_oracle_bitwise(default_bench, monkeyp
     source = default_bench.source
     encoded = source.num_classes if all_rows else len(source.shared_index)
     assert set(rows) == {encoded}
+
+
+@pytest.mark.parametrize("variant, alpha", [("wtn", 20.0), ("wtn_plus", 20.0),
+                                            ("ae_wtn", 0.0), ("ae_wtn", 20.0)])
+def test_train_joint_does_no_work_for_the_frozen_input(tiny_bench, monkeypatch, variant, alpha):
+    # The standardized W_C is computed once, and nothing backpropagates into
+    # W_C: neither the standardizer nor the first Linear computes an input
+    # gradient; the Linear only accumulates its parameter gradients.
+    model = make_model(variant, tiny_bench.source, dim=16, groups=4, seed=8)
+    head = DetectionProxyHead(tiny_bench.num_other, tiny_bench.d_feat)
+    calls = []
+
+    def spy(cls, name):
+        method = getattr(cls, name)
+
+        def recording(self, *args):
+            calls.append((name, self))
+            return method(self, *args)
+        monkeypatch.setattr(cls, name, recording)
+
+    spy(InputStandardizer, "forward")
+    spy(InputStandardizer, "backward")
+    spy(Linear, "backward")
+    spy(Linear, "backward_params")
+    train_joint(model, head, tiny_bench.source, tiny_bench,
+                TrainConfig(iterations=5, batch_size=32, alpha=alpha, seed=8))
+    standardizer = [call for call in calls if isinstance(call[1], InputStandardizer)]
+    assert standardizer == [("forward", model.encoder[0])] * VARIANT_LAYERS[variant].input_norm
+    first = model.encoder[model.frozen]
+    assert isinstance(first, Linear)
+    assert calls.count(("backward_params", first)) == 5
+    assert ("backward", first) not in calls
+
+
+def test_frozen_input_follows_the_source_it_is_given(tiny_bench):
+    # A model whose frozen input was computed from one W_C gives, for another
+    # source, the losses and gradients of the whole encoder on that source;
+    # so does a writable W_C changed in place after the model used it.
+    rng = np.random.default_rng(12)
+    feats, labels = tiny_bench.sample("train", 32, rng)
+    first = tiny_bench.source
+    w = rng.standard_normal(first.weights.shape)
+    writable = SourceWeights(w.copy(), first.shared_mask)
+
+    def pass_on(joint, source, filled_from=None, then=None):
+        model = make_model("wtn_plus", first, dim=16, groups=4, seed=9)
+        head = DetectionProxyHead(tiny_bench.num_other, tiny_bench.d_feat)
+        if filled_from is not None:
+            joint_losses(model, head, filled_from, feats, labels_of(filled_from), 20.0)
+        if then is not None:
+            then()
+        l_cls, _, total = joint(model, head, source, feats, labels_of(source), 20.0)
+        return l_cls.value, total, model.grad.copy()
+
+    def labels_of(source):
+        # A source with a class fewer in its shared list drops its label column.
+        return labels[:, len(first.shared_index) - len(source.shared_index):]
+
+    def joint(*args):
+        return joint_losses(*args, backprop=True)
+
+    def double():
+        writable.weights[...] *= 2.0
+
+    cases = [(SourceWeights.create(w, first.shared_index), first, None),
+             (SourceWeights.create(first.weights, first.shared_index[1:]), first, None),
+             (writable, first, None),
+             (writable, writable, double)]
+    for source, filled_from, then in cases:
+        got = pass_on(joint, source, filled_from, then)
+        want = pass_on(all_rows_joint_losses, source)
+        assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
+    assert writable.weights.flags.writeable
 
 
 # --- export --------------------------------------------------------------------

@@ -1,7 +1,10 @@
 import numpy as np
+import pytest
 
 from wtx.layers import Param, flatten
 from wtx.optim import AdamW, SGDMomentum
+
+from conftest import make_model
 
 
 def make_param(value):
@@ -74,6 +77,34 @@ def test_adamw_deterministic():
             opt.zero_grad()
         runs.append(p.data.copy())
     assert np.array_equal(runs[0], runs[1])
+
+
+@pytest.mark.parametrize("weight_decay", [0.0, 1e-4])
+def test_adamw_on_a_store_slice_matches_the_textbook_expression_bitwise(weight_decay):
+    # train_joint steps model.data[:n]; the rest of the store must not move.
+    # Huge gradients overflow v to inf, subnormal ones underflow their square.
+    lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
+    r = np.random.default_rng(1)
+    model = make_model("ae_wtn")
+    model.data[...] = r.standard_normal(model.data.size)
+    n = model.encoder_size
+    data, m, v = model.data.copy(), np.zeros(n), np.zeros(n)
+    opt = AdamW(model.data[:n], model.grad[:n], lr=lr, betas=(b1, b2), eps=eps,
+                weight_decay=weight_decay)
+    scales = np.array([0.0, 5e-324, 1e-310, 1e-3, 1.0, 1e150, 1e200])
+    with np.errstate(over="ignore"):
+        for t in range(1, 51):
+            grad = r.standard_normal(n) * r.choice(scales, n)
+            model.grad[:n] = grad
+            opt.step()
+            bc1, bc2 = 1.0 - b1 ** t, 1.0 - b2 ** t
+            w = data[:n]
+            w *= 1.0 - lr * weight_decay
+            m = b1 * m + (1.0 - b1) * grad
+            v = b2 * v + (1.0 - b2) * grad * grad
+            w -= lr * (m / bc1) / (np.sqrt(v / bc2) + eps)
+            assert model.data.tobytes() == data.tobytes(), t
+    assert np.isinf(v).any() and np.isfinite(model.data).all()
 
 
 def test_sgd_plain_gradient_descent():
