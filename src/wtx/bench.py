@@ -43,7 +43,7 @@ import numpy as np
 
 from .errors import ConfigError, StateError, ValidationError
 from .losses import _logistic
-from .matrix import (atomic_write_text, blocked_sq_dists, matrix_hash, nearest_other_row,
+from .matrix import (atomic_write_text, blocked_sq_dists, matrix_hash, nearest_rows,
                      row_l2_norms, save_matrix_json)
 from .models import SourceWeights
 
@@ -343,7 +343,8 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
     # Co-occurrence radius: the multilabel_fraction quantile of
     # nearest-neighbor distances among the training classes' prototypes, so
     # the target fraction of training examples carries 2+ labels.
-    _, nn_d2 = nearest_other_row(all_protos[train_ids])
+    train_protos = all_protos[train_ids]
+    _, nn_d2 = nearest_rows(train_protos, train_protos, 1, own=np.arange(len(train_ids)))
     radius = float(np.quantile(np.sqrt(nn_d2), config.multilabel_fraction))
 
     splits = {name: _make_split(ids, all_protos, n, config.noise_std, radius, target_rng)
@@ -353,8 +354,8 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
                                     config.eval_samples_per_class))}
 
     norms = row_l2_norms(w_c).ravel()
-    nearest, _ = nearest_other_row(w_c)
-    same_cluster = float(np.mean(cluster_ids[nearest] == cluster_ids))
+    nearest, _ = nearest_rows(w_c, w_c, 1, own=np.arange(c_total))
+    same_cluster = float(np.mean(cluster_ids[nearest[:, 0]] == cluster_ids))
     train = splits["train"]
     multi = float(np.mean((train.class_labels.sum(axis=1) >= 2)[train.class_index]))
     measured = {

@@ -290,9 +290,8 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
     report = train_joint(model, head, bench.source, bench, run_cfg.train_config(seed))
     w_d = model.encode(bench.source.weights)
 
-    columns = ("iteration", "l_cls", "l_rec", "total")
-    losses = [",".join(columns)] + [",".join(map(repr, row))
-                                    for row in zip(*(report.curve[c] for c in columns))]
+    losses = ["iteration,l_cls,l_rec,total"] + [",".join(map(repr, (it, *row)))
+                                                for it, row in enumerate(report.losses)]
     atomic_write_text(os.path.join(outdir, f"losses__{tag}.csv"), "\n".join(losses) + "\n")
     save_matrix_json(w_d, os.path.join(outdir, f"weights__{tag}.json"))
     atomic_write_text(os.path.join(outdir, f"norm_stats__{tag}.json"),

@@ -17,7 +17,7 @@ import numpy as np
 
 from .bench import BenchmarkInstance
 from .errors import ShapeError, StateError, ValidationError
-from .matrix import blocked_sq_dists, row_l2_norms
+from .matrix import nearest_rows, row_l2_norms
 from .models import VARIANT_LAYERS, DetectionProxyHead, SourceWeights, TransferModel
 
 
@@ -132,22 +132,14 @@ class OverlapCurve:
                           sort_keys=True, indent=1)
 
 
-def _topk_neighbors(w: np.ndarray, anchors: np.ndarray, k: int) -> np.ndarray:
-    """(len(anchors), k): each anchor row's k nearest other rows of ``w`` by
-    Euclidean distance, ties broken by row index."""
-    out = np.empty((len(anchors), k), dtype=np.int64)
-    for start, d2 in blocked_sq_dists(w[anchors], w):
-        order = np.argsort(d2, axis=1, kind="stable")
-        others = order != anchors[start:start + len(d2), None]
-        out[start:start + len(d2)] = order[others].reshape(len(d2), -1)[:, :k]
-    return out
-
-
 def nn_overlap(w_ref: np.ndarray, w_test: np.ndarray, k_list,
                n_sample_classes: int, rng: np.random.Generator) -> OverlapCurve:
     """Mean size of the intersection between each sampled class's top-k
     Euclidean neighbors in the two weight spaces (self excluded, ties by
-    class index)."""
+    class index), found by ``matrix.nearest_rows``. The own row is excluded
+    by counting it infinitely far, so where another row's squared distance
+    overflows to inf too (entries of about 1e153 or more) the own row ties
+    with it and may be ranked among the neighbors."""
     if w_ref.shape[0] != w_test.shape[0]:
         raise ShapeError(f"row counts differ: {w_ref.shape} vs {w_test.shape}")
     n = w_ref.shape[0]
@@ -158,8 +150,8 @@ def nn_overlap(w_ref: np.ndarray, w_test: np.ndarray, k_list,
     n_sample = min(n_sample_classes, n)
     sampled = np.sort(rng.choice(n, size=n_sample, replace=False))
 
-    ref_nb = _topk_neighbors(w_ref, sampled, ks[-1])
-    test_nb = _topk_neighbors(w_test, sampled, ks[-1])
+    ref_nb, _ = nearest_rows(w_ref[sampled], w_ref, ks[-1], own=sampled)
+    test_nb, _ = nearest_rows(w_test[sampled], w_test, ks[-1], own=sampled)
     means = [np.mean([len(set(r[:k]) & set(t[:k])) for r, t in zip(ref_nb, test_nb)]) for k in ks]
     return OverlapCurve(ks=ks, mean_counts=[float(x) for x in means],
                         sampled_class_ids=[int(c) for c in sampled])

@@ -1,7 +1,11 @@
-"""Training losses. Each returns the scalar and the gradient w.r.t. its input.
+"""Training losses: the detection loss ``sigmoid_bce`` and the
+reconstruction loss ``smooth_l1``. Each returns the scalar and the gradient
+w.r.t. its input.
 
 Both losses reduce by MEAN over all elements, so their gradients carry a
 1/numel factor and loss magnitudes are comparable across matrix sizes.
+AE-WTN's objective, detection loss plus alpha times reconstruction loss, is
+summed in ``models.joint_losses``.
 """
 
 from __future__ import annotations
@@ -10,25 +14,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError, ShapeError
+from .errors import ShapeError
 
 
 @dataclass
 class LossValue:
     value: float
     grad: np.ndarray
-
-
-@dataclass
-class CombinedLoss:
-    """Weighted sum of a classification and a reconstruction loss.
-
-    ``grad_cls`` / ``grad_rec`` are the upstream gradients to feed into the
-    two branches; the reconstruction side already carries the alpha weight.
-    """
-    value: float
-    grad_cls: np.ndarray
-    grad_rec: np.ndarray | None
 
 
 def smooth_l1(pred: np.ndarray, target: np.ndarray) -> LossValue:
@@ -70,12 +62,3 @@ def _logistic(z: np.ndarray, e: np.ndarray, out: np.ndarray | None = None) -> np
     num = np.greater_equal(z, 0.0, out=np.empty_like(z) if out is None else out)
     np.maximum(num, e, out=num)
     return np.divide(num, 1.0 + e, out=num)
-
-
-def total_loss(l_cls: LossValue, l_rec: LossValue | None, alpha: float) -> CombinedLoss:
-    """cls + alpha * rec; gradients flow to both branches with those weights."""
-    if alpha < 0:
-        raise ConfigError(f"alpha must be >= 0, got {alpha}")
-    if l_rec is None:
-        return CombinedLoss(l_cls.value, l_cls.grad, None)
-    return CombinedLoss(l_cls.value + alpha * l_rec.value, l_cls.grad, alpha * l_rec.grad)

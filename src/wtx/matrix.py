@@ -5,7 +5,9 @@ of float64. numpy supplies the storage and arithmetic; the naive scalar
 oracles that define correctness live in the test suite.
 
 Every squared Euclidean distance comes from ``blocked_sq_dists``, a block
-of rows at a time; ``nearest_other_row`` finds each row's nearest other row.
+of rows at a time. ``nearest_rows`` is the one nearest-neighbour search:
+the k nearest reference rows of each query, ties to the lowest index,
+optionally skipping each query's own row.
 
 One on-disk format, exact to the bit: JSON (``save_matrix_json``,
 ``load_matrix_json``), ``{"rows": R, "cols": C, "data": [...]}`` with each
@@ -55,17 +57,23 @@ def blocked_sq_dists(a: np.ndarray, b: np.ndarray):
         yield start, ((b - a[start:start + step, None]) ** 2).sum(axis=2)
 
 
-def nearest_other_row(m: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """For each row of ``m``, the index of its nearest other row (ties to the
-    lowest index) and the squared Euclidean distance to it. A matrix of one
-    row has none: its index is 0 and its distance infinite."""
-    nearest, d2_min = np.empty(len(m), dtype=np.int64), np.empty(len(m))
-    for start, d2 in blocked_sq_dists(m, m):
-        block = np.arange(len(d2))
-        d2[block, start + block] = np.inf
-        nn = np.argmin(d2, axis=1)
-        nearest[start:start + len(d2)], d2_min[start:start + len(d2)] = nn, d2[block, nn]
-    return nearest, d2_min
+def nearest_rows(queries: np.ndarray, refs: np.ndarray, k: int,
+                 own: np.ndarray | None = None) -> tuple[np.ndarray, np.ndarray]:
+    """For each query row, the indices of its ``k`` nearest rows of ``refs``
+    by squared Euclidean distance, nearest first with ties to the lowest
+    index, and those squared distances: two ``(len(queries), k)`` arrays.
+    ``own[i]``, if given, is query i's own row of ``refs``, which then counts
+    as infinitely far; a query with no other row gets index 0 at distance
+    inf. For k = 1, ``argmin`` gives the first column of the stable sort."""
+    nearest, d2_k = np.empty((len(queries), k), dtype=np.int64), np.empty((len(queries), k))
+    for start, d2 in blocked_sq_dists(queries, refs):
+        stop = start + len(d2)
+        if own is not None:
+            d2[np.arange(len(d2)), own[start:stop]] = np.inf
+        nn = (np.argmin(d2, axis=1)[:, None] if k == 1
+              else np.argsort(d2, axis=1, kind="stable")[:, :k])
+        nearest[start:stop], d2_k[start:stop] = nn, np.take_along_axis(d2, nn, axis=1)
+    return nearest, d2_k
 
 
 def matrix_hash(m: np.ndarray) -> str:

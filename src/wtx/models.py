@@ -28,7 +28,12 @@ once: ``frozen_input`` keeps W_C through the standardizer, computed on first
 use for each read-only W_C array, and a training pass starts at the first
 Linear, from those rows or their shared ones. Its backward pass stops at
 that Linear's parameter gradients: nothing reads a gradient for W_C.
-``encode`` and ``encode_backward`` run the whole encoder and are unchanged.
+``encode`` and ``encode_backward`` run the whole encoder.
+
+The objective, detection loss plus alpha times AE-WTN's reconstruction
+loss, is summed in ``joint_losses`` alone. A training run keeps one loss
+record, ``TrainingReport.losses``: an ``(l_cls, l_rec, total)`` tuple per
+iteration, whose last entry gives the report's ``final_*`` values.
 
 Each model keeps its trainable state in one parameter store: two float64
 vectors, ``model.data`` and ``model.grad``, built by ``layers.flatten``.
@@ -47,8 +52,10 @@ and the baselines' head training both call.
 Every method ends in the same pair: W_D, a (|C|, d) row for every source
 class, and a ``DetectionProxyHead``. A transfer model's W_D is its encoding
 of W_C. The non-transfer baselines train the seen rows and the head
-directly (``train_conventional_head``) and fill the novel rows from the
-nearest seen classes (``baseline_nn_transfer``, ``baseline_lsda_bias``), so
+directly (``train_conventional_head``, with the head settings,
+iterations, batch size and seed of the run's ``TrainConfig``) and fill the
+novel rows from the nearest seen classes (``baseline_nn_transfer``,
+``baseline_lsda_bias``, found by ``matrix.nearest_rows``), so
 ``evaluation.evaluate`` scores every method alike.
 """
 
@@ -56,15 +63,15 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU, flatten
-from .losses import LossValue, sigmoid_bce, smooth_l1, total_loss
-from .matrix import blocked_sq_dists, matrix_hash
+from .losses import LossValue, sigmoid_bce, smooth_l1
+from .matrix import matrix_hash, nearest_rows
 from .optim import AdamW, SGDMomentum
 
 
@@ -300,18 +307,31 @@ class TrainConfig:
 
 @dataclass
 class TrainingReport:
-    curve: dict = field(default_factory=dict)   # iteration -> lists; not in to_json
-    final_l_cls: float = 0.0
-    final_l_rec: float = 0.0
-    final_total: float = 0.0
-    w_c_hash_before: str = ""
-    w_c_hash_after: str = ""
-    decoder_hash_init: str | None = None
-    decoder_hash_final: str | None = None
-    model_hash_final: str = ""
+    losses: list[tuple[float, float, float]]    # (l_cls, l_rec, total) per iteration
+    w_c_hash_before: str
+    w_c_hash_after: str
+    decoder_hash_init: str | None
+    decoder_hash_final: str | None
+    model_hash_final: str
+
+    @property
+    def final_l_cls(self) -> float:
+        return self.losses[-1][0]
+
+    @property
+    def final_l_rec(self) -> float:
+        return self.losses[-1][1]
+
+    @property
+    def final_total(self) -> float:
+        return self.losses[-1][2]
 
     def to_json(self) -> str:
-        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "curve"}
+        """Every field but ``losses``, whose last entry gives the ``final_*``
+        keys; the losses CSV holds the whole record."""
+        payload = {f.name: getattr(self, f.name) for f in fields(self) if f.name != "losses"}
+        payload.update(final_l_cls=self.final_l_cls, final_l_rec=self.final_l_rec,
+                       final_total=self.final_total)
         return json.dumps(payload, sort_keys=True, indent=1)
 
 
@@ -330,7 +350,9 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
 
     The pass starts from ``model.frozen_input(source)`` at the first Linear,
     and its backward pass ends in that Linear's parameter gradients.
-    Returns (l_cls, l_rec_or_None, total_scalar).
+    Returns (l_cls, l_rec_or_None, total), where ``total``, the objective,
+    is ``l_cls.value + alpha * l_rec.value``, or ``l_cls.value`` when there
+    is no reconstruction loss.
     """
     shared_idx = source.shared_index
     reconstruct = model.has_decoder and alpha != 0.0
@@ -344,24 +366,22 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
 
     l_cls, d_shared = head.loss(features, labels, w_shared, backprop)
 
-    l_rec = None
+    l_rec, total = None, l_cls.value
     if reconstruct:
-        recon = model.decode(out_all)
-        l_rec = smooth_l1(recon, source.weights)
-
-    comb = total_loss(l_cls, l_rec, alpha)
+        l_rec = smooth_l1(model.decode(out_all), source.weights)
+        total = l_cls.value + alpha * l_rec.value
 
     if backprop:
         if all_rows:
             dout = np.zeros_like(out_all)
             dout[shared_idx] += d_shared
             if l_rec is not None:
-                dout += model.decode_backward(comb.grad_rec)
+                dout += model.decode_backward(alpha * l_rec.grad)
         else:
             dout = d_shared
         layers[0].backward_params(_backward(layers[1:], dout))
 
-    return l_cls, l_rec, comb.value
+    return l_cls, l_rec, total
 
 
 def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWeights,
@@ -383,12 +403,13 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
                            lr=config.head_lr, momentum=config.head_momentum,
                            weight_decay=config.head_weight_decay)
 
-    report = TrainingReport()
-    report.w_c_hash_before = matrix_hash(source.weights)
-    if model.has_decoder:
-        report.decoder_hash_init = matrix_hash(model.data[model.encoder_size:])
+    w_c_hash_before = matrix_hash(source.weights)
 
-    iters, cls_curve, rec_curve, total_curve = [], [], [], []
+    def decoder_hash():
+        return matrix_hash(model.data[model.encoder_size:]) if model.has_decoder else None
+
+    decoder_hash_init = decoder_hash()
+    losses = []
 
     with np.errstate(over="ignore", invalid="ignore"):
         for it in range(config.iterations):
@@ -401,47 +422,36 @@ def train_joint(model: TransferModel, head: DetectionProxyHead, source: SourceWe
             opt_head.step()
             opt_model.zero_grad()
             opt_head.zero_grad()
+            losses.append((l_cls.value, l_rec.value if l_rec is not None else 0.0, total))
 
-            rec_val = l_rec.value if l_rec is not None else 0.0
-            iters.append(it)
-            cls_curve.append(l_cls.value)
-            rec_curve.append(rec_val)
-            total_curve.append(total)
-
-    report.curve = {"iteration": iters, "l_cls": cls_curve,
-                    "l_rec": rec_curve, "total": total_curve}
-    report.final_l_cls = cls_curve[-1]
-    report.final_l_rec = rec_curve[-1]
-    report.final_total = total_curve[-1]
-    report.w_c_hash_after = matrix_hash(source.weights)
-    if model.has_decoder:
-        report.decoder_hash_final = matrix_hash(model.data[model.encoder_size:])
-    report.model_hash_final = matrix_hash(model.data)
-    return report
+    return TrainingReport(losses, w_c_hash_before, matrix_hash(source.weights),
+                          decoder_hash_init, decoder_hash(), matrix_hash(model.data))
 
 
 # --- Non-WTN baselines -----------------------------------------------------
 
-def train_conventional_head(source: SourceWeights, data, *, mode: str = "plain",
-                            iterations: int = 600, batch_size: int = 128, lr: float = 0.02,
-                            momentum: float = 0.9, weight_decay: float = 1e-4,
-                            seed: int = 0) -> tuple[np.ndarray, DetectionProxyHead]:
+def train_conventional_head(source: SourceWeights, data, mode: str,
+                            config: TrainConfig) -> tuple[np.ndarray, DetectionProxyHead]:
     """Train (|S|, d) seen rows and a head's "other" rows, with no transfer
     network, and return ``(w_seen, head)``. The seen rows are learned from
-    zero (``plain``) or as offsets added to the frozen W_C rows (``lsda``)."""
+    zero (``plain``) or as offsets added to the frozen W_C rows (``lsda``).
+    ``config`` gives the head's SGD settings (``head_lr``, ``head_momentum``,
+    ``head_weight_decay``), ``iterations``, ``batch_size`` and ``seed``."""
     if mode not in ("plain", "lsda"):
         raise ConfigError(f"unknown head mode {mode!r}")
-    rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed).spawn(1)[0])
     shape = len(source.shared_index), source.dim
     base = source.weights[source.shared_index] if mode == "lsda" else np.zeros(shape)
     learned, grad = np.zeros(shape), np.zeros(shape)
     head = DetectionProxyHead(data.num_other, source.dim)
     # Elementwise steps: the same bits as one optimizer over [seen; other].
-    sgd, other = dict(lr=lr, momentum=momentum, weight_decay=weight_decay), head.other_weights
+    sgd = dict(lr=config.head_lr, momentum=config.head_momentum,
+               weight_decay=config.head_weight_decay)
+    other = head.other_weights
     opts = [SGDMomentum(learned, grad, **sgd), SGDMomentum(other.data, other.grad, **sgd)]
 
-    for _ in range(iterations):
-        feats, labels = data.sample("train", batch_size, rng)
+    for _ in range(config.iterations):
+        feats, labels = data.sample("train", config.batch_size, rng)
         grad += head.loss(feats, labels, base + learned, backprop=True)[1]
         for opt in opts:
             opt.step()
@@ -458,11 +468,7 @@ def _nearest_seen(source: SourceWeights, k: int, w_seen: np.ndarray) -> np.ndarr
                          f"seen classes of width {source.dim}")
     if k < 1 or k > len(shared_idx):
         raise ValueError(f"k must be in [1, {len(shared_idx)}], got {k}")
-    novel_idx = source.novel_index
-    nearest = np.empty((len(novel_idx), k), dtype=np.int64)
-    for start, d2 in blocked_sq_dists(source.weights[novel_idx], source.weights[shared_idx]):
-        nearest[start:start + len(d2)] = np.argsort(d2, axis=1, kind="stable")[:, :k]
-    return nearest
+    return nearest_rows(source.weights[source.novel_index], source.weights[shared_idx], k)[0]
 
 
 def _with_novel_rows(w_seen: np.ndarray, source: SourceWeights,
@@ -476,7 +482,16 @@ def _with_novel_rows(w_seen: np.ndarray, source: SourceWeights,
 
 def baseline_nn_transfer(w_seen: np.ndarray, source: SourceWeights, k: int = 1) -> np.ndarray:
     """W_D with each novel row copied (k=1) or averaged from the rows of
-    ``w_seen`` of the k nearest seen classes in W_C space."""
+    ``w_seen`` of the k nearest seen classes in W_C space.
+
+    Its novel top-1 depends on k through ties. With k = 1 a novel row
+    equals the seen row it copies, so on every example the two classes
+    score the same logit, and the argmax breaks that tie toward the lower
+    class id: a novel class wins it only where its id is below the copied
+    class's. With k >= 2 a logit of the mean of rows is the mean of their
+    logits, never above the largest of them, and all of those rows are in
+    the novel split's ranking, so a novel row wins the argmax only where
+    its k sources score alike."""
     nearest = _nearest_seen(source, k, w_seen)
     return _with_novel_rows(w_seen, source, w_seen[nearest].mean(axis=1))
 

@@ -77,7 +77,7 @@ def test_preset_builds_its_benchmark_and_trains_ae_wtn(name, classes, clusters):
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     report = train_joint(model, head, bench.source, bench,
                          dataclasses.replace(cfg.train_config(seed), iterations=3))
-    assert report.curve["iteration"] == [0, 1, 2]
+    assert len(report.losses) == 3
     assert np.isfinite(report.final_total)
 
 
@@ -373,23 +373,22 @@ def test_cli_run_directory_format(tmp_path):
     same = tmp_path / "same"
     same.mkdir()
     res = run_training(config_from_dict(tiny_doc(iterations=20)), "ae_wtn", 1, str(same))
-    curve = res["report"].curve
+    losses = res["report"].losses
     want = ["iteration,l_cls,l_rec,total"] + [
-        f"{it},{l_cls!r},{l_rec!r},{total!r}" for it, l_cls, l_rec, total
-        in zip(curve["iteration"], curve["l_cls"], curve["l_rec"], curve["total"])]
+        f"{it},{l_cls!r},{l_rec!r},{total!r}" for it, (l_cls, l_rec, total) in enumerate(losses)]
     assert (run_dir / "losses__ae_wtn__seed1.csv").read_text() == "\n".join(want) + "\n"
     assert (run_dir / "report.json").read_text() == res["report"].to_json()
     assert (run_dir / "norm_stats__ae_wtn__seed1.json").read_text() == \
         norm_stats(res["model"], res["bench"].source).to_json()
     report = json.loads((run_dir / "report.json").read_text())
-    assert not {"config_echo", "curve", "variant", "seed"} & set(report)
+    assert not {"config_echo", "losses", "variant", "seed"} & set(report)
     # config.json is the config the run was trained with, its method and
     # seed included, and the benchmark fingerprint.
     doc = json.loads((run_dir / "config.json").read_text())
     assert doc.pop("resolved") == {"benchmark_sha256": res["bench"].fingerprint}
     assert doc == config_to_dict(res["config"])
     assert (doc["model"]["variant"], doc["seeds"]) == ("ae_wtn", [1])
-    assert report["final_total"] == curve["total"][-1]
+    assert report["final_total"] == losses[-1][2]
 
     assert main(["eval", str(run_dir)]) == 0
     evaluated = trained | {"metrics__ae_wtn__seed1__eval_seen.json",
@@ -423,7 +422,7 @@ def test_cli_alpha_zero_decoder_untouched_reported(tmp_path):
     with open(os.path.join(run_dir, "report.json")) as f:
         report = json.load(f)
     assert report["decoder_hash_init"] == report["decoder_hash_final"]
-    assert "curve" not in report     # the losses CSV holds it
+    assert "losses" not in report     # the losses CSV holds them
 
 
 def test_cli_seed_replaces_the_configs_seeds(tmp_path, monkeypatch):
@@ -1312,6 +1311,21 @@ def test_cli_default_sweep_comparison_bytes(tmp_path):
     assert main(["compare", "--jobs", "2", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest() == \
         DEFAULT_COMPARISON_SHA256
+
+
+GRID_COMPARISON_SHA256 = "8f809cd8c184fb538beb0efe56523583d60d3084a86308cd5208f19cdc4c8e18"
+
+
+def test_cli_grid_sweep_comparison_bytes(tmp_path):
+    """The sha256 of the ``comparison.json`` of ``wtx compare --grid --jobs
+    2`` with the bundled config: the four labels of ``GRID_METHODS`` x 5
+    seeds. Only the grid trains ``wtn_plus_in_only`` and
+    ``wtn_plus_gn_only``, so it referees those two for a change that must
+    keep every output byte (numpy 2.4.6, scipy-openblas 0.3.31, x86-64)."""
+    out = tmp_path / "grid"
+    assert main(["compare", "--grid", "--jobs", "2", "--out", str(out)]) == 0
+    assert hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest() == \
+        GRID_COMPARISON_SHA256
 
 
 def test_cli_generate_writes_the_cache_entry(tmp_path, monkeypatch, cache_home):

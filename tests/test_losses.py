@@ -1,9 +1,9 @@
 import numpy as np
 import pytest
 
-from wtx.errors import ConfigError, ShapeError
+from wtx.errors import ShapeError
 from wtx.gradcheck import max_relative_error, numeric_gradient
-from wtx.losses import _logistic, sigmoid_bce, smooth_l1, total_loss
+from wtx.losses import _logistic, sigmoid_bce, smooth_l1
 
 
 def rng(seed=0):
@@ -134,45 +134,3 @@ def test_logistic_has_the_bits_of_the_select_form():
             assert got.tobytes() == want[offset:].tobytes(), offset
         out = np.empty_like(z)
         assert _logistic(z, e, out=out) is out and out.tobytes() == want.tobytes()
-
-
-# --- total loss ----------------------------------------------------------------
-
-def test_total_alpha_zero_equals_cls():
-    pred = rng(7).standard_normal((2, 2))
-    cls = sigmoid_bce(pred, np.ones((2, 2)))
-    rec = smooth_l1(pred, np.zeros((2, 2)))
-    combined = total_loss(cls, rec, 0.0)
-    assert combined.value == cls.value
-
-
-def test_total_paper_arithmetic():
-    cls = sigmoid_bce(np.zeros((1, 1)), np.ones((1, 1)))
-    cls.value = 0.5
-    rec = smooth_l1(np.zeros((1, 1)), np.zeros((1, 1)))
-    rec.value = 0.01
-    assert abs(total_loss(cls, rec, 20.0).value - 0.7) < 1e-15
-
-
-def test_total_rejects_negative_alpha():
-    cls = sigmoid_bce(np.zeros((1, 1)), np.ones((1, 1)))
-    with pytest.raises(ConfigError):
-        total_loss(cls, None, -1.0)
-
-
-def test_total_gradient_is_weighted_sum_of_branches():
-    # A shared upstream x feeds both branches; d(total)/dx must equal the
-    # weighted sum of branch gradients (checked against finite differences).
-    x = rng(8).standard_normal((3, 4))
-    targets = (rng(9).random((3, 4)) < 0.5).astype(float)
-    w_ref = rng(10).standard_normal((3, 4))
-    alpha = 20.0
-
-    def value():
-        c = sigmoid_bce(x, targets)
-        r = smooth_l1(x, w_ref)
-        return total_loss(c, r, alpha).value
-
-    comb = total_loss(sigmoid_bce(x, targets), smooth_l1(x, w_ref), alpha)
-    analytic = comb.grad_cls + comb.grad_rec
-    assert max_relative_error(analytic, numeric_gradient(value, x)) < 1e-6

@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.errors import ValidationError
-from wtx.matrix import load_matrix_json, matrix_hash, row_l2_norms, save_matrix_json
+from wtx.matrix import (_BLOCK_ELEMS, load_matrix_json, matrix_hash, nearest_rows, row_l2_norms,
+                        save_matrix_json)
 
 
 def test_transpose_involution():
@@ -66,6 +67,69 @@ def test_matrix_hash_equals_the_hash_of_the_copied_bytes(view):
     h.update(np.ascontiguousarray(m).tobytes())
     assert matrix_hash(m) == h.hexdigest()
 
+
+# --- nearest rows -----------------------------------------------------------------
+
+def nearest_oracle(queries, refs, k, own=None):
+    """Sort every reference row of each query by (squared distance, index),
+    the own row counted infinitely far."""
+    idx, dist = [], []
+    for i, q in enumerate(queries):
+        d2 = ((refs - q) ** 2).sum(axis=1)
+        if own is not None:
+            d2[own[i]] = np.inf
+        order = sorted(range(len(refs)), key=lambda j: (d2[j], j))[:k]
+        idx.append(order)
+        dist.append(d2[order])
+    return np.array(idx, dtype=np.int64).reshape(len(queries), k), \
+        np.array(dist).reshape(len(queries), k)
+
+
+def tied_rows(seed, n, d=3):
+    """Small-integer rows, so every squared distance is exact and many tie,
+    with some rows repeated."""
+    rng = np.random.default_rng(seed)
+    m = rng.integers(0, 3, size=(n, d)).astype(float)
+    m[rng.choice(n, size=n // 4, replace=False)] = m[0]
+    return m
+
+
+@pytest.mark.parametrize("k", [1, 2, 5])
+def test_nearest_rows_matches_the_oracle_with_ties_and_own_rows(k):
+    m = tied_rows(1, 40)
+    own = np.arange(len(m))
+    for queries, refs, skip in ((m, m, own), (m[::3], m, own[::3]), (tied_rows(2, 15), m, None)):
+        got_idx, got_d2 = nearest_rows(queries, refs, k, own=skip)
+        want_idx, want_d2 = nearest_oracle(queries, refs, k, skip)
+        assert got_idx.shape == got_d2.shape == (len(queries), k)
+        assert np.array_equal(got_idx, want_idx) and np.array_equal(got_d2, want_d2)
+        if skip is not None:
+            assert not np.any(got_idx == skip[:, None])
+
+
+def test_nearest_rows_spans_blocks():
+    rng = np.random.default_rng(3)
+    refs = np.vstack([rng.standard_normal((250, 8)), tied_rows(4, 50, d=8)])
+    queries = refs[::-1]
+    own = np.arange(len(refs))[::-1]
+    assert len(queries) > 2 * (_BLOCK_ELEMS // refs.size)       # three or more blocks
+    for k in (1, 4):
+        got = nearest_rows(queries, refs, k, own=own)
+        want = nearest_oracle(queries, refs, k, own)
+        assert all(np.array_equal(g, w) for g, w in zip(got, want))
+
+
+def test_nearest_rows_k1_is_the_first_column_of_the_sort():
+    m = tied_rows(5, 60)
+    for own in (None, np.arange(len(m))):
+        idx1, d1 = nearest_rows(m, m, 1, own=own)
+        idx2, d2 = nearest_rows(m, m, 2, own=own)
+        assert np.array_equal(idx1, idx2[:, :1]) and np.array_equal(d1, d2[:, :1])
+
+
+def test_nearest_rows_one_row_with_own_is_index_0_at_inf():
+    idx, d2 = nearest_rows(np.ones((1, 4)), np.ones((1, 4)), 1, own=np.array([0]))
+    assert idx.tolist() == [[0]] and d2.tolist() == [[np.inf]]
 
 def test_load_matrix_json_names_a_truncated_file(tmp_path):
     path = tmp_path / "m.json"

@@ -9,8 +9,8 @@ from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from wtx.evaluation import evaluate
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.layers import GroupNorm, InputStandardizer, Linear, ReLU
-from wtx.losses import sigmoid_bce, smooth_l1, total_loss
-from wtx.matrix import load_matrix_json, matrix_hash
+from wtx.losses import sigmoid_bce, smooth_l1
+from wtx.matrix import load_matrix_json, matrix_hash, nearest_rows
 from wtx.models import (VARIANT_LAYERS, DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
                         baseline_nn_transfer, joint_losses, train_conventional_head,
@@ -281,20 +281,31 @@ def test_train_report_curves_and_csv(tiny_bench, tmp_path):
     model = TransferModel(cfg.model_config("wtn_plus"), bench.source, seed=2)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     report = train_joint(model, head, bench.source, bench, cfg.train_config(2))
-    columns = ("iteration", "l_cls", "l_rec", "total")
-    assert tuple(report.curve) == columns
-    assert report.curve["iteration"] == list(range(40))
-    assert all(len(values) == 40 for values in report.curve.values())
-    assert report.final_l_cls == report.curve["l_cls"][-1]
-    assert report.final_total == report.curve["total"][-1]
+    assert len(report.losses) == 40
+    assert all(l_rec == 0.0 and total == l_cls for l_cls, l_rec, total in report.losses)
+    assert (report.final_l_cls, report.final_l_rec, report.final_total) == report.losses[-1]
 
-    # run_training trains the same run and writes its curve, one line per iteration.
+    # run_training trains the same run and writes its losses, one line per iteration.
     res = run_training(cfg, "wtn_plus", 2, str(tmp_path), bench=bench)
-    assert res["report"].curve == report.curve
+    assert res["report"].losses == report.losses
     lines = (tmp_path / "losses__wtn_plus__seed2.csv").read_text().splitlines()
     assert lines[0] == "iteration,l_cls,l_rec,total"
-    assert lines[1:] == [f"{it},{l_cls!r},{l_rec!r},{total!r}" for it, l_cls, l_rec, total
-                         in zip(*(report.curve[c] for c in columns))]
+    assert lines[1:] == [f"{it},{l_cls!r},{l_rec!r},{total!r}"
+                         for it, (l_cls, l_rec, total) in enumerate(report.losses)]
+
+
+def test_joint_losses_sums_the_objective(default_bench):
+    # AE-WTN's objective is l_cls + alpha * l_rec, bit for bit; at alpha 0
+    # there is no reconstruction loss and the objective is l_cls.
+    rng = np.random.default_rng(12)
+    model = TransferModel(ModelConfig("ae_wtn"), default_bench.source, seed=6)
+    head = DetectionProxyHead(default_bench.num_other, default_bench.d_feat)
+    feats, labels = default_bench.sample("train", 64, rng)
+    l_cls, l_rec, total = joint_losses(model, head, default_bench.source, feats, labels, 20.0)
+    assert l_rec is not None and l_rec.value > 0.0
+    assert total == l_cls.value + 20 * l_rec.value
+    l_cls, l_rec, total = joint_losses(model, head, default_bench.source, feats, labels, 0.0)
+    assert l_rec is None and total == l_cls.value
 
 
 def test_train_diverged_names_iteration(tiny_bench):
@@ -362,16 +373,18 @@ def all_rows_joint_losses(model, head, source, features, labels, alpha):
     l_rec = None
     if model.has_decoder and alpha != 0.0:
         l_rec = smooth_l1(model.decode(out_all), source.weights)
-    comb = total_loss(l_cls, l_rec, alpha)
-    dstack = comb.grad_cls.T @ features
+    dstack = l_cls.grad.T @ features
     n_s = len(shared_idx)
     head.other_weights.grad += dstack[n_s:]
     dout_all = np.zeros_like(out_all)
     dout_all[shared_idx] += dstack[:n_s]
-    if l_rec is not None:
-        dout_all += model.decode_backward(comb.grad_rec)
+    if l_rec is None:
+        total = l_cls.value
+    else:
+        total = l_cls.value + alpha * l_rec.value
+        dout_all += model.decode_backward(alpha * l_rec.grad)
     model.encode_backward(dout_all)
-    return l_cls, l_rec, comb.value
+    return l_cls, l_rec, total
 
 
 def joint_pass(joint, bench, variant, alpha, overrides, monkeypatch):
@@ -575,6 +588,26 @@ def test_nn_baseline_matches_brute_force_oracle():
                 assert np.array_equal(got[n], w_seen[nearest].mean(axis=0))
 
 
+def test_nn_copy_novel_logits_tie_their_copy_at_k1_and_trail_their_sources_at_k3(tiny_bench):
+    # Why the NN copy's novel top-1 depends on k. With k = 1 a novel class's
+    # logit equals that of the seen class it copies on every example, and
+    # the argmax gives that tie to the lower id. With k = 3 a novel row's
+    # logit never exceeds the largest logit of its three source rows, which
+    # the novel split ranks too.
+    src = tiny_bench.source
+    w_seen, head = train_conventional_head(src, tiny_bench, "plain",
+                                           TrainConfig(iterations=60, batch_size=32, seed=1))
+    shared, novel = src.shared_index, src.novel_index
+    feats = tiny_bench.split("eval_novel").features
+    for k in (1, 3):
+        sources = shared[nearest_rows(src.weights[novel], src.weights[shared], k)[0]]
+        logits = head.score(feats, baseline_nn_transfer(w_seen, src, k=k))
+        if k == 1:
+            assert np.array_equal(logits[:, novel], logits[:, sources[:, 0]])
+        else:
+            assert np.all(logits[:, novel] <= logits[:, sources].max(axis=2))
+
+
 def test_lsda_baseline_matches_brute_force_oracle():
     rng = np.random.default_rng(16)
     src = SourceWeights.create(rng.standard_normal((30, 8)), list(range(12)))
@@ -619,8 +652,8 @@ def test_baselines_require_one_row_per_seen_class():
 def test_conventional_head_trains_and_reports_modes(tiny_bench):
     bench = tiny_bench
     for mode in ("plain", "lsda"):
-        w_seen, head = train_conventional_head(bench.source, bench, mode=mode,
-                                               iterations=60, batch_size=32, seed=1)
+        w_seen, head = train_conventional_head(bench.source, bench, mode,
+                                               TrainConfig(iterations=60, batch_size=32, seed=1))
         assert w_seen.shape == (10, 16)
         assert isinstance(head, DetectionProxyHead)
         assert head.other_weights.data.shape == (3, 16)
@@ -655,8 +688,8 @@ def stacked_conventional_head(source, data, mode, iterations, batch_size, seed,
 
 @pytest.mark.parametrize("mode", ["plain", "lsda"])
 def test_conventional_head_matches_the_stacked_reference_bitwise(tiny_bench, mode):
-    w_seen, head = train_conventional_head(tiny_bench.source, tiny_bench, mode=mode,
-                                           iterations=60, batch_size=32, seed=3)
+    w_seen, head = train_conventional_head(tiny_bench.source, tiny_bench, mode,
+                                           TrainConfig(iterations=60, batch_size=32, seed=3))
     want_seen, want_other = stacked_conventional_head(tiny_bench.source, tiny_bench, mode,
                                                       iterations=60, batch_size=32, seed=3)
     assert np.array_equal(w_seen, want_seen)
@@ -667,8 +700,8 @@ def test_conventional_head_matches_the_stacked_reference_bitwise(tiny_bench, mod
                                             ("lsda", baseline_lsda_bias)])
 def test_baseline_w_d_and_head_are_scored_by_evaluate(tiny_bench, mode, baseline):
     bench = tiny_bench
-    w_seen, head = train_conventional_head(bench.source, bench, mode=mode,
-                                           iterations=200, batch_size=32, seed=1)
+    w_seen, head = train_conventional_head(bench.source, bench, mode,
+                                           TrainConfig(iterations=200, batch_size=32, seed=1))
     w_d = baseline(w_seen, bench.source, k=2)
     assert w_d.shape == bench.source.weights.shape
     assert np.array_equal(w_d[bench.source.shared_index], w_seen)
