@@ -4,6 +4,7 @@ import pytest
 from wtx.errors import ShapeError
 from wtx.gradcheck import max_relative_error, numeric_gradient
 from wtx.losses import _logistic, sigmoid_bce, smooth_l1
+from wtx.models import DetectionProxyHead, ModelConfig, TransferModel, joint_losses
 
 
 def rng(seed=0):
@@ -134,3 +135,25 @@ def test_logistic_has_the_bits_of_the_select_form():
             assert got.tobytes() == want[offset:].tobytes(), offset
         out = np.empty_like(z)
         assert _logistic(z, e, out=out) is out and out.tobytes() == want.tobytes()
+
+
+# --- the joint objective ------------------------------------------------------
+
+def _ae_wtn_losses(bench, alpha):
+    model = TransferModel(ModelConfig("ae_wtn"), bench.source, seed=6)
+    head = DetectionProxyHead(bench.num_other, bench.d_feat)
+    feats, labels = bench.sample("train", 64, rng(12))
+    return joint_losses(model, head, bench.source, feats, labels, alpha)
+
+
+def test_total_alpha_zero_equals_cls(default_bench):
+    # At alpha 0 there is no reconstruction loss and the objective is l_cls.
+    l_cls, l_rec, total = _ae_wtn_losses(default_bench, 0.0)
+    assert l_rec is None and total == l_cls.value
+
+
+def test_total_paper_arithmetic(default_bench):
+    # AE-WTN's objective is l_cls + alpha * l_rec, bit for bit.
+    l_cls, l_rec, total = _ae_wtn_losses(default_bench, 20.0)
+    assert l_rec is not None and l_rec.value > 0.0
+    assert total == l_cls.value + 20 * l_rec.value

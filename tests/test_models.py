@@ -294,20 +294,6 @@ def test_train_report_curves_and_csv(tiny_bench, tmp_path):
                          for it, (l_cls, l_rec, total) in enumerate(report.losses)]
 
 
-def test_joint_losses_sums_the_objective(default_bench):
-    # AE-WTN's objective is l_cls + alpha * l_rec, bit for bit; at alpha 0
-    # there is no reconstruction loss and the objective is l_cls.
-    rng = np.random.default_rng(12)
-    model = TransferModel(ModelConfig("ae_wtn"), default_bench.source, seed=6)
-    head = DetectionProxyHead(default_bench.num_other, default_bench.d_feat)
-    feats, labels = default_bench.sample("train", 64, rng)
-    l_cls, l_rec, total = joint_losses(model, head, default_bench.source, feats, labels, 20.0)
-    assert l_rec is not None and l_rec.value > 0.0
-    assert total == l_cls.value + 20 * l_rec.value
-    l_cls, l_rec, total = joint_losses(model, head, default_bench.source, feats, labels, 0.0)
-    assert l_rec is None and total == l_cls.value
-
-
 def test_train_diverged_names_iteration(tiny_bench):
     bench = tiny_bench
     mc = ModelConfig(variant="wtn", hidden_dim=16, groups=4)
