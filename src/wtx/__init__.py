@@ -5,7 +5,7 @@ from .bench import BenchConfig, BenchmarkInstance, generate_benchmark
 from .config import ExperimentConfig, config_from_dict, config_to_dict, default_config
 from .evaluation import (MetricReport, NormStats, OverlapCurve, comparison_table,
                          evaluate, nn_overlap, norm_stats)
-from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU
+from .layers import ClassBatchNorm, GroupNorm, Linear, Param, ReLU
 from .losses import sigmoid_bce, smooth_l1
 from .matrix import matrix_hash, row_l2_norms
 from .models import (DetectionProxyHead, ModelConfig, SourceWeights, TrainConfig,

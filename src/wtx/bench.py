@@ -444,7 +444,7 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
         sp.features.setflags(write=False)
     instance = BenchmarkInstance(
         config=config, seed=seed,
-        source=SourceWeights.create(a["source_weights"], np.flatnonzero(a["shared_mask"])),
+        source=SourceWeights(a["source_weights"], a["shared_mask"]),
         prototypes=a["prototypes"], cluster_ids=a["cluster_ids"],
         other_prototypes=a["other_prototypes"], cooccur_radius=meta["cooccur_radius"],
         rotation=a["rotation"], splits=loaded, measured=meta["measured"])

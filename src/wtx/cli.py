@@ -288,7 +288,7 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
 
     tag = f"{method}__seed{seed}"
     report = train_joint(model, head, bench.source, bench, run_cfg.train_config(seed))
-    w_d = model.encode(bench.source.weights)
+    w_d = model.encode(bench.source)
 
     losses = ["iteration,l_cls,l_rec,total"] + [",".join(map(repr, (it, *row)))
                                                 for it, row in enumerate(report.losses)]

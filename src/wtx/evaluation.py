@@ -41,7 +41,7 @@ class MetricReport:
 
 def _resolve_transferred(transferred, source: SourceWeights) -> np.ndarray:
     if isinstance(transferred, TransferModel):
-        return transferred.encode(source.weights)
+        return transferred.encode(source)
     w = np.asarray(transferred, dtype=np.float64)
     if w.shape[0] != source.num_classes:
         raise ShapeError(f"transferred weights have {w.shape[0]} rows, "
@@ -179,7 +179,7 @@ class NormStats:
 def norm_stats(model: TransferModel, source: SourceWeights) -> NormStats:
     """Mean/variance of post-ReLU hidden activation L2 norms, reported
     separately for shared and novel classes."""
-    hidden = model.hidden_activations(source.weights)
+    hidden = model.hidden_activations(source)
     norms = row_l2_norms(hidden).ravel()
     s, n = norms[source.shared_mask], norms[source.novel_mask]
     if len(s) == 0 or len(n) == 0:

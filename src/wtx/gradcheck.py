@@ -15,7 +15,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, ReLU
+from .layers import ClassBatchNorm, GroupNorm, Linear, ReLU
 from .losses import sigmoid_bce, smooth_l1
 from .models import (DetectionProxyHead, ModelConfig, SourceWeights,
                      TransferModel, joint_losses)
@@ -75,13 +75,6 @@ def _check_relu(rng) -> float:
     x = rng.standard_normal((4, 6))
     x += np.sign(x) * 0.05          # keep entries away from the kink at 0
     return _layer_error(ReLU(), x, rng.standard_normal(x.shape))
-
-
-def _check_standardizer(rng) -> float:
-    fitted_on = rng.standard_normal((12, 6)) * rng.uniform(0.5, 3.0, size=6)
-    layer = InputStandardizer.fit(fitted_on)
-    x = rng.standard_normal((5, 6))
-    return _layer_error(layer, x, rng.standard_normal(x.shape))
 
 
 def _check_norm(layer, rows: int, rng) -> float:
@@ -161,7 +154,6 @@ def _check_end_to_end(rng, variant: str = "ae_wtn") -> float:
 _CHECKS = [
     ("linear", _check_linear, 1e-5),
     ("relu", _check_relu, 1e-5),
-    ("standardizer", _check_standardizer, 1e-5),
     ("groupnorm", _check_groupnorm, 1e-5),
     ("classbatchnorm", _check_classbatchnorm, 1e-5),
     ("smooth_l1", _check_smooth_l1, 1e-5),

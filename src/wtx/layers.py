@@ -8,7 +8,8 @@ Updates are in place, so once ``flatten`` has made a Param's arrays views
 of a parameter store, the layer reads and writes the store directly.
 ``Linear.backward_params`` is the backward pass of a Linear whose input is
 frozen: it accumulates the parameter gradients and computes no input
-gradient.
+gradient. The input standardization of WTN+ is no layer here: it is a fixed
+function of the frozen W_C, ``models.SourceWeights.standardized``.
 
 All normalization statistics are population (1/N) moments. GroupNorm sums
 each group in numpy's own pairwise order (``group_sum``), so its bits are
@@ -112,46 +113,6 @@ class ReLU:
         dx = dout * self._mask
         self._mask = None
         return dx
-
-    def params(self):
-        return []
-
-
-class InputStandardizer:
-    """Frozen per-channel standardization: (x - mu) / (sigma + eps).
-
-    mu and sigma are fitted once (population std over the fitting rows) and
-    never updated afterwards; the layer owns no trainable parameters and
-    its backward pass only rescales the upstream gradient.
-    """
-
-    def __init__(self, mu: np.ndarray, sigma: np.ndarray, epsilon: float = 1e-5):
-        if np.any(sigma < 0):
-            raise ValueError("sigma entries must be >= 0")
-        self.mu = np.asarray(mu, dtype=np.float64)
-        self.sigma = np.asarray(sigma, dtype=np.float64)
-        self.epsilon = float(epsilon)
-        self._scale = self.sigma + self.epsilon
-        self._seen_forward = False
-
-    @classmethod
-    def fit(cls, weights: np.ndarray, epsilon: float = 1e-5) -> "InputStandardizer":
-        weights = np.asarray(weights, dtype=np.float64)
-        if weights.ndim != 2 or weights.shape[0] < 2:
-            raise ValueError(f"standardizer needs at least 2 rows to fit, got shape {weights.shape}")
-        return cls(weights.mean(axis=0), weights.std(axis=0), epsilon)
-
-    def forward(self, x: np.ndarray) -> np.ndarray:
-        if x.ndim != 2 or x.shape[1] != self.mu.shape[0]:
-            raise ShapeError(f"standardizer expects (batch, {self.mu.shape[0]}), got {x.shape}")
-        self._seen_forward = True
-        return (x - self.mu) / self._scale
-
-    def backward(self, dout: np.ndarray) -> np.ndarray:
-        if not self._seen_forward:
-            raise StateError("standardizer backward called before forward")
-        self._seen_forward = False
-        return dout / self._scale
 
     def params(self):
         return []

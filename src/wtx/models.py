@@ -20,15 +20,15 @@ rows in that order.
 ``ModelConfig`` is the experiment config's ``model`` section; its
 ``variant`` is any label of the table. A model's rows are as wide as the
 source weights W_C. Its encoder and decoder are plain layer lists that one
-forward and one backward loop run; with input standardization on, the
-encoder's first layer is the frozen standardizer, fitted on W_C.
+forward and one backward loop run, and a model holds only layers it trains.
 
-W_C is frozen, and so is the standardizer, so training prepares the input
-once: ``frozen_input`` keeps W_C through the standardizer, computed on first
-use for each read-only W_C array, and a training pass starts at the first
-Linear, from those rows or their shared ones. Its backward pass stops at
-that Linear's parameter gradients: nothing reads a gradient for W_C.
-``encode`` and ``encode_backward`` run the whole encoder.
+W_C is frozen, and so is its per-channel standardization, a fixed function
+of W_C: ``SourceWeights`` keeps its own read-only copy of W_C and computes
+the standardized rows, ``standardized``, once. ``TransferModel.inputs``
+picks those rows or W_C itself by the variant's input norm, and every pass,
+training, ``encode`` and ``hidden_activations``, starts at the first Linear
+from them. A training pass's backward pass stops at that Linear's parameter
+gradients: nothing reads a gradient for W_C.
 
 The objective, detection loss plus alpha times AE-WTN's reconstruction
 loss, is summed in ``joint_losses`` alone. A training run keeps one loss
@@ -64,12 +64,13 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, fields
+from functools import cached_property
 from typing import NamedTuple
 
 import numpy as np
 
 from .errors import ConfigError, ShapeError, StateError, TrainingDiverged
-from .layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, Param, ReLU, flatten
+from .layers import ClassBatchNorm, GroupNorm, Linear, Param, ReLU, flatten
 from .losses import LossValue, sigmoid_bce, smooth_l1
 from .matrix import matrix_hash, nearest_rows
 from .optim import AdamW, SGDMomentum
@@ -77,7 +78,7 @@ from .optim import AdamW, SGDMomentum
 
 class Layers(NamedTuple):
     """The optional layers of a variant."""
-    input_norm: bool        # the frozen input standardizer
+    input_norm: bool        # the frozen input standardization
     feature_norm: bool      # normalization of the hidden features
     decoder: bool           # the reconstruction decoder
 
@@ -94,18 +95,37 @@ VARIANTS = ("wtn", "wtn_plus", "ae_wtn")
 
 @dataclass
 class SourceWeights:
-    """Frozen source-classifier weights with the shared/novel class split."""
+    """Frozen source-classifier weights with the shared/novel class split.
+
+    ``weights`` is the instance's own read-only, C-contiguous float64 copy
+    of the array it is given, so the caller's array stays as it was and no
+    write to it reaches W_C."""
 
     weights: np.ndarray            # (|C|, d_src), read-only
     shared_mask: np.ndarray        # bool, True where the class is shared
 
+    def __post_init__(self):
+        self.weights = np.array(self.weights, dtype=np.float64, order="C")
+        if self.weights.ndim != 2:
+            raise ShapeError(f"source weights must be (classes, dim), got {self.weights.shape}")
+        self.weights.setflags(write=False)
+
     @classmethod
     def create(cls, weights: np.ndarray, shared_ids) -> "SourceWeights":
-        weights = np.ascontiguousarray(weights, dtype=np.float64)
-        shared = np.zeros(weights.shape[0], dtype=bool)
+        shared = np.zeros(len(weights), dtype=bool)
         shared[list(shared_ids)] = True
-        weights.setflags(write=False)
         return cls(weights, shared)
+
+    @cached_property
+    def standardized(self) -> np.ndarray:
+        """W_C with each channel standardized by its own population moments,
+        (w - mean) / (std + 1e-5), computed on first use; read-only."""
+        w = self.weights
+        if w.shape[0] < 2:
+            raise ValueError(f"standardization needs at least 2 rows, got shape {w.shape}")
+        rows = (w - w.mean(axis=0)) / (w.std(axis=0) + 1e-5)
+        rows.setflags(write=False)
+        return rows
 
     @property
     def novel_mask(self) -> np.ndarray:
@@ -163,10 +183,11 @@ def _backward(layers, g: np.ndarray) -> np.ndarray:
 
 
 class TransferModel:
-    """Encoder: [standardizer,] Linear, [norm,] ReLU, Linear. With a decoder
-    (ae_wtn): Linear, [norm,] ReLU, Linear. The variant's ``VARIANT_LAYERS``
-    entry says which optional layers there are. Rows in and out are
-    ``source.dim`` wide."""
+    """Encoder: Linear, [norm,] ReLU, Linear. With a decoder (ae_wtn):
+    Linear, [norm,] ReLU, Linear. The variant's ``VARIANT_LAYERS`` entry
+    says which optional layers there are. Rows in and out are as wide as
+    the ``source`` the model is built for, which is read only for its width;
+    a pass reads the source it is given."""
 
     def __init__(self, config: ModelConfig, source: SourceWeights, seed: int):
         self.variant = config.variant
@@ -182,10 +203,8 @@ class TransferModel:
                               else GroupNorm(hidden, config.groups, name=f"{name}_norm"))
             return layers + [ReLU(), Linear(hidden, dim, init_rng, name=f"{name}2")]
 
-        self.encoder = ([InputStandardizer.fit(source.weights)]
-                        if spec.input_norm else []) + block("enc")
-        self.frozen = int(spec.input_norm)      # leading encoder layers with no parameters
-        self._frozen_input = None, None         # (W_C, its rows through them)
+        self.input_norm = spec.input_norm
+        self.encoder = block("enc")
         self.decoder = block("dec") if spec.decoder else None
         self.encoder_size = sum(p.data.size for layer in self.encoder for p in layer.params())
         self.data, self.grad = flatten(self.parameters())
@@ -201,27 +220,17 @@ class TransferModel:
     def zero_grad(self):
         self.grad[...] = 0.0
 
-    def encode(self, w: np.ndarray) -> np.ndarray:
-        """Map class weight rows to target weight rows."""
-        return _forward(self.encoder, w)
+    def inputs(self, source: SourceWeights) -> np.ndarray:
+        """The rows the encoder reads for ``source``: its standardized rows
+        with input standardization on, else its W_C."""
+        return source.standardized if self.input_norm else source.weights
+
+    def encode(self, source: SourceWeights) -> np.ndarray:
+        """Map each class weight row of ``source`` to a target weight row."""
+        return _forward(self.encoder, self.inputs(source))
 
     def encode_backward(self, dout: np.ndarray) -> np.ndarray:
         return _backward(self.encoder, dout)
-
-    def frozen_input(self, source: SourceWeights) -> np.ndarray:
-        """W_C through the encoder's ``frozen`` leading layers: the rows that
-        ``encoder[frozen:]`` reads. They are computed once for a read-only
-        W_C array and kept while that same array comes back; a writable W_C
-        could change in place, so its rows are computed on every call."""
-        w = source.weights
-        if not self.frozen:
-            return w
-        key, rows = self._frozen_input
-        if key is not w or w.flags.writeable:
-            rows = _forward(self.encoder[:self.frozen], w)
-            rows.setflags(write=False)
-            self._frozen_input = w, rows
-        return rows
 
     def _decoder(self) -> list:
         if self.decoder is None:
@@ -234,9 +243,10 @@ class TransferModel:
     def decode_backward(self, dout: np.ndarray) -> np.ndarray:
         return _backward(self._decoder(), dout)
 
-    def hidden_activations(self, w: np.ndarray) -> np.ndarray:
-        """Post-ReLU hidden activations for each input row (all but the last layer)."""
-        return _forward(self.encoder[:-1], w)
+    def hidden_activations(self, source: SourceWeights) -> np.ndarray:
+        """Post-ReLU hidden activations for each class row of ``source``
+        (all but the last layer)."""
+        return _forward(self.encoder[:-1], self.inputs(source))
 
 
 class DetectionProxyHead:
@@ -344,12 +354,12 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
     encoder sees every class row only when a loss reads them: AE-WTN's
     reconstruction loss (a decoder and alpha != 0) covers every class, and
     class-batch normalization takes its statistics over all the rows it is
-    shown. Otherwise each row is transferred on its own (the frozen input
-    standardizer and group norm work row by row), so the encoder sees only
-    the shared rows and gives them the same values and gradients.
+    shown. Otherwise each row is transferred on its own (group norm works
+    row by row, and the standardized rows are fixed), so the encoder sees
+    only the shared rows and gives them the same values and gradients.
 
-    The pass starts from ``model.frozen_input(source)`` at the first Linear,
-    and its backward pass ends in that Linear's parameter gradients.
+    The pass starts from ``model.inputs(source)`` at the first Linear, and
+    its backward pass ends in that Linear's parameter gradients.
     Returns (l_cls, l_rec_or_None, total), where ``total``, the objective,
     is ``l_cls.value + alpha * l_rec.value``, or ``l_cls.value`` when there
     is no reconstruction loss.
@@ -357,7 +367,7 @@ def joint_losses(model: TransferModel, head: DetectionProxyHead, source: SourceW
     shared_idx = source.shared_index
     reconstruct = model.has_decoder and alpha != 0.0
     all_rows = reconstruct or any(isinstance(layer, ClassBatchNorm) for layer in model.encoder)
-    layers, x = model.encoder[model.frozen:], model.frozen_input(source)
+    layers, x = model.encoder, model.inputs(source)
     if all_rows:
         out_all = _forward(layers, x)
         w_shared = out_all[shared_idx]

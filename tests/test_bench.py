@@ -250,7 +250,7 @@ def test_only_the_sampled_split_caches_its_labels():
                           seed=0)
     head = DetectionProxyHead(bench.num_other, bench.d_feat)
     train_joint(model, head, bench.source, bench, TrainConfig(iterations=5, batch_size=8))
-    w_d = model.encode(bench.source.weights)
+    w_d = model.encode(bench.source)
     for split in ("eval_seen", "eval_novel"):
         evaluate(head, w_d, bench, split, k=5)
     assert "labels" in vars(bench.split("train"))

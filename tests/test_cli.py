@@ -1298,34 +1298,48 @@ def test_cli_generate_tiny_bytes(tmp_path):
             for name, data in read_tree(out).items()} == TINY_GENERATE_SHA256
 
 
+def tree_digest(root):
+    """The sha256 of the sorted ``relpath\\0sha256(file)\\n`` lines of every
+    file under ``root``, and the number of files."""
+    lines = sorted(f"{path}\0{hashlib.sha256(data).hexdigest()}\n"
+                   for path, data in read_tree(root).items())
+    return hashlib.sha256("".join(lines).encode()).hexdigest(), len(lines)
+
+
 DEFAULT_COMPARISON_SHA256 = "adbe2fd2081742a45adfc6e0c619cc715b9196f0a52cc53d6c63d0f00d72e723"
+DEFAULT_RUNS_DIGEST = ("54145306b9ebff2ad124dd80441eba8459e29547b5ce8212e33abb7b9110213b", 90)
 
 
 def test_cli_default_sweep_comparison_bytes(tmp_path):
     """The sha256 of the ``comparison.json`` of the default sweep, ``wtx
     compare --jobs 2`` with the bundled config and a cold benchmark cache:
-    3 methods x 5 seeds at the default size. It is the referee for a change
-    that must keep every output byte (numpy 2.4.6, scipy-openblas 0.3.31,
-    x86-64)."""
+    3 methods x 5 seeds at the default size, and the digest of every file
+    under its ``runs/``: W_D, the head, the reports, the norm stats and the
+    loss records. They are the referee for a change that must keep every
+    output byte (numpy 2.4.6, scipy-openblas 0.3.31, x86-64)."""
     out = tmp_path / "sweep"
     assert main(["compare", "--jobs", "2", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest() == \
         DEFAULT_COMPARISON_SHA256
+    assert tree_digest(out / "runs") == DEFAULT_RUNS_DIGEST
 
 
 GRID_COMPARISON_SHA256 = "8f809cd8c184fb538beb0efe56523583d60d3084a86308cd5208f19cdc4c8e18"
+GRID_RUNS_DIGEST = ("a8ba66c405c1a592fb9d66d358d625e021d11d2153b66a24e6f80322b10d3c5e", 120)
 
 
 def test_cli_grid_sweep_comparison_bytes(tmp_path):
     """The sha256 of the ``comparison.json`` of ``wtx compare --grid --jobs
-    2`` with the bundled config: the four labels of ``GRID_METHODS`` x 5
-    seeds. Only the grid trains ``wtn_plus_in_only`` and
-    ``wtn_plus_gn_only``, so it referees those two for a change that must
-    keep every output byte (numpy 2.4.6, scipy-openblas 0.3.31, x86-64)."""
+    2`` with the bundled config, the four labels of ``GRID_METHODS`` x 5
+    seeds, and the digest of every file under its ``runs/``. Only the grid
+    trains ``wtn_plus_in_only`` and ``wtn_plus_gn_only``, so it referees
+    those two for a change that must keep every output byte (numpy 2.4.6,
+    scipy-openblas 0.3.31, x86-64)."""
     out = tmp_path / "grid"
     assert main(["compare", "--grid", "--jobs", "2", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest() == \
         GRID_COMPARISON_SHA256
+    assert tree_digest(out / "runs") == GRID_RUNS_DIGEST
 
 
 def test_cli_generate_writes_the_cache_entry(tmp_path, monkeypatch, cache_home):

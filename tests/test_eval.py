@@ -6,7 +6,7 @@ from hypothesis.extra import numpy as hnp
 from wtx.errors import ShapeError, ValidationError
 from wtx.evaluation import (MetricReport, _topk_hits, comparison_csv, comparison_table,
                             evaluate, nn_overlap, norm_stats)
-from wtx.layers import GroupNorm
+from wtx.layers import ClassBatchNorm, GroupNorm
 from wtx.models import DetectionProxyHead
 
 from conftest import make_model, tiny_config, top1_over
@@ -261,6 +261,25 @@ def test_norm_stats_shapes_and_nonnegative(tiny_bench):
     assert stats.var_shared >= 0.0 and stats.var_novel >= 0.0
     assert stats.mean_shared > 0.0 and stats.mean_novel > 0.0
     assert stats.ratio() > 0.0
+
+
+def test_norm_stats_under_class_batch_norm_match_a_hand_written_pass(tiny_bench):
+    # Class-batch norm takes its statistics over every class row it is shown,
+    # so the hidden activations are those of all the standardized rows at once.
+    source = tiny_bench.source
+    model = make_model("wtn_plus", source, dim=16, groups=4, seed=3, norm_kind="class_batch")
+    model.data += 0.1 * np.random.default_rng(4).standard_normal(model.data.size)
+    linear, cbn = model.encoder[:2]
+    assert isinstance(cbn, ClassBatchNorm)
+    h = source.standardized @ linear.weight.data.T + linear.bias.data
+    xhat = (h - h.mean(axis=0)) * (1.0 / np.sqrt(h.var(axis=0) + cbn.eps))
+    y = cbn.gamma.data * xhat + cbn.beta.data
+    hidden = np.where(y > 0, y, 0.0)
+    norms = np.sqrt(np.sum(hidden * hidden, axis=1))
+    s, n = norms[source.shared_mask], norms[source.novel_mask]
+    stats = norm_stats(model, source)
+    assert (stats.mean_shared, stats.mean_novel, stats.var_shared, stats.var_novel) == \
+        (s.mean(), n.mean(), s.var(), n.var())
 
 
 # --- comparison table -----------------------------------------------------------

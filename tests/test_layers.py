@@ -3,7 +3,8 @@ import pytest
 
 from wtx.errors import ConfigError, ShapeError, StateError
 from wtx.gradcheck import max_relative_error, numeric_gradient
-from wtx.layers import ClassBatchNorm, GroupNorm, InputStandardizer, Linear, ReLU, group_sum
+from wtx.layers import ClassBatchNorm, GroupNorm, Linear, ReLU, group_sum
+from wtx.models import SourceWeights
 
 
 def rng(seed=0):
@@ -111,44 +112,41 @@ def test_relu_has_the_bits_of_the_select_form():
             assert got.tobytes() == want[offset:].tobytes(), offset
 
 
-# --- input standardizer -----------------------------------------------------
+# --- input standardization ---------------------------------------------------
+# Not a layer: ``SourceWeights.standardized``, W_C with each channel
+# standardized by its population moments, (w - mean) / (std + 1e-5).
+
+def standardized(w):
+    return SourceWeights.create(w, []).standardized
+
 
 def test_standardizer_population_std():
-    s = InputStandardizer.fit(np.array([[1.0], [2.0], [3.0]]), epsilon=0.0)
-    assert s.mu[0] == 2.0
-    assert abs(s.sigma[0] - np.sqrt(2.0 / 3.0)) < 1e-15
+    out = standardized(np.array([[1.0], [2.0], [3.0]]))
+    sigma = np.sqrt(2.0 / 3.0)          # the population std, not sqrt(1)
+    assert np.max(np.abs(out[:, 0] - np.array([-1.0, 0.0, 1.0]) / (sigma + 1e-5))) < 1e-15
 
 
 def test_standardizer_constant_channel_maps_to_zero():
     w = np.column_stack([np.full(10, 7.0), rng(0).standard_normal(10)])
-    s = InputStandardizer.fit(w)
-    out = s.forward(w)
-    assert np.all(out[:, 0] == 0.0)
+    assert np.all(standardized(w)[:, 0] == 0.0)
 
 
 def test_standardizer_matches_two_pass_oracle():
     w = rng(1).standard_normal((50, 8)) * rng(2).uniform(0.5, 4.0, 8)
-    s = InputStandardizer.fit(w)
+    out = standardized(w)
     for j in range(8):
         mu = sum(w[i, j] for i in range(50)) / 50.0
         var = sum((w[i, j] - mu) ** 2 for i in range(50)) / 50.0
-        assert abs(s.mu[j] - mu) < 1e-12
-        assert abs(s.sigma[j] - var ** 0.5) < 1e-12
+        want = (w[:, j] - mu) / (var ** 0.5 + 1e-5)
+        assert np.max(np.abs(out[:, j] - want)) < 1e-12
 
 
 def test_standardizer_apply_definition():
     w = rng(3).standard_normal((64, 16)) * rng(4).uniform(0.2, 5.0, 16)
-    s = InputStandardizer.fit(w, epsilon=1e-5)
-    out = s.forward(w)
+    out = standardized(w)
     assert np.max(np.abs(out.mean(axis=0))) < 1e-10
-    expected = s.sigma / (s.sigma + s.epsilon)
-    assert np.max(np.abs(out.std(axis=0) - expected)) < 1e-10
-
-
-def test_standardizer_identity_when_mu0_sigma1_eps0():
-    s = InputStandardizer(np.zeros(4), np.ones(4), epsilon=0.0)
-    x = rng(5).standard_normal((6, 4))
-    assert np.array_equal(s.forward(x), x)
+    sigma = w.std(axis=0)
+    assert np.max(np.abs(out.std(axis=0) - sigma / (sigma + 1e-5))) < 1e-10
 
 
 def test_standardizer_rebalances_imbalanced_channels():
@@ -159,31 +157,30 @@ def test_standardizer_rebalances_imbalanced_channels():
     w = g.standard_normal((200, 8)) * scales
     ratio = w.std(axis=0).max() / w.std(axis=0).min()
     assert ratio > 20.0
-    s = InputStandardizer.fit(w, epsilon=1e-5)
-    out_var = s.forward(w).var(axis=0)
+    out_var = standardized(w).var(axis=0)
     assert np.all(out_var >= 0.9) and np.all(out_var <= 1.0)
 
 
 def test_standardizer_idempotent_in_distribution():
+    # Standardized rows have channel means 0 and stds within 1e-5 / std of 1,
+    # so standardizing them again moves them by less than that.
     w = rng(7).standard_normal((100, 6)) * rng(8).uniform(0.5, 3.0, 6)
-    s1 = InputStandardizer.fit(w, epsilon=1e-9)
-    s2 = InputStandardizer.fit(s1.forward(w), epsilon=1e-9)
-    assert np.max(np.abs(s2.mu)) < 1e-10
-    assert np.max(np.abs(s2.sigma - 1.0)) < 1e-6
+    once = standardized(w)
+    assert np.max(np.abs(standardized(once) - once)) < 1e-4
 
 
 def test_standardizer_needs_two_rows():
     with pytest.raises(ValueError):
-        InputStandardizer.fit(np.ones((1, 4)))
+        standardized(np.ones((1, 4)))
 
 
-def test_standardizer_backward_scales_gradient():
-    w = rng(9).standard_normal((20, 5)) * [1.0, 2.0, 3.0, 0.5, 4.0]
-    s = InputStandardizer.fit(w)
-    x = rng(10).standard_normal((7, 5))
-    up = rng(11).standard_normal((7, 5))
-    s.forward(x)
-    assert np.allclose(s.backward(up), up / (s.sigma + s.epsilon))
+def test_standardizer_is_computed_once_and_read_only():
+    source = SourceWeights.create(rng(9).standard_normal((20, 5)), [0, 1])
+    out = source.standardized
+    assert source.standardized is out
+    assert not out.flags.writeable
+    with pytest.raises(ValueError):
+        out[0, 0] = 1.0
 
 
 # --- group norm ---------------------------------------------------------------

@@ -1,3 +1,4 @@
+import functools
 import pickle
 
 import numpy as np
@@ -8,7 +9,7 @@ from wtx.config import EvalSettings, ExperimentConfig
 from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from wtx.evaluation import evaluate
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
-from wtx.layers import GroupNorm, InputStandardizer, Linear, ReLU
+from wtx.layers import GroupNorm, Linear, ReLU
 from wtx.losses import sigmoid_bce, smooth_l1
 from wtx.matrix import load_matrix_json, matrix_hash, nearest_rows
 from wtx.models import (VARIANT_LAYERS, DetectionProxyHead, ModelConfig, SourceWeights,
@@ -32,6 +33,13 @@ def small_source(seed=0, n=12, shared=5, d=8):
     return SourceWeights.create(rng.standard_normal((n, d)), list(range(shared)))
 
 
+def through(layers, x):
+    """``x`` through ``layers``, one forward pass each."""
+    for layer in layers:
+        x = layer.forward(x)
+    return x
+
+
 # --- source weights -----------------------------------------------------------
 
 def test_source_masks_partition():
@@ -44,6 +52,26 @@ def test_source_weights_are_read_only():
     src = small_source()
     with pytest.raises(ValueError):
         src.weights[0, 0] = 1.0
+
+
+def test_source_weights_are_a_copy_the_caller_cannot_reach():
+    # W_C and its standardized rows are the instance's own: the caller's
+    # array stays writable, and writing it, or a writable base of a view
+    # given as W_C, changes neither.
+    rng = np.random.default_rng(3)
+    base = rng.standard_normal((12, 8))
+    given = [base.copy(), base.copy()[2:10], base.copy()[:, :6]]
+    for w in given:
+        for src in (SourceWeights.create(w, [0, 1]),
+                    SourceWeights(w, np.arange(len(w)) < 2)):
+            assert w.flags.writeable
+            assert src.weights.flags.c_contiguous and not src.weights.flags.writeable
+            weights, rows = src.weights.copy(), src.standardized.copy()
+            owner = w if w.base is None else w.base
+            owner *= 2.0
+            assert np.array_equal(src.weights, weights)
+            assert np.array_equal(src.standardized, rows)
+            owner /= 2.0
 
 
 # --- building -----------------------------------------------------------------
@@ -59,11 +87,11 @@ def test_wtn_params_are_exactly_two_linear_layers():
 def test_wtn_plus_has_standardizer_and_groupnorm_no_decoder():
     src = small_source()
     model = make_model("wtn_plus", src, seed=0)
-    assert [type(layer) for layer in model.encoder] == [InputStandardizer, Linear, GroupNorm,
-                                                        ReLU, Linear]
-    standardizer = model.encoder[0]
-    assert np.array_equal(standardizer.mu, src.weights.mean(axis=0))
-    assert np.array_equal(standardizer.sigma, src.weights.std(axis=0))
+    assert [type(layer) for layer in model.encoder] == [Linear, GroupNorm, ReLU, Linear]
+    w = src.weights
+    assert model.inputs(src) is src.standardized
+    assert np.array_equal(src.standardized, (w - w.mean(axis=0)) / (w.std(axis=0) + 1e-5))
+    assert make_model("wtn_plus_gn_only", src, seed=0).inputs(src) is src.weights
     assert any("enc_norm" in p.name for p in model.parameters())
     assert model.decoder is None
 
@@ -73,9 +101,9 @@ def test_model_width_is_the_source_width(variant):
     src = small_source(d=6)
     model = make_model(variant, src, dim=16, groups=4)
     assert model.encoder[-1].weight.data.shape == (6, 16)
-    assert model.encode(src.weights).shape == (12, 6)
+    assert model.encode(src).shape == (12, 6)
     if model.has_decoder:
-        assert model.decode(model.encode(src.weights)).shape == (12, 6)
+        assert model.decode(model.encode(src)).shape == (12, 6)
 
 
 def test_ae_wtn_encoder_decoder_param_counts_match():
@@ -135,8 +163,8 @@ def test_transfer_row_permutation_equivariance(variant):
     model = make_model(variant, src, seed=1)
     w = np.random.default_rng(2).standard_normal((10, 8))
     perm = np.random.default_rng(3).permutation(10)
-    a = model.encode(w)[perm]
-    b = model.encode(w[perm])
+    a = model.encode(SourceWeights.create(w, []))[perm]
+    b = model.encode(SourceWeights.create(w[perm], []))
     assert np.allclose(a, b, rtol=0, atol=1e-12)
 
 
@@ -144,10 +172,10 @@ def test_transfer_row_permutation_equivariance(variant):
 def test_transfer_row_independence(variant):
     src = small_source(4)
     model = make_model(variant, src, seed=4)
-    w = np.random.default_rng(5).standard_normal((6, 8))
-    full = model.encode(w)
+    x = model.inputs(SourceWeights.create(np.random.default_rng(5).standard_normal((6, 8)), []))
+    full = through(model.encoder, x)
     for i in range(6):
-        single = model.encode(w[i:i + 1])
+        single = through(model.encoder, x[i:i + 1])
         assert np.max(np.abs(single[0] - full[i])) < 1e-12
 
 
@@ -155,19 +183,19 @@ def test_transfer_shape_error():
     for variant in ("wtn", "wtn_plus", "ae_wtn"):
         model = make_model(variant, seed=0)
         with pytest.raises(ShapeError):
-            model.encode(np.zeros((3, 9)))
-        with pytest.raises(ShapeError):
-            model.encode(np.zeros(8))
+            model.encode(SourceWeights.create(np.zeros((3, 9)), []))
+    with pytest.raises(ShapeError):
+        SourceWeights.create(np.zeros(8), [])
 
 
 def test_reconstruct_shape_and_state_error():
     src = small_source(6)
     ae = make_model("ae_wtn", src, seed=6)
-    out = ae.decode(ae.encode(src.weights))
+    out = ae.decode(ae.encode(src))
     assert out.shape == src.weights.shape
     plain = make_model("wtn", seed=6)
     with pytest.raises(StateError):
-        plain.decode(plain.encode(src.weights))
+        plain.decode(plain.encode(src))
 
 
 def test_reconstruction_loss_decreases_with_training():
@@ -177,14 +205,14 @@ def test_reconstruction_loss_decreases_with_training():
     opt = AdamW(model.data, model.grad, lr=1e-3, weight_decay=0.0)
     first = None
     for _ in range(100):
-        recon = model.decode(model.encode(src.weights))
+        recon = model.decode(model.encode(src))
         lv = smooth_l1(recon, src.weights)
         if first is None:
             first = lv.value
         model.encode_backward(model.decode_backward(lv.grad))
         opt.step()
         opt.zero_grad()
-    last = smooth_l1(model.decode(model.encode(src.weights)), src.weights).value
+    last = smooth_l1(model.decode(model.encode(src)), src.weights).value
     assert first > 0.0
     assert last < first
 
@@ -192,7 +220,7 @@ def test_reconstruction_loss_decreases_with_training():
 def test_reconstruction_gradient_reaches_encoder():
     src = small_source(8)
     model = make_model("ae_wtn", src, seed=8)
-    recon = model.decode(model.encode(src.weights))
+    recon = model.decode(model.encode(src))
     lv = smooth_l1(recon, src.weights)
     model.encode_backward(model.decode_backward(lv.grad))
     assert np.abs(model.grad[:model.encoder_size]).max() > 0.0
@@ -207,12 +235,12 @@ def test_overfit_capacity_oracle_rank_limited_reconstruction():
     model = make_model("ae_wtn", src, seed=9)
     opt = AdamW(model.data, model.grad, lr=3e-3, weight_decay=0.0)
     for _ in range(3000):
-        recon = model.decode(model.encode(src.weights))
+        recon = model.decode(model.encode(src))
         lv = smooth_l1(recon, src.weights)
         model.encode_backward(model.decode_backward(lv.grad))
         opt.step()
         opt.zero_grad()
-    final = smooth_l1(model.decode(model.encode(src.weights)), src.weights).value
+    final = smooth_l1(model.decode(model.encode(src)), src.weights).value
     assert final < 1e-3
 
 
@@ -354,7 +382,7 @@ def all_rows_joint_losses(model, head, source, features, labels, alpha):
     """The oracle: the joint pass with every class row through the encoder and
     the shared rows' gradients scattered into zeros."""
     shared_idx = source.shared_index
-    out_all = model.encode(source.weights)
+    out_all = model.encode(source)
     l_cls = sigmoid_bce(head.score(features, out_all[shared_idx]), labels)
     l_rec = None
     if model.has_decoder and alpha != 0.0:
@@ -446,9 +474,10 @@ def test_joint_losses_matches_the_all_rows_oracle_bitwise(default_bench, monkeyp
                                             ("ae_wtn", 0.0), ("ae_wtn", 20.0)])
 def test_train_joint_does_no_work_for_the_frozen_input(tiny_bench, monkeypatch, variant, alpha):
     # The standardized W_C is computed once, and nothing backpropagates into
-    # W_C: neither the standardizer nor the first Linear computes an input
-    # gradient; the Linear only accumulates its parameter gradients.
-    model = make_model(variant, tiny_bench.source, dim=16, groups=4, seed=8)
+    # W_C: the first Linear computes no input gradient, and only accumulates
+    # its parameter gradients.
+    source = SourceWeights(tiny_bench.source.weights, tiny_bench.source.shared_mask)
+    model = make_model(variant, source, dim=16, groups=4, seed=8)
     head = DetectionProxyHead(tiny_bench.num_other, tiny_bench.d_feat)
     calls = []
 
@@ -460,37 +489,40 @@ def test_train_joint_does_no_work_for_the_frozen_input(tiny_bench, monkeypatch, 
             return method(self, *args)
         monkeypatch.setattr(cls, name, recording)
 
-    spy(InputStandardizer, "forward")
-    spy(InputStandardizer, "backward")
+    standardize = SourceWeights.__dict__["standardized"].func
+
+    def counting(self):
+        calls.append(("standardized", self))
+        return standardize(self)
+    standardized = functools.cached_property(counting)
+    standardized.__set_name__(SourceWeights, "standardized")
+    monkeypatch.setattr(SourceWeights, "standardized", standardized)
     spy(Linear, "backward")
     spy(Linear, "backward_params")
-    train_joint(model, head, tiny_bench.source, tiny_bench,
+    train_joint(model, head, source, tiny_bench,
                 TrainConfig(iterations=5, batch_size=32, alpha=alpha, seed=8))
-    standardizer = [call for call in calls if isinstance(call[1], InputStandardizer)]
-    assert standardizer == [("forward", model.encoder[0])] * VARIANT_LAYERS[variant].input_norm
-    first = model.encoder[model.frozen]
+    assert [call for call in calls if call[0] == "standardized"] == \
+        [("standardized", source)] * VARIANT_LAYERS[variant].input_norm
+    first = model.encoder[0]
     assert isinstance(first, Linear)
     assert calls.count(("backward_params", first)) == 5
     assert ("backward", first) not in calls
 
 
-def test_frozen_input_follows_the_source_it_is_given(tiny_bench):
-    # A model whose frozen input was computed from one W_C gives, for another
-    # source, the losses and gradients of the whole encoder on that source;
-    # so does a writable W_C changed in place after the model used it.
+def test_model_input_follows_the_source_it_is_given(tiny_bench):
+    # A model built for one source and run on it gives, for another source,
+    # the losses and gradients of the whole encoder on that source, which it
+    # standardizes by that source's own statistics.
     rng = np.random.default_rng(12)
     feats, labels = tiny_bench.sample("train", 32, rng)
     first = tiny_bench.source
     w = rng.standard_normal(first.weights.shape)
-    writable = SourceWeights(w.copy(), first.shared_mask)
 
-    def pass_on(joint, source, filled_from=None, then=None):
+    def pass_on(joint, source, filled_from=None):
         model = make_model("wtn_plus", first, dim=16, groups=4, seed=9)
         head = DetectionProxyHead(tiny_bench.num_other, tiny_bench.d_feat)
         if filled_from is not None:
             joint_losses(model, head, filled_from, feats, labels_of(filled_from), 20.0)
-        if then is not None:
-            then()
         l_cls, _, total = joint(model, head, source, feats, labels_of(source), 20.0)
         return l_cls.value, total, model.grad.copy()
 
@@ -501,18 +533,11 @@ def test_frozen_input_follows_the_source_it_is_given(tiny_bench):
     def joint(*args):
         return joint_losses(*args, backprop=True)
 
-    def double():
-        writable.weights[...] *= 2.0
-
-    cases = [(SourceWeights.create(w, first.shared_index), first, None),
-             (SourceWeights.create(first.weights, first.shared_index[1:]), first, None),
-             (writable, first, None),
-             (writable, writable, double)]
-    for source, filled_from, then in cases:
-        got = pass_on(joint, source, filled_from, then)
+    for source in (SourceWeights.create(w, first.shared_index),
+                   SourceWeights.create(first.weights, first.shared_index[1:])):
+        got = pass_on(joint, source, first)
         want = pass_on(all_rows_joint_losses, source)
         assert got[:2] == want[:2] and np.array_equal(got[2], want[2])
-    assert writable.weights.flags.writeable
 
 
 # --- export --------------------------------------------------------------------
@@ -527,12 +552,12 @@ def test_exported_weights_shape_and_bitwise_scoring(tiny_bench, tmp_path):
     assert np.array_equal(exported, res["w_d"])
 
     feats = bench.split("eval_seen").features[:10]
-    in_process = head.score(feats, model.encode(bench.source.weights))
+    in_process = head.score(feats, model.encode(bench.source))
     from_file = head.score(feats, exported)
     assert np.array_equal(in_process, from_file)
 
     novel_rows = exported[bench.source.novel_index]
-    recomputed = model.encode(bench.source.weights[bench.source.novel_index])
+    recomputed = through(model.encoder, model.inputs(bench.source)[bench.source.novel_index])
     assert np.max(np.abs(novel_rows - recomputed)) < 1e-12
 
 
