@@ -16,8 +16,8 @@ so one config and ``--seed`` name any run of a sweep.
 
 A run directory holds one (method, seed) run, named by the tag
 ``METHOD__seedSEED``, and states each fact in one file. Only this module
-writes them. ``train`` writes six (a ``compare`` sweep writes the same six
-under ``runs/TAG/``):
+writes them. ``train`` of a transfer variant writes six (a ``compare``
+sweep writes the same six under ``runs/TAG/``):
 
     config.json              the config the run was trained with
     report.json              final losses; W_C, decoder and model hashes
@@ -25,6 +25,11 @@ under ``runs/TAG/``):
     weights__TAG.json        W_D, the transferred weights of every source class
     head__TAG.json           the head's "other"-class weights
     norm_stats__TAG.json     post-ReLU activation-norm statistics of the model
+
+``train`` of a baseline writes three, ``config.json``, ``weights__TAG.json``
+(W_D, its trained seen rows and filled novel rows) and ``head__TAG.json``:
+it has no transfer network to report on. Every command that reloads a run
+reads only those three, so it scores either kind alike.
 
 The run's ``config.json`` is its experiment config with ``model.variant``
 set to the method and ``seeds`` to ``[SEED]``, plus a ``resolved`` block
@@ -43,7 +48,9 @@ it to get them. A metrics file's ``config_echo`` restates the resolved
 block; it stays until the benchmark harness stops reading it (ROADMAP item
 4). ``compare`` writes ``comparison.json`` and ``comparison.csv`` into its
 output directory; their rows are sorted by method, in the order of
-``wtx.models.VARIANT_LAYERS``, then by seed.
+``wtx.models.METHODS`` (the transfer variants, then the baselines), then by
+seed. A baseline's row has ``input_norm`` and ``group_norm`` both false: it
+has neither layer.
 
 ``generate`` writes three files: ``benchmark.npz``, the benchmark in the
 format of ``wtx.bench.instance_entry`` and byte for byte the cache entry of
@@ -82,17 +89,19 @@ again before the mismatch is reported, so the message is about a
 regenerated benchmark. ``compare RUN_DIRS`` gets each distinct (benchmark
 config, seed) once and checks every run directory's fingerprint against it.
 It reads every run directory before it gets any benchmark, and takes one
-run per (method, seed), the key of a table row, and only runs scored with
-one ``evaluation.recall_k``. It scores the runs as they were trained, so
-the sweep flags ``--config``, ``--seed`` and ``--grid`` exit 2 with
-RUN_DIRS, before any run directory is read; ``--jobs`` has a default and
-is ignored.
+run per (method, seed), the key of a table row, and only runs trained on
+one benchmark config and scored with one ``evaluation.recall_k``. It
+scores the runs as they were trained, so the sweep flags ``--config``,
+``--seed`` and ``--grid`` exit 2 with RUN_DIRS, before any run directory
+is read; ``--jobs`` has a default and is ignored.
 
-A method, the METHOD of a run's tag, is a variant label of
-``wtx.models.VARIANT_LAYERS``, and ``train --variant`` takes any of them.
-The default sweep trains the paper's networks, ``wtx.models.VARIANTS``,
-and ``--grid`` the labels of ``GRID_METHODS`` (the input-norm x group-norm
-ablation).
+A method, the METHOD of a run's tag, is a label of ``wtx.models.METHODS``,
+the one method table: a transfer variant or a baseline. ``train --variant``
+takes any of them, and ``run_training`` is the one place that tells the
+two kinds apart. The default sweep trains the paper's networks,
+``wtx.models.VARIANTS``, and ``--grid`` the labels of ``GRID_METHODS`` (the
+input-norm x group-norm ablation). A sweep checks the model section for
+each of its methods before it starts a worker.
 
 A ``compare`` sweep runs one job per seed in a pool of ``--jobs`` worker
 processes (default: the CPUs this process may use, never more than there
@@ -131,7 +140,7 @@ from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_json
-from .models import VARIANT_LAYERS, VARIANTS, DetectionProxyHead, TransferModel, train_joint
+from .models import METHODS, VARIANTS, Baseline, DetectionProxyHead, TransferModel, train_joint
 
 
 def _load_config(path: str | None, seed: int | None) -> ExperimentConfig:
@@ -272,36 +281,42 @@ EVAL_SPLITS = ("eval_seen", "eval_novel")
 
 def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
                  bench: BenchmarkInstance | None = None) -> dict:
-    """Train one (method, seed) run, ``method`` a label of
-    ``VARIANT_LAYERS``, and write the six files of a trained run directory
-    into outdir. The result holds the run's tag, its config (``cfg`` with
-    that variant and seed), its report, the benchmark, the trained model and
-    head, and ``w_d``: W_D, the matrix written to ``weights__TAG.json``.
+    """Train one (method, seed) run, ``method`` a label of ``METHODS``, and
+    write its run directory into outdir: six files for a transfer variant,
+    three for a baseline. The result holds the run's tag, its config
+    (``cfg`` with that method and seed), the benchmark, the head and
+    ``w_d``: W_D, the matrix written to ``weights__TAG.json``; a transfer
+    run's also holds its report and trained model.
 
     ``bench`` is the seed's benchmark if the caller has it already; if not,
-    it comes from the benchmark cache or the generator."""
+    it comes from the benchmark cache or the generator. A model section
+    that is invalid for the method raises ConfigError before either."""
+    run_cfg = replace(cfg, model=cfg.model_config(method), seeds=(seed,))
     if bench is None:
         bench, _ = _benchmark(cfg.benchmark, seed)
-    run_cfg = replace(cfg, model=cfg.model_config(method), seeds=(seed,))
-    model = TransferModel(run_cfg.model, bench.source, seed)
-    head = DetectionProxyHead(bench.num_other, bench.d_feat)
-
     tag = f"{method}__seed{seed}"
-    report = train_joint(model, head, bench.source, bench, run_cfg.train_config(seed))
-    w_d = model.encode(bench.source)
+    res = {"tag": tag, "config": run_cfg, "bench": bench}
+    spec = METHODS[method]
+    if isinstance(spec, Baseline):
+        w_d, head = spec.fit(bench.source, bench, run_cfg.train_config(seed))
+    else:
+        model = TransferModel(run_cfg.model, bench.source, seed)
+        head = DetectionProxyHead(bench.num_other, bench.d_feat)
+        report = train_joint(model, head, bench.source, bench, run_cfg.train_config(seed))
+        w_d = model.encode(bench.source)
+        losses = ["iteration,l_cls,l_rec,total"] + [",".join(map(repr, (it, *row)))
+                                                    for it, row in enumerate(report.losses)]
+        atomic_write_text(os.path.join(outdir, f"losses__{tag}.csv"), "\n".join(losses) + "\n")
+        atomic_write_text(os.path.join(outdir, f"norm_stats__{tag}.json"),
+                          norm_stats(model, bench.source).to_json())
+        atomic_write_text(os.path.join(outdir, "report.json"), report.to_json())
+        res.update(report=report, model=model)
 
-    losses = ["iteration,l_cls,l_rec,total"] + [",".join(map(repr, (it, *row)))
-                                                for it, row in enumerate(report.losses)]
-    atomic_write_text(os.path.join(outdir, f"losses__{tag}.csv"), "\n".join(losses) + "\n")
     save_matrix_json(w_d, os.path.join(outdir, f"weights__{tag}.json"))
-    atomic_write_text(os.path.join(outdir, f"norm_stats__{tag}.json"),
-                      norm_stats(model, bench.source).to_json())
     save_matrix_json(head.other_weights.data, os.path.join(outdir, f"head__{tag}.json"))
-    atomic_write_text(os.path.join(outdir, "report.json"), report.to_json())
     _write_json(os.path.join(outdir, "config.json"),
                 _run_config_payload(run_cfg, bench.fingerprint))
-    return {"tag": tag, "config": run_cfg, "report": report, "bench": bench, "model": model,
-            "head": head, "w_d": w_d}
+    return {**res, "head": head, "w_d": w_d}
 
 
 def _read_run_dir(run_dir: str):
@@ -327,7 +342,7 @@ def _read_run_dir(run_dir: str):
         got = sorted(resolved) if isinstance(resolved, dict) else resolved
         raise ConfigError(f"{cfg_path}: the 'resolved' block must hold benchmark_sha256 "
                           f"alone, got {got!r} (retrain the run)")
-    # The config's checks made the variant a label of VARIANT_LAYERS and the
+    # The config's checks made the variant a label of METHODS and the
     # seed a non-negative integer, so the tag is safe to build paths from.
     tag = f"{cfg.model.variant}__seed{cfg.seeds[0]}"
     bc = cfg.benchmark
@@ -407,7 +422,7 @@ def cmd_analyze(args) -> int:
 
 def _row_from_run(cfg: ExperimentConfig, head, w_d, bench) -> dict:
     """The comparison row of the run that ``cfg``, a run's config, trained."""
-    method, layers = cfg.model.variant, VARIANT_LAYERS[cfg.model.variant]
+    method, layers = cfg.model.variant, METHODS[cfg.model.variant]
     k = cfg.evaluation.recall_k
     seen, novel = (evaluate(head, w_d, bench, split, k=k) for split in EVAL_SPLITS)
     return {"method": method, "seed": cfg.seeds[0],
@@ -467,12 +482,15 @@ def cmd_compare(args) -> int:
                                   f"scores the given runs as they were trained")
         with staged_output(args.out, args.overwrite) as tmp:
             runs = [(rd, *_read_run_dir(rd)) for rd in args.run_dirs]
-            given, k0 = {}, runs[0][1].evaluation.recall_k
+            given, k0, bench0 = {}, runs[0][1].evaluation.recall_k, runs[0][1].benchmark
             for rd, cfg, resolved, tag, *_ in runs:
                 if tag in given:
                     raise ConfigError(f"{given[tag]} and {rd} both hold run {tag}; its "
                                       f"scores would count twice")
                 given[tag] = rd
+                if cfg.benchmark != bench0:
+                    raise ConfigError(f"{args.run_dirs[0]} and {rd} were trained on "
+                                      f"different benchmark configs; one table needs one")
                 if cfg.evaluation.recall_k != k0:
                     raise ConfigError(f"{args.run_dirs[0]} scores novel_recall at "
                                       f"recall_k={k0} and {rd} at recall_k="
@@ -491,6 +509,8 @@ def cmd_compare(args) -> int:
 
     cfg = _load_config(args.config, args.seed)
     methods = GRID_METHODS if args.grid else VARIANTS
+    for method in methods:      # a model section invalid for one fails here
+        cfg.model_config(method)
     with staged_output(args.out, args.overwrite) as sweep_tmp:
         runs_dir = os.path.join(sweep_tmp, "runs")
         os.makedirs(runs_dir)
@@ -553,9 +573,9 @@ def build_parser() -> argparse.ArgumentParser:
     common(sp)
     sp.set_defaults(func=cmd_generate)
 
-    sp = sub.add_parser("train", help="train one (variant, seed) run")
+    sp = sub.add_parser("train", help="train one (method, seed) run")
     common(sp)
-    sp.add_argument("--variant", choices=list(VARIANT_LAYERS))
+    sp.add_argument("--variant", choices=list(METHODS))
     sp.set_defaults(func=cmd_train)
 
     sp = sub.add_parser("eval", help="compute metrics for a finished run")

@@ -15,8 +15,11 @@ against the benchmark's class count. Bad values raise ConfigError.
 
 The ``model`` section is ``models.ModelConfig`` as it is. It holds no width:
 a model's rows are as wide as the source weights, ``benchmark.dim``. Its
-``variant`` is a label of ``models.VARIANT_LAYERS``, which fixes the layers
-the model builds.
+``variant`` is a label of ``models.METHODS``, the one method table: a
+transfer variant, whose entry fixes the layers the model builds, or a
+baseline with no transfer network, which reads no other key of the section.
+The key keeps its name for every method, so that every ``config.json``
+keeps its bytes.
 
 A trained run's ``config.json`` is the config it was trained with: its
 ``model.variant`` is the run's method, its ``seeds`` the run's one seed and
@@ -84,8 +87,12 @@ class ExperimentConfig:
                               f"got {list(ks)}")
 
     def model_config(self, variant: str) -> ModelConfig:
-        """The model section with ``variant``, a label of ``VARIANT_LAYERS``."""
-        return replace(self.model, variant=variant)
+        """The model section with ``variant``, a label of ``METHODS``; a
+        section invalid for that method raises ConfigError naming it."""
+        try:
+            return replace(self.model, variant=variant)
+        except ConfigError as e:
+            raise ConfigError(f"method {variant!r}: {e}") from None
 
     def train_config(self, seed: int) -> TrainConfig:
         return replace(self.train, seed=seed)

@@ -18,7 +18,7 @@ import numpy as np
 from .bench import BenchmarkInstance
 from .errors import ShapeError, StateError, ValidationError
 from .matrix import nearest_rows, row_l2_norms
-from .models import VARIANT_LAYERS, DetectionProxyHead, SourceWeights, TransferModel
+from .models import METHODS, DetectionProxyHead, SourceWeights, TransferModel
 
 
 @dataclass
@@ -198,10 +198,11 @@ def comparison_table(rows: list[dict]) -> dict:
     """Aggregate per-run metric rows into a table with per-method medians.
 
     Every row needs the TABLE_COLUMNS keys plus a ``benchmark_echo`` dict,
-    and its method is a label of ``VARIANT_LAYERS``; rows from differently
-    configured benchmarks refuse to aggregate. The rows are sorted by
-    method, in the order of ``VARIANT_LAYERS``, then by seed, so the table
-    does not depend on the order of ``rows``.
+    and its method is a label of ``models.METHODS``, a transfer variant or
+    a baseline; rows from differently configured benchmarks refuse to
+    aggregate. The rows are sorted by method, in the order of ``METHODS``
+    (the transfer variants, then the baselines), then by seed, so the
+    table does not depend on the order of ``rows``.
     """
     if not rows:
         raise ValidationError("comparison_table needs at least one report")
@@ -210,7 +211,7 @@ def comparison_table(rows: list[dict]) -> dict:
         if r.get("benchmark_echo") != echo0:
             raise ValidationError("reports come from different benchmark configs")
 
-    rank = list(VARIANT_LAYERS).index
+    rank = list(METHODS).index
     out_rows = [{c: r[c] for c in TABLE_COLUMNS}
                 for r in sorted(rows, key=lambda r: (rank(r["method"]), r["seed"]))]
     methods = []

@@ -1,8 +1,8 @@
 """Transfer networks, the detection-proxy head, joint training, and baselines.
 
-The transfer network maps each source class's weight vector to a target
-classification weight vector. Five variants share one implementation, and
-``VARIANT_LAYERS``, the one variant table, fixes the layers each builds:
+``METHODS`` is the one method table: it maps every method label, the
+``model.variant`` of a config and the METHOD of a run, to the method. The
+five transfer variants come first, each mapped to the ``Layers`` it builds:
 
 * ``wtn``               plain two-layer MLP,
 * ``wtn_plus``          adds frozen per-channel input standardization and
@@ -13,9 +13,18 @@ classification weight vector. Five variants share one implementation, and
 * ``wtn_plus_gn_only``  WTN+ with group normalization only.
 
 The first three are the paper's networks, ``VARIANTS``; the last two
-complete its input-norm x group-norm ablation. The table lists the labels
-from the plainest network to the fullest, and a comparison table puts its
-rows in that order.
+complete its input-norm x group-norm ablation. Two baselines with no
+transfer network follow, each a ``Baseline``:
+
+* ``nn_copy``  seen rows learned from zero, each novel row copied from the
+               nearest seen class in W_C space,
+* ``lsda``     seen rows learned as offsets to their W_C rows, each novel
+               row its W_C row plus the offset of the nearest seen class.
+
+Both take k = 1 nearest seen class, fixed before any novel score was
+looked at. The table lists the transfer labels from the plainest network
+to the fullest, then the baselines, and a comparison table puts its rows in
+that order.
 
 ``ModelConfig`` is the experiment config's ``model`` section; its
 ``variant`` is any label of the table. A model's rows are as wide as the
@@ -51,9 +60,9 @@ and the baselines' head training both call.
 
 Every method ends in the same pair: W_D, a (|C|, d) row for every source
 class, and a ``DetectionProxyHead``. A transfer model's W_D is its encoding
-of W_C. The non-transfer baselines train the seen rows and the head
+of W_C. A baseline's ``fit`` trains the seen rows and the head
 directly (``train_conventional_head``, with the head settings,
-iterations, batch size and seed of the run's ``TrainConfig``) and fill the
+iterations, batch size and seed of the run's ``TrainConfig``) and fills the
 novel rows from the nearest seen classes (``baseline_nn_transfer``,
 ``baseline_lsda_bias``, found by ``matrix.nearest_rows``), so
 ``evaluation.evaluate`` scores every method alike.
@@ -63,6 +72,7 @@ from __future__ import annotations
 
 import json
 import math
+from collections.abc import Callable
 from dataclasses import dataclass, fields
 from functools import cached_property
 from typing import NamedTuple
@@ -77,20 +87,10 @@ from .optim import AdamW, SGDMomentum
 
 
 class Layers(NamedTuple):
-    """The optional layers of a variant."""
+    """The optional layers of a transfer variant."""
     input_norm: bool        # the frozen input standardization
     feature_norm: bool      # normalization of the hidden features
     decoder: bool           # the reconstruction decoder
-
-
-VARIANT_LAYERS = {
-    "wtn": Layers(input_norm=False, feature_norm=False, decoder=False),
-    "wtn_plus_in_only": Layers(input_norm=True, feature_norm=False, decoder=False),
-    "wtn_plus_gn_only": Layers(input_norm=False, feature_norm=True, decoder=False),
-    "wtn_plus": Layers(input_norm=True, feature_norm=True, decoder=False),
-    "ae_wtn": Layers(input_norm=True, feature_norm=True, decoder=True),
-}
-VARIANTS = ("wtn", "wtn_plus", "ae_wtn")
 
 
 @dataclass
@@ -156,15 +156,15 @@ class ModelConfig:
     norm_kind: str = "group"       # "group" or "class_batch"
 
     def __post_init__(self):
-        if self.variant not in VARIANT_LAYERS:
+        if self.variant not in METHODS:
             raise ConfigError(f"unknown variant {self.variant!r}, expected one of "
-                              f"{tuple(VARIANT_LAYERS)}")
+                              f"{tuple(METHODS)}")
         if self.hidden_dim < 1 or self.groups < 1:
             raise ConfigError(f"hidden_dim and groups must be at least 1, got "
                               f"{self.hidden_dim} and {self.groups}")
         if self.norm_kind not in ("group", "class_batch"):
             raise ConfigError(f"unknown norm_kind {self.norm_kind!r}")
-        if VARIANT_LAYERS[self.variant].feature_norm and self.norm_kind == "group" \
+        if METHODS[self.variant].feature_norm and self.norm_kind == "group" \
                 and self.hidden_dim % self.groups != 0:
             raise ConfigError(f"hidden_dim ({self.hidden_dim}) not divisible by "
                               f"groups ({self.groups})")
@@ -184,14 +184,17 @@ def _backward(layers, g: np.ndarray) -> np.ndarray:
 
 class TransferModel:
     """Encoder: Linear, [norm,] ReLU, Linear. With a decoder (ae_wtn):
-    Linear, [norm,] ReLU, Linear. The variant's ``VARIANT_LAYERS`` entry
-    says which optional layers there are. Rows in and out are as wide as
-    the ``source`` the model is built for, which is read only for its width;
-    a pass reads the source it is given."""
+    Linear, [norm,] ReLU, Linear. The variant's ``Layers`` entry in
+    ``METHODS`` says which optional layers there are; a method with no
+    transfer network raises ConfigError. Rows in and out are as wide as the
+    ``source`` the model is built for, which is read only for its width; a
+    pass reads the source it is given."""
 
     def __init__(self, config: ModelConfig, source: SourceWeights, seed: int):
         self.variant = config.variant
-        spec = VARIANT_LAYERS[config.variant]
+        spec = METHODS[config.variant]
+        if not isinstance(spec, Layers):
+            raise ConfigError(f"method {config.variant!r} has no transfer network")
         dim, hidden = source.dim, config.hidden_dim
         init_rng = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
 
@@ -513,3 +516,33 @@ def baseline_lsda_bias(w_seen: np.ndarray, source: SourceWeights, k: int = 1) ->
     offset = w_seen - source.weights[source.shared_index]
     return _with_novel_rows(w_seen, source,
                             source.weights[source.novel_index] + offset[nearest].mean(axis=1))
+
+
+class Baseline(NamedTuple):
+    """A method with no transfer network: ``train_conventional_head`` in
+    ``mode`` trains the seen rows and the head, and ``novel_rows``, at
+    k = 1, fills the novel rows of W_D."""
+    mode: str                       # "plain" or "lsda"
+    novel_rows: Callable            # baseline_nn_transfer or baseline_lsda_bias
+    input_norm = False              # it has neither layer of a transfer network
+    feature_norm = False
+
+    def fit(self, source: SourceWeights, data,
+            config: TrainConfig) -> tuple[np.ndarray, DetectionProxyHead]:
+        """W_D and the head, trained with ``config``."""
+        w_seen, head = train_conventional_head(source, data, self.mode, config)
+        return self.novel_rows(w_seen, source, k=1), head
+
+
+# Every label a config, a run or a table row may name, in the order a
+# comparison table sorts its rows.
+METHODS = {
+    "wtn": Layers(input_norm=False, feature_norm=False, decoder=False),
+    "wtn_plus_in_only": Layers(input_norm=True, feature_norm=False, decoder=False),
+    "wtn_plus_gn_only": Layers(input_norm=False, feature_norm=True, decoder=False),
+    "wtn_plus": Layers(input_norm=True, feature_norm=True, decoder=False),
+    "ae_wtn": Layers(input_norm=True, feature_norm=True, decoder=True),
+    "nn_copy": Baseline("plain", baseline_nn_transfer),
+    "lsda": Baseline("lsda", baseline_lsda_bias),
+}
+VARIANTS = ("wtn", "wtn_plus", "ae_wtn")

@@ -39,16 +39,28 @@ def top1_over(head, w_d, bench, split, ids):
     return float((sp.class_labels[sp.class_index, ids[np.argmax(logits, axis=1)]] > 0.5).mean())
 
 
+def _child_pids() -> list[str]:
+    """The pids of this process's children, listed per thread (Linux only).
+    A thread that exits between the listing and the read hands its children
+    to another thread, so the whole listing is taken again; skipping the
+    thread could miss a child."""
+    while True:
+        pids = []
+        try:
+            for path in glob.glob("/proc/self/task/*/children"):
+                with open(path) as f:
+                    pids += f.read().split()
+        except FileNotFoundError:       # a thread exited since the listing
+            continue
+        return pids
+
+
 def assert_no_worker_left():
     """No pool worker of this process outlives the command that started it.
     The one child that may stay is multiprocessing's resource tracker, which
     the pool's locks start and which exits with the interpreter."""
     assert multiprocessing.active_children() == []
-    pids = []
-    for path in glob.glob("/proc/self/task/*/children"):     # Linux only
-        with open(path) as f:
-            pids += f.read().split()
-    for pid in pids:
+    for pid in _child_pids():
         try:
             with open(f"/proc/{pid}/cmdline", "rb") as f:
                 cmdline = f.read()

@@ -16,14 +16,15 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_instance_entry
-from wtx.cli import _load_config, main, run_training, staged_output
+from wtx.cli import GRID_METHODS, _load_config, build_parser, main, run_training, staged_output
 from wtx.config import (EvalSettings, ExperimentConfig, config_from_dict, config_to_dict,
                         default_config)
 from wtx.errors import ConfigError
-from wtx.evaluation import norm_stats
-from wtx.matrix import matrix_hash
-from wtx.models import (VARIANTS, DetectionProxyHead, ModelConfig, TrainConfig,
-                        TransferModel, train_joint)
+from wtx.evaluation import comparison_table, norm_stats
+from wtx.matrix import load_matrix_json, matrix_hash
+from wtx.models import (METHODS, VARIANTS, Baseline, DetectionProxyHead, Layers, ModelConfig,
+                        SourceWeights, TrainConfig, TransferModel, baseline_lsda_bias,
+                        baseline_nn_transfer, train_conventional_head, train_joint)
 
 from conftest import assert_no_worker_left, assert_same_instance, tiny_config
 
@@ -814,7 +815,7 @@ def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, c
     # A run has one seed.
     (("seeds",), []),
     (("seeds",), [0, 1]),
-    # The variant names the run's files: it must be a label of VARIANT_LAYERS.
+    # The variant names the run's files: it must be a label of METHODS.
     (("model", "variant"), "x/../../escaped"),
     (("model", "variant"), 0),
 ], ids=lambda v: ".".join(v) if isinstance(v, tuple) else repr(v))
@@ -877,7 +878,113 @@ def test_cli_reload_of_an_unknown_method_names_the_file_and_the_labels(trained_r
     assert main(["eval", str(run_dir)]) == 2
     err = capsys.readouterr().err
     assert str(run_dir / "config.json") in err and "'ridge'" in err
-    assert all(label in err for label in wtx.models.VARIANT_LAYERS)
+    assert all(label in err for label in METHODS)
+
+
+def test_the_method_table_is_the_one_list_of_methods():
+    # The transfer variants come first, then the baselines; the sweeps pick
+    # their labels from the table.
+    kinds = [type(spec) for spec in METHODS.values()]
+    assert kinds == [Layers] * 5 + [Baseline] * 2
+    assert list(METHODS)[5:] == ["nn_copy", "lsda"]
+    assert set(VARIANTS) | set(GRID_METHODS) <= set(METHODS)
+    # Every label is a valid model section, and train --variant takes it.
+    for label in METHODS:
+        assert ModelConfig(label).variant == label
+    sub = next(a for a in build_parser()._actions if a.dest == "command")
+    variant = next(a for a in sub.choices["train"]._actions if a.dest == "variant")
+    assert variant.choices == list(METHODS)
+    # A table orders its rows as the table does, whatever order they come in.
+    rows = [{"method": label, "seed": seed, "input_norm": spec.input_norm,
+             "group_norm": spec.feature_norm, "seen_top1": 0.5, "novel_top1": 0.1,
+             "novel_recall": 0.2, "benchmark_echo": {}}
+            for seed in (1, 0) for label, spec in reversed(METHODS.items())]
+    table = comparison_table(rows)
+    assert [(r["method"], r["seed"]) for r in table["rows"]] == \
+        [(label, seed) for label in METHODS for seed in (0, 1)] + \
+        [(label, "median") for label in METHODS]
+    # Only a transfer variant builds a transfer network.
+    source = SourceWeights.create(np.random.default_rng(0).standard_normal((12, 8)), range(5))
+    for label, spec in METHODS.items():
+        config = ModelConfig(label, hidden_dim=8, groups=2)
+        if isinstance(spec, Layers):
+            assert TransferModel(config, source, 0).variant == label
+        else:
+            with pytest.raises(ConfigError, match=f"^method '{label}' has no transfer network$"):
+                TransferModel(config, source, 0)
+
+
+@pytest.mark.parametrize("argv, method", [
+    (["compare", "--jobs", "2"], "wtn_plus"),
+    (["compare", "--grid", "--jobs", "2"], "wtn_plus_gn_only"),
+    (["train", "--variant", "ae_wtn"], "ae_wtn"),
+], ids=lambda v: " ".join(v) if isinstance(v, list) else v)
+def test_cli_a_model_section_invalid_for_a_method_exits_2_before_any_benchmark(
+        tmp_path, capsys, cache_home, argv, method):
+    # hidden_dim 65 suits wtn, which has no group norm, but no method with one.
+    cfg_path = write_config(tmp_path, {"model": {"variant": "wtn", "hidden_dim": 65},
+                                       "seeds": [7, 8]})
+    capsys.readouterr()
+    assert main([argv[0], "--config", cfg_path, "--out", str(tmp_path / "out"),
+                 *argv[1:]]) == 2
+    assert capsys.readouterr().err == \
+        f"error: method {method!r}: hidden_dim (65) not divisible by groups (8)\n"
+    assert cache_entries(cache_home) == []
+    assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
+    assert_no_worker_left()
+
+
+BASELINE_FITS = {"nn_copy": ("plain", baseline_nn_transfer),
+                 "lsda": ("lsda", baseline_lsda_bias)}
+
+
+def test_cli_baseline_run_dirs_train_reload_and_compare(trained_run, tmp_path):
+    """A baseline's run dir holds the three files every run has. Its W_D is
+    the baseline's, at k = 1, bit for bit; its config trains it again; and
+    eval, analyze and compare score it as they score a transfer run."""
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=20))
+    bench = generate_benchmark(tiny_config(), 0)
+    run_dirs = [str(trained_run)]       # ae_wtn, seed 0, on the same benchmark config
+    for method, (mode, rule) in BASELINE_FITS.items():
+        run_dir = tmp_path / method
+        assert main(["train", "--config", cfg_path, "--out", str(run_dir),
+                     "--variant", method, "--seed", "0"]) == 0
+        tag = f"{method}__seed0"
+        assert sorted(os.listdir(run_dir)) == \
+            ["config.json", f"head__{tag}.json", f"weights__{tag}.json"]
+
+        run_cfg = _load_config(cfg_path, 0)
+        w_seen, head = train_conventional_head(bench.source, bench, mode,
+                                               run_cfg.train_config(0))
+        want = rule(w_seen, bench.source, k=1)
+        got = load_matrix_json(str(run_dir / f"weights__{tag}.json"), want.shape)
+        assert got.tobytes() == want.tobytes()
+        got = load_matrix_json(str(run_dir / f"head__{tag}.json"))
+        assert got.tobytes() == head.other_weights.data.tobytes()
+
+        doc = json.loads((run_dir / "config.json").read_text())
+        assert doc.pop("resolved") == {"benchmark_sha256": bench.fingerprint}
+        assert (doc["model"]["variant"], doc["seeds"]) == (method, [0])
+        again = tmp_path / f"{method}_again"
+        assert main(["train", "--config", write_config(tmp_path, doc, name=f"{method}.json"),
+                     "--out", str(again)]) == 0
+        assert read_tree(again) == read_tree(run_dir)
+
+        assert main(["eval", str(run_dir)]) == 0
+        assert main(["analyze", str(run_dir)]) == 0
+        assert sorted(os.listdir(run_dir)) == sorted(
+            ["config.json", f"head__{tag}.json", f"weights__{tag}.json",
+             f"metrics__{tag}__eval_seen.json", f"metrics__{tag}__eval_novel.json",
+             f"overlap__{tag}.json"])
+        run_dirs.append(str(run_dir))
+
+    out = tmp_path / "cmp"
+    assert main(["compare", *reversed(run_dirs), "--out", str(out)]) == 0
+    rows = json.loads((out / "comparison.json").read_text())["rows"]
+    assert [(r["method"], r["seed"], r["input_norm"], r["group_norm"]) for r in rows] == [
+        ("ae_wtn", 0, True, True), ("nn_copy", 0, False, False), ("lsda", 0, False, False),
+        ("ae_wtn", "median", True, True), ("nn_copy", "median", False, False),
+        ("lsda", "median", False, False)]
 
 
 def test_cli_compare_grid_structure(tmp_path):
@@ -1270,6 +1377,25 @@ def test_cli_compare_run_dirs_rejects_mixed_recall_k(seed_runs, tmp_path, capsys
                  "--out", str(tmp_path / "cmp")]) == 2
     err = capsys.readouterr().err
     assert str(seed_runs["wtn", 0]) in err and str(edited) in err and "recall_k" in err
+    assert not os.path.exists(tmp_path / "cmp")
+
+
+def test_cli_compare_run_dirs_rejects_mixed_benchmark_configs(seed_runs, tmp_path, capsys,
+                                                              cache_home):
+    # Two runs of one table must come from one benchmark config; the check
+    # comes before any benchmark is built, and names both dirs.
+    doc = tiny_doc(iterations=5)
+    doc["benchmark"]["noise_std"] = 0.5
+    noisier = tmp_path / "noisier"
+    assert main(["train", "--config", write_config(tmp_path, doc), "--out", str(noisier),
+                 "--variant", "wtn_plus", "--seed", "0"]) == 0
+    shutil.rmtree(cache_home / "wtx")
+    capsys.readouterr()
+    assert main(["compare", str(seed_runs["wtn", 1]), str(noisier),
+                 "--out", str(tmp_path / "cmp")]) == 2
+    err = capsys.readouterr().err
+    assert str(seed_runs["wtn", 1]) in err and str(noisier) in err and "benchmark config" in err
+    assert cache_entries(cache_home) == []
     assert not os.path.exists(tmp_path / "cmp")
 
 

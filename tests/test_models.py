@@ -12,7 +12,7 @@ from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.layers import GroupNorm, Linear, ReLU
 from wtx.losses import sigmoid_bce, smooth_l1
 from wtx.matrix import load_matrix_json, matrix_hash, nearest_rows
-from wtx.models import (VARIANT_LAYERS, DetectionProxyHead, ModelConfig, SourceWeights,
+from wtx.models import (METHODS, DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
                         baseline_nn_transfer, joint_losses, train_conventional_head,
                         train_joint)
@@ -502,7 +502,7 @@ def test_train_joint_does_no_work_for_the_frozen_input(tiny_bench, monkeypatch, 
     train_joint(model, head, source, tiny_bench,
                 TrainConfig(iterations=5, batch_size=32, alpha=alpha, seed=8))
     assert [call for call in calls if call[0] == "standardized"] == \
-        [("standardized", source)] * VARIANT_LAYERS[variant].input_norm
+        [("standardized", source)] * METHODS[variant].input_norm
     first = model.encoder[0]
     assert isinstance(first, Linear)
     assert calls.count(("backward_params", first)) == 5
