@@ -109,17 +109,26 @@ are seeds). A job generates its seed's benchmark once and trains and scores
 every method of the sweep on it. The table sorts its rows, so the output
 does not depend on the worker count; a config whose seeds are not in
 ascending order gets its rows in ascending seed order. Workers are
-spawned, not forked, with OPENBLAS_NUM_THREADS, OMP_NUM_THREADS and
-MKL_NUM_THREADS set to 1: the matrices here are small, so a second BLAS
-thread per process only competes with the other workers for the cores.
-The variables are set around pool start-up in this process because a
-spawned worker imports numpy, which reads them once, before any pool
-initializer could run; this process's own values are restored afterwards.
+spawned, not forked.
+
+One rule sets the BLAS threads. What writes a stored bit runs with
+OpenBLAS at 1 thread, set at run time by ``blas_threads``: every benchmark
+build, all of ``run_training`` (training, the W_D export and the norm
+stats) and all of a sweep job, its scoring included. How a product is
+split over threads can change its last bits; at the presets' sizes it
+changes the benchmark's fingerprint. At 1 thread the cache entry, the
+fingerprint and the run files are the same whichever command made them,
+and no environment variable changes an output bit. A sweep worker would
+gain nothing from a second thread: the matrices are small, and the other
+workers want the cores. Scoring by ``eval``, ``analyze`` and ``compare
+RUN_DIRS`` keeps the default count, which is faster; its top-1 and recall
+were the same at 1 and 2 threads at the default size and at both presets.
 """
 
 from __future__ import annotations
 
 import argparse
+import ctypes
 import functools
 import hashlib
 import json
@@ -141,6 +150,55 @@ from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_json
 from .models import METHODS, VARIANTS, Baseline, DetectionProxyHead, TransferModel, train_joint
+
+
+@functools.cache
+def _openblas() -> tuple:
+    """The ``(set_num_threads, get_num_threads)`` C entry points of each
+    OpenBLAS loaded in this process, found through ctypes among the shared
+    libraries that /proc/self/maps lists: ``openblas_set_num_threads`` in a
+    system OpenBLAS, ``scipy_openblas_set_num_threads64_`` in numpy's wheel.
+    Empty where there is no OpenBLAS, or no /proc/self/maps to list it."""
+    try:
+        with open("/proc/self/maps") as f:
+            paths = sorted({fields[5] for fields in map(str.split, f) if len(fields) == 6
+                            and "openblas" in os.path.basename(fields[5]).lower()})
+    except OSError:
+        return ()
+    found = []
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        for prefix, suffix in (("", ""), ("", "64_"), ("scipy_", ""), ("scipy_", "64_")):
+            try:
+                set_n = getattr(lib, f"{prefix}openblas_set_num_threads{suffix}")
+                get_n = getattr(lib, f"{prefix}openblas_get_num_threads{suffix}")
+            except AttributeError:
+                continue
+            set_n.argtypes, set_n.restype = [ctypes.c_int], None
+            get_n.argtypes, get_n.restype = [], ctypes.c_int
+            found.append((set_n, get_n))
+            break
+    return tuple(found)
+
+
+@contextmanager
+def blas_threads(count: int):
+    """Run the block with every loaded OpenBLAS at ``count`` threads, then
+    restore each one's previous count, on an exception too. Blocks nest.
+    Where no OpenBLAS is loaded (numpy on another BLAS, say) it does
+    nothing, and that BLAS keeps its own count."""
+    libs = _openblas()
+    saved = [get_n() for _, get_n in libs]
+    for set_n, _ in libs:
+        set_n(count)
+    try:
+        yield
+    finally:
+        for (set_n, _), n in zip(libs, saved):
+            set_n(n)
 
 
 def _load_config(path: str | None, seed: int | None) -> ExperimentConfig:
@@ -196,7 +254,8 @@ CACHE_BYTES = 512 << 20
 @functools.cache
 def _cache_stamp() -> dict:
     """What a benchmark's bits may depend on besides its config and seed:
-    this package's sources, Python, numpy and its BLAS, and the host."""
+    this package's sources, Python, numpy and its BLAS, and the host. The
+    BLAS thread count is not part of it: every build runs at 1 thread."""
     package = os.path.dirname(os.path.abspath(__file__))
     sources = hashlib.sha256()
     for name in sorted(os.listdir(package)):
@@ -269,7 +328,8 @@ def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True,
             except OSError:
                 pass
             return bench, True
-    bench = generate_benchmark(config, seed)
+    with blas_threads(1):
+        bench = generate_benchmark(config, seed)
     _store_entry(path, bench)
     return bench, False
 
@@ -279,6 +339,7 @@ GRID_METHODS = ("wtn", "wtn_plus_in_only", "wtn_plus_gn_only", "wtn_plus")
 EVAL_SPLITS = ("eval_seen", "eval_novel")
 
 
+@blas_threads(1)
 def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
                  bench: BenchmarkInstance | None = None) -> dict:
     """Train one (method, seed) run, ``method`` a label of ``METHODS``, and
@@ -394,6 +455,17 @@ def cmd_train(args) -> int:
     return 0
 
 
+def _add_to_run_dir(path: str, text: str) -> None:
+    """Write one file of ``eval`` or ``analyze`` into an existing run dir,
+    which is not staged: an OSError (a directory in the way, say) raises
+    ConfigError naming the path, and ``atomic_write_text`` leaves no temp
+    file."""
+    try:
+        atomic_write_text(path, text)
+    except OSError as e:
+        raise ConfigError(f"{path} cannot be written ({e.strerror})") from None
+
+
 def cmd_eval(args) -> int:
     run_dir = args.run_dir
     cfg, resolved, tag, w_d, head = _read_run_dir(run_dir)
@@ -402,8 +474,8 @@ def cmd_eval(args) -> int:
     for split in EVAL_SPLITS:
         rep = evaluate(head, w_d, bench, split, k=k)
         rep.config_echo = {"resolved": resolved}
-        atomic_write_text(os.path.join(run_dir, f"metrics__{tag}__{split}.json"),
-                          rep.to_json())
+        _add_to_run_dir(os.path.join(run_dir, f"metrics__{tag}__{split}.json"),
+                        rep.to_json())
     print(f"metrics written to {run_dir}")
     return 0
 
@@ -415,7 +487,7 @@ def cmd_analyze(args) -> int:
     rng = np.random.default_rng(cfg.evaluation.analysis_seed)
     curve = nn_overlap(bench.source.weights, w_d, cfg.evaluation.overlap_ks,
                        cfg.evaluation.sample_classes, rng)
-    atomic_write_text(os.path.join(run_dir, f"overlap__{tag}.json"), curve.to_json())
+    _add_to_run_dir(os.path.join(run_dir, f"overlap__{tag}.json"), curve.to_json())
     print(f"analysis written to {run_dir}")
     return 0
 
@@ -433,24 +505,7 @@ def _row_from_run(cfg: ExperimentConfig, head, w_d, bench) -> dict:
             "benchmark_echo": asdict(cfg.benchmark)}
 
 
-_BLAS_THREAD_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
-
-
-@contextmanager
-def _one_blas_thread_env():
-    """Set the BLAS thread variables to 1 in os.environ, then restore them."""
-    saved = {name: os.environ.get(name) for name in _BLAS_THREAD_VARS}
-    os.environ.update(dict.fromkeys(_BLAS_THREAD_VARS, "1"))
-    try:
-        yield
-    finally:
-        for name, value in saved.items():
-            if value is None:
-                os.environ.pop(name, None)
-            else:
-                os.environ[name] = value
-
-
+@blas_threads(1)
 def _sweep_seed(cfg: ExperimentConfig, methods, seed: int, runs_dir: str) -> list[dict]:
     """One seed of a compare sweep, run in a worker process: get the seed's
     benchmark once, then train and score every method on it. Returns one row
@@ -518,9 +573,8 @@ def cmd_compare(args) -> int:
                                    mp_context=multiprocessing.get_context("spawn"))
         try:
             # The pool starts its workers as jobs are submitted.
-            with _one_blas_thread_env():
-                futures = [pool.submit(_sweep_seed, cfg, methods, seed, runs_dir)
-                           for seed in cfg.seeds]
+            futures = [pool.submit(_sweep_seed, cfg, methods, seed, runs_dir)
+                       for seed in cfg.seeds]
             for future in as_completed(futures):
                 future.result()     # the first failed seed raises here
         except BrokenProcessPool:

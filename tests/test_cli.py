@@ -16,7 +16,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_instance_entry
-from wtx.cli import GRID_METHODS, _load_config, build_parser, main, run_training, staged_output
+import wtx.cli
+from wtx.cli import (GRID_METHODS, _load_config, blas_threads, build_parser, main, run_training,
+                     staged_output)
 from wtx.config import (EvalSettings, ExperimentConfig, config_from_dict, config_to_dict,
                         default_config)
 from wtx.errors import ConfigError
@@ -28,7 +30,15 @@ from wtx.models import (METHODS, VARIANTS, Baseline, DetectionProxyHead, Layers,
 
 from conftest import assert_no_worker_left, assert_same_instance, tiny_config
 
-BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
+
+
+def blas_counts():
+    """The thread count of each OpenBLAS loaded in this process."""
+    return [get_n() for _, get_n in wtx.cli._openblas()]
+
+
+needs_openblas = pytest.mark.skipif(not wtx.cli._openblas(), reason="no OpenBLAS is loaded")
 
 
 def tiny_doc(**train_overrides):
@@ -65,8 +75,7 @@ def test_config_round_trip_lossless():
                                                     ("vg_shape", 700, 70)])
 def test_preset_builds_its_benchmark_and_trains_ae_wtn(name, classes, clusters):
     # The presets differ from the default config in the class counts alone.
-    path = os.path.join(os.path.dirname(__file__), os.pardir, "configs", f"{name}.json")
-    cfg = _load_config(path, None)
+    cfg = _load_config(os.path.join(PRESETS, f"{name}.json"), None)
     want = dataclasses.replace(default_config().benchmark, num_classes=classes,
                                num_shared=500, clusters=clusters)
     assert cfg == dataclasses.replace(default_config(), benchmark=want)
@@ -579,6 +588,8 @@ def test_cli_compare_fingerprints_each_benchmark_once(tmp_path, monkeypatch):
 
 
 def test_cli_compare_pool_pins_blas_threads(tmp_path, monkeypatch):
+    # Spawned workers, no more than there are seeds, and no write to this
+    # process's environment.
     started = []
 
     class RecordingPool(concurrent.futures.ProcessPoolExecutor):
@@ -587,21 +598,65 @@ def test_cli_compare_pool_pins_blas_threads(tmp_path, monkeypatch):
                             "method": mp_context.get_start_method()})
             super().__init__(max_workers=max_workers, mp_context=mp_context)
 
-        def submit(self, fn, *args):
-            started.append({name: os.environ.get(name) for name in BLAS_VARS})
-            return super().submit(fn, *args)
-
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", RecordingPool)
-    monkeypatch.setenv("OMP_NUM_THREADS", "3")
-    monkeypatch.delenv("OPENBLAS_NUM_THREADS", raising=False)
-    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     before = dict(os.environ)
     cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
     assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "sweep"),
                  "--jobs", "8"]) == 0
     assert dict(os.environ) == before
-    assert started[0] == {"max_workers": 2, "method": "spawn"}    # capped at 2 seeds
-    assert started[1:] == [dict.fromkeys(BLAS_VARS, "1")] * 2
+    assert started == [{"max_workers": 2, "method": "spawn"}]    # capped at 2 seeds
+
+    # A job trains and scores at 1 thread; the caller's count is back after.
+    seen = []
+
+    def recording(fn):
+        def wrapper(*args, **kwargs):
+            seen.append((fn.__name__, blas_counts()))
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
+    for name in ("train_joint", "evaluate"):
+        monkeypatch.setattr(wtx.cli, name, recording(getattr(wtx.cli, name)))
+    with blas_threads(2):
+        assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "inline")]) == 0
+        assert blas_counts() == [2] * len(wtx.cli._openblas())
+    assert dict(os.environ) == before
+    ones = [1] * len(wtx.cli._openblas())
+    # 2 seeds x 3 variants, each trained once and scored on 2 splits
+    assert seen == [("train_joint", ones), ("evaluate", ones), ("evaluate", ones)] * 6
+
+
+def test_the_blas_finder_finds_numpys_openblas():
+    blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    if "openblas" not in str(blas.get("name")):
+        pytest.skip(f"numpy is built on {blas.get('name')}, not OpenBLAS")
+    assert wtx.cli._openblas()
+
+
+@needs_openblas
+def test_blas_threads_pins_the_count_restores_it_and_nests():
+    n = len(wtx.cli._openblas())
+    with blas_threads(2):
+        assert blas_counts() == [2] * n
+        with blas_threads(1):
+            assert blas_counts() == [1] * n
+            with blas_threads(2):
+                assert blas_counts() == [2] * n
+            assert blas_counts() == [1] * n
+        assert blas_counts() == [2] * n
+        with pytest.raises(KeyError), blas_threads(1):
+            assert blas_counts() == [1] * n
+            raise KeyError("x")
+        assert blas_counts() == [2] * n
+
+
+def test_blas_threads_does_nothing_without_openblas(monkeypatch):
+    real = wtx.cli._openblas()
+    with blas_threads(2):
+        monkeypatch.setattr(wtx.cli, "_openblas", lambda: ())
+        with blas_threads(1):
+            assert [get_n() for _, get_n in real] == [2] * len(real)
 
 
 @pytest.mark.parametrize("jobs", ["0", "-2"])
@@ -1118,6 +1173,23 @@ def test_cli_reload_directory_in_place_of_a_file_exits_2(trained_run, tmp_path, 
     path = os.path.join(str(run_dir), name)
     assert re.fullmatch(rf"error: {re.escape(path)}: cannot be read \(.+\)\n",
                         capsys.readouterr().err)
+
+
+@pytest.mark.parametrize("command, name", [("eval", "metrics__ae_wtn__seed0__eval_seen.json"),
+                                           ("analyze", "overlap__ae_wtn__seed0.json")])
+def test_cli_reload_output_that_cannot_be_written_exits_2(trained_run, tmp_path, capsys,
+                                                          command, name):
+    # eval and analyze write into the run dir itself, not a staged --out.
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    (run_dir / name).mkdir()
+    before = sorted(os.listdir(run_dir))
+    capsys.readouterr()
+    assert main([command, str(run_dir)]) == 2
+    path = os.path.join(str(run_dir), name)
+    assert re.fullmatch(rf"error: {re.escape(path)} cannot be written \(.+\)\n",
+                        capsys.readouterr().err)
+    assert sorted(os.listdir(run_dir)) == before        # no temp file left
 
 
 # --- output directory -------------------------------------------------------------
@@ -1758,3 +1830,45 @@ def test_cache_evicts_the_least_recently_used_first(monkeypatch, cache_home):
     [new] = set(root.iterdir()) - set(paths.values())
     assert set(root.iterdir()) == {paths[0], new}      # the orphan, seeds 1 and 2 went
     assert sum(p.stat().st_size for p in root.iterdir()) <= wtx.cli.CACHE_BYTES
+
+
+@needs_openblas
+def test_cli_preset_bits_do_not_depend_on_the_command(tmp_path, cache_home):
+    """At oi_shape the benchmark built at 2 BLAS threads differs in its last
+    bits from the one built at 1 (fingerprint 43b93bc5... against
+    62e1fefe... for seed 0, numpy 2.4, OpenBLAS 0.3.31, x86-64). Every
+    command builds and trains at 1 thread, so a sweep worker and an
+    in-process command give the same bits whatever the caller's count."""
+    with open(os.path.join(PRESETS, "oi_shape.json")) as f:
+        doc = dict(json.load(f), train={"iterations": 2}, seeds=[0])
+    cfg_path = write_config(tmp_path, doc)
+    sweep = tmp_path / "sweep"
+    n = len(wtx.cli._openblas())
+
+    def command(*argv):
+        assert main(list(argv)) == 0
+        assert blas_counts() == [2] * n
+
+    def fingerprint(path):
+        doc = json.loads(path.read_text())
+        return doc["fingerprint"] if "fingerprint" in doc else doc["resolved"]["benchmark_sha256"]
+
+    with blas_threads(2):
+        # Each command builds the benchmark on its own: the cache is cold.
+        command("generate", "--config", cfg_path, "--out", str(tmp_path / "bench"))
+        shutil.rmtree(cache_home / "wtx")
+        command("train", "--config", cfg_path, "--variant", "wtn", "--out", str(tmp_path / "run"))
+        shutil.rmtree(cache_home / "wtx")
+        command("compare", "--config", cfg_path, "--jobs", "1", "--out", str(sweep))
+        sweep_run = sweep / "runs" / "wtn__seed0"
+        assert len({fingerprint(tmp_path / "bench" / "manifest.json"),
+                    fingerprint(tmp_path / "run" / "config.json"),
+                    fingerprint(sweep_run / "config.json")}) == 1
+        assert read_tree(tmp_path / "run") == read_tree(sweep_run)
+
+        shutil.rmtree(cache_home / "wtx")
+        command("eval", str(sweep_run))
+        command("compare", *sorted(str(p) for p in (sweep / "runs").iterdir()),
+                "--out", str(tmp_path / "table"))
+    assert read_tree(tmp_path / "table") == {name: (sweep / name).read_bytes()
+                                             for name in ("comparison.json", "comparison.csv")}
