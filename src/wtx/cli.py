@@ -22,14 +22,17 @@ sweep writes the same six under ``runs/TAG/``):
     config.json              the config the run was trained with
     report.json              final losses; W_C, decoder and model hashes
     losses__TAG.csv          the losses of every training iteration
-    weights__TAG.json        W_D, the transferred weights of every source class
-    head__TAG.json           the head's "other"-class weights
+    weights__TAG.npy         W_D, the transferred weights of every source class
+    head__TAG.npy            the head's "other"-class weights
     norm_stats__TAG.json     post-ReLU activation-norm statistics of the model
 
-``train`` of a baseline writes three, ``config.json``, ``weights__TAG.json``
-(W_D, its trained seen rows and filled novel rows) and ``head__TAG.json``:
+``train`` of a baseline writes three, ``config.json``, ``weights__TAG.npy``
+(W_D, its trained seen rows and filled novel rows) and ``head__TAG.npy``:
 it has no transfer network to report on. Every command that reloads a run
-reads only those three, so it scores either kind alike.
+reads only those three, so it scores either kind alike. The two matrices
+are numpy ``.npy`` files (``wtx.matrix.save_matrix_npy``), exact to the
+bit; a run dir whose matrices are JSON (``weights__TAG.json``, written by
+an older ``wtx``) must be retrained.
 
 The run's ``config.json`` is its experiment config with ``model.variant``
 set to the method and ``seeds`` to ``[SEED]``, plus a ``resolved`` block
@@ -148,7 +151,7 @@ from .errors import ConfigError, StateError, TrainingDiverged, ValidationError, 
 from .evaluation import (comparison_csv, comparison_table, evaluate, nn_overlap,
                          norm_stats)
 from .gradcheck import run_gradient_suite
-from .matrix import atomic_write_text, load_matrix_json, read_json, save_matrix_json
+from .matrix import atomic_write_text, load_matrix_npy, read_json, save_matrix_npy
 from .models import METHODS, VARIANTS, Baseline, DetectionProxyHead, TransferModel, train_joint
 
 
@@ -346,8 +349,9 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
     write its run directory into outdir: six files for a transfer variant,
     three for a baseline. The result holds the run's tag, its config
     (``cfg`` with that method and seed), the benchmark, the head and
-    ``w_d``: W_D, the matrix written to ``weights__TAG.json``; a transfer
-    run's also holds its report and trained model.
+    ``w_d``: W_D, the matrix written to ``weights__TAG.npy``; a transfer
+    run's also holds its report and trained model. W_D and the head's
+    weights are written by ``save_matrix_npy``.
 
     ``bench`` is the seed's benchmark if the caller has it already; if not,
     it comes from the benchmark cache or the generator. A model section
@@ -373,8 +377,8 @@ def run_training(cfg: ExperimentConfig, method: str, seed: int, outdir: str, *,
         atomic_write_text(os.path.join(outdir, "report.json"), report.to_json())
         res.update(report=report, model=model)
 
-    save_matrix_json(w_d, os.path.join(outdir, f"weights__{tag}.json"))
-    save_matrix_json(head.other_weights.data, os.path.join(outdir, f"head__{tag}.json"))
+    save_matrix_npy(w_d, os.path.join(outdir, f"weights__{tag}.npy"))
+    save_matrix_npy(head.other_weights.data, os.path.join(outdir, f"head__{tag}.npy"))
     _write_json(os.path.join(outdir, "config.json"),
                 _run_config_payload(run_cfg, bench.fingerprint))
     return {**res, "head": head, "w_d": w_d}
@@ -385,9 +389,11 @@ def _read_run_dir(run_dir: str):
     ``(cfg, resolved, tag, w_d, head)``. ``cfg`` is the config the run was
     trained with: its variant is the run's method and its one seed the
     run's seed. The resolved block must hold the benchmark fingerprint
-    alone; the weights and head files are shape-checked against the sizes
-    in the config, so a broken run dir fails before ``_run_benchmark``
-    builds its benchmark."""
+    alone. The weights and head ``.npy`` files are read by
+    ``load_matrix_npy`` and shape-checked against the sizes in the config,
+    so a broken run dir fails before ``_run_benchmark`` builds its
+    benchmark; a missing one (in a run dir of JSON matrices, say) raises
+    ValidationError that names it and asks for a retrain."""
     cfg_path = os.path.join(run_dir, "config.json")
     if not os.path.exists(cfg_path):
         raise ConfigError(f"{run_dir} has no config.json (not a run directory?)")
@@ -407,12 +413,22 @@ def _read_run_dir(run_dir: str):
     # seed a non-negative integer, so the tag is safe to build paths from.
     tag = f"{cfg.model.variant}__seed{cfg.seeds[0]}"
     bc = cfg.benchmark
-    w_d = load_matrix_json(os.path.join(run_dir, f"weights__{tag}.json"),
+    w_d = _load_run_matrix(os.path.join(run_dir, f"weights__{tag}.npy"),
                            (bc.num_classes, bc.dim))
     head = DetectionProxyHead(bc.num_other, bc.dim)
-    head.other_weights.data[...] = load_matrix_json(os.path.join(run_dir, f"head__{tag}.json"),
+    head.other_weights.data[...] = _load_run_matrix(os.path.join(run_dir, f"head__{tag}.npy"),
                                                     head.other_weights.data.shape)
     return cfg, resolved, tag, w_d, head
+
+
+def _load_run_matrix(path: str, shape: tuple[int, int]):
+    """The matrix of a run dir at ``path``, by ``load_matrix_npy``. A missing
+    file asks for a retrain: a run dir of an older ``wtx`` holds JSON
+    matrices in its place."""
+    if not os.path.lexists(path):
+        raise ValidationError(f"{path}: no such file; a run dir holds W_D and the head as "
+                              f".npy files (retrain the run)")
+    return load_matrix_npy(path, shape)
 
 
 def _run_benchmark(run_dir: str, cfg: ExperimentConfig, resolved: dict,
@@ -636,13 +652,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("run_dir")
     sp.set_defaults(func=cmd_eval)
 
-    sp = sub.add_parser("analyze", help="neighbor overlap and activation-norm stats")
+    sp = sub.add_parser("analyze", help="neighbor overlap of a finished run's W_D with W_C")
     sp.add_argument("run_dir")
     sp.set_defaults(func=cmd_analyze)
 
     sp = sub.add_parser("compare", help="aggregate runs (or run a full sweep) into a table")
     common(sp)
-    sp.add_argument("run_dirs", nargs="*", help="evaluated run directories to aggregate")
+    sp.add_argument("run_dirs", nargs="*",
+                    help="trained run directories to score into one table")
     sp.add_argument("--grid", action="store_true",
                     help="sweep the input-norm x group-norm ablation grid")
     usable_cpus = (len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity")

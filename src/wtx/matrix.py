@@ -9,15 +9,24 @@ of rows at a time. ``nearest_rows`` is the one nearest-neighbour search:
 the k nearest reference rows of each query, ties to the lowest index,
 optionally skipping each query's own row.
 
-One on-disk format, exact to the bit: JSON (``save_matrix_json``,
-``load_matrix_json``), ``{"rows": R, "cols": C, "data": [...]}`` with each
-value written as its ``repr``, which round-trips float64 exactly. The
-loader validates the document and its shape.
+Two on-disk formats, both exact to the bit, each with a loader that
+validates the file and its shape:
+
+- numpy's ``.npy`` (``save_matrix_npy``, ``load_matrix_npy``) for the
+  matrices of a run directory, W_D and the head: a header with the dtype
+  and shape, then the raw float64 values in C order. Nothing is unpickled.
+- JSON (``save_matrix_json``, ``load_matrix_json``), ``{"rows": R, "cols":
+  C, "data": [...]}`` with each value written as its ``repr``, which
+  round-trips float64 exactly, only for ``generate``'s
+  ``source_weights.json``. The benchmark harness reads that file; it goes
+  when the harness stops reading it (ROADMAP item 4), and ``.npy`` is then
+  the one matrix format.
 """
 
 from __future__ import annotations
 
 import hashlib
+import io
 import json
 import os
 
@@ -149,3 +158,43 @@ def load_matrix_json(path: str, shape: tuple[int, int] | None = None) -> np.ndar
         raise ValidationError(f"{path} holds a {rows}x{cols} matrix where "
                               f"{shape[0]}x{shape[1]} is needed")
     return m.reshape(rows, cols)
+
+
+def save_matrix_npy(m: np.ndarray, path: str) -> None:
+    """The matrix as a float64, C-order ``.npy`` file; no pickled objects."""
+    buf = io.BytesIO()
+    np.save(buf, np.ascontiguousarray(as_matrix(m)), allow_pickle=False)
+    atomic_write_text(path, buf.getvalue())
+
+
+def load_matrix_npy(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
+    """Read a matrix written by save_matrix_npy. Anything but a readable
+    ``.npy`` file of a 2-D, native-order float64 array (``shape`` when one is
+    given) whose values fill the file exactly and are all finite raises
+    ValidationError naming the file. The header is checked before a value
+    is read, so no object is unpickled and no claimed size is allocated."""
+    try:
+        with open(path, "rb") as f:
+            try:
+                version = np.lib.format.read_magic(f)
+                dims, fortran, dtype = (np.lib.format.read_array_header_1_0(f) if version == (1, 0)
+                                        else np.lib.format.read_array_header_2_0(f))
+            except ValueError as e:
+                raise ValidationError(f"{path}: not a .npy file ({e})") from None
+            if dtype != np.dtype(np.float64) or len(dims) != 2 or min(dims) < 0:
+                raise ValidationError(f"{path}: a matrix is a 2-D array of native float64, "
+                                      f"got shape {dims}, dtype {dtype.str}")
+            if shape is not None and dims != tuple(shape):
+                raise ValidationError(f"{path} holds a {dims[0]}x{dims[1]} matrix where "
+                                      f"{shape[0]}x{shape[1]} is needed")
+            count = dims[0] * dims[1]
+            size = os.fstat(f.fileno()).st_size - f.tell()
+            if size != 8 * count:
+                raise ValidationError(f"{path}: a {dims[0]}x{dims[1]} matrix needs "
+                                      f"{8 * count} bytes of values, the file holds {size}")
+            m = np.fromfile(f, np.float64, count).reshape(dims, order="F" if fortran else "C")
+    except OSError as e:
+        raise ValidationError(f"{path}: cannot be read ({e.strerror})") from None
+    if not np.isfinite(m).all():
+        raise ValidationError(f"{path}: data must hold finite numbers only (no NaN or Infinity)")
+    return np.ascontiguousarray(m)

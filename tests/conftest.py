@@ -1,5 +1,7 @@
 import dataclasses
 import glob
+import io
+import json
 import multiprocessing
 
 import numpy as np
@@ -100,6 +102,68 @@ def assert_same_instance(got, want):
             (b.dtype, b.shape, b.flags.c_contiguous, b.flags.writeable), name
         assert a.tobytes() == b.tobytes(), name
     assert got.fingerprint == want.fingerprint
+
+
+def npy_bytes(a, allow_pickle=False):
+    """The bytes ``np.save`` writes for ``a``."""
+    buf = io.BytesIO()
+    np.save(buf, a, allow_pickle=allow_pickle)
+    return buf.getvalue()
+
+
+def npz_bytes(m):
+    buf = io.BytesIO()
+    np.savez(buf, m)
+    return buf.getvalue()
+
+
+def with_first(m, value):
+    m = m.copy()
+    m.flat[0] = value
+    return m
+
+
+def huge_header(m):
+    """A float64 header that claims a 10^9 x 10^9 matrix, over m's values."""
+    buf = io.BytesIO()
+    np.lib.format.write_array_header_1_0(
+        buf, {"descr": "<f8", "fortran_order": False, "shape": (10**9, 10**9)})
+    return buf.getvalue() + m.tobytes()
+
+
+# What each fault writes in place of the .npy file of a matrix m (of two or
+# more rows), all of which load_matrix_npy refuses.
+BAD_NPY = {
+    "empty": lambda m: b"",
+    "truncated": lambda m: npy_bytes(m)[:-1],
+    "padded": lambda m: npy_bytes(m) + bytes(8),
+    "json_text": lambda m: json.dumps({"rows": m.shape[0], "cols": m.shape[1],
+                                       "data": m.ravel().tolist()}).encode(),
+    "pickled_objects": lambda m: npy_bytes(m.astype(object), allow_pickle=True),
+    "float32": lambda m: npy_bytes(m.astype(np.float32)),
+    "int64": lambda m: npy_bytes(m.astype(np.int64)),
+    "big_endian": lambda m: npy_bytes(m.astype(">f8")),
+    "one_dim": lambda m: npy_bytes(m.ravel()),
+    "three_dim": lambda m: npy_bytes(m[None]),
+    "nan": lambda m: npy_bytes(with_first(m, np.nan)),
+    "inf": lambda m: npy_bytes(with_first(m, np.inf)),
+    "neg_inf": lambda m: npy_bytes(with_first(m, -np.inf)),
+    "wrong_shape": lambda m: npy_bytes(m[:-1]),
+    "claims_huge_shape": huge_header,
+    "npz": npz_bytes,
+}
+NPY_FAULTS = ["missing", "directory", *BAD_NPY]
+
+
+def spoil_npy(path, fault):
+    """Put the fault named ``fault``, one of NPY_FAULTS, in place of the
+    valid matrix file at ``path`` (a pathlib.Path)."""
+    m = np.load(path, allow_pickle=False)
+    path.unlink()
+    if fault == "directory":
+        path.mkdir()
+    elif fault != "missing":
+        path.write_bytes(BAD_NPY[fault](m))
 
 
 @pytest.fixture(scope="session", autouse=True)

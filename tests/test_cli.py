@@ -23,12 +23,13 @@ from wtx.config import (EvalSettings, ExperimentConfig, config_from_dict, config
                         default_config)
 from wtx.errors import ConfigError
 from wtx.evaluation import comparison_table, norm_stats
-from wtx.matrix import load_matrix_json, matrix_hash
+from wtx.matrix import load_matrix_npy, matrix_hash, save_matrix_json
 from wtx.models import (METHODS, VARIANTS, Baseline, DetectionProxyHead, Layers, ModelConfig,
                         SourceWeights, TrainConfig, TransferModel, baseline_lsda_bias,
                         baseline_nn_transfer, train_conventional_head, train_joint)
 
-from conftest import assert_no_worker_left, assert_same_instance, tiny_config
+from conftest import (NPY_FAULTS, assert_no_worker_left, assert_same_instance, npy_bytes,
+                      spoil_npy, tiny_config, with_first)
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -352,7 +353,7 @@ def test_cli_generate_train_eval_analyze_compare(tmp_path, capsys):
     assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
     names = os.listdir(run_dir)
     assert "report.json" in names and "config.json" in names
-    assert any(n.startswith("weights__") and n.endswith(".json") for n in names)
+    assert any(n.startswith("weights__") and n.endswith(".npy") for n in names)
     assert any(n.startswith("losses__") for n in names)
 
     assert main(["eval", run_dir]) == 0
@@ -375,7 +376,7 @@ def test_cli_run_directory_format(tmp_path):
     run_dir = tmp_path / "run"
     assert main(["train", "--config", cfg_path, "--out", str(run_dir), "--seed", "1"]) == 0
     trained = {"config.json", "report.json", "losses__ae_wtn__seed1.csv",
-               "weights__ae_wtn__seed1.json", "head__ae_wtn__seed1.json",
+               "weights__ae_wtn__seed1.npy", "head__ae_wtn__seed1.npy",
                "norm_stats__ae_wtn__seed1.json"}
     assert set(os.listdir(run_dir)) == trained
 
@@ -453,7 +454,7 @@ def test_cli_train_and_generate_use_the_first_configured_seed(tmp_path):
     # Without --seed, the first of the config's seeds, not the smallest.
     cfg_path = write_config(tmp_path, dict(tiny_doc(iterations=5), seeds=[1, 0]))
     assert main(["train", "--config", cfg_path, "--out", str(tmp_path / "run")]) == 0
-    assert "weights__ae_wtn__seed1.json" in os.listdir(tmp_path / "run")
+    assert "weights__ae_wtn__seed1.npy" in os.listdir(tmp_path / "run")
     assert main(["generate", "--config", cfg_path, "--out", str(tmp_path / "bench")]) == 0
     assert json.loads((tmp_path / "bench" / "manifest.json").read_text())["seed"] == 1
 
@@ -815,6 +816,15 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
     assert "retrain" in capsys.readouterr().err
 
 
+def record_matrix_loads(monkeypatch):
+    """Make the run-dir matrix loader record each path it is given, then
+    read the file as before; returns the list of paths."""
+    opened, load = [], wtx.cli.load_matrix_npy
+    monkeypatch.setattr(wtx.cli, "load_matrix_npy",
+                        lambda path, shape: opened.append(path) or load(path, shape))
+    return opened
+
+
 @pytest.mark.parametrize("command, key, value", [
     # The resolved block holds the benchmark fingerprint alone. Older run
     # dirs record more there: the variant and some the model overrides, or
@@ -853,11 +863,14 @@ def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, c
     assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
     with open(os.path.join(run_dir, "config.json")) as f:
         doc = json.load(f)
-    write_config(tmp_path, replaced(doc, ("resolved", key), value), name="run/config.json")
     for name in ("weights__x", "head__x"):      # would let "x/../../escaped" resolve
         os.mkdir(os.path.join(run_dir, name))
-    opened = []
-    monkeypatch.setattr(wtx.cli, "load_matrix_json", lambda *a: opened.append(a))
+    opened = record_matrix_loads(monkeypatch)
+    wtx.cli._read_run_dir(run_dir)      # the control: a valid run dir loads both matrices
+    assert opened == [os.path.join(run_dir, f"{name}__ae_wtn__seed0.npy")
+                      for name in ("weights", "head")]
+    opened.clear()
+    write_config(tmp_path, replaced(doc, ("resolved", key), value), name="run/config.json")
     argv = [command, run_dir] + (["--out", str(tmp_path / "cmp")] if command == "compare" else [])
     capsys.readouterr()
     assert main(argv) == 2
@@ -880,10 +893,12 @@ def test_cli_reload_of_a_config_that_names_no_run_exits_2(trained_run, tmp_path,
     import wtx.cli
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
+    opened = record_matrix_loads(monkeypatch)
+    wtx.cli._read_run_dir(str(run_dir))     # the control: a valid run dir loads both matrices
+    assert opened == [str(run_dir / f"{name}__ae_wtn__seed0.npy") for name in ("weights", "head")]
+    opened.clear()
     doc = json.loads((run_dir / "config.json").read_text())
     write_config(tmp_path, replaced(doc, path, value), name="run/config.json")
-    opened = []
-    monkeypatch.setattr(wtx.cli, "load_matrix_json", lambda *a: opened.append(a))
     capsys.readouterr()
     assert run_command(command, run_dir, tmp_path) == 2
     err = capsys.readouterr().err
@@ -905,7 +920,7 @@ def test_cli_a_runs_config_trains_the_run_again(tmp_path):
     assert main(["train", "--config", write_config(tmp_path, doc, name="own.json"),
                  "--out", str(again)]) == 0
     trained = read_tree(first)
-    assert "weights__wtn_plus_gn_only__seed3.json" in trained
+    assert "weights__wtn_plus_gn_only__seed3.npy" in trained
     assert read_tree(again) == trained      # config.json included
 
 
@@ -919,8 +934,8 @@ def test_cli_reload_of_another_methods_label_reads_that_methods_files(trained_ru
     edit_json(run_dir / "config.json", lambda doc: doc["model"].update(variant="wtn"))
     capsys.readouterr()
     assert run_command(command, run_dir, tmp_path) == 2
-    assert re.fullmatch(rf"error: {re.escape(str(run_dir / 'weights__wtn__seed0.json'))}: "
-                        rf"cannot be read \(.+\)\n", capsys.readouterr().err)
+    assert re.fullmatch(rf"error: {re.escape(str(run_dir / 'weights__wtn__seed0.npy'))}: "
+                        rf"no such file; .+ \(retrain the run\)\n", capsys.readouterr().err)
 
 
 def test_cli_reload_of_an_unknown_method_names_the_file_and_the_labels(trained_run, tmp_path,
@@ -1006,15 +1021,15 @@ def test_cli_baseline_run_dirs_train_reload_and_compare(trained_run, tmp_path):
                      "--variant", method, "--seed", "0"]) == 0
         tag = f"{method}__seed0"
         assert sorted(os.listdir(run_dir)) == \
-            ["config.json", f"head__{tag}.json", f"weights__{tag}.json"]
+            ["config.json", f"head__{tag}.npy", f"weights__{tag}.npy"]
 
         run_cfg = _load_config(cfg_path, 0)
         w_seen, head = train_conventional_head(bench.source, bench, mode,
                                                run_cfg.train_config(0))
         want = rule(w_seen, bench.source, k=1)
-        got = load_matrix_json(str(run_dir / f"weights__{tag}.json"), want.shape)
+        got = load_matrix_npy(str(run_dir / f"weights__{tag}.npy"), want.shape)
         assert got.tobytes() == want.tobytes()
-        got = load_matrix_json(str(run_dir / f"head__{tag}.json"))
+        got = load_matrix_npy(str(run_dir / f"head__{tag}.npy"))
         assert got.tobytes() == head.other_weights.data.tobytes()
 
         doc = json.loads((run_dir / "config.json").read_text())
@@ -1028,7 +1043,7 @@ def test_cli_baseline_run_dirs_train_reload_and_compare(trained_run, tmp_path):
         assert main(["eval", str(run_dir)]) == 0
         assert main(["analyze", str(run_dir)]) == 0
         assert sorted(os.listdir(run_dir)) == sorted(
-            ["config.json", f"head__{tag}.json", f"weights__{tag}.json",
+            ["config.json", f"head__{tag}.npy", f"weights__{tag}.npy",
              f"metrics__{tag}__eval_seen.json", f"metrics__{tag}__eval_novel.json",
              f"overlap__{tag}.json"])
         run_dirs.append(str(run_dir))
@@ -1087,12 +1102,18 @@ def run_command(command, run_dir, tmp_path):
     return main(argv + (["--out", str(tmp_path / "cmp")] if command == "compare" else []))
 
 
+def edit_npy(path, corruption):
+    """Replace the matrix file at ``path`` by ``corruption`` of its matrix."""
+    path.write_bytes(corruption(np.load(path, allow_pickle=False)))
+
+
+# Each gives the bytes of a broken matrix file from the valid matrix m.
 CORRUPTIONS = {
-    "data_one_short": lambda m: m.update(data=m["data"][:-1]),
-    "no_rows_key": lambda m: m.pop("rows"),
-    "one_row_less": lambda m: m.update(rows=m["rows"] - 1, data=m["data"][:-m["cols"]]),
-    "reshaped": lambda m: m.update(rows=m["rows"] * m["cols"], cols=1),
-    "null_value": lambda m: m["data"].__setitem__(0, None),
+    "data_one_short": lambda m: npy_bytes(m)[:-8],
+    "no_rows_key": lambda m: npy_bytes(m.ravel()),
+    "one_row_less": lambda m: npy_bytes(m[:-1]),
+    "reshaped": lambda m: npy_bytes(m.reshape(-1, 1)),
+    "null_value": lambda m: npy_bytes(with_first(m, np.nan)),
 }
 
 
@@ -1104,8 +1125,8 @@ def test_cli_reload_rejects_malformed_matrix_files(trained_run, tmp_path, capsys
                                                    prefix, command, corruption):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
-    name = f"{prefix}__ae_wtn__seed0.json"
-    edit_json(run_dir / name, CORRUPTIONS[corruption])
+    name = f"{prefix}__ae_wtn__seed0.npy"
+    edit_npy(run_dir / name, CORRUPTIONS[corruption])
     capsys.readouterr()
     assert run_command(command, run_dir, tmp_path) == 2
     assert name in capsys.readouterr().err
@@ -1141,15 +1162,17 @@ def test_cli_non_utf8_config_names_the_file(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
-@pytest.mark.parametrize("name", ["config.json", "weights__ae_wtn__seed0.json"])
-def test_cli_reload_non_utf8_file_names_the_file(trained_run, tmp_path, capsys, name):
+@pytest.mark.parametrize("name, message", [("config.json", "not valid JSON"),
+                                           ("weights__ae_wtn__seed0.npy", "not a .npy file")],
+                         ids=["config.json", "weights__ae_wtn__seed0.npy"])
+def test_cli_reload_non_utf8_file_names_the_file(trained_run, tmp_path, capsys, name, message):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
     (run_dir / name).write_bytes(NOT_UTF8)
     capsys.readouterr()
     assert main(["eval", str(run_dir)]) == 2
     path = os.path.join(str(run_dir), name)
-    assert re.fullmatch(rf"error: {re.escape(path)}: not valid JSON \(.+\)\n",
+    assert re.fullmatch(rf"error: {re.escape(path)}: {re.escape(message)} \(.+\)\n",
                         capsys.readouterr().err)
 
 
@@ -1162,7 +1185,7 @@ def test_cli_config_that_is_a_directory_exits_2(tmp_path, capsys):
     assert not os.path.exists(tmp_path / "run")
 
 
-@pytest.mark.parametrize("name", ["config.json", "weights__ae_wtn__seed0.json"])
+@pytest.mark.parametrize("name", ["config.json", "weights__ae_wtn__seed0.npy"])
 def test_cli_reload_directory_in_place_of_a_file_exits_2(trained_run, tmp_path, capsys, name):
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
@@ -1262,7 +1285,7 @@ def test_staged_output_removes_the_staging_dir_when_the_swap_fails(tmp_path, mon
 
 MATRIX_FAULTS = {
     "missing": lambda path: path.unlink(),
-    "malformed": lambda path: edit_json(path, CORRUPTIONS["one_row_less"]),
+    "malformed": lambda path: edit_npy(path, CORRUPTIONS["one_row_less"]),
 }
 
 
@@ -1274,12 +1297,50 @@ def test_cli_reload_checks_matrix_files_before_generating(trained_run, tmp_path,
     calls = counting_generate(monkeypatch)
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
-    name = f"{prefix}__ae_wtn__seed0.json"
+    name = f"{prefix}__ae_wtn__seed0.npy"
     MATRIX_FAULTS[fault](run_dir / name)
     capsys.readouterr()
     assert run_command(command, run_dir, tmp_path) == 2
     assert name in capsys.readouterr().err
     assert calls == []
+
+
+@pytest.mark.parametrize("fault", NPY_FAULTS)
+@pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
+def test_cli_reload_of_a_bad_matrix_file_exits_2_naming_it(trained_run, tmp_path, capsys,
+                                                           monkeypatch, command, fault):
+    # Every file load_matrix_npy refuses: one line on stderr that names the
+    # file, no traceback, no benchmark built and no output.
+    calls = counting_generate(monkeypatch)
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    path = run_dir / "weights__ae_wtn__seed0.npy"
+    spoil_npy(path, fault)
+    before = sorted(os.listdir(run_dir))
+    capsys.readouterr()
+    assert run_command(command, run_dir, tmp_path) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: {path}") and err.count("\n") == 1, err
+    assert calls == []
+    assert sorted(os.listdir(run_dir)) == before and not os.path.exists(tmp_path / "cmp")
+
+
+@pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
+def test_cli_reload_of_a_run_dir_of_json_matrices_asks_for_a_retrain(trained_run, tmp_path,
+                                                                     capsys, command):
+    # A run dir of an older wtx holds W_D and the head as JSON matrices; no
+    # command reads those.
+    run_dir = tmp_path / "run"
+    shutil.copytree(trained_run, run_dir)
+    for name in ("weights", "head"):
+        path = run_dir / f"{name}__ae_wtn__seed0.npy"
+        save_matrix_json(load_matrix_npy(str(path)), str(path.with_suffix(".json")))
+        path.unlink()
+    capsys.readouterr()
+    assert run_command(command, run_dir, tmp_path) == 2
+    assert capsys.readouterr().err == \
+        f"error: {run_dir / 'weights__ae_wtn__seed0.npy'}: no such file; a run dir holds " \
+        f"W_D and the head as .npy files (retrain the run)\n"
 
 
 @pytest.fixture(scope="module")
@@ -1505,7 +1566,7 @@ def tree_digest(root):
 
 
 DEFAULT_COMPARISON_SHA256 = "adbe2fd2081742a45adfc6e0c619cc715b9196f0a52cc53d6c63d0f00d72e723"
-DEFAULT_RUNS_DIGEST = ("54145306b9ebff2ad124dd80441eba8459e29547b5ce8212e33abb7b9110213b", 90)
+DEFAULT_RUNS_DIGEST = ("f350efec41945696c2ca04be2d4a049ab0923f4ecb0d35f1608bc552df14885c", 90)
 
 
 def test_cli_default_sweep_comparison_bytes(tmp_path):
@@ -1514,7 +1575,10 @@ def test_cli_default_sweep_comparison_bytes(tmp_path):
     3 methods x 5 seeds at the default size, and the digest of every file
     under its ``runs/``: W_D, the head, the reports, the norm stats and the
     loss records. They are the referee for a change that must keep every
-    output byte (numpy 2.4.6, scipy-openblas 0.3.31, x86-64)."""
+    output byte (numpy 2.4.6, scipy-openblas 0.3.31, x86-64). The runs
+    digest was recorded again when W_D and the head became ``.npy`` files,
+    after each was shown to hold the bits of the JSON matrix before it and
+    every other file was shown to be byte-equal."""
     out = tmp_path / "sweep"
     assert main(["compare", "--jobs", "2", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest() == \
@@ -1523,7 +1587,7 @@ def test_cli_default_sweep_comparison_bytes(tmp_path):
 
 
 GRID_COMPARISON_SHA256 = "8f809cd8c184fb538beb0efe56523583d60d3084a86308cd5208f19cdc4c8e18"
-GRID_RUNS_DIGEST = ("a8ba66c405c1a592fb9d66d358d625e021d11d2153b66a24e6f80322b10d3c5e", 120)
+GRID_RUNS_DIGEST = ("3d8ea793d0e87b057cbc5b91a3870d4841a55d0e87cc7685ed5189caa063bdda", 120)
 
 
 def test_cli_grid_sweep_comparison_bytes(tmp_path):
@@ -1532,7 +1596,8 @@ def test_cli_grid_sweep_comparison_bytes(tmp_path):
     seeds, and the digest of every file under its ``runs/``. Only the grid
     trains ``wtn_plus_in_only`` and ``wtn_plus_gn_only``, so it referees
     those two for a change that must keep every output byte (numpy 2.4.6,
-    scipy-openblas 0.3.31, x86-64)."""
+    scipy-openblas 0.3.31, x86-64). The runs digest was recorded again, as
+    the default sweep's was, when W_D and the head became ``.npy`` files."""
     out = tmp_path / "grid"
     assert main(["compare", "--grid", "--jobs", "2", "--out", str(out)]) == 0
     assert hashlib.sha256((out / "comparison.json").read_bytes()).hexdigest() == \

@@ -1,14 +1,17 @@
 import hashlib
 import json
 import math
+import re
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.errors import ValidationError
-from wtx.matrix import (_BLOCK_ELEMS, load_matrix_json, matrix_hash, nearest_rows, row_l2_norms,
-                        save_matrix_json)
+from wtx.matrix import (_BLOCK_ELEMS, load_matrix_json, load_matrix_npy, matrix_hash,
+                        nearest_rows, row_l2_norms, save_matrix_json, save_matrix_npy)
+
+from conftest import NPY_FAULTS, npy_bytes, spoil_npy
 
 
 def test_transpose_involution():
@@ -45,6 +48,43 @@ def test_json_round_trip_bit_exact(tmp_path):
     with open(path) as f:
         obj = json.load(f)
     assert obj["rows"] == 6 and obj["cols"] == 5 and len(obj["data"]) == 30
+
+
+EXACT_VALUES = [0.0, -0.0, 5e-324, -5e-324, 2.225073858507201e-308, 1e308, -1e308,
+                1.7976931348623157e308, 1 / 3, -2.5]
+
+
+def test_npy_round_trip_bit_exact(tmp_path):
+    # Signed zeros, subnormals and values near the float64 limit come back
+    # bit for bit, in a file np.load reads without pickle.
+    m = np.vstack([np.array(EXACT_VALUES).reshape(2, 5),
+                   np.random.default_rng(9).standard_normal((4, 5)) * 1e3])
+    path = str(tmp_path / "m.npy")
+    save_matrix_npy(m, path)
+    for back in (load_matrix_npy(path), load_matrix_npy(path, (6, 5)),
+                 np.load(path, allow_pickle=False)):
+        assert (back.dtype, back.shape, back.flags.c_contiguous) == (np.float64, (6, 5), True)
+        assert back.tobytes() == m.tobytes()
+    assert (tmp_path / "m.npy").read_bytes() == npy_bytes(m)
+
+
+def test_npy_load_of_a_fortran_order_file_is_the_c_order_matrix(tmp_path):
+    m = np.arange(12.0).reshape(3, 4)
+    (tmp_path / "m.npy").write_bytes(npy_bytes(np.asfortranarray(m)))
+    back = load_matrix_npy(str(tmp_path / "m.npy"), (3, 4))
+    assert back.flags.c_contiguous and back.tobytes() == m.tobytes()
+
+
+@pytest.mark.parametrize("fault", NPY_FAULTS)
+def test_load_matrix_npy_rejects_a_bad_file_naming_it(tmp_path, fault):
+    m = np.random.default_rng(4).standard_normal((3, 2))
+    path = tmp_path / "m.npy"
+    save_matrix_npy(m, str(path))
+    spoil_npy(path, fault)
+    # Only the shape check, given a shape, tells a wrong shape.
+    for shape in (m.shape, None) if fault != "wrong_shape" else (m.shape,):
+        with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}[: ]"):
+            load_matrix_npy(str(path), shape)
 
 
 def test_matrix_hash_detects_any_change():

@@ -11,7 +11,7 @@ from wtx.evaluation import evaluate
 from wtx.gradcheck import max_relative_error, miniature_setup, numeric_gradient
 from wtx.layers import GroupNorm, Linear, ReLU
 from wtx.losses import sigmoid_bce, smooth_l1
-from wtx.matrix import load_matrix_json, matrix_hash, nearest_rows
+from wtx.matrix import load_matrix_npy, matrix_hash, nearest_rows
 from wtx.models import (METHODS, DetectionProxyHead, ModelConfig, SourceWeights,
                         TrainConfig, TransferModel, baseline_lsda_bias,
                         baseline_nn_transfer, joint_losses, train_conventional_head,
@@ -547,7 +547,7 @@ def test_exported_weights_shape_and_bitwise_scoring(tiny_bench, tmp_path):
     res = run_training(tiny_experiment(bench, iterations=50), "ae_wtn", 6, str(tmp_path),
                        bench=bench)
     model, head = res["model"], res["head"]
-    exported = load_matrix_json(str(tmp_path / "weights__ae_wtn__seed6.json"))
+    exported = load_matrix_npy(str(tmp_path / "weights__ae_wtn__seed6.npy"))
     assert exported.shape == (bench.source.num_classes, 16)
     assert np.array_equal(exported, res["w_d"])
 
