@@ -20,7 +20,7 @@ An instance has one on-disk form: one uncompressed ``.npz`` archive
 (``instance_entry``, read back by ``load_instance_entry``) that holds every
 array and a ``meta`` JSON document with the config, the seed, the
 fingerprint and the other facts of the instance. The benchmark cache of
-``wtx.cli`` stores it, and ``wtx generate`` writes it with
+``wtx.runs`` stores it, and ``wtx generate`` writes it with
 ``save_instance``.
 
 ``meta`` also holds ``array_hashes``, the ``matrix_hash`` of every array,

@@ -9,6 +9,7 @@ import shutil
 import stat
 import subprocess
 import sys
+import tempfile
 from concurrent.futures import Future
 
 import numpy as np
@@ -17,8 +18,8 @@ from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_instance_entry
 import wtx.cli
-from wtx.cli import (GRID_METHODS, _load_config, blas_threads, build_parser, main, run_training,
-                     staged_output)
+import wtx.runs
+from wtx.cli import GRID_METHODS, _load_config, build_parser, main, staged_output
 from wtx.config import (EvalSettings, ExperimentConfig, config_from_dict, config_to_dict,
                         default_config)
 from wtx.errors import ConfigError
@@ -27,6 +28,7 @@ from wtx.matrix import load_matrix_npy, matrix_hash, save_matrix_json
 from wtx.models import (METHODS, VARIANTS, Baseline, DetectionProxyHead, Layers, ModelConfig,
                         SourceWeights, TrainConfig, TransferModel, baseline_lsda_bias,
                         baseline_nn_transfer, train_conventional_head, train_joint)
+from wtx.runs import EVAL_SPLITS, benchmark, blas_threads, load_runs, table_row, train_run
 
 from conftest import (NPY_FAULTS, assert_no_worker_left, assert_same_instance, npy_bytes,
                       spoil_npy, tiny_config, with_first)
@@ -36,10 +38,10 @@ PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
 def blas_counts():
     """The thread count of each OpenBLAS loaded in this process."""
-    return [get_n() for _, get_n in wtx.cli._openblas()]
+    return [get_n() for _, get_n in wtx.runs._openblas()]
 
 
-needs_openblas = pytest.mark.skipif(not wtx.cli._openblas(), reason="no OpenBLAS is loaded")
+needs_openblas = pytest.mark.skipif(not wtx.runs._openblas(), reason="no OpenBLAS is loaded")
 
 
 def tiny_doc(**train_overrides):
@@ -383,7 +385,7 @@ def test_cli_run_directory_format(tmp_path):
     # The same run trained in-process gives the losses CSV and report.json.
     same = tmp_path / "same"
     same.mkdir()
-    res = run_training(config_from_dict(tiny_doc(iterations=20)), "ae_wtn", 1, str(same))
+    res = train_run(config_from_dict(tiny_doc(iterations=20)), "ae_wtn", 1, str(same))
     losses = res["report"].losses
     want = ["iteration,l_cls,l_rec,total"] + [
         f"{it},{l_cls!r},{l_rec!r},{total!r}" for it, (l_cls, l_rec, total) in enumerate(losses)]
@@ -533,15 +535,22 @@ class InlineExecutor:
 
 
 def counting_generate(monkeypatch):
-    """Count the benchmarks wtx.cli builds; returns the list of seeds."""
-    import wtx.cli
+    """Count the benchmarks wtx.runs builds; returns the list of seeds, empty.
+    Its control, a build through ``wtx.runs.benchmark`` into a cache of its
+    own, must be counted first, so a test that finds the list still empty
+    shows that no benchmark was built, not that the count missed one."""
     calls = []
 
     def counting(config, seed):
         calls.append(seed)
         return generate_benchmark(config, seed)
 
-    monkeypatch.setattr(wtx.cli, "generate_benchmark", counting)
+    monkeypatch.setattr(wtx.runs, "generate_benchmark", counting)
+    with tempfile.TemporaryDirectory() as home, monkeypatch.context() as mp:
+        mp.setenv("XDG_CACHE_HOME", home)
+        benchmark(tiny_config(), 99)
+    assert calls == [99]
+    calls.clear()
     return calls
 
 
@@ -618,12 +627,12 @@ def test_cli_compare_pool_pins_blas_threads(tmp_path, monkeypatch):
 
     monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlineExecutor)
     for name in ("train_joint", "evaluate"):
-        monkeypatch.setattr(wtx.cli, name, recording(getattr(wtx.cli, name)))
+        monkeypatch.setattr(wtx.runs, name, recording(getattr(wtx.runs, name)))
     with blas_threads(2):
         assert main(["compare", "--config", cfg_path, "--out", str(tmp_path / "inline")]) == 0
-        assert blas_counts() == [2] * len(wtx.cli._openblas())
+        assert blas_counts() == [2] * len(wtx.runs._openblas())
     assert dict(os.environ) == before
-    ones = [1] * len(wtx.cli._openblas())
+    ones = [1] * len(wtx.runs._openblas())
     # 2 seeds x 3 variants, each trained once and scored on 2 splits
     assert seen == [("train_joint", ones), ("evaluate", ones), ("evaluate", ones)] * 6
 
@@ -632,12 +641,12 @@ def test_the_blas_finder_finds_numpys_openblas():
     blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
     if "openblas" not in str(blas.get("name")):
         pytest.skip(f"numpy is built on {blas.get('name')}, not OpenBLAS")
-    assert wtx.cli._openblas()
+    assert wtx.runs._openblas()
 
 
 @needs_openblas
 def test_blas_threads_pins_the_count_restores_it_and_nests():
-    n = len(wtx.cli._openblas())
+    n = len(wtx.runs._openblas())
     with blas_threads(2):
         assert blas_counts() == [2] * n
         with blas_threads(1):
@@ -653,9 +662,9 @@ def test_blas_threads_pins_the_count_restores_it_and_nests():
 
 
 def test_blas_threads_does_nothing_without_openblas(monkeypatch):
-    real = wtx.cli._openblas()
+    real = wtx.runs._openblas()
     with blas_threads(2):
-        monkeypatch.setattr(wtx.cli, "_openblas", lambda: ())
+        monkeypatch.setattr(wtx.runs, "_openblas", lambda: ())
         with blas_threads(1):
             assert [get_n() for _, get_n in real] == [2] * len(real)
 
@@ -819,8 +828,8 @@ def test_cli_reload_checks_the_benchmark_fingerprint(tmp_path, capsys):
 def record_matrix_loads(monkeypatch):
     """Make the run-dir matrix loader record each path it is given, then
     read the file as before; returns the list of paths."""
-    opened, load = [], wtx.cli.load_matrix_npy
-    monkeypatch.setattr(wtx.cli, "load_matrix_npy",
+    opened, load = [], wtx.runs.load_matrix_npy
+    monkeypatch.setattr(wtx.runs, "load_matrix_npy",
                         lambda path, shape: opened.append(path) or load(path, shape))
     return opened
 
@@ -857,7 +866,6 @@ def record_matrix_loads(monkeypatch):
 ])
 def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, command, key,
                                                 value):
-    import wtx.cli
     cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
     run_dir = str(tmp_path / "run")
     assert main(["train", "--config", cfg_path, "--out", run_dir, "--seed", "0"]) == 0
@@ -866,7 +874,7 @@ def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, c
     for name in ("weights__x", "head__x"):      # would let "x/../../escaped" resolve
         os.mkdir(os.path.join(run_dir, name))
     opened = record_matrix_loads(monkeypatch)
-    wtx.cli._read_run_dir(run_dir)      # the control: a valid run dir loads both matrices
+    load_runs([run_dir], ())        # the control: a valid run dir loads both matrices
     assert opened == [os.path.join(run_dir, f"{name}__ae_wtn__seed0.npy")
                       for name in ("weights", "head")]
     opened.clear()
@@ -890,11 +898,10 @@ def test_cli_reload_rejects_bad_resolved_values(tmp_path, capsys, monkeypatch, c
 @pytest.mark.parametrize("command", ["eval", "analyze", "compare"])
 def test_cli_reload_of_a_config_that_names_no_run_exits_2(trained_run, tmp_path, capsys,
                                                           monkeypatch, command, path, value):
-    import wtx.cli
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
     opened = record_matrix_loads(monkeypatch)
-    wtx.cli._read_run_dir(str(run_dir))     # the control: a valid run dir loads both matrices
+    load_runs([str(run_dir)], ())       # the control: a valid run dir loads both matrices
     assert opened == [str(run_dir / f"{name}__ae_wtn__seed0.npy") for name in ("weights", "head")]
     opened.clear()
     doc = json.loads((run_dir / "config.json").read_text())
@@ -940,7 +947,6 @@ def test_cli_reload_of_another_methods_label_reads_that_methods_files(trained_ru
 
 def test_cli_reload_of_an_unknown_method_names_the_file_and_the_labels(trained_run, tmp_path,
                                                                        capsys):
-    import wtx.cli
     run_dir = tmp_path / "run"
     shutil.copytree(trained_run, run_dir)
     edit_json(run_dir / "config.json", lambda doc: doc["model"].update(variant="ridge"))
@@ -1002,6 +1008,8 @@ def test_cli_a_model_section_invalid_for_a_method_exits_2_before_any_benchmark(
     assert cache_entries(cache_home) == []
     assert os.listdir(tmp_path) == ["config.json"]   # no output, no staging directory
     assert_no_worker_left()
+    benchmark(tiny_config(), 0)         # the control: a build writes its entry there
+    assert len(cache_entries(cache_home)) == 1
 
 
 BASELINE_FITS = {"nn_copy": ("plain", baseline_nn_transfer),
@@ -1281,7 +1289,52 @@ def test_staged_output_removes_the_staging_dir_when_the_swap_fails(tmp_path, mon
     assert os.listdir(tmp_path) == []
 
 
+def test_cli_failed_command_removes_the_parents_of_out_it_made(tmp_path, capsys):
+    # "keep" was there before the command, so it stays; "a/b" did not.
+    cfg_path = write_config(tmp_path, tiny_doc(adamw_lr=1e308, iterations=30))
+    (tmp_path / "keep").mkdir()
+    out = tmp_path / "keep" / "a" / "b" / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 3
+    assert "iteration" in capsys.readouterr().err
+    assert sorted(os.listdir(tmp_path)) == ["config.json", "keep"]
+    assert os.listdir(tmp_path / "keep") == []
+
+
+def test_cli_command_keeps_the_parents_of_out_it_made(tmp_path):
+    cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
+    out = tmp_path / "a" / "b" / "run"
+    assert main(["train", "--config", cfg_path, "--out", str(out)]) == 0
+    assert "config.json" in os.listdir(out)
+    assert os.listdir(tmp_path / "a") == ["b"] and os.listdir(tmp_path / "a" / "b") == ["run"]
+
+
+def test_staged_output_removes_only_the_parents_it_made_that_are_empty(tmp_path):
+    # Another writer put a file into "a" while the body ran: "a" stays.
+    with pytest.raises(KeyError):
+        with staged_output(str(tmp_path / "a" / "b" / "out"), overwrite=False):
+            (tmp_path / "a" / "other").write_text("x")
+            raise KeyError("x")
+    assert sorted(os.listdir(tmp_path / "a")) == ["other"]
+
+
 # --- reloading run directories ------------------------------------------------------
+
+@pytest.mark.parametrize("method", ["ae_wtn", "lsda"])
+def test_a_reloaded_run_is_the_run_train_run_returned(tmp_path, method):
+    # One run record: a reload holds what training returned, less the
+    # transfer network and its report, and scores into the same row.
+    trained = train_run(config_from_dict(tiny_doc(iterations=5)), method, 0, str(tmp_path))
+    [reloaded] = load_runs([str(tmp_path)], EVAL_SPLITS)
+    assert sorted(reloaded) == ["bench", "config", "head", "tag", "w_d"]
+    assert sorted(set(trained) - set(reloaded)) == (["model", "report"] if method == "ae_wtn"
+                                                    else [])
+    assert (reloaded["tag"], reloaded["config"]) == (trained["tag"], trained["config"])
+    assert reloaded["bench"].fingerprint == trained["bench"].fingerprint
+    assert reloaded["w_d"].tobytes() == trained["w_d"].tobytes()
+    assert reloaded["head"].other_weights.data.tobytes() == \
+        trained["head"].other_weights.data.tobytes()
+    assert table_row(reloaded) == table_row(trained)
+
 
 MATRIX_FAULTS = {
     "missing": lambda path: path.unlink(),
@@ -1489,12 +1542,16 @@ def test_cli_compare_run_dirs_rejects_the_sweep_flags(seed_runs, tmp_path, capsy
                                                       flags):
     # The sweep flags do nothing to runs that are already trained; given
     # with RUN_DIRS they exit 2 before any run dir is read.
-    import wtx.cli
-    read = []
-    monkeypatch.setattr(wtx.cli, "_read_run_dir", read.append)
+    read, load = [], wtx.cli.load_runs
+    monkeypatch.setattr(wtx.cli, "load_runs",
+                        lambda run_dirs, splits: read.append(run_dirs) or load(run_dirs, splits))
+    run_dirs = [str(seed_runs["wtn", 0]), str(seed_runs["wtn", 1])]
+    # The control: without the flags, the command reads the run dirs.
+    assert main(["compare", *run_dirs, "--out", str(tmp_path / "control")]) == 0
+    assert read == [run_dirs]
+    read.clear()
     capsys.readouterr()
-    assert main(["compare", str(seed_runs["wtn", 0]), str(seed_runs["wtn", 1]), *flags,
-                 "--out", str(tmp_path / "cmp")]) == 2
+    assert main(["compare", *run_dirs, *flags, "--out", str(tmp_path / "cmp")]) == 2
     assert capsys.readouterr().err.startswith(f"error: {flags[0]} configures a sweep")
     assert read == []
     assert not os.path.exists(tmp_path / "cmp")
@@ -1632,13 +1689,13 @@ def cache_entries(cache_home):
     return sorted(os.listdir(root)) if root.exists() else []
 
 
-def test_cache_hit_equals_a_fresh_build(cache_home):
-    import wtx.cli
+def test_cache_hit_equals_a_fresh_build(monkeypatch, cache_home):
+    calls = counting_generate(monkeypatch)
     config = tiny_config()
-    built, cached = wtx.cli._benchmark(config, 5)
-    assert not cached and len(cache_entries(cache_home)) == 1
-    hit, cached = wtx.cli._benchmark(config, 5)
-    assert cached and hit is not built
+    built = benchmark(config, 5)
+    assert calls == [5] and len(cache_entries(cache_home)) == 1
+    hit = benchmark(config, 5)
+    assert calls == [5] and hit is not built        # a hit
     fresh = generate_benchmark(config, 5)
     assert_same_instance(built, fresh)
     assert_same_instance(hit, fresh)
@@ -1725,7 +1782,6 @@ ALTERED_MEMBER = {("altered", "train"): "train.features",
 ])
 def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home, fault,
                                                command):
-    import wtx.cli
     cfg_path = write_config(tmp_path, tiny_doc(iterations=5))
     run_dir = tmp_path / "run"
     train = ["train", "--config", cfg_path, "--seed", "0", "--out"]
@@ -1737,15 +1793,15 @@ def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home
     [name] = cache_entries(cache_home)
     path = cache_home / "wtx" / "benchmarks" / name
     config = tiny_config()
+    calls = counting_generate(monkeypatch)
     if fault == "truncated":
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     elif fault.startswith("altered"):
         rewrite_entry(path, altered(ALTERED_MEMBER[fault, command]))
     else:
         stale_entry(path, generate_benchmark(config, 0))
-        bench, cached = wtx.cli._benchmark(config, 0)     # a hit, by its own fingerprint
-        assert cached and bench.fingerprint != generate_benchmark(config, 0).fingerprint
-    calls = counting_generate(monkeypatch)
+        bench = benchmark(config, 0)        # a hit, by its own fingerprint
+        assert calls == [] and bench.fingerprint != generate_benchmark(config, 0).fingerprint
     if command == "train":
         assert main(train + [str(tmp_path / "again")]) == 0
         assert read_tree(tmp_path / "again") == trained
@@ -1855,46 +1911,63 @@ def test_cli_unwritable_cache_changes_no_exit_code_or_byte(tmp_path, monkeypatch
     assert results["broken"] == results["working"]
 
 
-def test_cache_key_changes_with_the_seed_each_config_field_and_the_stamp(monkeypatch):
-    import wtx.cli
+def test_cache_key_changes_with_the_seed_each_config_field_and_the_stamp(monkeypatch,
+                                                                         tiny_bench):
+    # The entry each lookup reads names its key. No lookup hits, and every
+    # build hands back a benchmark made beforehand: only the names count.
+    looked_up = []
+
+    def missing(path, config, seed, splits):
+        looked_up.append(os.path.basename(path))
+        raise FileNotFoundError(path)
+
+    monkeypatch.setattr(wtx.runs, "load_instance_entry", missing)
+    monkeypatch.setattr(wtx.runs, "generate_benchmark", lambda config, seed: tiny_bench)
+
+    def key(config, seed):
+        benchmark(config, seed)
+        return looked_up[-1]
+
     config = BenchConfig()
-    stamp = wtx.cli._cache_stamp()
+    stamp = wtx.runs._cache_stamp()
     assert set(stamp) == {"sources", "python", "numpy", "blas", "host", "arch"}
-    keys = [wtx.cli._cache_key(config, 0), wtx.cli._cache_key(config, 1)]
+    keys = [key(config, 0), key(config, 1)]
     for f in dataclasses.fields(BenchConfig):
         # A valid value: multilabel_fraction stays inside [0, 1].
         value = getattr(config, f.name)
         value = value / 2 if f.name == "multilabel_fraction" else value + 1
-        keys.append(wtx.cli._cache_key(dataclasses.replace(config, **{f.name: value}), 0))
+        keys.append(key(dataclasses.replace(config, **{f.name: value}), 0))
     for name in stamp:
         with monkeypatch.context() as mp:
-            mp.setattr(wtx.cli, "_cache_stamp", lambda name=name: {**stamp, name: "other"})
-            keys.append(wtx.cli._cache_key(config, 0))
+            mp.setattr(wtx.runs, "_cache_stamp", lambda name=name: {**stamp, name: "other"})
+            keys.append(key(config, 0))
     assert len(set(keys)) == len(keys) == 2 + len(dataclasses.fields(BenchConfig)) + len(stamp)
-    assert wtx.cli._cache_key(BenchConfig(), 0) == keys[0]
+    assert key(BenchConfig(), 0) == keys[0]
+    assert all(re.fullmatch(r"[0-9a-f]{64}\.npz", k) for k in keys)
 
 
 def test_cache_evicts_the_least_recently_used_first(monkeypatch, cache_home):
-    import wtx.cli
+    calls = counting_generate(monkeypatch)
     config = tiny_config()
     root = cache_home / "wtx" / "benchmarks"
     paths = {}
     for seed in range(3):
-        wtx.cli._benchmark(config, seed)
+        benchmark(config, seed)
         [paths[seed]] = set(root.iterdir()) - set(paths.values())
         os.utime(paths[seed], ns=(10**18 + seed * 10**9,) * 2)     # seed 0 oldest
-    assert wtx.cli._benchmark(config, 0)[1]                         # a hit: now the newest
+    benchmark(config, 0)
+    assert calls == [0, 1, 2]                                       # a hit: now the newest
     size = max(p.stat().st_size for p in paths.values())
     # The temp file of a writer killed before its rename, older than every
     # entry: it counts against the cap and goes first.
     orphan = root / f".tmp-{'0' * 16}-{paths[1].name}"
     orphan.write_bytes(b"\0" * size)
     os.utime(orphan, ns=(10**18 - 10**9,) * 2)
-    monkeypatch.setattr(wtx.cli, "CACHE_BYTES", int(2.5 * size))
-    wtx.cli._benchmark(config, 3)
+    monkeypatch.setattr(wtx.runs, "CACHE_BYTES", int(2.5 * size))
+    benchmark(config, 3)
     [new] = set(root.iterdir()) - set(paths.values())
     assert set(root.iterdir()) == {paths[0], new}      # the orphan, seeds 1 and 2 went
-    assert sum(p.stat().st_size for p in root.iterdir()) <= wtx.cli.CACHE_BYTES
+    assert sum(p.stat().st_size for p in root.iterdir()) <= wtx.runs.CACHE_BYTES
 
 
 @needs_openblas
@@ -1908,7 +1981,7 @@ def test_cli_preset_bits_do_not_depend_on_the_command(tmp_path, cache_home):
         doc = dict(json.load(f), train={"iterations": 2}, seeds=[0])
     cfg_path = write_config(tmp_path, doc)
     sweep = tmp_path / "sweep"
-    n = len(wtx.cli._openblas())
+    n = len(wtx.runs._openblas())
 
     def command(*argv):
         assert main(list(argv)) == 0

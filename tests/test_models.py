@@ -4,7 +4,6 @@ import pickle
 import numpy as np
 import pytest
 
-from wtx.cli import run_training
 from wtx.config import EvalSettings, ExperimentConfig
 from wtx.errors import ConfigError, ShapeError, StateError, TrainingDiverged
 from wtx.evaluation import evaluate
@@ -17,6 +16,7 @@ from wtx.models import (METHODS, DetectionProxyHead, ModelConfig, SourceWeights,
                         baseline_nn_transfer, joint_losses, train_conventional_head,
                         train_joint)
 from wtx.optim import AdamW, SGDMomentum
+from wtx.runs import train_run
 
 from conftest import make_model, top1_over
 
@@ -313,8 +313,8 @@ def test_train_report_curves_and_csv(tiny_bench, tmp_path):
     assert all(l_rec == 0.0 and total == l_cls for l_cls, l_rec, total in report.losses)
     assert (report.final_l_cls, report.final_l_rec, report.final_total) == report.losses[-1]
 
-    # run_training trains the same run and writes its losses, one line per iteration.
-    res = run_training(cfg, "wtn_plus", 2, str(tmp_path), bench=bench)
+    # train_run trains the same run and writes its losses, one line per iteration.
+    res = train_run(cfg, "wtn_plus", 2, str(tmp_path), bench=bench)
     assert res["report"].losses == report.losses
     lines = (tmp_path / "losses__wtn_plus__seed2.csv").read_text().splitlines()
     assert lines[0] == "iteration,l_cls,l_rec,total"
@@ -544,8 +544,8 @@ def test_model_input_follows_the_source_it_is_given(tiny_bench):
 
 def test_exported_weights_shape_and_bitwise_scoring(tiny_bench, tmp_path):
     bench = tiny_bench
-    res = run_training(tiny_experiment(bench, iterations=50), "ae_wtn", 6, str(tmp_path),
-                       bench=bench)
+    res = train_run(tiny_experiment(bench, iterations=50), "ae_wtn", 6, str(tmp_path),
+                    bench=bench)
     model, head = res["model"], res["head"]
     exported = load_matrix_npy(str(tmp_path / "weights__ae_wtn__seed6.npy"))
     assert exported.shape == (bench.source.num_classes, 16)
