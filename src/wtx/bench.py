@@ -21,13 +21,21 @@ An instance has one on-disk form: one uncompressed ``.npz`` archive
 array and a ``meta`` JSON document with the config, the seed, the
 fingerprint and the other facts of the instance. The benchmark cache of
 ``wtx.runs`` stores it, and ``wtx generate`` writes it with
-``save_instance``.
+``save_instance``: byte for byte the cache entry it checked
+(``read_instance_entry``) or the one it built, serialized once per build.
 
 ``meta`` also holds ``array_hashes``, the ``matrix_hash`` of every array,
 and the fingerprint is computed from those of W_C and each split's
 features. A load may read only some splits. It checks each array it reads
 against its hash and the hashes against the fingerprint, so a damaged
 array fails only the loads that read it.
+
+The archive has one reader, ``_read_member``, and no ``np.load``. It finds
+a member through the zip directory, checks its ``.npy`` header with
+``wtx.matrix.read_npy_header`` and reads its values straight into the
+array, with one copy, then checks the member's CRC-32. The hashes cover an
+array's shape and bytes but not its dtype, so the CRC is what sees a
+changed dtype in a header.
 """
 
 from __future__ import annotations
@@ -36,6 +44,9 @@ import hashlib
 import io
 import json
 import os
+import struct
+import zipfile
+import zlib
 from dataclasses import asdict, dataclass, field, fields
 from functools import cached_property
 
@@ -44,7 +55,7 @@ import numpy as np
 from .errors import ConfigError, StateError, ValidationError
 from .losses import _logistic
 from .matrix import (atomic_write_text, blocked_sq_dists, matrix_hash, nearest_rows,
-                     row_l2_norms, save_matrix_json)
+                     read_npy_header, read_npy_values, row_l2_norms, save_matrix_json)
 from .models import SourceWeights
 
 
@@ -406,39 +417,70 @@ def instance_entry(instance: BenchmarkInstance) -> bytes:
     return buf.getvalue()
 
 
-def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
+def save_instance(instance: BenchmarkInstance, dirpath: str, entry: bytes | None = None) -> None:
     """Write the instance into the directory ``dirpath``: ``benchmark.npz``,
-    its ``instance_entry``; ``manifest.json``, the entry's ``meta``
-    document; and ``source_weights.json``, W_C as a JSON matrix."""
-    atomic_write_text(os.path.join(dirpath, "benchmark.npz"), instance_entry(instance))
+    its ``instance_entry`` (``entry`` if the caller has its bytes);
+    ``manifest.json``, the entry's ``meta`` document; and
+    ``source_weights.json``, W_C as a JSON matrix."""
+    if entry is None:
+        entry = instance_entry(instance)
+    atomic_write_text(os.path.join(dirpath, "benchmark.npz"), entry)
     atomic_write_text(os.path.join(dirpath, "manifest.json"), _entry_meta(instance))
     save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
 
 
-def load_instance_entry(path: str, config: BenchConfig, seed: int,
-                        splits=None) -> BenchmarkInstance:
-    """The instance in an entry that ``instance_entry`` wrote for (config,
-    seed), read without unpickling: W_C, the small arrays and the splits
-    named in ``splits`` (every split if None; ``split`` of another raises
-    StateError). W_C and the split features come back read-only, as
-    ``generate_benchmark`` makes them. An entry of another (config, seed),
-    or one where an array read does not hash to its stored hash or the
-    hashes do not hash to the stored fingerprint, raises ValidationError; a
-    file that is not such an archive raises what numpy, the zip reader or a
-    missing ``meta`` key raise."""
-    # The file is opened here: np.load leaves its own file open when the
-    # archive fails to parse.
-    with open(path, "rb") as f, np.load(f, allow_pickle=False) as archive:
-        meta = json.loads(str(archive["meta"]))
-        if meta["config"] != asdict(config) or meta["seed"] != seed:
-            raise ValidationError(f"{path}: an entry of another benchmark")
-        names = [s for s in meta["splits"] if splits is None or s in splits]
-        a = {member: archive[member] for member in archive.files
-             if member != "meta" and ("." not in member or member.split(".")[0] in names)}
+def _read_member(f, info: zipfile.ZipInfo, path: str, data: bytes | None = None) -> np.ndarray:
+    """The array in the ``.npy`` member ``info`` of the archive that the
+    binary file ``f`` holds, read by ``read_npy_values`` (a view of ``data``,
+    the archive's bytes, if given). Only a stored (uncompressed) member is
+    read. Its header is checked by ``read_npy_header`` before any value is
+    read, and the CRC-32 of its bytes against the archive's. A member that
+    fails a check raises ValidationError."""
+    what = f"{path}: {info.filename}"
+    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
+        raise ValidationError(f"{what} is not a stored member")
+    f.seek(info.header_offset)
+    local = f.read(zipfile.sizeFileHeader)
+    if len(local) != zipfile.sizeFileHeader or local[:4] != zipfile.stringFileHeader:
+        raise ValidationError(f"{what}: no local file header at its offset")
+    *_, name_size, extra_size = struct.unpack(zipfile.structFileHeader, local)
+    if f.read(name_size) != info.filename.encode():
+        raise ValidationError(f"{what}: the local file header names another member")
+    start = f.seek(extra_size, os.SEEK_CUR)
+    header = read_npy_header(f, info.file_size, what)
+    size = f.tell() - start
+    f.seek(start)
+    crc = zlib.crc32(f.read(size))
+    a = read_npy_values(f, *header, what, data)
+    if zlib.crc32(a.ravel(order="K"), crc) != info.CRC:
+        raise ValidationError(f"{what} fails its CRC-32 check")
+    return a
+
+
+def _read_entry(f, path: str, config: BenchConfig, seed: int, splits,
+                data: bytes | None = None) -> BenchmarkInstance:
+    """The instance in the entry archive that the binary file ``f`` holds;
+    see ``load_instance_entry``."""
+    try:
+        with zipfile.ZipFile(f) as archive:
+            members = {info.filename.removesuffix(".npy"): info for info in archive.infolist()}
+    except zipfile.BadZipFile as e:
+        raise ValidationError(f"{path}: not a zip archive ({e})") from None
+    if "meta" not in members:
+        raise ValidationError(f"{path}: no meta member")
+    meta = json.loads(str(_read_member(f, members.pop("meta"), path, data)))
+    if meta["config"] != asdict(config) or meta["seed"] != seed:
+        raise ValidationError(f"{path}: an entry of another benchmark")
     hashes = meta["array_hashes"]
-    for member in a:
-        if matrix_hash(a[member]) != hashes.get(member):
-            raise ValidationError(f"{path}: {member} does not hash to its stored hash")
+    if set(members) != set(hashes):
+        raise ValidationError(f"{path}: the members are not those of the stored hashes")
+    names = [s for s in meta["splits"] if splits is None or s in splits]
+    a = {}
+    for member in hashes:
+        if "." not in member or member.split(".")[0] in names:
+            a[member] = _read_member(f, members[member], path, data)
+            if matrix_hash(a[member]) != hashes[member]:
+                raise ValidationError(f"{path}: {member} does not hash to its stored hash")
     loaded = {s: Split(**{f: a[f"{s}.{f}"] for f in _SPLIT_ARRAYS}) for s in names}
     for sp in loaded.values():
         sp.features.setflags(write=False)
@@ -452,3 +494,40 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
     if instance.fingerprint != meta["fingerprint"]:
         raise ValidationError(f"{path}: the array hashes do not hash to the stored fingerprint")
     return instance
+
+
+def load_instance_entry(path: str, config: BenchConfig, seed: int,
+                        splits=None) -> BenchmarkInstance:
+    """The instance in an entry that ``instance_entry`` wrote for (config,
+    seed): W_C, the small arrays and the splits named in ``splits`` (every
+    split if None; ``split`` of another raises StateError). The meta
+    document is read first; then each array it names, and no other, is
+    read straight from its member of the file with one copy, found through
+    the zip directory. W_C and the split features come back read-only, as
+    ``generate_benchmark`` makes them.
+
+    Nothing is unpickled. Raises ValidationError, naming the file:
+    - for a file that is not a zip archive (a truncated one, say) or has no
+      ``meta`` member;
+    - for an entry of another (config, seed), or one whose members are not
+      the arrays its meta document hashes;
+    - for a member read that is not stored uncompressed, whose ``.npy``
+      header does not parse, has an object dtype or claims other than the
+      bytes the member holds (checked before a value is read), or whose
+      bytes fail the member's CRC-32, which is what sees a changed dtype;
+    - for an array read that does not hash to its stored hash, or hashes
+      that do not hash to the stored fingerprint.
+    A file that cannot be opened raises OSError."""
+    with open(path, "rb") as f:
+        return _read_entry(f, path, config, seed, splits)
+
+
+def read_instance_entry(path: str, config: BenchConfig,
+                        seed: int) -> tuple[BenchmarkInstance, bytes]:
+    """The whole instance in the entry at ``path`` and the entry's bytes,
+    read from the file once: the instance is checked as
+    ``load_instance_entry`` checks it, and its arrays are read-only views of
+    those bytes, so the bytes that were checked are held once."""
+    with open(path, "rb") as f:
+        data = f.read()
+    return _read_entry(io.BytesIO(data), path, config, seed, None, data), data

@@ -49,40 +49,50 @@ def _resolve_transferred(transferred, source: SourceWeights) -> np.ndarray:
     return w
 
 
-def _topk_hits(logits: np.ndarray, truth: np.ndarray, row_class: np.ndarray,
+# The rank ``_true_ranks`` gives a row with no true column: above any k.
+_NO_TRUE_COLUMN = np.iinfo(np.int32).max
+
+
+def _true_ranks(logits: np.ndarray, truth: np.ndarray, row_class: np.ndarray,
                k: int) -> np.ndarray:
-    """Per row i, whether any of the k highest logits marks a true class of
-    the row's class, ``truth[row_class[i]]``, with ties broken toward the
-    lowest class index: the first k columns of a stable argsort of -logits,
-    found by counting ranks instead of sorting. A true column t of row i is
-    among them exactly when
+    """Per row i, the lowest rank of a true column of the row's class,
+    ``truth[row_class[i]]``, in a stable argsort of -logits (ties to the
+    lowest class index), found by counting instead of sorting. It is exact
+    below k; a row whose best true column ranks k or lower gets k or more,
+    and a row with no true column _NO_TRUE_COLUMN. So rank 0 is a top-1 hit
+    (the true column is ``np.argmax``) and a rank below k a recall@k hit.
+    True column t of row i has the rank
 
         #(j with logits[i, j] > logits[i, t])
-          + #(j < t with logits[i, j] == logits[i, t])  <  k.
+          + #(j < t with logits[i, j] == logits[i, t]).
 
     Each class's true columns fill slots in ascending order; per slot, one
     compare-and-count pass over the rows whose class has that many true
     columns gives the first term, and the tie term is counted only on the
-    rows where the first is below k. Ties are common: the untrained "other"
-    columns all score 0. The rule holds for every logit but NaN, which ``>``
-    and ``==`` do not order as the sort does; the logits are finite on every
-    path: the generator's features times weights that were trained to a
-    finite loss or reloaded from files that must hold finite numbers."""
+    rows where the first is below k. Each count sums a uint8 view of the
+    comparison into int32: 0.37 ms for 7500 x 205 booleans, against 0.8 ms
+    for ``count_nonzero``.
+    Ties are common: the untrained "other" columns all score 0. The rule
+    holds for every logit but NaN, which ``>`` and ``==`` do not order as
+    the sort does; the logits are finite on every path: the generator's
+    features times weights that were trained to a finite loss or reloaded
+    from files that must hold finite numbers."""
     n_true = truth.sum(axis=1)
     slots = np.argsort(~truth, axis=1, kind="stable")     # true columns first, ascending
     row_true = n_true[row_class]
     cols = np.arange(logits.shape[1])
-    hits = np.zeros(len(row_class), dtype=bool)
+    best = np.full(len(row_class), _NO_TRUE_COLUMN, dtype=np.int32)
     for s in range(n_true.max(initial=0)):
         rows = np.flatnonzero(row_true > s)
         sub = logits if len(rows) == len(logits) else logits[rows]
         t = slots[row_class[rows], s]
         lt = sub[np.arange(len(rows)), t][:, None]
-        above = np.count_nonzero(sub > lt, axis=1)
-        near = np.flatnonzero(above < k)
-        tied_before = np.count_nonzero((sub[near] == lt[near]) & (cols < t[near, None]), axis=1)
-        hits[rows[near[above[near] + tied_before < k]]] = True
-    return hits
+        rank = (sub > lt).view(np.uint8).sum(axis=1, dtype=np.int32)
+        near = np.flatnonzero(rank < k)
+        tied = (sub[near] == lt[near]) & (cols < t[near, None])
+        rank[near] += tied.view(np.uint8).sum(axis=1, dtype=np.int32)
+        best[rows] = np.minimum(best[rows], rank)
+    return best
 
 
 def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
@@ -106,8 +116,8 @@ def evaluate(head: DetectionProxyHead, transferred, instance: BenchmarkInstance,
     if k < 1:
         raise ValueError(f"recall k must be >= 1, got {k}")
     k_eff = min(k, len(universe))
-    top1_hit = truth[sp.class_index, np.argmax(logits, axis=1)]
-    recall_hit = _topk_hits(logits, truth, sp.class_index, k_eff)
+    rank = _true_ranks(logits, truth, sp.class_index, k_eff)
+    top1_hit, recall_hit = rank == 0, rank < k_eff
 
     n_classes = len(sp.class_ids)
     counts = np.bincount(sp.class_index, minlength=n_classes).tolist()

@@ -21,6 +21,12 @@ validates the file and its shape:
   ``source_weights.json``. The benchmark harness reads that file; it goes
   when the harness stops reading it (ROADMAP item 4), and ``.npy`` is then
   the one matrix format.
+
+The package has one ``.npy`` reader, in two steps: ``read_npy_header``
+parses and checks a header, and ``read_npy_values`` reads the values after
+it with one copy (or, over bytes already in memory, none).
+``load_matrix_npy`` reads a run directory's matrices with it, and
+``wtx.bench`` each member of a benchmark archive.
 """
 
 from __future__ import annotations
@@ -28,6 +34,7 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
 
 import numpy as np
@@ -167,6 +174,53 @@ def save_matrix_npy(m: np.ndarray, path: str) -> None:
     atomic_write_text(path, buf.getvalue())
 
 
+def read_npy_header(f, size: int, what: str) -> tuple[tuple[int, ...], bool, np.dtype]:
+    """The shape, Fortran-order flag and dtype in the ``.npy`` header at the
+    position of the binary file ``f``, where the array, header included,
+    takes the next ``size`` bytes; ``f`` is left at the first value. Anything
+    but a ``.npy`` header, an object dtype, or values that would not fill the
+    rest of the ``size`` bytes exactly raises ValidationError naming
+    ``what``. Nothing is unpickled and no claimed size is allocated."""
+    start = f.tell()
+    try:
+        version = np.lib.format.read_magic(f)
+        shape, fortran, dtype = (np.lib.format.read_array_header_1_0(f) if version == (1, 0)
+                                 else np.lib.format.read_array_header_2_0(f))
+    except ValueError as e:
+        raise ValidationError(f"{what}: not a .npy file ({e})") from None
+    if dtype.hasobject:
+        raise ValidationError(f"{what}: a .npy array of Python objects ({dtype.str}); "
+                              f"nothing is unpickled")
+    if min(shape, default=0) < 0:
+        raise ValidationError(f"{what}: not a .npy file (shape {shape})")
+    need = dtype.itemsize * math.prod(shape)
+    held = size - (f.tell() - start)
+    if held != need:
+        raise ValidationError(f"{what}: a {shape} array of {dtype.str} needs {need} bytes "
+                              f"of values, {held} follow its header")
+    return shape, fortran, dtype
+
+
+def read_npy_values(f, shape: tuple[int, ...], fortran: bool, dtype: np.dtype, what: str,
+                    data: bytes | None = None) -> np.ndarray:
+    """The values that follow a header that ``read_npy_header`` read from
+    ``f``: read straight into a new array with one copy or, where ``data``
+    holds the bytes that ``f`` reads, a read-only view of them with none.
+    ``f`` is left after them. A file that ends before them raises
+    ValidationError naming ``what``."""
+    count, at = math.prod(shape), f.tell()
+    if data is None:
+        a = np.empty(count, dtype)
+        if f.readinto(a) != a.nbytes:
+            raise ValidationError(f"{what}: the file ends inside the array's values")
+    else:
+        if len(data) - at < dtype.itemsize * count:
+            raise ValidationError(f"{what}: the file ends inside the array's values")
+        a = np.frombuffer(data, dtype, count, at)
+        f.seek(at + a.nbytes)
+    return a.reshape(shape, order="F" if fortran else "C")
+
+
 def load_matrix_npy(path: str, shape: tuple[int, int] | None = None) -> np.ndarray:
     """Read a matrix written by save_matrix_npy. Anything but a readable
     ``.npy`` file of a 2-D, native-order float64 array (``shape`` when one is
@@ -175,24 +229,14 @@ def load_matrix_npy(path: str, shape: tuple[int, int] | None = None) -> np.ndarr
     is read, so no object is unpickled and no claimed size is allocated."""
     try:
         with open(path, "rb") as f:
-            try:
-                version = np.lib.format.read_magic(f)
-                dims, fortran, dtype = (np.lib.format.read_array_header_1_0(f) if version == (1, 0)
-                                        else np.lib.format.read_array_header_2_0(f))
-            except ValueError as e:
-                raise ValidationError(f"{path}: not a .npy file ({e})") from None
-            if dtype != np.dtype(np.float64) or len(dims) != 2 or min(dims) < 0:
+            dims, fortran, dtype = read_npy_header(f, os.fstat(f.fileno()).st_size, path)
+            if dtype != np.dtype(np.float64) or len(dims) != 2:
                 raise ValidationError(f"{path}: a matrix is a 2-D array of native float64, "
                                       f"got shape {dims}, dtype {dtype.str}")
             if shape is not None and dims != tuple(shape):
                 raise ValidationError(f"{path} holds a {dims[0]}x{dims[1]} matrix where "
                                       f"{shape[0]}x{shape[1]} is needed")
-            count = dims[0] * dims[1]
-            size = os.fstat(f.fileno()).st_size - f.tell()
-            if size != 8 * count:
-                raise ValidationError(f"{path}: a {dims[0]}x{dims[1]} matrix needs "
-                                      f"{8 * count} bytes of values, the file holds {size}")
-            m = np.fromfile(f, np.float64, count).reshape(dims, order="F" if fortran else "C")
+            m = read_npy_values(f, dims, fortran, dtype, path)
     except OSError as e:
         raise ValidationError(f"{path}: cannot be read ({e.strerror})") from None
     if not np.isfinite(m).all():

@@ -2,7 +2,7 @@
 and the ``compare`` sweep. ``wtx.cli`` is the command line over it.
 
 The public API is small. ``benchmark`` gets the benchmark of a config and
-seed; ``train_run`` trains one run and writes its run directory;
+seed (``benchmark_entry`` with the bytes of its cache entry); ``train_run`` trains one run and writes its run directory;
 ``load_runs`` reloads run directories; ``table_row`` scores a run into a
 comparison row; ``sweep`` trains and scores every (method, seed) of a
 config; ``blas_threads`` sets the BLAS threads. A run is one record,
@@ -56,6 +56,8 @@ passes the checks of ``wtx.bench.load_instance_entry``; otherwise the
 benchmark is built by ``generate_benchmark`` and its entry written.
 ``generate``, ``train`` and a sweep read every split and the reloads fewer
 (below), so a damaged array is repaired by the first command that reads it.
+``generate`` writes the bytes of the entry it checked or built
+(``benchmark_entry``).
 An error reading the cache counts as a miss and an error writing it is
 ignored, so the cache changes no exit code and no output byte. After each
 write the least recently used files, a killed writer's temp file included,
@@ -112,7 +114,7 @@ from dataclasses import asdict, replace
 import numpy as np
 
 from .bench import (BenchConfig, BenchmarkInstance, generate_benchmark, instance_entry,
-                    load_instance_entry)
+                    load_instance_entry, read_instance_entry)
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .errors import ConfigError, ValidationError, WorkerDied
 from .evaluation import evaluate, norm_stats
@@ -196,16 +198,16 @@ def _cache_stamp() -> dict:
             "host": platform.node(), "arch": platform.machine()}
 
 
-def _store_entry(path: str, bench: BenchmarkInstance) -> None:
-    """Write the cache entry, then delete the least recently used files
-    until the directory holds at most CACHE_BYTES. Every regular file
-    counts, so the temp file of a writer killed before its rename goes too;
-    a writer still at work holds the newest file. An OSError ends this
-    quietly: the cache only saves time."""
+def _store_entry(path: str, data: bytes) -> None:
+    """Write the cache entry, the bytes ``data``, then delete the least
+    recently used files until the directory holds at most CACHE_BYTES. Every
+    regular file counts, so the temp file of a writer killed before its
+    rename goes too; a writer still at work holds the newest file. An
+    OSError ends this quietly: the cache only saves time."""
     cache_dir = os.path.dirname(path)
     with suppress(OSError):
         os.makedirs(cache_dir, mode=0o700, exist_ok=True)
-        atomic_write_text(path, instance_entry(bench))
+        atomic_write_text(path, data)
         entries = []
         for entry in os.scandir(cache_dir):
             if entry.is_file(follow_symlinks=False):
@@ -219,35 +221,68 @@ def _store_entry(path: str, bench: BenchmarkInstance) -> None:
             held -= size
 
 
-def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True,
-               splits=None) -> tuple[BenchmarkInstance, bool]:
-    """The benchmark of (config, seed) and whether it came from the cache. A
-    hit holds the splits named in ``splits`` (every split if None) and is used
-    only if it passes the checks of ``load_instance_entry``; anything else
-    builds the whole benchmark with ``generate_benchmark`` and writes its
-    entry. ``look_up=False`` builds without reading the cache."""
+def _entry_path(config: BenchConfig, seed: int) -> str:
+    """The path of the cache entry of (config, seed), ``KEY.npz``."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):         # unset, empty or relative: the default
         base = os.path.join(os.path.expanduser("~"), ".cache")
     key = {"benchmark": asdict(config), "seed": seed, "stamp": _cache_stamp()}
     digest = hashlib.sha256(json.dumps(key, sort_keys=True, separators=(",", ":")).encode())
-    path = os.path.join(base, "wtx", "benchmarks", digest.hexdigest() + ".npz")
-    if look_up:
-        with suppress(Exception):       # any read error or failed check is a miss
-            bench = load_instance_entry(path, config, seed, splits)
-            with suppress(OSError):
-                os.utime(path)          # most recently used
-            return bench, True
+    return os.path.join(base, "wtx", "benchmarks", digest.hexdigest() + ".npz")
+
+
+def _look_up(path: str, read):
+    """What ``read(path)`` returns, or None if it raises: any read error or
+    failed check is a miss. A hit counts as a use of the entry."""
+    try:
+        found = read(path)
+    except Exception:
+        return None
+    with suppress(OSError):
+        os.utime(path)                  # most recently used
+    return found
+
+
+def _build(config: BenchConfig, seed: int, path: str) -> tuple[BenchmarkInstance, bytes]:
+    """Build the benchmark with ``generate_benchmark`` and write its entry to
+    ``path``; returns the benchmark and the entry's bytes."""
     with blas_threads(1):
         bench = generate_benchmark(config, seed)
-    _store_entry(path, bench)
-    return bench, False
+    entry = instance_entry(bench)
+    _store_entry(path, entry)
+    return bench, entry
+
+
+def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True,
+               splits=None) -> tuple[BenchmarkInstance, bool]:
+    """The benchmark of (config, seed) and whether it came from the cache. A
+    hit holds the splits named in ``splits`` (every split if None) and is used
+    only if it passes the checks of ``load_instance_entry``; anything else
+    builds the whole benchmark and writes its entry. ``look_up=False``
+    builds without reading the cache."""
+    path = _entry_path(config, seed)
+    if look_up:
+        bench = _look_up(path, lambda p: load_instance_entry(p, config, seed, splits))
+        if bench is not None:
+            return bench, True
+    return _build(config, seed, path)[0], False
 
 
 def benchmark(config: BenchConfig, seed: int, splits=None) -> BenchmarkInstance:
     """The benchmark of (config, seed), from the cache or built; a hit holds
     the splits named in ``splits`` (every split if None)."""
     return _benchmark(config, seed, splits=splits)[0]
+
+
+def benchmark_entry(config: BenchConfig, seed: int) -> tuple[BenchmarkInstance, bytes]:
+    """The whole benchmark of (config, seed) and the bytes of its cache
+    entry, serialized once per build. A hit is the entry file's bytes, read
+    once and checked by ``read_instance_entry``, and the instance whose
+    arrays are views of them; a miss is the benchmark just built and the
+    entry just written."""
+    path = _entry_path(config, seed)
+    hit = _look_up(path, lambda p: read_instance_entry(p, config, seed))
+    return hit if hit is not None else _build(config, seed, path)
 
 
 @blas_threads(1)

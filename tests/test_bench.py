@@ -5,17 +5,22 @@ import io
 import itertools
 import json
 import os
+import pickle
+import struct
+import zipfile
 from dataclasses import asdict, replace
 
 import wtx.bench
 from wtx.bench import (BenchConfig, Split, _train_source_classifier, generate_benchmark,
                        instance_entry, load_instance_entry, save_instance)
+from wtx.cli import main
 from wtx.errors import ConfigError, StateError, ValidationError
 from wtx.evaluation import evaluate
 from wtx.matrix import load_matrix_json, row_l2_norms
 from wtx.models import DetectionProxyHead, ModelConfig, TrainConfig, TransferModel, train_joint
 
-from conftest import assert_same_instance, tiny_config
+from conftest import assert_same_instance, npy_bytes, tiny_config
+from test_cli import cache_entries, counting_generate, read_tree, tiny_doc, write_config
 
 
 def test_config_validation():
@@ -179,6 +184,107 @@ def test_a_load_checks_every_array_of_the_entry(tmp_path):
         path = rewritten_entry(tmp_path, bench, alter)
         with pytest.raises(ValidationError, match=f": {member} does not hash to its stored hash"):
             load_instance_entry(path, cfg, 3)
+
+
+def member_start(entry: bytes, name: str) -> int:
+    """The offset in ``entry`` of the first byte of member ``name``."""
+    with zipfile.ZipFile(io.BytesIO(entry)) as archive:
+        offset = archive.getinfo(name).header_offset
+    *_, name_size, extra_size = struct.unpack(zipfile.structFileHeader,
+                                              entry[offset:offset + zipfile.sizeFileHeader])
+    return offset + zipfile.sizeFileHeader + name_size + extra_size
+
+
+def flipped_dtype_byte(entry):
+    # '<i8' -> '<u8' in one header: the same bytes and shape, so the same
+    # matrix_hash; only the member's CRC-32 sees the change.
+    at = entry.index(b"'descr': '<i8'", member_start(entry, "eval_novel.class_index.npy"))
+    at += len(b"'descr': '<")
+    return entry[:at] + b"u" + entry[at + 1:]
+
+
+def rezipped(entry, replace=None, deflate=()):
+    """The entry written again by zipfile, so every CRC-32 holds: the
+    ``.npy`` bytes of the members named in ``replace`` swapped for its
+    values (a name the entry lacks is added), and the members named in
+    ``deflate`` compressed."""
+    replace = replace or {}
+    out = io.BytesIO()
+    with zipfile.ZipFile(io.BytesIO(entry)) as archive, zipfile.ZipFile(out, "w") as rewritten:
+        names = archive.namelist()
+        for name in names + [f"{m}.npy" for m in replace if f"{m}.npy" not in names]:
+            member = name.removesuffix(".npy")
+            data = replace.get(member) or archive.read(name)
+            rewritten.writestr(name, data, zipfile.ZIP_DEFLATED if member in deflate
+                               else zipfile.ZIP_STORED)
+    return out.getvalue()
+
+
+def member_array(entry, member):
+    with np.load(io.BytesIO(entry)) as archive:
+        return archive[member]
+
+
+def object_member(entry):
+    class_ids = member_array(entry, "eval_novel.class_ids").astype(object)
+    return rezipped(entry, {"eval_novel.class_ids": npy_bytes(class_ids, allow_pickle=True)})
+
+
+def claims_more_values(entry):
+    # A header for one more row, over the member's own values.
+    features = member_array(entry, "eval_novel.features")
+    header = io.BytesIO()
+    np.lib.format.write_array_header_1_0(header, {
+        "descr": "<f8", "fortran_order": False,
+        "shape": (features.shape[0] + 1, features.shape[1])})
+    return rezipped(entry, {"eval_novel.features": header.getvalue() + features.tobytes()})
+
+
+# Each fault that a load must reject, and what it is rejected for. A
+# deflated member is rejected although np.load would read it: no wtx
+# writer makes one.
+ENTRY_FAULTS = {
+    "flipped_dtype_byte": (flipped_dtype_byte,
+                           "eval_novel.class_index.npy fails its CRC-32 check"),
+    "object_dtype": (object_member, "eval_novel.class_ids.npy: a .npy array of Python objects"),
+    "claims_more_values": (claims_more_values, "eval_novel.features.npy: a .* needs"),
+    "deflated_member": (lambda entry: rezipped(entry, deflate=("eval_novel.features",)),
+                        "eval_novel.features.npy is not a stored member"),
+    "extra_member": (lambda entry: rezipped(entry, {"unhashed": npy_bytes(np.zeros(1))}),
+                     "the members are not those of the stored hashes"),
+    "truncated": (lambda entry: entry[:len(entry) // 2], "not a zip archive"),
+    "not_a_zip": (lambda entry: npy_bytes(member_array(entry, "source_weights")),
+                  "not a zip archive"),
+}
+
+
+@pytest.mark.parametrize("fault", ENTRY_FAULTS)
+def test_a_faulty_entry_fails_its_load_and_eval_rebuilds_it(tmp_path, monkeypatch, cache_home,
+                                                            fault):
+    spoil, message = ENTRY_FAULTS[fault]
+    unpickled = []
+    for name in ("load", "loads"):
+        monkeypatch.setattr(pickle, name, lambda *args, **kwargs: unpickled.append(args))
+    cfg = tiny_config()
+    path = tmp_path / "entry.npz"
+    path.write_bytes(spoil(instance_entry(generate_benchmark(cfg, 0))))
+    with pytest.raises(ValidationError, match=message):
+        load_instance_entry(str(path), cfg, 0)
+
+    # Through the cache: eval builds the entry again and scores as before.
+    run_dir = tmp_path / "run"
+    assert main(["train", "--config", write_config(tmp_path, tiny_doc(iterations=5)),
+                 "--seed", "0", "--out", str(run_dir)]) == 0
+    assert main(["eval", str(run_dir)]) == 0
+    evaluated = read_tree(run_dir)
+    [name] = cache_entries(cache_home)
+    entry = cache_home / "wtx" / "benchmarks" / name
+    entry.write_bytes(spoil(entry.read_bytes()))
+    calls = counting_generate(monkeypatch)
+    assert main(["eval", str(run_dir)]) == 0
+    assert read_tree(run_dir) == evaluated
+    assert calls == [0] and unpickled == []
+    assert_same_instance(load_instance_entry(str(entry), cfg, 0), generate_benchmark(cfg, 0))
 
 
 def test_no_novel_leakage_into_training(tiny_bench):

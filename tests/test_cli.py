@@ -17,6 +17,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from wtx.bench import BenchConfig, generate_benchmark, instance_entry, load_instance_entry
+import wtx.bench
 import wtx.cli
 import wtx.runs
 from wtx.cli import GRID_METHODS, _load_config, build_parser, main, staged_output
@@ -1842,16 +1843,16 @@ def test_cli_a_damaged_array_is_repaired_by_the_first_command_that_reads_it(
 
 
 def loaded_members(monkeypatch):
-    """Record the name of every archive member that an ``np.load`` archive
-    hands out; returns the list."""
+    """Record the name of every archive member that the member reader of
+    ``wtx.bench`` reads, without its ``.npy`` suffix; returns the list."""
     loaded = []
-    getitem = np.lib.npyio.NpzFile.__getitem__
+    read = wtx.bench._read_member
 
-    def recording(self, key):
-        loaded.append(key)
-        return getitem(self, key)
+    def recording(f, info, *args):
+        loaded.append(info.filename.removesuffix(".npy"))
+        return read(f, info, *args)
 
-    monkeypatch.setattr(np.lib.npyio.NpzFile, "__getitem__", recording)
+    monkeypatch.setattr(wtx.bench, "_read_member", recording)
     return loaded
 
 
@@ -1863,6 +1864,9 @@ def test_cli_commands_load_only_the_arrays_they_use(tmp_path, monkeypatch, cache
     with np.load(tmp_path / "cold" / "benchmark.npz") as archive:
         every = set(archive.files)
     loaded = loaded_members(monkeypatch)
+    # The control: a whole load records every member, meta included.
+    load_instance_entry(str(tmp_path / "cold" / "benchmark.npz"), tiny_config(), 0)
+    assert sorted(loaded) == sorted(every) and len(every) == 19 and "meta" in every
     run = str(tmp_path / "run")
     commands = {
         "generate": ["generate", "--config", cfg_path, "--out", str(tmp_path / "warm")],

@@ -4,8 +4,8 @@ from hypothesis import given, settings, strategies as st
 from hypothesis.extra import numpy as hnp
 
 from wtx.errors import ShapeError, ValidationError
-from wtx.evaluation import (MetricReport, _topk_hits, comparison_csv, comparison_table,
-                            evaluate, nn_overlap, norm_stats)
+from wtx.evaluation import (_NO_TRUE_COLUMN, MetricReport, _true_ranks, comparison_csv,
+                            comparison_table, evaluate, nn_overlap, norm_stats)
 from wtx.layers import ClassBatchNorm, GroupNorm
 from wtx.models import DetectionProxyHead
 
@@ -53,21 +53,38 @@ def test_recall_at_universe_size_is_one(tiny_bench):
     assert rep.recall_k == 1.0
 
 
+def assert_true_ranks_match_the_oracles(logits, truth, row_class, k):
+    """``_true_ranks`` at k against a stable argsort of -logits and against
+    ``np.argmax``: the rank of the first true column in the sort order where
+    it is below k, k or more elsewhere, so that rank 0 is the top-1 hit of
+    ``truth[row_class, argmax]`` and a rank below k the recall@k hit of the
+    first k sorted columns; a row with no true column is never a hit."""
+    ranks = _true_ranks(logits, truth, row_class, k)
+    sorted_truth = np.take_along_axis(truth[row_class],
+                                      np.argsort(-logits, axis=1, kind="stable"), axis=1)
+    has_true = sorted_truth.any(axis=1)
+    first = np.where(has_true, np.argmax(sorted_truth, axis=1), _NO_TRUE_COLUMN)
+    np.testing.assert_array_equal(np.where(first < k, ranks, k), np.minimum(first, k))
+    np.testing.assert_array_equal(ranks == 0, truth[row_class, np.argmax(logits, axis=1)])
+    np.testing.assert_array_equal(ranks < k, sorted_truth[:, :k].any(axis=1))
+    assert (ranks[~has_true] == _NO_TRUE_COLUMN).all()
+
+
 def test_topk_hits_match_stable_argsort_on_ties():
-    # Small-integer logits tie often; the hits must equal those of the first
-    # k columns of a stable argsort of -logits, for every k. The truth is
-    # given once per row, and once per class of 7 classes.
+    # Small-integer logits tie often; the ranks must be those of a stable
+    # argsort of -logits, for every k. The truth is given once per row, and
+    # once per class of 7 classes; some rows have no true column.
     rng = np.random.default_rng(0)
     logits = rng.integers(-2, 3, size=(300, 9)).astype(float)
     logits[:, 6:] = 0.0        # all-zero columns, like the untrained "other" rows
     row_truth = rng.random((300, 9)) < 0.2
     class_truth = rng.random((7, 9)) < 0.2
+    class_truth[3] = False
     row_class = rng.integers(0, 7, size=300)
     for truth, index in ((row_truth, np.arange(300)), (class_truth, row_class)):
+        assert not truth[index].any(axis=1).all()
         for k in range(1, 11):
-            order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
-            want = np.take_along_axis(truth[index], order, axis=1).any(axis=1)
-            np.testing.assert_array_equal(_topk_hits(logits, truth, index, k), want)
+            assert_true_ranks_match_the_oracles(logits, truth, index, k)
 
 
 TIE_HEAVY = st.sampled_from([-2.0, -1.0, -0.0, 0.0, 1.0, 2.0])
@@ -99,9 +116,7 @@ def topk_cases(draw):
 def test_topk_hits_match_stable_argsort_property(case):
     logits, truth, row_class = case
     for k in range(1, logits.shape[1] + 2):
-        order = np.argsort(-logits, axis=1, kind="stable")[:, :k]
-        want = np.take_along_axis(truth[row_class], order, axis=1).any(axis=1)
-        np.testing.assert_array_equal(_topk_hits(logits, truth, row_class, k), want)
+        assert_true_ranks_match_the_oracles(logits, truth, row_class, k)
 
 
 def oracle_evaluate(head, w, bench, dense, split, k):
