@@ -35,7 +35,10 @@ a member through the zip directory, checks its ``.npy`` header with
 ``wtx.matrix.read_npy_header`` and reads its values straight into the
 array, with one copy, then checks the member's CRC-32. The hashes cover an
 array's shape and bytes but not its dtype, so the CRC is what sees a
-changed dtype in a header.
+changed dtype in a header. Every byte outside the members (the zip
+headers, directory and end record) must be what ``instance_entry`` writes,
+so damage anywhere in an entry fails a load that reads the whole of it:
+outside the members by that check, inside them by the CRC-32.
 """
 
 from __future__ import annotations
@@ -417,36 +420,74 @@ def instance_entry(instance: BenchmarkInstance) -> bytes:
     return buf.getvalue()
 
 
-def save_instance(instance: BenchmarkInstance, dirpath: str, entry: bytes | None = None) -> None:
+def save_instance(instance: BenchmarkInstance, dirpath: str, entry: bytes) -> None:
     """Write the instance into the directory ``dirpath``: ``benchmark.npz``,
-    its ``instance_entry`` (``entry`` if the caller has its bytes);
-    ``manifest.json``, the entry's ``meta`` document; and
-    ``source_weights.json``, W_C as a JSON matrix."""
-    if entry is None:
-        entry = instance_entry(instance)
+    the bytes ``entry``, which must be its ``instance_entry`` (the caller
+    has them: it built or checked them); ``manifest.json``, the entry's
+    ``meta`` document; and ``source_weights.json``, W_C as a JSON matrix."""
     atomic_write_text(os.path.join(dirpath, "benchmark.npz"), entry)
     atomic_write_text(os.path.join(dirpath, "manifest.json"), _entry_meta(instance))
     save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
 
 
+# The zip framing of an ``instance_entry`` archive as ``np.savez`` writes it
+# through ``zipfile``: every member stored, with zip64 sizes, dated
+# 1980-01-01 00:00 (zipfile's default) and of mode 0600, the members back
+# to back from the start, then the central directory, then its end record
+# with no comment. ``zipfile`` has no public writer of headers alone, so
+# the records are spelled out here after the zip format (PKWARE APPNOTE,
+# 4.3); a load checks every byte of an entry outside its members against
+# them.
+_LOCAL = struct.Struct("<4s5H3L2H")         # local header; then the name and _ZIP64
+_ZIP64 = struct.Struct("<2H2Q")             # zip64 extra field: id 1, 16 bytes, both sizes
+_CENTRAL = struct.Struct("<4s4B4H3L5H2L")   # central directory record; then the name
+_END = struct.Struct("<4s4H2LH")            # end of central directory record
+_VERSION = 45                               # 4.5, the version of zip64
+_DATE = 1 << 5 | 1                          # 1980-01-01 in MS-DOS date form
+_MODE = 0o600 << 16
+_IN_ZIP64 = 0xFFFFFFFF                      # a size held in the zip64 field
+
+
+def _local_header(info: zipfile.ZipInfo) -> bytes:
+    """The local header, name and zip64 field that precede the values of the
+    member ``info`` in an ``instance_entry`` archive."""
+    name = info.filename.encode()
+    return (_LOCAL.pack(b"PK\x03\x04", _VERSION, 0, zipfile.ZIP_STORED, 0, _DATE, info.CRC,
+                        _IN_ZIP64, _IN_ZIP64, len(name), _ZIP64.size)
+            + name + _ZIP64.pack(1, 16, info.file_size, info.file_size))
+
+
+def _directory(infos: list[zipfile.ZipInfo]) -> tuple[int, bytes]:
+    """Where the central directory of an ``instance_entry`` archive of the
+    members ``infos``, in that order, starts, and its bytes from there to
+    the end of the archive."""
+    at, records = 0, []
+    for info in infos:
+        name = info.filename.encode()
+        records.append(_CENTRAL.pack(b"PK\x01\x02", _VERSION, zipfile.ZipInfo().create_system,
+                                     _VERSION, 0, 0, zipfile.ZIP_STORED, 0, _DATE, info.CRC,
+                                     info.file_size, info.file_size, len(name), 0, 0, 0, 0,
+                                     _MODE, at) + name)
+        at += len(_local_header(info)) + info.file_size
+    directory = b"".join(records)
+    return at, directory + _END.pack(b"PK\x05\x06", 0, 0, len(infos), len(infos),
+                                     len(directory), at, 0)
+
+
 def _read_member(f, info: zipfile.ZipInfo, path: str, data: bytes | None = None) -> np.ndarray:
     """The array in the ``.npy`` member ``info`` of the archive that the
     binary file ``f`` holds, read by ``read_npy_values`` (a view of ``data``,
-    the archive's bytes, if given). Only a stored (uncompressed) member is
-    read. Its header is checked by ``read_npy_header`` before any value is
-    read, and the CRC-32 of its bytes against the archive's. A member that
-    fails a check raises ValidationError."""
+    the archive's bytes, if given). The local header must be the one
+    ``instance_entry`` writes, and the ``.npy`` header is checked by
+    ``read_npy_header`` before any value is read; then the CRC-32 of the
+    member's bytes is checked against the archive's. A member that fails a
+    check raises ValidationError."""
     what = f"{path}: {info.filename}"
-    if info.compress_type != zipfile.ZIP_STORED or info.flag_bits & 0x1:
-        raise ValidationError(f"{what} is not a stored member")
+    local = _local_header(info)
     f.seek(info.header_offset)
-    local = f.read(zipfile.sizeFileHeader)
-    if len(local) != zipfile.sizeFileHeader or local[:4] != zipfile.stringFileHeader:
-        raise ValidationError(f"{what}: no local file header at its offset")
-    *_, name_size, extra_size = struct.unpack(zipfile.structFileHeader, local)
-    if f.read(name_size) != info.filename.encode():
-        raise ValidationError(f"{what}: the local file header names another member")
-    start = f.seek(extra_size, os.SEEK_CUR)
+    if f.read(len(local)) != local:
+        raise ValidationError(f"{what}: its local header is not the one an entry has")
+    start = f.tell()
     header = read_npy_header(f, info.file_size, what)
     size = f.tell() - start
     f.seek(start)
@@ -463,9 +504,18 @@ def _read_entry(f, path: str, config: BenchConfig, seed: int, splits,
     see ``load_instance_entry``."""
     try:
         with zipfile.ZipFile(f) as archive:
-            members = {info.filename.removesuffix(".npy"): info for info in archive.infolist()}
+            infos = archive.infolist()
     except zipfile.BadZipFile as e:
         raise ValidationError(f"{path}: not a zip archive ({e})") from None
+    for info in infos:
+        if info.compress_type != zipfile.ZIP_STORED:
+            raise ValidationError(f"{path}: {info.filename} is not a stored member")
+    end, directory = _directory(infos)
+    f.seek(end)
+    if f.read(len(directory) + 1) != directory:
+        raise ValidationError(f"{path}: its members are not back to back or its zip "
+                              f"directory is not the one an entry has")
+    members = {info.filename.removesuffix(".npy"): info for info in infos}
     if "meta" not in members:
         raise ValidationError(f"{path}: no meta member")
     meta = json.loads(str(_read_member(f, members.pop("meta"), path, data)))
@@ -507,14 +557,17 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
     ``generate_benchmark`` makes them.
 
     Nothing is unpickled. Raises ValidationError, naming the file:
-    - for a file that is not a zip archive (a truncated one, say) or has no
-      ``meta`` member;
+    - for a file that is not a zip archive (a truncated one, say), one with
+      a member that is not stored uncompressed, one whose bytes outside the
+      members are not those ``instance_entry`` writes (the local headers,
+      the central directory and its end record, with the members back to
+      back and nothing after), and one with no ``meta`` member;
     - for an entry of another (config, seed), or one whose members are not
       the arrays its meta document hashes;
-    - for a member read that is not stored uncompressed, whose ``.npy``
-      header does not parse, has an object dtype or claims other than the
-      bytes the member holds (checked before a value is read), or whose
-      bytes fail the member's CRC-32, which is what sees a changed dtype;
+    - for a member read whose ``.npy`` header does not parse, has an object
+      dtype or claims other than the bytes the member holds (checked before
+      a value is read), or whose bytes fail the member's CRC-32, which is
+      what sees a changed dtype;
     - for an array read that does not hash to its stored hash, or hashes
       that do not hash to the stored fingerprint.
     A file that cannot be opened raises OSError."""
@@ -525,9 +578,15 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
 def read_instance_entry(path: str, config: BenchConfig,
                         seed: int) -> tuple[BenchmarkInstance, bytes]:
     """The whole instance in the entry at ``path`` and the entry's bytes,
-    read from the file once: the instance is checked as
-    ``load_instance_entry`` checks it, and its arrays are read-only views of
-    those bytes, so the bytes that were checked are held once."""
+    read from the file once and checked as ``load_instance_entry`` checks
+    them, so every byte is checked: the framing against what
+    ``instance_entry`` writes, each member by its CRC-32 and its hash. The
+    arrays are read-only views of those bytes, which are so held once; this
+    is for ``generate``, which writes them out. The views are not aligned
+    (a member's values start wherever its headers end), and numpy computes
+    on an unaligned array through buffered blocks, so a sum or a product of
+    one can differ in its last bits from that of the aligned arrays
+    ``load_instance_entry`` reads: compute on those."""
     with open(path, "rb") as f:
         data = f.read()
     return _read_entry(io.BytesIO(data), path, config, seed, None, data), data

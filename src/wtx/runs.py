@@ -2,13 +2,14 @@
 and the ``compare`` sweep. ``wtx.cli`` is the command line over it.
 
 The public API is small. ``benchmark`` gets the benchmark of a config and
-seed (``benchmark_entry`` with the bytes of its cache entry); ``train_run`` trains one run and writes its run directory;
-``load_runs`` reloads run directories; ``table_row`` scores a run into a
-comparison row; ``sweep`` trains and scores every (method, seed) of a
-config; ``blas_threads`` sets the BLAS threads. A run is one record,
-whether trained or reloaded: a dict of its ``tag``, its ``config``, its
-benchmark ``bench``, its ``head`` and ``w_d``. A transfer run that
-``train_run`` trained also holds its ``report`` and trained ``model``.
+seed (``benchmark_entry``, with the bytes of its cache entry);
+``train_run`` trains one run and writes its run directory; ``load_runs``
+reloads run directories; ``table_row`` scores a run into a comparison row;
+``sweep`` trains and scores every (method, seed) of a config;
+``blas_threads`` sets the BLAS threads. A run is one record, whether
+trained or reloaded: a dict of its ``tag``, its ``config``, its benchmark
+``bench``, its ``head`` and ``w_d``. A transfer run that ``train_run``
+trained also holds its ``report`` and trained ``model``.
 
 A run directory holds one (method, seed) run, named by the tag
 ``METHOD__seedSEED``, and states each fact in one file. ``train_run`` of a
@@ -221,51 +222,34 @@ def _store_entry(path: str, data: bytes) -> None:
             held -= size
 
 
-def _entry_path(config: BenchConfig, seed: int) -> str:
-    """The path of the cache entry of (config, seed), ``KEY.npz``."""
+def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True, splits=None,
+               entry: bool = False) -> tuple[BenchmarkInstance, bytes | None, bool]:
+    """The benchmark of (config, seed), the bytes of its cache entry, and
+    whether it came from the cache. A hit holds the splits named in
+    ``splits`` (every split if None) and is used only if it passes the checks
+    of ``load_instance_entry``; its bytes are None unless ``entry`` is set,
+    which reads the whole entry's bytes once with ``read_instance_entry``.
+    Anything else builds the whole benchmark with ``generate_benchmark``,
+    serializes it once and writes the entry, and returns those bytes.
+    ``look_up=False`` builds without reading the cache."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):         # unset, empty or relative: the default
         base = os.path.join(os.path.expanduser("~"), ".cache")
     key = {"benchmark": asdict(config), "seed": seed, "stamp": _cache_stamp()}
     digest = hashlib.sha256(json.dumps(key, sort_keys=True, separators=(",", ":")).encode())
-    return os.path.join(base, "wtx", "benchmarks", digest.hexdigest() + ".npz")
-
-
-def _look_up(path: str, read):
-    """What ``read(path)`` returns, or None if it raises: any read error or
-    failed check is a miss. A hit counts as a use of the entry."""
-    try:
-        found = read(path)
-    except Exception:
-        return None
-    with suppress(OSError):
-        os.utime(path)                  # most recently used
-    return found
-
-
-def _build(config: BenchConfig, seed: int, path: str) -> tuple[BenchmarkInstance, bytes]:
-    """Build the benchmark with ``generate_benchmark`` and write its entry to
-    ``path``; returns the benchmark and the entry's bytes."""
+    path = os.path.join(base, "wtx", "benchmarks", digest.hexdigest() + ".npz")
+    if look_up:
+        with suppress(Exception):       # any read error or failed check is a miss
+            bench, data = (read_instance_entry(path, config, seed) if entry
+                           else (load_instance_entry(path, config, seed, splits), None))
+            with suppress(OSError):
+                os.utime(path)          # most recently used
+            return bench, data, True
     with blas_threads(1):
         bench = generate_benchmark(config, seed)
-    entry = instance_entry(bench)
-    _store_entry(path, entry)
-    return bench, entry
-
-
-def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True,
-               splits=None) -> tuple[BenchmarkInstance, bool]:
-    """The benchmark of (config, seed) and whether it came from the cache. A
-    hit holds the splits named in ``splits`` (every split if None) and is used
-    only if it passes the checks of ``load_instance_entry``; anything else
-    builds the whole benchmark and writes its entry. ``look_up=False``
-    builds without reading the cache."""
-    path = _entry_path(config, seed)
-    if look_up:
-        bench = _look_up(path, lambda p: load_instance_entry(p, config, seed, splits))
-        if bench is not None:
-            return bench, True
-    return _build(config, seed, path)[0], False
+    data = instance_entry(bench)
+    _store_entry(path, data)
+    return bench, data, False
 
 
 def benchmark(config: BenchConfig, seed: int, splits=None) -> BenchmarkInstance:
@@ -276,13 +260,10 @@ def benchmark(config: BenchConfig, seed: int, splits=None) -> BenchmarkInstance:
 
 def benchmark_entry(config: BenchConfig, seed: int) -> tuple[BenchmarkInstance, bytes]:
     """The whole benchmark of (config, seed) and the bytes of its cache
-    entry, serialized once per build. A hit is the entry file's bytes, read
-    once and checked by ``read_instance_entry``, and the instance whose
-    arrays are views of them; a miss is the benchmark just built and the
-    entry just written."""
-    path = _entry_path(config, seed)
-    hit = _look_up(path, lambda p: read_instance_entry(p, config, seed))
-    return hit if hit is not None else _build(config, seed, path)
+    entry, serialized once per build: on a hit the entry file's bytes, read
+    once and checked, with the benchmark whose arrays are views of them; on
+    a miss the entry just built and written."""
+    return _benchmark(config, seed, entry=True)[:2]
 
 
 @blas_threads(1)
@@ -401,11 +382,12 @@ def load_runs(run_dirs, splits) -> list[dict]:
     for rd, run, stamped in read:
         key = run["config"].benchmark, run["config"].seeds[0]
         if key not in benches:
-            benches[key] = _benchmark(*key, splits=splits)
+            bench, _, cached = _benchmark(*key, splits=splits)
+            benches[key] = bench, cached
         bench, cached = benches[key]
         if bench.fingerprint != stamped and cached:
-            benches[key] = _benchmark(*key, look_up=False)
-            bench = benches[key][0]
+            bench = _benchmark(*key, look_up=False)[0]
+            benches[key] = bench, False
         if bench.fingerprint != stamped:
             raise ValidationError(f"{rd}: the regenerated benchmark has fingerprint "
                                   f"{bench.fingerprint}; config.json records {stamped}")

@@ -71,7 +71,8 @@ def test_same_seed_byte_identical_serialization(tmp_path):
     cfg = tiny_config()
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
-        save_instance(generate_benchmark(cfg, seed=5), str(tmp_path / name))
+        bench = generate_benchmark(cfg, seed=5)
+        save_instance(bench, str(tmp_path / name), instance_entry(bench))
     names = sorted(os.listdir(tmp_path / "a"))
     assert names == sorted(os.listdir(tmp_path / "b"))
     for name in names:
@@ -99,7 +100,7 @@ def test_instance_round_trip(tmp_path):
     # fingerprint included, and next to it sit only its meta document and W_C.
     cfg = tiny_config()
     want = generate_benchmark(cfg, seed=3)
-    save_instance(want, str(tmp_path))
+    save_instance(want, str(tmp_path), instance_entry(want))
     assert sorted(os.listdir(tmp_path)) == ["benchmark.npz", "manifest.json",
                                             "source_weights.json"]
     assert (tmp_path / "benchmark.npz").read_bytes() == instance_entry(want)
@@ -186,38 +187,44 @@ def test_a_load_checks_every_array_of_the_entry(tmp_path):
             load_instance_entry(path, cfg, 3)
 
 
-def member_start(entry: bytes, name: str) -> int:
-    """The offset in ``entry`` of the first byte of member ``name``."""
+def header_offset(entry: bytes, name: str) -> int:
+    """The offset in ``entry`` of the local header of member ``name``."""
     with zipfile.ZipFile(io.BytesIO(entry)) as archive:
-        offset = archive.getinfo(name).header_offset
-    *_, name_size, extra_size = struct.unpack(zipfile.structFileHeader,
-                                              entry[offset:offset + zipfile.sizeFileHeader])
-    return offset + zipfile.sizeFileHeader + name_size + extra_size
+        return archive.getinfo(name).header_offset
 
 
 def flipped_dtype_byte(entry):
     # '<i8' -> '<u8' in one header: the same bytes and shape, so the same
     # matrix_hash; only the member's CRC-32 sees the change.
-    at = entry.index(b"'descr': '<i8'", member_start(entry, "eval_novel.class_index.npy"))
+    at = entry.index(b"'descr': '<i8'", header_offset(entry, "eval_novel.class_index.npy"))
     at += len(b"'descr': '<")
     return entry[:at] + b"u" + entry[at + 1:]
 
 
 def rezipped(entry, replace=None, deflate=()):
-    """The entry written again by zipfile, so every CRC-32 holds: the
-    ``.npy`` bytes of the members named in ``replace`` swapped for its
-    values (a name the entry lacks is added), and the members named in
-    ``deflate`` compressed."""
+    """The entry written again by zipfile as np.savez writes it, so every
+    CRC-32 and every zip header holds: the ``.npy`` bytes of the members
+    named in ``replace`` swapped for its values (a name the entry lacks is
+    added), and the members named in ``deflate`` compressed."""
     replace = replace or {}
     out = io.BytesIO()
     with zipfile.ZipFile(io.BytesIO(entry)) as archive, zipfile.ZipFile(out, "w") as rewritten:
         names = archive.namelist()
         for name in names + [f"{m}.npy" for m in replace if f"{m}.npy" not in names]:
             member = name.removesuffix(".npy")
-            data = replace.get(member) or archive.read(name)
-            rewritten.writestr(name, data, zipfile.ZIP_DEFLATED if member in deflate
-                               else zipfile.ZIP_STORED)
+            info = zipfile.ZipInfo(name)
+            if member in deflate:
+                info.compress_type = zipfile.ZIP_DEFLATED
+            with rewritten.open(info, "w", force_zip64=True) as f:
+                f.write(replace.get(member) or archive.read(name))
     return out.getvalue()
+
+
+def test_an_entry_rezipped_unchanged_is_the_entry():
+    # The control of the faults below: rezipped alone changes no byte, so
+    # each fault made with it is the one fault it names.
+    entry = instance_entry(generate_benchmark(tiny_config(), 0))
+    assert rezipped(entry) == entry
 
 
 def member_array(entry, member):
@@ -240,6 +247,15 @@ def claims_more_values(entry):
     return rezipped(entry, {"eval_novel.features": header.getvalue() + features.tobytes()})
 
 
+def at_offset(entry, offset, value: bytes):
+    return entry[:offset] + value + entry[offset + len(value):]
+
+
+def directory_start(entry) -> int:
+    with zipfile.ZipFile(io.BytesIO(entry)) as archive:
+        return archive.start_dir
+
+
 # Each fault that a load must reject, and what it is rejected for. A
 # deflated member is rejected although np.load would read it: no wtx
 # writer makes one.
@@ -253,6 +269,17 @@ ENTRY_FAULTS = {
     "extra_member": (lambda entry: rezipped(entry, {"unhashed": npy_bytes(np.zeros(1))}),
                      "the members are not those of the stored hashes"),
     "truncated": (lambda entry: entry[:len(entry) // 2], "not a zip archive"),
+    # Bytes outside the members, which generate writes out with the rest.
+    "local_header_time": (lambda entry: at_offset(
+        entry, header_offset(entry, "eval_novel.features.npy") + 10, struct.pack("<H", 1)),
+        "eval_novel.features.npy: its local header is not the one an entry has"),
+    "directory_mode": (lambda entry: at_offset(
+        entry, directory_start(entry) + 38, struct.pack("<L", 0o644 << 16)),
+        "its zip directory is not the one an entry has"),
+    "archive_comment": (lambda entry: entry[:-2] + struct.pack("<H", 4) + b"note",
+                        "its zip directory is not the one an entry has"),
+    "trailing_byte": (lambda entry: entry + b"\0",
+                      "its zip directory is not the one an entry has"),
     "not_a_zip": (lambda entry: npy_bytes(member_array(entry, "source_weights")),
                   "not a zip archive"),
 }
@@ -285,6 +312,24 @@ def test_a_faulty_entry_fails_its_load_and_eval_rebuilds_it(tmp_path, monkeypatc
     assert read_tree(run_dir) == evaluated
     assert calls == [0] and unpickled == []
     assert_same_instance(load_instance_entry(str(entry), cfg, 0), generate_benchmark(cfg, 0))
+
+
+@pytest.mark.parametrize("fault", ENTRY_FAULTS)
+def test_generate_writes_a_faulty_entry_built_again(tmp_path, monkeypatch, cache_home, fault):
+    # generate writes the bytes of the entry it read: a fault anywhere in
+    # them, the zip framing included, makes it build and write them again.
+    config = write_config(tmp_path, tiny_doc())
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "built")]) == 0
+    [name] = cache_entries(cache_home)
+    entry = cache_home / "wtx" / "benchmarks" / name
+    good = entry.read_bytes()
+    assert (tmp_path / "built" / "benchmark.npz").read_bytes() == good
+    entry.write_bytes(ENTRY_FAULTS[fault][0](good))
+    calls = counting_generate(monkeypatch)
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "again")]) == 0
+    assert calls == [0]
+    assert read_tree(tmp_path / "again") == read_tree(tmp_path / "built")
+    assert entry.read_bytes() == good
 
 
 def test_no_novel_leakage_into_training(tiny_bench):
