@@ -20,9 +20,9 @@ An instance has one on-disk form: one uncompressed ``.npz`` archive
 (``instance_entry``, read back by ``load_instance_entry``) that holds every
 array and a ``meta`` JSON document with the config, the seed, the
 fingerprint and the other facts of the instance. The benchmark cache of
-``wtx.runs`` stores it, and ``wtx generate`` writes it with
-``save_instance``: byte for byte the cache entry it checked
-(``read_instance_entry``) or the one it built, serialized once per build.
+``wtx.runs`` stores it, and ``wtx generate`` writes a copy of the cache
+entry, which it then loads whole, so every byte of its output is checked;
+``save_instance`` writes the two files beside it.
 
 ``meta`` also holds ``array_hashes``, the ``matrix_hash`` of every array,
 and the fingerprint is computed from those of W_C and each split's
@@ -30,15 +30,16 @@ features. A load may read only some splits. It checks each array it reads
 against its hash and the hashes against the fingerprint, so a damaged
 array fails only the loads that read it.
 
-The archive has one reader, ``_read_member``, and no ``np.load``. It finds
-a member through the zip directory, checks its ``.npy`` header with
-``wtx.matrix.read_npy_header`` and reads its values straight into the
-array, with one copy, then checks the member's CRC-32. The hashes cover an
-array's shape and bytes but not its dtype, so the CRC is what sees a
-changed dtype in a header. Every byte outside the members (the zip
-headers, directory and end record) must be what ``instance_entry`` writes,
-so damage anywhere in an entry fails a load that reads the whole of it:
-outside the members by that check, inside them by the CRC-32.
+The archive has one reader, ``load_instance_entry``, and no ``np.load``.
+It finds a member through the zip directory, checks its ``.npy`` header
+with ``wtx.matrix.read_npy_header`` and reads its values straight into an
+aligned array, with one copy, then checks the member's CRC-32. The hashes
+cover an array's shape and bytes but not its dtype, so each array must
+also have the dtype that ``generate_benchmark`` gives it. Every byte
+outside the members (the zip headers, directory and end record) must be
+what ``instance_entry`` writes, so damage anywhere in an entry fails a load
+that reads the whole of it: outside the members by that check, inside them
+by the CRC-32.
 """
 
 from __future__ import annotations
@@ -50,7 +51,7 @@ import os
 import struct
 import zipfile
 import zlib
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -387,7 +388,16 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
 
 # --- the archive ------------------------------------------------------------
 
-_SPLIT_ARRAYS = tuple(f.name for f in fields(Split))
+# The dtype of every array of an instance as ``generate_benchmark`` makes
+# it, by archive member name; a split's arrays by field, in the order of
+# ``Split``'s fields, named ``SPLIT.FIELD`` in the archive.
+_DTYPES = {"source_weights": np.float64, "shared_mask": np.bool_, "prototypes": np.float64,
+           "cluster_ids": np.int64, "other_prototypes": np.float64, "rotation": np.float64}
+_SPLIT_DTYPES = {"features": np.float64, "class_ids": np.int64, "class_labels": np.float64,
+                 "class_index": np.int64}
+# The keys of the meta document that a load reads.
+_META_KEYS = {"config", "seed", "cooccur_radius", "measured", "splits", "array_hashes",
+              "fingerprint"}
 
 
 def _entry_meta(instance: BenchmarkInstance) -> str:
@@ -406,7 +416,7 @@ def _entry_arrays(instance: BenchmarkInstance) -> dict[str, np.ndarray]:
               "prototypes": instance.prototypes, "cluster_ids": instance.cluster_ids,
               "other_prototypes": instance.other_prototypes, "rotation": instance.rotation}
     for name, sp in instance.splits.items():
-        arrays.update({f"{name}.{f}": getattr(sp, f) for f in _SPLIT_ARRAYS})
+        arrays.update({f"{name}.{f}": getattr(sp, f) for f in _SPLIT_DTYPES})
     return arrays
 
 
@@ -420,12 +430,10 @@ def instance_entry(instance: BenchmarkInstance) -> bytes:
     return buf.getvalue()
 
 
-def save_instance(instance: BenchmarkInstance, dirpath: str, entry: bytes) -> None:
-    """Write the instance into the directory ``dirpath``: ``benchmark.npz``,
-    the bytes ``entry``, which must be its ``instance_entry`` (the caller
-    has them: it built or checked them); ``manifest.json``, the entry's
-    ``meta`` document; and ``source_weights.json``, W_C as a JSON matrix."""
-    atomic_write_text(os.path.join(dirpath, "benchmark.npz"), entry)
+def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
+    """Write the two files that sit beside the instance's archive in the
+    directory ``dirpath``: ``manifest.json``, the archive's ``meta``
+    document, and ``source_weights.json``, W_C as a JSON matrix."""
     atomic_write_text(os.path.join(dirpath, "manifest.json"), _entry_meta(instance))
     save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
 
@@ -474,14 +482,13 @@ def _directory(infos: list[zipfile.ZipInfo]) -> tuple[int, bytes]:
                                      len(directory), at, 0)
 
 
-def _read_member(f, info: zipfile.ZipInfo, path: str, data: bytes | None = None) -> np.ndarray:
+def _read_member(f, info: zipfile.ZipInfo, path: str) -> np.ndarray:
     """The array in the ``.npy`` member ``info`` of the archive that the
-    binary file ``f`` holds, read by ``read_npy_values`` (a view of ``data``,
-    the archive's bytes, if given). The local header must be the one
-    ``instance_entry`` writes, and the ``.npy`` header is checked by
-    ``read_npy_header`` before any value is read; then the CRC-32 of the
-    member's bytes is checked against the archive's. A member that fails a
-    check raises ValidationError."""
+    binary file ``f`` holds, read by ``read_npy_values``. The local header
+    must be the one ``instance_entry`` writes, and the ``.npy`` header is
+    checked by ``read_npy_header`` before any value is read; then the CRC-32
+    of the member's bytes is checked against the archive's. A member that
+    fails a check raises ValidationError."""
     what = f"{path}: {info.filename}"
     local = _local_header(info)
     f.seek(info.header_offset)
@@ -492,14 +499,33 @@ def _read_member(f, info: zipfile.ZipInfo, path: str, data: bytes | None = None)
     size = f.tell() - start
     f.seek(start)
     crc = zlib.crc32(f.read(size))
-    a = read_npy_values(f, *header, what, data)
+    a = read_npy_values(f, *header, what)
     if zlib.crc32(a.ravel(order="K"), crc) != info.CRC:
         raise ValidationError(f"{what} fails its CRC-32 check")
     return a
 
 
-def _read_entry(f, path: str, config: BenchConfig, seed: int, splits,
-                data: bytes | None = None) -> BenchmarkInstance:
+def _read_meta(f, info: zipfile.ZipInfo, path: str) -> dict:
+    """The meta document in the member ``info`` of the entry archive that
+    the binary file ``f`` holds: a JSON object with every key a load reads,
+    its ``splits`` a list of names and its ``array_hashes`` an object of
+    strings. Anything else raises ValidationError."""
+    text = str(_read_member(f, info, path))
+    try:
+        meta = json.loads(text)
+    except json.JSONDecodeError:
+        meta = None
+    if not (isinstance(meta, dict) and _META_KEYS <= meta.keys()
+            and isinstance(meta["splits"], list)
+            and all(isinstance(s, str) for s in meta["splits"])
+            and isinstance(meta["array_hashes"], dict)
+            and all(isinstance(h, str) for h in meta["array_hashes"].values())):
+        raise ValidationError(f"{path}: its meta member is not the JSON object of an "
+                              f"entry's facts")
+    return meta
+
+
+def _read_entry(f, path: str, config: BenchConfig, seed: int, splits) -> BenchmarkInstance:
     """The instance in the entry archive that the binary file ``f`` holds;
     see ``load_instance_entry``."""
     try:
@@ -518,20 +544,28 @@ def _read_entry(f, path: str, config: BenchConfig, seed: int, splits,
     members = {info.filename.removesuffix(".npy"): info for info in infos}
     if "meta" not in members:
         raise ValidationError(f"{path}: no meta member")
-    meta = json.loads(str(_read_member(f, members.pop("meta"), path, data)))
+    meta = _read_meta(f, members.pop("meta"), path)
     if meta["config"] != asdict(config) or meta["seed"] != seed:
         raise ValidationError(f"{path}: an entry of another benchmark")
     hashes = meta["array_hashes"]
     if set(members) != set(hashes):
         raise ValidationError(f"{path}: the members are not those of the stored hashes")
+    dtypes = {**_DTYPES, **{f"{s}.{f}": dtype for s in meta["splits"]
+                            for f, dtype in _SPLIT_DTYPES.items()}}
+    if set(hashes) != set(dtypes):
+        raise ValidationError(f"{path}: the stored hashes are not those of the arrays of "
+                              f"an instance with the splits {meta['splits']}")
     names = [s for s in meta["splits"] if splits is None or s in splits]
     a = {}
     for member in hashes:
         if "." not in member or member.split(".")[0] in names:
-            a[member] = _read_member(f, members[member], path, data)
+            a[member] = _read_member(f, members[member], path)
+            if a[member].dtype != dtypes[member]:
+                raise ValidationError(f"{path}: {member} is an array of {a[member].dtype.str}, "
+                                      f"not of {np.dtype(dtypes[member]).str}")
             if matrix_hash(a[member]) != hashes[member]:
                 raise ValidationError(f"{path}: {member} does not hash to its stored hash")
-    loaded = {s: Split(**{f: a[f"{s}.{f}"] for f in _SPLIT_ARRAYS}) for s in names}
+    loaded = {s: Split(**{f: a[f"{s}.{f}"] for f in _SPLIT_DTYPES}) for s in names}
     for sp in loaded.values():
         sp.features.setflags(write=False)
     instance = BenchmarkInstance(
@@ -552,9 +586,9 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
     seed): W_C, the small arrays and the splits named in ``splits`` (every
     split if None; ``split`` of another raises StateError). The meta
     document is read first; then each array it names, and no other, is
-    read straight from its member of the file with one copy, found through
-    the zip directory. W_C and the split features come back read-only, as
-    ``generate_benchmark`` makes them.
+    read straight from its member of the file into an aligned array with
+    one copy, found through the zip directory. W_C and the split features
+    come back read-only, as ``generate_benchmark`` makes them.
 
     Nothing is unpickled. Raises ValidationError, naming the file:
     - for a file that is not a zip archive (a truncated one, say), one with
@@ -562,31 +596,19 @@ def load_instance_entry(path: str, config: BenchConfig, seed: int,
       members are not those ``instance_entry`` writes (the local headers,
       the central directory and its end record, with the members back to
       back and nothing after), and one with no ``meta`` member;
+    - for a meta document that is not a JSON object with every key a load
+      reads, its splits a list of names and its hashes an object of
+      strings;
     - for an entry of another (config, seed), or one whose members are not
-      the arrays its meta document hashes;
+      the arrays its meta document hashes, or whose hashes are not those of
+      the arrays of an instance with the splits it lists;
     - for a member read whose ``.npy`` header does not parse, has an object
       dtype or claims other than the bytes the member holds (checked before
-      a value is read), or whose bytes fail the member's CRC-32, which is
-      what sees a changed dtype;
-    - for an array read that does not hash to its stored hash, or hashes
-      that do not hash to the stored fingerprint.
+      a value is read), or whose bytes fail the member's CRC-32;
+    - for an array read that is not of the dtype ``generate_benchmark``
+      gives it, or does not hash to its stored hash, or hashes that do not
+      hash to the stored fingerprint.
     A file that cannot be opened raises OSError."""
     with open(path, "rb") as f:
         return _read_entry(f, path, config, seed, splits)
 
-
-def read_instance_entry(path: str, config: BenchConfig,
-                        seed: int) -> tuple[BenchmarkInstance, bytes]:
-    """The whole instance in the entry at ``path`` and the entry's bytes,
-    read from the file once and checked as ``load_instance_entry`` checks
-    them, so every byte is checked: the framing against what
-    ``instance_entry`` writes, each member by its CRC-32 and its hash. The
-    arrays are read-only views of those bytes, which are so held once; this
-    is for ``generate``, which writes them out. The views are not aligned
-    (a member's values start wherever its headers end), and numpy computes
-    on an unaligned array through buffered blocks, so a sum or a product of
-    one can differ in its last bits from that of the aligned arrays
-    ``load_instance_entry`` reads: compute on those."""
-    with open(path, "rb") as f:
-        data = f.read()
-    return _read_entry(io.BytesIO(data), path, config, seed, None, data), data

@@ -43,9 +43,9 @@ format of ``wtx.bench.instance_entry``, which ``wtx.bench.load_instance_entry``
 reads back; ``manifest.json``, the archive's ``meta`` document (the config,
 seed and fingerprint among others); and ``source_weights.json``, W_C as a
 JSON matrix. ``benchmark.npz`` is byte for byte the cache entry of its
-config and seed, serialized once per build: on a hit, the bytes of the entry
-file, read once and checked; on a miss, the entry just built and written
-(``wtx.runs.benchmark_entry``).
+config and seed (``wtx.runs.write_benchmark``): on a hit, a copy of the
+entry file that is then loaded whole, so every byte of it is checked; on a
+miss, the entry just built and written.
 """
 
 from __future__ import annotations
@@ -68,7 +68,7 @@ from .evaluation import comparison_csv, comparison_table, evaluate, nn_overlap
 from .gradcheck import run_gradient_suite
 from .matrix import atomic_write_text, read_json
 from .models import METHODS, VARIANTS
-from .runs import EVAL_SPLITS, benchmark_entry, load_runs, sweep, table_row, train_run
+from .runs import EVAL_SPLITS, load_runs, sweep, table_row, train_run, write_benchmark
 
 # Aliases that the benchmark harness reads from this module until ROADMAP
 # item 4 moves it to wtx.runs: generate_benchmark, imported above, and this.
@@ -136,8 +136,8 @@ def _add_to_run_dir(path: str, text: str) -> None:
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config, args.seed)
     with staged_output(args.out, args.overwrite) as tmp:
-        bench, entry = benchmark_entry(cfg.benchmark, cfg.seeds[0])
-        save_instance(bench, tmp, entry)
+        bench = write_benchmark(cfg.benchmark, cfg.seeds[0], os.path.join(tmp, "benchmark.npz"))
+        save_instance(bench, tmp)
     print(f"benchmark written to {args.out}")
     return 0
 

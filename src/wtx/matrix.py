@@ -24,7 +24,7 @@ validates the file and its shape:
 
 The package has one ``.npy`` reader, in two steps: ``read_npy_header``
 parses and checks a header, and ``read_npy_values`` reads the values after
-it with one copy (or, over bytes already in memory, none).
+it straight from the file into a new array, with one copy.
 ``load_matrix_npy`` reads a run directory's matrices with it, and
 ``wtx.bench`` each member of a benchmark archive.
 """
@@ -201,23 +201,15 @@ def read_npy_header(f, size: int, what: str) -> tuple[tuple[int, ...], bool, np.
     return shape, fortran, dtype
 
 
-def read_npy_values(f, shape: tuple[int, ...], fortran: bool, dtype: np.dtype, what: str,
-                    data: bytes | None = None) -> np.ndarray:
+def read_npy_values(f, shape: tuple[int, ...], fortran: bool, dtype: np.dtype,
+                    what: str) -> np.ndarray:
     """The values that follow a header that ``read_npy_header`` read from
-    ``f``: read straight into a new array with one copy or, where ``data``
-    holds the bytes that ``f`` reads, a read-only view of them with none.
-    ``f`` is left after them. A file that ends before them raises
-    ValidationError naming ``what``."""
-    count, at = math.prod(shape), f.tell()
-    if data is None:
-        a = np.empty(count, dtype)
-        if f.readinto(a) != a.nbytes:
-            raise ValidationError(f"{what}: the file ends inside the array's values")
-    else:
-        if len(data) - at < dtype.itemsize * count:
-            raise ValidationError(f"{what}: the file ends inside the array's values")
-        a = np.frombuffer(data, dtype, count, at)
-        f.seek(at + a.nbytes)
+    ``f``, read straight into a new array with one copy; ``f`` is left after
+    them. A file that ends before them raises ValidationError naming
+    ``what``."""
+    a = np.empty(math.prod(shape), dtype)
+    if f.readinto(a) != a.nbytes:
+        raise ValidationError(f"{what}: the file ends inside the array's values")
     return a.reshape(shape, order="F" if fortran else "C")
 
 

@@ -2,7 +2,7 @@
 and the ``compare`` sweep. ``wtx.cli`` is the command line over it.
 
 The public API is small. ``benchmark`` gets the benchmark of a config and
-seed (``benchmark_entry``, with the bytes of its cache entry);
+seed (``write_benchmark``, with a checked copy of its cache entry);
 ``train_run`` trains one run and writes its run directory; ``load_runs``
 reloads run directories; ``table_row`` scores a run into a comparison row;
 ``sweep`` trains and scores every (method, seed) of a config;
@@ -57,8 +57,9 @@ passes the checks of ``wtx.bench.load_instance_entry``; otherwise the
 benchmark is built by ``generate_benchmark`` and its entry written.
 ``generate``, ``train`` and a sweep read every split and the reloads fewer
 (below), so a damaged array is repaired by the first command that reads it.
-``generate`` writes the bytes of the entry it checked or built
-(``benchmark_entry``).
+``generate`` (``write_benchmark``) copies the entry to its output and loads
+the copy whole, so every byte it writes passed those checks; a miss writes
+the entry it built there too.
 An error reading the cache counts as a miss and an error writing it is
 ignored, so the cache changes no exit code and no output byte. After each
 write the least recently used files, a killed writer's temp file included,
@@ -111,11 +112,12 @@ import platform
 import sys
 from contextlib import contextmanager, suppress
 from dataclasses import asdict, replace
+from shutil import copyfile
 
 import numpy as np
 
 from .bench import (BenchConfig, BenchmarkInstance, generate_benchmark, instance_entry,
-                    load_instance_entry, read_instance_entry)
+                    load_instance_entry)
 from .config import ExperimentConfig, config_from_dict, config_to_dict
 from .errors import ConfigError, ValidationError, WorkerDied
 from .evaluation import evaluate, norm_stats
@@ -223,14 +225,14 @@ def _store_entry(path: str, data: bytes) -> None:
 
 
 def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True, splits=None,
-               entry: bool = False) -> tuple[BenchmarkInstance, bytes | None, bool]:
-    """The benchmark of (config, seed), the bytes of its cache entry, and
-    whether it came from the cache. A hit holds the splits named in
-    ``splits`` (every split if None) and is used only if it passes the checks
-    of ``load_instance_entry``; its bytes are None unless ``entry`` is set,
-    which reads the whole entry's bytes once with ``read_instance_entry``.
+               copy_to: str | None = None) -> tuple[BenchmarkInstance, bool]:
+    """The benchmark of (config, seed), and whether it came from the cache.
+    A hit holds the splits named in ``splits`` (every split if None) and is
+    used only if it passes the checks of ``load_instance_entry``. Given the
+    path ``copy_to``, with ``splits`` None, a hit copies the entry file there
+    and loads that copy whole, so every byte of the copy is checked.
     Anything else builds the whole benchmark with ``generate_benchmark``,
-    serializes it once and writes the entry, and returns those bytes.
+    serializes it once and writes the entry, to ``copy_to`` too if given.
     ``look_up=False`` builds without reading the cache."""
     base = os.environ.get("XDG_CACHE_HOME", "")
     if not os.path.isabs(base):         # unset, empty or relative: the default
@@ -240,16 +242,19 @@ def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True, splits=N
     path = os.path.join(base, "wtx", "benchmarks", digest.hexdigest() + ".npz")
     if look_up:
         with suppress(Exception):       # any read error or failed check is a miss
-            bench, data = (read_instance_entry(path, config, seed) if entry
-                           else (load_instance_entry(path, config, seed, splits), None))
+            if copy_to is not None:
+                copyfile(path, copy_to)
+            bench = load_instance_entry(copy_to or path, config, seed, splits)
             with suppress(OSError):
                 os.utime(path)          # most recently used
-            return bench, data, True
+            return bench, True
     with blas_threads(1):
         bench = generate_benchmark(config, seed)
     data = instance_entry(bench)
     _store_entry(path, data)
-    return bench, data, False
+    if copy_to is not None:
+        atomic_write_text(copy_to, data)
+    return bench, False
 
 
 def benchmark(config: BenchConfig, seed: int, splits=None) -> BenchmarkInstance:
@@ -258,12 +263,11 @@ def benchmark(config: BenchConfig, seed: int, splits=None) -> BenchmarkInstance:
     return _benchmark(config, seed, splits=splits)[0]
 
 
-def benchmark_entry(config: BenchConfig, seed: int) -> tuple[BenchmarkInstance, bytes]:
-    """The whole benchmark of (config, seed) and the bytes of its cache
-    entry, serialized once per build: on a hit the entry file's bytes, read
-    once and checked, with the benchmark whose arrays are views of them; on
-    a miss the entry just built and written."""
-    return _benchmark(config, seed, entry=True)[:2]
+def write_benchmark(config: BenchConfig, seed: int, path: str) -> BenchmarkInstance:
+    """The whole benchmark of (config, seed), with its cache entry written to
+    ``path``: a hit's entry file copied there and the copy loaded and
+    checked whole, or the entry just built."""
+    return _benchmark(config, seed, copy_to=path)[0]
 
 
 @blas_threads(1)
@@ -382,7 +386,7 @@ def load_runs(run_dirs, splits) -> list[dict]:
     for rd, run, stamped in read:
         key = run["config"].benchmark, run["config"].seeds[0]
         if key not in benches:
-            bench, _, cached = _benchmark(*key, splits=splits)
+            bench, cached = _benchmark(*key, splits=splits)
             benches[key] = bench, cached
         bench, cached = benches[key]
         if bench.fingerprint != stamped and cached:

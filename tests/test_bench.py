@@ -5,12 +5,15 @@ import io
 import itertools
 import json
 import os
+import pathlib
 import pickle
 import struct
+import tracemalloc
 import zipfile
 from dataclasses import asdict, replace
 
 import wtx.bench
+import wtx.runs
 from wtx.bench import (BenchConfig, Split, _train_source_classifier, generate_benchmark,
                        instance_entry, load_instance_entry, save_instance)
 from wtx.cli import main
@@ -72,7 +75,8 @@ def test_same_seed_byte_identical_serialization(tmp_path):
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
         bench = generate_benchmark(cfg, seed=5)
-        save_instance(bench, str(tmp_path / name), instance_entry(bench))
+        (tmp_path / name / "benchmark.npz").write_bytes(instance_entry(bench))
+        save_instance(bench, str(tmp_path / name))
     names = sorted(os.listdir(tmp_path / "a"))
     assert names == sorted(os.listdir(tmp_path / "b"))
     for name in names:
@@ -100,7 +104,8 @@ def test_instance_round_trip(tmp_path):
     # fingerprint included, and next to it sit only its meta document and W_C.
     cfg = tiny_config()
     want = generate_benchmark(cfg, seed=3)
-    save_instance(want, str(tmp_path), instance_entry(want))
+    (tmp_path / "benchmark.npz").write_bytes(instance_entry(want))
+    save_instance(want, str(tmp_path))
     assert sorted(os.listdir(tmp_path)) == ["benchmark.npz", "manifest.json",
                                             "source_weights.json"]
     assert (tmp_path / "benchmark.npz").read_bytes() == instance_entry(want)
@@ -256,6 +261,32 @@ def directory_start(entry) -> int:
         return archive.start_dir
 
 
+def retyped_member(entry):
+    # The same bytes and shape read as float64: the member hashes to its
+    # stored hash and every CRC-32 holds, but its values cannot index.
+    class_index = member_array(entry, "eval_novel.class_index").view(np.float64)
+    return rezipped(entry, {"eval_novel.class_index": npy_bytes(class_index)})
+
+
+def rewritten_meta(edit):
+    """A fault that replaces the text of the meta document by ``edit`` of
+    it, with every CRC-32 kept."""
+    def spoil(entry):
+        text = edit(str(member_array(entry, "meta")))
+        return rezipped(entry, {"meta": npy_bytes(np.array(text))})
+    return spoil
+
+
+def edited_meta(edit):
+    """A ``rewritten_meta`` fault that applies ``edit`` to the parsed
+    document."""
+    def edit_text(text):
+        meta = json.loads(text)
+        edit(meta)
+        return json.dumps(meta)
+    return rewritten_meta(edit_text)
+
+
 # Each fault that a load must reject, and what it is rejected for. A
 # deflated member is rejected although np.load would read it: no wtx
 # writer makes one.
@@ -282,6 +313,17 @@ ENTRY_FAULTS = {
                       "its zip directory is not the one an entry has"),
     "not_a_zip": (lambda entry: npy_bytes(member_array(entry, "source_weights")),
                   "not a zip archive"),
+    "retyped_member": (retyped_member, "eval_novel.class_index is an array of <f8, not of <i8"),
+    # Meta documents that every CRC-32 passes but no entry holds.
+    "meta_list": (rewritten_meta(lambda text: f"[{text}]"),
+                  "its meta member is not the JSON object of an entry's facts"),
+    "meta_not_json": (rewritten_meta(lambda text: text[:-1]),
+                      "its meta member is not the JSON object of an entry's facts"),
+    "meta_without_fingerprint": (edited_meta(lambda meta: meta.pop("fingerprint")),
+                                 "its meta member is not the JSON object of an entry's facts"),
+    "meta_split_without_arrays": (edited_meta(lambda meta: meta["splits"].append("bogus")),
+                                  "the stored hashes are not those of the arrays of an "
+                                  "instance with the splits"),
 }
 
 
@@ -330,6 +372,53 @@ def test_generate_writes_a_faulty_entry_built_again(tmp_path, monkeypatch, cache
     assert calls == [0]
     assert read_tree(tmp_path / "again") == read_tree(tmp_path / "built")
     assert entry.read_bytes() == good
+
+
+@pytest.mark.parametrize("fault", [None, *ENTRY_FAULTS])
+def test_generate_loads_the_copy_it_writes(tmp_path, monkeypatch, cache_home, fault):
+    # The copy step writes a fault into the output and leaves the cache file
+    # good: a hit that loaded the cache file would write the fault out. The
+    # control, a faithful copy, is a hit with nothing built.
+    config = write_config(tmp_path, tiny_doc())
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "built")]) == 0
+    [name] = cache_entries(cache_home)
+    entry = cache_home / "wtx" / "benchmarks" / name
+    good = entry.read_bytes()
+    copied = []
+
+    def copying(src, dst):
+        copied.append(src)
+        data = pathlib.Path(src).read_bytes()
+        pathlib.Path(dst).write_bytes(data if fault is None else ENTRY_FAULTS[fault][0](data))
+
+    monkeypatch.setattr(wtx.runs, "copyfile", copying)
+    calls = counting_generate(monkeypatch)
+    assert main(["generate", "--config", config, "--out", str(tmp_path / "again")]) == 0
+    assert copied == [str(entry)]
+    assert calls == ([] if fault is None else [0])
+    assert read_tree(tmp_path / "again") == read_tree(tmp_path / "built")
+    assert entry.read_bytes() == good
+
+
+def test_a_generate_hit_holds_the_entry_arrays_once(tmp_path, monkeypatch, cache_home,
+                                                   default_bench):
+    # The traced peak of a warm generate at the default size: the arrays,
+    # read once from the copy, and little else. The lower bound is the
+    # control that the trace sees numpy's arrays at all.
+    monkeypatch.setattr(wtx.runs, "generate_benchmark", lambda config, seed: default_bench)
+    argv = ["generate", "--seed", "0", "--out"]
+    assert main(argv + [str(tmp_path / "cold")]) == 0
+    size = (tmp_path / "cold" / "benchmark.npz").stat().st_size
+    calls = counting_generate(monkeypatch)
+    tracemalloc.start()
+    try:
+        assert main(argv + [str(tmp_path / "warm")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert size < peak < 1.5 * size
+    assert read_tree(tmp_path / "warm") == read_tree(tmp_path / "cold")
 
 
 def test_no_novel_leakage_into_training(tiny_bench):
