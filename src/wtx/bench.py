@@ -16,13 +16,16 @@ An example's labels depend only on its class, so a split keeps them once
 per class: one multi-hot row per class, and for each example the index of
 its class's row. No split holds a matrix of one label row per example.
 
-An instance has one on-disk form: one uncompressed ``.npz`` archive
-(``instance_entry``, read back by ``load_instance_entry``) that holds every
-array and a ``meta`` JSON document with the config, the seed, the
-fingerprint and the other facts of the instance. The benchmark cache of
-``wtx.runs`` stores it, and ``wtx generate`` writes a copy of the cache
-entry, which it then loads whole, so every byte of its output is checked;
-``save_instance`` writes the two files beside it.
+An instance has one on-disk form, its entry: ``.npy`` records back to
+back, each written by ``np.save`` (``instance_entry``, read back by
+``load_instance_entry``). The first is a ``meta`` JSON document with the
+config, the seed, the fingerprint and the other facts of the instance, the
+second the sha256 of its text, and the rest every array, in a fixed order.
+``np.load`` of an entry returns the meta document, and ``np.load`` on an
+open entry file returns the records in order. The benchmark cache of
+``wtx.runs`` stores entries, and ``wtx generate`` writes a copy of the
+cache entry, which it then loads whole, so every byte of its output is
+checked; ``save_instance`` writes the two files beside it.
 
 ``meta`` also holds ``array_hashes``, the ``matrix_hash`` of every array,
 and the fingerprint is computed from those of W_C and each split's
@@ -30,16 +33,19 @@ features. A load may read only some splits. It checks each array it reads
 against its hash and the hashes against the fingerprint, so a damaged
 array fails only the loads that read it.
 
-The archive has one reader, ``load_instance_entry``, and no ``np.load``.
-It finds a member through the zip directory, checks its ``.npy`` header
-with ``wtx.matrix.read_npy_header`` and reads its values straight into an
-aligned array, with one copy, then checks the member's CRC-32. The hashes
-cover an array's shape and bytes but not its dtype, so each array must
-also have the dtype that ``generate_benchmark`` gives it. Every byte
-outside the members (the zip headers, directory and end record) must be
-what ``instance_entry`` writes, so damage anywhere in an entry fails a load
-that reads the whole of it: outside the members by that check, inside them
-by the CRC-32.
+An entry has one reader, ``load_instance_entry``, and no ``np.load``. It
+walks the records in order. Every header is checked by
+``wtx.matrix.read_npy_header``, so it must be byte for byte the one
+``np.save`` writes, and must claim the dtype that ``generate_benchmark``
+gives its array: the hashes cover an array's shape and bytes but not its
+dtype. The meta record must be exactly that of ``np.array`` of its text
+and hash to the digest record. An array a load wants is read straight
+from the file into an aligned array, with one copy, and checked against
+its hash; the others are skipped. The file must end right after its last
+record, and the meta text must be the one ``instance_entry`` writes for
+the facts it holds. So a whole load accepts only the bytes that
+``instance_entry`` writes, and damage to a header, to the meta document or
+to its digest fails every load.
 """
 
 from __future__ import annotations
@@ -47,10 +53,8 @@ from __future__ import annotations
 import hashlib
 import io
 import json
+import math
 import os
-import struct
-import zipfile
-import zlib
 from dataclasses import asdict, dataclass, field
 from functools import cached_property
 
@@ -201,14 +205,14 @@ class BenchmarkInstance:
 
     @cached_property
     def array_hashes(self) -> dict[str, str]:
-        """The ``matrix_hash`` of every array of the archive, by member name,
-        computed once. ``load_instance_entry`` sets the archive's hashes."""
+        """The ``matrix_hash`` of every array of the entry, by name, computed
+        once. ``load_instance_entry`` sets the entry's hashes."""
         return {member: matrix_hash(a) for member, a in _entry_arrays(self).items()}
 
     @cached_property
     def fingerprint(self) -> str:
         """SHA-256 over the hashes of W_C and then of each split's features,
-        in member name order; a run records the fingerprint it was trained on.
+        in name order; a run records the fingerprint it was trained on.
         W_C and the features are read-only, so it is computed once."""
         hashes = self.array_hashes
         h = hashlib.sha256(hashes["source_weights"].encode())
@@ -386,11 +390,11 @@ def generate_benchmark(config: BenchConfig, seed: int) -> BenchmarkInstance:
                              splits=splits, measured=measured)
 
 
-# --- the archive ------------------------------------------------------------
+# --- the entry --------------------------------------------------------------
 
 # The dtype of every array of an instance as ``generate_benchmark`` makes
-# it, by archive member name; a split's arrays by field, in the order of
-# ``Split``'s fields, named ``SPLIT.FIELD`` in the archive.
+# it, by name, in the order of its record in an entry; a split's arrays by
+# field, in the order of ``Split``'s fields, named ``SPLIT.FIELD``.
 _DTYPES = {"source_weights": np.float64, "shared_mask": np.bool_, "prototypes": np.float64,
            "cluster_ids": np.int64, "other_prototypes": np.float64, "rotation": np.float64}
 _SPLIT_DTYPES = {"features": np.float64, "class_ids": np.int64, "class_labels": np.float64,
@@ -400,17 +404,20 @@ _META_KEYS = {"config", "seed", "cooccur_radius", "measured", "splits", "array_h
               "fingerprint"}
 
 
-def _entry_meta(instance: BenchmarkInstance) -> str:
+def _entry_meta(instance: BenchmarkInstance, splits=None) -> str:
+    """The text of the meta document of the instance's entry, whose splits
+    are named ``splits``: the instance's own if None (a partial load holds
+    fewer)."""
     return json.dumps({"config": asdict(instance.config), "seed": instance.seed,
-                       "cooccur_radius": instance.cooccur_radius,
-                       "measured": instance.measured, "splits": list(instance.splits),
+                       "cooccur_radius": instance.cooccur_radius, "measured": instance.measured,
+                       "splits": list(instance.splits) if splits is None else splits,
                        "array_hashes": instance.array_hashes,
                        "fingerprint": instance.fingerprint})
 
 
 def _entry_arrays(instance: BenchmarkInstance) -> dict[str, np.ndarray]:
-    """Every array of the instance by archive member name; split arrays are
-    named ``SPLIT.FIELD``."""
+    """Every array of the instance by name, in the order of the entry's
+    records; split arrays are named ``SPLIT.FIELD``."""
     arrays = {"source_weights": instance.source.weights,
               "shared_mask": instance.source.shared_mask,
               "prototypes": instance.prototypes, "cluster_ids": instance.cluster_ids,
@@ -420,151 +427,115 @@ def _entry_arrays(instance: BenchmarkInstance) -> dict[str, np.ndarray]:
     return arrays
 
 
+def _text_digest(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
 def instance_entry(instance: BenchmarkInstance) -> bytes:
-    """The instance as one uncompressed ``.npz`` archive: every array, and a
-    ``meta`` string of JSON with the config, seed, co-occurrence radius,
-    measured statistics, split names, array hashes and fingerprint.
-    ``load_instance_entry`` reads it back."""
+    """The instance as ``.npy`` records back to back, each written by
+    ``np.save``: the meta document, a string of JSON with the config, seed,
+    co-occurrence radius, measured statistics, split names, array hashes
+    and fingerprint; the sha256 of its text, in hex; then every array, in
+    the order of ``_entry_arrays``. ``load_instance_entry`` reads it back."""
+    text = _entry_meta(instance)
     buf = io.BytesIO()
-    np.savez(buf, meta=np.array(_entry_meta(instance)), **_entry_arrays(instance))
+    for a in (np.array(text), np.array(_text_digest(text)), *_entry_arrays(instance).values()):
+        np.save(buf, a, allow_pickle=False)
     return buf.getvalue()
 
 
 def save_instance(instance: BenchmarkInstance, dirpath: str) -> None:
-    """Write the two files that sit beside the instance's archive in the
-    directory ``dirpath``: ``manifest.json``, the archive's ``meta``
-    document, and ``source_weights.json``, W_C as a JSON matrix."""
+    """Write the two files that sit beside the instance's entry in the
+    directory ``dirpath``: ``manifest.json``, the entry's meta document, and
+    ``source_weights.json``, W_C as a JSON matrix."""
     atomic_write_text(os.path.join(dirpath, "manifest.json"), _entry_meta(instance))
     save_matrix_json(instance.source.weights, os.path.join(dirpath, "source_weights.json"))
 
 
-# The zip framing of an ``instance_entry`` archive as ``np.savez`` writes it
-# through ``zipfile``: every member stored, with zip64 sizes, dated
-# 1980-01-01 00:00 (zipfile's default) and of mode 0600, the members back
-# to back from the start, then the central directory, then its end record
-# with no comment. ``zipfile`` has no public writer of headers alone, so
-# the records are spelled out here after the zip format (PKWARE APPNOTE,
-# 4.3); a load checks every byte of an entry outside its members against
-# them.
-_LOCAL = struct.Struct("<4s5H3L2H")         # local header; then the name and _ZIP64
-_ZIP64 = struct.Struct("<2H2Q")             # zip64 extra field: id 1, 16 bytes, both sizes
-_CENTRAL = struct.Struct("<4s4B4H3L5H2L")   # central directory record; then the name
-_END = struct.Struct("<4s4H2LH")            # end of central directory record
-_VERSION = 45                               # 4.5, the version of zip64
-_DATE = 1 << 5 | 1                          # 1980-01-01 in MS-DOS date form
-_MODE = 0o600 << 16
-_IN_ZIP64 = 0xFFFFFFFF                      # a size held in the zip64 field
+def _read_string(f, end: int, what: str) -> str:
+    """The string in the next record of the entry file ``f``, of ``end``
+    bytes, whose bytes must be those ``np.save`` writes for ``np.array`` of
+    an ASCII string: every string of an entry is one. ``what`` names the
+    record in messages."""
+    shape, fortran, dtype = read_npy_header(f, end - f.tell(), what)
+    a = read_npy_values(f, shape, fortran, dtype, what)
+    text = str(a)
+    if fortran or a.shape != () or a.dtype != np.array(text).dtype or not text.isascii():
+        raise ValidationError(f"{what}: not the record np.save writes for an ASCII string")
+    return text
 
 
-def _local_header(info: zipfile.ZipInfo) -> bytes:
-    """The local header, name and zip64 field that precede the values of the
-    member ``info`` in an ``instance_entry`` archive."""
-    name = info.filename.encode()
-    return (_LOCAL.pack(b"PK\x03\x04", _VERSION, 0, zipfile.ZIP_STORED, 0, _DATE, info.CRC,
-                        _IN_ZIP64, _IN_ZIP64, len(name), _ZIP64.size)
-            + name + _ZIP64.pack(1, 16, info.file_size, info.file_size))
+def load_instance_entry(path: str, config: BenchConfig, seed: int,
+                        splits=None) -> BenchmarkInstance:
+    """The instance in an entry that ``instance_entry`` wrote for (config,
+    seed): W_C, the small arrays and the splits named in ``splits`` (every
+    split if None; ``split`` of another raises StateError). The records are
+    walked in order, each header checked before its values: the meta
+    document and its digest are read first, then each array they name is
+    read straight from the file into an aligned array with one copy, and
+    every other is skipped. W_C and the split features come back read-only,
+    as ``generate_benchmark`` makes them.
 
-
-def _directory(infos: list[zipfile.ZipInfo]) -> tuple[int, bytes]:
-    """Where the central directory of an ``instance_entry`` archive of the
-    members ``infos``, in that order, starts, and its bytes from there to
-    the end of the archive."""
-    at, records = 0, []
-    for info in infos:
-        name = info.filename.encode()
-        records.append(_CENTRAL.pack(b"PK\x01\x02", _VERSION, zipfile.ZipInfo().create_system,
-                                     _VERSION, 0, 0, zipfile.ZIP_STORED, 0, _DATE, info.CRC,
-                                     info.file_size, info.file_size, len(name), 0, 0, 0, 0,
-                                     _MODE, at) + name)
-        at += len(_local_header(info)) + info.file_size
-    directory = b"".join(records)
-    return at, directory + _END.pack(b"PK\x05\x06", 0, 0, len(infos), len(infos),
-                                     len(directory), at, 0)
-
-
-def _read_member(f, info: zipfile.ZipInfo, path: str) -> np.ndarray:
-    """The array in the ``.npy`` member ``info`` of the archive that the
-    binary file ``f`` holds, read by ``read_npy_values``. The local header
-    must be the one ``instance_entry`` writes, and the ``.npy`` header is
-    checked by ``read_npy_header`` before any value is read; then the CRC-32
-    of the member's bytes is checked against the archive's. A member that
-    fails a check raises ValidationError."""
-    what = f"{path}: {info.filename}"
-    local = _local_header(info)
-    f.seek(info.header_offset)
-    if f.read(len(local)) != local:
-        raise ValidationError(f"{what}: its local header is not the one an entry has")
-    start = f.tell()
-    header = read_npy_header(f, info.file_size, what)
-    size = f.tell() - start
-    f.seek(start)
-    crc = zlib.crc32(f.read(size))
-    a = read_npy_values(f, *header, what)
-    if zlib.crc32(a.ravel(order="K"), crc) != info.CRC:
-        raise ValidationError(f"{what} fails its CRC-32 check")
-    return a
-
-
-def _read_meta(f, info: zipfile.ZipInfo, path: str) -> dict:
-    """The meta document in the member ``info`` of the entry archive that
-    the binary file ``f`` holds: a JSON object with every key a load reads,
-    its ``splits`` a list of names and its ``array_hashes`` an object of
-    strings. Anything else raises ValidationError."""
-    text = str(_read_member(f, info, path))
-    try:
-        meta = json.loads(text)
-    except json.JSONDecodeError:
-        meta = None
-    if not (isinstance(meta, dict) and _META_KEYS <= meta.keys()
-            and isinstance(meta["splits"], list)
-            and all(isinstance(s, str) for s in meta["splits"])
-            and isinstance(meta["array_hashes"], dict)
-            and all(isinstance(h, str) for h in meta["array_hashes"].values())):
-        raise ValidationError(f"{path}: its meta member is not the JSON object of an "
-                              f"entry's facts")
-    return meta
-
-
-def _read_entry(f, path: str, config: BenchConfig, seed: int, splits) -> BenchmarkInstance:
-    """The instance in the entry archive that the binary file ``f`` holds;
-    see ``load_instance_entry``."""
-    try:
-        with zipfile.ZipFile(f) as archive:
-            infos = archive.infolist()
-    except zipfile.BadZipFile as e:
-        raise ValidationError(f"{path}: not a zip archive ({e})") from None
-    for info in infos:
-        if info.compress_type != zipfile.ZIP_STORED:
-            raise ValidationError(f"{path}: {info.filename} is not a stored member")
-    end, directory = _directory(infos)
-    f.seek(end)
-    if f.read(len(directory) + 1) != directory:
-        raise ValidationError(f"{path}: its members are not back to back or its zip "
-                              f"directory is not the one an entry has")
-    members = {info.filename.removesuffix(".npy"): info for info in infos}
-    if "meta" not in members:
-        raise ValidationError(f"{path}: no meta member")
-    meta = _read_meta(f, members.pop("meta"), path)
-    if meta["config"] != asdict(config) or meta["seed"] != seed:
-        raise ValidationError(f"{path}: an entry of another benchmark")
-    hashes = meta["array_hashes"]
-    if set(members) != set(hashes):
-        raise ValidationError(f"{path}: the members are not those of the stored hashes")
-    dtypes = {**_DTYPES, **{f"{s}.{f}": dtype for s in meta["splits"]
-                            for f, dtype in _SPLIT_DTYPES.items()}}
-    if set(hashes) != set(dtypes):
-        raise ValidationError(f"{path}: the stored hashes are not those of the arrays of "
-                              f"an instance with the splits {meta['splits']}")
-    names = [s for s in meta["splits"] if splits is None or s in splits]
-    a = {}
-    for member in hashes:
-        if "." not in member or member.split(".")[0] in names:
-            a[member] = _read_member(f, members[member], path)
-            if a[member].dtype != dtypes[member]:
-                raise ValidationError(f"{path}: {member} is an array of {a[member].dtype.str}, "
-                                      f"not of {np.dtype(dtypes[member]).str}")
-            if matrix_hash(a[member]) != hashes[member]:
-                raise ValidationError(f"{path}: {member} does not hash to its stored hash")
+    Nothing is unpickled. Raises ValidationError, naming the file:
+    - for a first record that is not the ``np.save`` record of an ASCII
+      string, or a second that is not that of the string's sha256; for a
+      meta document that is not a JSON object with every key a load reads,
+      its splits a list of names and its hashes an object of strings;
+    - for an entry of another (config, seed), or one whose hashes are not
+      those of the arrays of an instance with the splits it lists;
+    - for an array record whose header is not the one ``np.save`` writes
+      for a C-order array of the dtype ``generate_benchmark`` gives it (so
+      one whose header does not parse, or claims an object dtype or more
+      values than the file holds), checked before a value is read;
+    - for an array read that does not hash to its stored hash, or hashes
+      that do not hash to the stored fingerprint;
+    - for a file that goes on after its last record;
+    - for a meta document whose text is not the one ``instance_entry``
+      writes for the facts it holds.
+    So a whole load accepts only the bytes that ``instance_entry`` writes.
+    A file that cannot be opened raises OSError."""
+    with open(path, "rb") as f:
+        end = os.fstat(f.fileno()).st_size
+        text = _read_string(f, end, f"{path}: meta")
+        if _read_string(f, end, f"{path}: digest") != _text_digest(text):
+            raise ValidationError(f"{path}: its meta document does not hash to its digest")
+        try:
+            meta = json.loads(text)
+        except json.JSONDecodeError:
+            meta = None
+        if not (isinstance(meta, dict) and _META_KEYS <= meta.keys()
+                and isinstance(meta["splits"], list)
+                and all(isinstance(s, str) for s in meta["splits"])
+                and isinstance(meta["array_hashes"], dict)
+                and all(isinstance(h, str) for h in meta["array_hashes"].values())):
+            raise ValidationError(f"{path}: its meta document is not the JSON object of an "
+                                  f"entry's facts")
+        if meta["config"] != asdict(config) or meta["seed"] != seed:
+            raise ValidationError(f"{path}: an entry of another benchmark")
+        names = [s for s in meta["splits"] if splits is None or s in splits]
+        # Each array record in file order: its name, its dtype and whether it is read.
+        records = [(name, dtype, True) for name, dtype in _DTYPES.items()]
+        records += [(f"{s}.{f}", dtype, s in names) for s in meta["splits"]
+                    for f, dtype in _SPLIT_DTYPES.items()]
+        hashes = meta["array_hashes"]
+        if set(hashes) != {name for name, *_ in records}:
+            raise ValidationError(f"{path}: the stored hashes are not those of the arrays of "
+                                  f"an instance with the splits {meta['splits']}")
+        a = {}
+        for name, want, read in records:
+            what = f"{path}: {name}"
+            shape, fortran, dtype = read_npy_header(f, end - f.tell(), what)
+            if fortran or dtype != want:
+                raise ValidationError(f"{what} is not a C-order array of {np.dtype(want).str} "
+                                      f"(its header: {dtype.str}, Fortran order {fortran})")
+            if not read:
+                f.seek(dtype.itemsize * math.prod(shape), os.SEEK_CUR)
+                continue
+            a[name] = read_npy_values(f, shape, False, dtype, what)
+            if matrix_hash(a[name]) != hashes[name]:
+                raise ValidationError(f"{what} does not hash to its stored hash")
+        if f.tell() != end:
+            raise ValidationError(f"{path}: the file does not end at its last record")
     loaded = {s: Split(**{f: a[f"{s}.{f}"] for f in _SPLIT_DTYPES}) for s in names}
     for sp in loaded.values():
         sp.features.setflags(write=False)
@@ -577,38 +548,7 @@ def _read_entry(f, path: str, config: BenchConfig, seed: int, splits) -> Benchma
     vars(instance)["array_hashes"] = hashes     # the cached_property's value
     if instance.fingerprint != meta["fingerprint"]:
         raise ValidationError(f"{path}: the array hashes do not hash to the stored fingerprint")
+    if text != _entry_meta(instance, meta["splits"]):
+        raise ValidationError(f"{path}: its meta document is not the text an entry of its "
+                              f"facts has")
     return instance
-
-
-def load_instance_entry(path: str, config: BenchConfig, seed: int,
-                        splits=None) -> BenchmarkInstance:
-    """The instance in an entry that ``instance_entry`` wrote for (config,
-    seed): W_C, the small arrays and the splits named in ``splits`` (every
-    split if None; ``split`` of another raises StateError). The meta
-    document is read first; then each array it names, and no other, is
-    read straight from its member of the file into an aligned array with
-    one copy, found through the zip directory. W_C and the split features
-    come back read-only, as ``generate_benchmark`` makes them.
-
-    Nothing is unpickled. Raises ValidationError, naming the file:
-    - for a file that is not a zip archive (a truncated one, say), one with
-      a member that is not stored uncompressed, one whose bytes outside the
-      members are not those ``instance_entry`` writes (the local headers,
-      the central directory and its end record, with the members back to
-      back and nothing after), and one with no ``meta`` member;
-    - for a meta document that is not a JSON object with every key a load
-      reads, its splits a list of names and its hashes an object of
-      strings;
-    - for an entry of another (config, seed), or one whose members are not
-      the arrays its meta document hashes, or whose hashes are not those of
-      the arrays of an instance with the splits it lists;
-    - for a member read whose ``.npy`` header does not parse, has an object
-      dtype or claims other than the bytes the member holds (checked before
-      a value is read), or whose bytes fail the member's CRC-32;
-    - for an array read that is not of the dtype ``generate_benchmark``
-      gives it, or does not hash to its stored hash, or hashes that do not
-      hash to the stored fingerprint.
-    A file that cannot be opened raises OSError."""
-    with open(path, "rb") as f:
-        return _read_entry(f, path, config, seed, splits)
-

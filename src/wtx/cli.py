@@ -38,11 +38,13 @@ trained, so the sweep flags ``--config``, ``--seed`` and ``--grid`` exit 2
 with RUN_DIRS, before any run directory is read; ``--jobs`` has a default
 and is ignored.
 
-``generate`` writes three files: ``benchmark.npz``, the benchmark in the
-format of ``wtx.bench.instance_entry``, which ``wtx.bench.load_instance_entry``
-reads back; ``manifest.json``, the archive's ``meta`` document (the config,
+``generate`` writes three files: ``benchmark.npy``, the benchmark in the
+format of ``wtx.bench.instance_entry`` (``.npy`` records back to back, so
+``np.load`` of it returns the meta document and ``np.load`` on the open
+file returns each record in turn), which ``wtx.bench.load_instance_entry``
+reads back; ``manifest.json``, the entry's ``meta`` document (the config,
 seed and fingerprint among others); and ``source_weights.json``, W_C as a
-JSON matrix. ``benchmark.npz`` is byte for byte the cache entry of its
+JSON matrix. ``benchmark.npy`` is byte for byte the cache entry of its
 config and seed (``wtx.runs.write_benchmark``): on a hit, a copy of the
 entry file that is then loaded whole, so every byte of it is checked; on a
 miss, the entry just built and written.
@@ -136,7 +138,7 @@ def _add_to_run_dir(path: str, text: str) -> None:
 def cmd_generate(args) -> int:
     cfg = _load_config(args.config, args.seed)
     with staged_output(args.out, args.overwrite) as tmp:
-        bench = write_benchmark(cfg.benchmark, cfg.seeds[0], os.path.join(tmp, "benchmark.npz"))
+        bench = write_benchmark(cfg.benchmark, cfg.seeds[0], os.path.join(tmp, "benchmark.npy"))
         save_instance(bench, tmp)
     print(f"benchmark written to {args.out}")
     return 0

@@ -23,10 +23,12 @@ validates the file and its shape:
   the one matrix format.
 
 The package has one ``.npy`` reader, in two steps: ``read_npy_header``
-parses and checks a header, and ``read_npy_values`` reads the values after
-it straight from the file into a new array, with one copy.
-``load_matrix_npy`` reads a run directory's matrices with it, and
-``wtx.bench`` each member of a benchmark archive.
+parses a header, checks that it is byte for byte the one ``np.save``
+writes and that its values fit in the bytes left, and ``read_npy_values``
+reads the values after it straight from the file into a new array, with
+one copy. ``load_matrix_npy`` reads a run directory's matrices with it,
+and checks that the file ends right after the values; ``wtx.bench`` reads
+each record of a benchmark entry with it, where records sit back to back.
 """
 
 from __future__ import annotations
@@ -36,6 +38,7 @@ import io
 import json
 import math
 import os
+import tokenize
 
 import numpy as np
 
@@ -176,28 +179,37 @@ def save_matrix_npy(m: np.ndarray, path: str) -> None:
 
 def read_npy_header(f, size: int, what: str) -> tuple[tuple[int, ...], bool, np.dtype]:
     """The shape, Fortran-order flag and dtype in the ``.npy`` header at the
-    position of the binary file ``f``, where the array, header included,
-    takes the next ``size`` bytes; ``f`` is left at the first value. Anything
-    but a ``.npy`` header, an object dtype, or values that would not fill the
-    rest of the ``size`` bytes exactly raises ValidationError naming
+    position of the binary file ``f``, where ``size`` bytes are left for the
+    header and its values; ``f`` is left at the first value. The header must
+    be byte for byte the one ``np.save`` writes for an array of that shape,
+    order and dtype. Anything else, an object dtype, or values that would not
+    fit in the rest of the ``size`` bytes raises ValidationError naming
     ``what``. Nothing is unpickled and no claimed size is allocated."""
     start = f.tell()
     try:
         version = np.lib.format.read_magic(f)
         shape, fortran, dtype = (np.lib.format.read_array_header_1_0(f) if version == (1, 0)
                                  else np.lib.format.read_array_header_2_0(f))
-    except ValueError as e:
+    except (ValueError, SyntaxError, tokenize.TokenError) as e:
+        # numpy's header parser raises all three, for a damaged header
         raise ValidationError(f"{what}: not a .npy file ({e})") from None
     if dtype.hasobject:
         raise ValidationError(f"{what}: a .npy array of Python objects ({dtype.str}); "
                               f"nothing is unpickled")
     if min(shape, default=0) < 0:
         raise ValidationError(f"{what}: not a .npy file (shape {shape})")
+    saved = io.BytesIO()
+    np.lib.format.write_array_header_1_0(saved, {  # np.save writes no bool in a shape
+        "descr": np.lib.format.dtype_to_descr(dtype), "fortran_order": fortran,
+        "shape": tuple(map(int, shape))})
+    f.seek(start)        # a header of another length differs in its length field
+    if f.read(saved.tell()) != saved.getvalue():
+        raise ValidationError(f"{what}: not the .npy header np.save writes for a {shape} "
+                              f"array of {dtype.str}")
     need = dtype.itemsize * math.prod(shape)
-    held = size - (f.tell() - start)
-    if held != need:
+    if need > size - saved.tell():
         raise ValidationError(f"{what}: a {shape} array of {dtype.str} needs {need} bytes "
-                              f"of values, {held} follow its header")
+                              f"of values, only {size - saved.tell()} follow its header")
     return shape, fortran, dtype
 
 
@@ -229,6 +241,8 @@ def load_matrix_npy(path: str, shape: tuple[int, int] | None = None) -> np.ndarr
                 raise ValidationError(f"{path} holds a {dims[0]}x{dims[1]} matrix where "
                                       f"{shape[0]}x{shape[1]} is needed")
             m = read_npy_values(f, dims, fortran, dtype, path)
+            if f.read(1):
+                raise ValidationError(f"{path}: the file does not end at the matrix's values")
     except OSError as e:
         raise ValidationError(f"{path}: cannot be read ({e.strerror})") from None
     if not np.isfinite(m).all():

@@ -46,7 +46,7 @@ the one place that tells the two kinds apart.
 
 Every benchmark a command needs (``generate``, ``train``, each ``compare``
 sweep worker and each reload) comes from one benchmark cache. An entry is
-``$XDG_CACHE_HOME/wtx/benchmarks/KEY.npz``, under ``~/.cache`` when
+``$XDG_CACHE_HOME/wtx/benchmarks/KEY.npy``, under ``~/.cache`` when
 XDG_CACHE_HOME is unset, in a directory of mode 0700. KEY is the sha256 of
 canonical JSON of the benchmark config, the seed and a stamp of what else
 the benchmark's bits may depend on: the sha256 of this package's ``.py``
@@ -56,7 +56,9 @@ the host name and architecture. An entry (the format of
 passes the checks of ``wtx.bench.load_instance_entry``; otherwise the
 benchmark is built by ``generate_benchmark`` and its entry written.
 ``generate``, ``train`` and a sweep read every split and the reloads fewer
-(below), so a damaged array is repaired by the first command that reads it.
+(below). Every load checks every header of an entry and its meta document,
+so damage there fails every load; a damaged value fails only the loads
+that read it, and is repaired by the first command that does.
 ``generate`` (``write_benchmark``) copies the entry to its output and loads
 the copy whole, so every byte it writes passed those checks; a miss writes
 the entry it built there too.
@@ -98,7 +100,15 @@ variable changes an output bit. A sweep worker would gain nothing from a
 second thread: the matrices are small, and the other workers want the
 cores. Scoring by ``eval``, ``analyze`` and ``compare RUN_DIRS`` keeps the
 default count, which is faster; its top-1 and recall were the same at 1
-and 2 threads at the default size and at both presets.
+and 2 threads at the default size and at both presets. Its logits are not:
+for a ``wtn`` run of 50 iterations (seed 0), 52 of the 1,537,500
+``eval_novel`` logits differed in their last bits between 1 and 2 threads
+at the default size, and 30 of 1,601,700 at ``oi_shape``. Pinning this
+scoring to 1 thread would cost time: on a 2-core host, three ``eval`` runs
+and a ``compare`` of the three runs took 139 ms at 1 thread against 124
+ms at 2 (medians of 16 alternating repetitions, default size), and
+scoring one W_D on both eval splits 11.6-12.3 ms against 8.7-9.0 ms
+(medians of 40).
 """
 
 from __future__ import annotations
@@ -239,7 +249,7 @@ def _benchmark(config: BenchConfig, seed: int, *, look_up: bool = True, splits=N
         base = os.path.join(os.path.expanduser("~"), ".cache")
     key = {"benchmark": asdict(config), "seed": seed, "stamp": _cache_stamp()}
     digest = hashlib.sha256(json.dumps(key, sort_keys=True, separators=(",", ":")).encode())
-    path = os.path.join(base, "wtx", "benchmarks", digest.hexdigest() + ".npz")
+    path = os.path.join(base, "wtx", "benchmarks", digest.hexdigest() + ".npy")
     if look_up:
         with suppress(Exception):       # any read error or failed check is a miss
             if copy_to is not None:

@@ -111,6 +111,26 @@ def npy_bytes(a, allow_pickle=False):
     return buf.getvalue()
 
 
+def entry_records(data: bytes) -> dict[str, np.ndarray]:
+    """The records of the benchmark entry ``data`` by name, read in turn by
+    plain ``np.load`` on an open file: ``meta``, ``digest``, then every
+    array, named as in the meta document's ``array_hashes``. The reference
+    reader of the tests, independent of ``wtx.bench``."""
+    f = io.BytesIO(data)
+    records = []
+    while f.tell() < len(data):
+        records.append(np.load(f, allow_pickle=False))
+    names = ["meta", "digest", *json.loads(str(records[0]))["array_hashes"]]
+    assert len(names) == len(records)
+    return dict(zip(names, records))
+
+
+def entry_bytes(records: dict) -> bytes:
+    """The records joined back to back, in their order: each array as
+    ``np.save`` writes it, and each ``bytes`` value as it is."""
+    return b"".join(r if isinstance(r, bytes) else npy_bytes(r) for r in records.values())
+
+
 def npz_bytes(m):
     buf = io.BytesIO()
     np.savez(buf, m)
@@ -121,6 +141,13 @@ def with_first(m, value):
     m = m.copy()
     m.flat[0] = value
     return m
+
+
+def flipped(data: bytes, offset: int, bit: int) -> bytes:
+    """``data`` with bit ``bit`` of byte ``offset`` flipped."""
+    data = bytearray(data)
+    data[offset] ^= 1 << bit
+    return bytes(data)
 
 
 def huge_header(m):
@@ -150,6 +177,8 @@ BAD_NPY = {
     "neg_inf": lambda m: npy_bytes(with_first(m, -np.inf)),
     "wrong_shape": lambda m: npy_bytes(m[:-1]),
     "claims_huge_shape": huge_header,
+    # Bit 6 of the header length: numpy's parser raises tokenize.TokenError.
+    "flipped_header_length": lambda m: flipped(npy_bytes(m), 8, 6),
     "npz": npz_bytes,
 }
 NPY_FAULTS = ["missing", "directory", *BAD_NPY]

@@ -1,15 +1,15 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import hashlib
 import io
 import itertools
 import json
 import os
 import pathlib
 import pickle
-import struct
 import tracemalloc
-import zipfile
 from dataclasses import asdict, replace
 
 import wtx.bench
@@ -22,7 +22,8 @@ from wtx.evaluation import evaluate
 from wtx.matrix import load_matrix_json, row_l2_norms
 from wtx.models import DetectionProxyHead, ModelConfig, TrainConfig, TransferModel, train_joint
 
-from conftest import assert_same_instance, npy_bytes, tiny_config
+from conftest import (assert_same_instance, entry_bytes, entry_records, flipped, npy_bytes,
+                      tiny_config)
 from test_cli import cache_entries, counting_generate, read_tree, tiny_doc, write_config
 
 
@@ -75,7 +76,7 @@ def test_same_seed_byte_identical_serialization(tmp_path):
     for name in ("a", "b"):
         (tmp_path / name).mkdir()
         bench = generate_benchmark(cfg, seed=5)
-        (tmp_path / name / "benchmark.npz").write_bytes(instance_entry(bench))
+        (tmp_path / name / "benchmark.npy").write_bytes(instance_entry(bench))
         save_instance(bench, str(tmp_path / name))
     names = sorted(os.listdir(tmp_path / "a"))
     assert names == sorted(os.listdir(tmp_path / "b"))
@@ -100,19 +101,27 @@ def test_split_features_are_read_only(tiny_bench):
 
 
 def test_instance_round_trip(tmp_path):
-    # The archive is the instance's one on-disk form: it reads back bitwise,
+    # The entry is the instance's one on-disk form: it reads back bitwise,
     # fingerprint included, and next to it sit only its meta document and W_C.
+    # Plain np.load reads it too: of the file, the meta document; on the
+    # open file, each record in turn, the digest and then every array.
     cfg = tiny_config()
     want = generate_benchmark(cfg, seed=3)
-    (tmp_path / "benchmark.npz").write_bytes(instance_entry(want))
+    (tmp_path / "benchmark.npy").write_bytes(instance_entry(want))
     save_instance(want, str(tmp_path))
-    assert sorted(os.listdir(tmp_path)) == ["benchmark.npz", "manifest.json",
+    assert sorted(os.listdir(tmp_path)) == ["benchmark.npy", "manifest.json",
                                             "source_weights.json"]
-    assert (tmp_path / "benchmark.npz").read_bytes() == instance_entry(want)
-    assert_same_instance(load_instance_entry(str(tmp_path / "benchmark.npz"), cfg, 3),
+    assert (tmp_path / "benchmark.npy").read_bytes() == instance_entry(want)
+    assert_same_instance(load_instance_entry(str(tmp_path / "benchmark.npy"), cfg, 3),
                          generate_benchmark(cfg, seed=3))
-    with np.load(tmp_path / "benchmark.npz") as archive:
-        assert (tmp_path / "manifest.json").read_text() == str(archive["meta"])
+    manifest_text = (tmp_path / "manifest.json").read_text()
+    assert str(np.load(tmp_path / "benchmark.npy")) == manifest_text
+    records = entry_records((tmp_path / "benchmark.npy").read_bytes())
+    assert str(records.pop("meta")) == manifest_text
+    assert str(records.pop("digest")) == hashlib.sha256(manifest_text.encode()).hexdigest()
+    arrays = wtx.bench._entry_arrays(want)
+    assert list(records) == list(arrays)
+    assert all(same_bits(records[name], a) for name, a in arrays.items())
     manifest = json.loads((tmp_path / "manifest.json").read_text())
     assert (manifest["config"], manifest["seed"], manifest["fingerprint"]) == \
         (asdict(cfg), 3, want.fingerprint)
@@ -129,7 +138,7 @@ SPLIT_NAMES = ("train", "eval_seen", "eval_novel")
 def test_a_partial_load_holds_the_named_splits_of_the_whole_instance(tmp_path, splits):
     cfg = tiny_config()
     whole = generate_benchmark(cfg, seed=3)
-    path = tmp_path / "benchmark.npz"
+    path = tmp_path / "benchmark.npy"
     path.write_bytes(instance_entry(whole))
     part = load_instance_entry(str(path), cfg, 3, splits=splits)
     want = replace(whole, splits={name: sp for name, sp in whole.splits.items()
@@ -142,188 +151,166 @@ def test_a_partial_load_holds_the_named_splits_of_the_whole_instance(tmp_path, s
             part.split(name)
 
 
-def rewritten_entry(tmp_path, bench, edit):
-    """The entry of ``bench`` with ``edit`` applied to its arrays by name,
-    written to a file; returns the path."""
-    with np.load(io.BytesIO(instance_entry(bench))) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    edit(arrays)
-    path = tmp_path / "entry.npz"
-    np.savez(path, **arrays)
-    return str(path)
-
-
 def test_a_load_checks_the_arrays_it_reads_and_the_hashes_of_the_rest(tmp_path):
     cfg = tiny_config()
-    bench = generate_benchmark(cfg, seed=3)
+    bench = generate_benchmark(cfg, 3)
     evals = ("eval_seen", "eval_novel")
-
-    def alter_train(arrays):
-        arrays["train.features"] = arrays["train.features"] + 1.0
-
-    path = rewritten_entry(tmp_path, bench, alter_train)
-    assert load_instance_entry(path, cfg, 3, splits=evals).fingerprint == bench.fingerprint
+    path = tmp_path / "entry.npy"
+    records = entry_records(instance_entry(bench))
+    records["train.features"] = records["train.features"] + 1.0
+    path.write_bytes(entry_bytes(records))
+    assert load_instance_entry(str(path), cfg, 3, splits=evals).fingerprint == bench.fingerprint
     with pytest.raises(ValidationError, match="train.features does not hash to its stored hash"):
-        load_instance_entry(path, cfg, 3)
+        load_instance_entry(str(path), cfg, 3)
 
-    def alter_train_hash(arrays):
-        meta = json.loads(str(arrays["meta"]))
+    # A header is checked in a load that skips its values, too.
+    path.write_bytes(retyped("train.features", ">f8")(instance_entry(bench)))
+    with pytest.raises(ValidationError, match="train.features is not a C-order array of <f8"):
+        load_instance_entry(str(path), cfg, 3, splits=evals)
+
+    def alter_train_hash(meta):
         meta["array_hashes"]["train.features"] = "0" * 64
-        arrays["meta"] = np.array(json.dumps(meta))
 
-    path = rewritten_entry(tmp_path, bench, alter_train_hash)
+    path.write_bytes(edited_meta(alter_train_hash)(instance_entry(bench)))
     with pytest.raises(ValidationError, match="do not hash to the stored fingerprint"):
-        load_instance_entry(path, cfg, 3, splits=evals)
+        load_instance_entry(str(path), cfg, 3, splits=evals)
 
 
 def test_a_load_checks_every_array_of_the_entry(tmp_path):
-    # Every member is hashed, not only W_C and the features: altered labels
+    # Every array is hashed, not only W_C and the features: altered labels
     # or class ids would score a run wrong with nothing to show for it.
     cfg = tiny_config()
-    bench = generate_benchmark(cfg, seed=3)
-    members = list(wtx.bench._entry_arrays(bench))
-    assert list(bench.array_hashes) == members and len(members) == 18
-    for member in members:
-        def alter(arrays):
-            a = arrays[member]
-            arrays[member] = ~a if a.dtype == bool else a + 1
-        path = rewritten_entry(tmp_path, bench, alter)
-        with pytest.raises(ValidationError, match=f": {member} does not hash to its stored hash"):
-            load_instance_entry(path, cfg, 3)
+    bench = generate_benchmark(cfg, 3)
+    names = list(wtx.bench._entry_arrays(bench))
+    assert list(bench.array_hashes) == names and len(names) == 18
+    path = tmp_path / "entry.npy"
+    for name in names:
+        records = entry_records(instance_entry(bench))
+        a = records[name]
+        records[name] = ~a if a.dtype == bool else a + 1
+        path.write_bytes(entry_bytes(records))
+        with pytest.raises(ValidationError, match=f": {name} does not hash to its stored hash"):
+            load_instance_entry(str(path), cfg, 3)
 
 
-def header_offset(entry: bytes, name: str) -> int:
-    """The offset in ``entry`` of the local header of member ``name``."""
-    with zipfile.ZipFile(io.BytesIO(entry)) as archive:
-        return archive.getinfo(name).header_offset
-
-
-def flipped_dtype_byte(entry):
-    # '<i8' -> '<u8' in one header: the same bytes and shape, so the same
-    # matrix_hash; only the member's CRC-32 sees the change.
-    at = entry.index(b"'descr': '<i8'", header_offset(entry, "eval_novel.class_index.npy"))
-    at += len(b"'descr': '<")
-    return entry[:at] + b"u" + entry[at + 1:]
-
-
-def rezipped(entry, replace=None, deflate=()):
-    """The entry written again by zipfile as np.savez writes it, so every
-    CRC-32 and every zip header holds: the ``.npy`` bytes of the members
-    named in ``replace`` swapped for its values (a name the entry lacks is
-    added), and the members named in ``deflate`` compressed."""
-    replace = replace or {}
-    out = io.BytesIO()
-    with zipfile.ZipFile(io.BytesIO(entry)) as archive, zipfile.ZipFile(out, "w") as rewritten:
-        names = archive.namelist()
-        for name in names + [f"{m}.npy" for m in replace if f"{m}.npy" not in names]:
-            member = name.removesuffix(".npy")
-            info = zipfile.ZipInfo(name)
-            if member in deflate:
-                info.compress_type = zipfile.ZIP_DEFLATED
-            with rewritten.open(info, "w", force_zip64=True) as f:
-                f.write(replace.get(member) or archive.read(name))
-    return out.getvalue()
-
-
-def test_an_entry_rezipped_unchanged_is_the_entry():
-    # The control of the faults below: rezipped alone changes no byte, so
-    # each fault made with it is the one fault it names.
+def test_an_entry_rejoined_unchanged_is_the_entry():
+    # The control of the faults below: the test helpers' reader and writer
+    # alone change no byte, so each fault made with them is the one fault it
+    # names.
     entry = instance_entry(generate_benchmark(tiny_config(), 0))
-    assert rezipped(entry) == entry
+    assert entry_bytes(entry_records(entry)) == entry
 
 
-def member_array(entry, member):
-    with np.load(io.BytesIO(entry)) as archive:
-        return archive[member]
+def replaced(entry, records):
+    """The entry with the records ``records`` put in place of those of the
+    same names, and any other name added at the end."""
+    return entry_bytes({**entry_records(entry), **records})
 
 
-def object_member(entry):
-    class_ids = member_array(entry, "eval_novel.class_ids").astype(object)
-    return rezipped(entry, {"eval_novel.class_ids": npy_bytes(class_ids, allow_pickle=True)})
+def retyped(name, dtype):
+    """A fault that gives the record ``name`` the header of ``dtype``, over
+    the same bytes and shape: it hashes to its stored hash, but its values
+    mean something else."""
+    def spoil(entry):
+        return replaced(entry, {name: entry_records(entry)[name].view(dtype)})
+    return spoil
+
+
+def object_record(entry):
+    class_ids = entry_records(entry)["eval_novel.class_ids"].astype(object)
+    return replaced(entry, {"eval_novel.class_ids": npy_bytes(class_ids, allow_pickle=True)})
 
 
 def claims_more_values(entry):
-    # A header for one more row, over the member's own values.
-    features = member_array(entry, "eval_novel.features")
+    # A header for one more value, over the last record's own values.
+    index = entry_records(entry)["eval_novel.class_index"]
     header = io.BytesIO()
     np.lib.format.write_array_header_1_0(header, {
-        "descr": "<f8", "fortran_order": False,
-        "shape": (features.shape[0] + 1, features.shape[1])})
-    return rezipped(entry, {"eval_novel.features": header.getvalue() + features.tobytes()})
+        "descr": "<i8", "fortran_order": False, "shape": (len(index) + 1,)})
+    return replaced(entry, {"eval_novel.class_index": header.getvalue() + index.tobytes()})
 
 
-def at_offset(entry, offset, value: bytes):
-    return entry[:offset] + value + entry[offset + len(value):]
+def version_2_header(entry):
+    # The same values under a version 2.0 header, which np.save writes only
+    # for a header too long for 1.0: the file keeps its length.
+    features = entry_records(entry)["eval_novel.features"]
+    buf = io.BytesIO()
+    np.lib.format.write_array(buf, features, version=(2, 0), allow_pickle=False)
+    return replaced(entry, {"eval_novel.features": buf.getvalue()})
 
 
-def directory_start(entry) -> int:
-    with zipfile.ZipFile(io.BytesIO(entry)) as archive:
-        return archive.start_dir
-
-
-def retyped_member(entry):
-    # The same bytes and shape read as float64: the member hashes to its
-    # stored hash and every CRC-32 holds, but its values cannot index.
-    class_index = member_array(entry, "eval_novel.class_index").view(np.float64)
-    return rezipped(entry, {"eval_novel.class_index": npy_bytes(class_index)})
+def fortran_order(entry):
+    # The same features in Fortran order: np.save writes this header for
+    # them, and the array read back hashes to the stored hash.
+    features = entry_records(entry)["eval_novel.features"]
+    return replaced(entry, {"eval_novel.features": np.asfortranarray(features)})
 
 
 def rewritten_meta(edit):
     """A fault that replaces the text of the meta document by ``edit`` of
-    it, with every CRC-32 kept."""
+    it, with its digest made again."""
     def spoil(entry):
-        text = edit(str(member_array(entry, "meta")))
-        return rezipped(entry, {"meta": npy_bytes(np.array(text))})
+        text = edit(str(entry_records(entry)["meta"]))
+        return replaced(entry, {"meta": np.array(text),
+                                "digest": np.array(hashlib.sha256(text.encode()).hexdigest())})
     return spoil
 
 
-def edited_meta(edit):
+def edited_meta(edit, **dumps):
     """A ``rewritten_meta`` fault that applies ``edit`` to the parsed
-    document."""
+    document and writes it with ``json.dumps(..., **dumps)``."""
     def edit_text(text):
         meta = json.loads(text)
         edit(meta)
-        return json.dumps(meta)
+        return json.dumps(meta, **dumps)
     return rewritten_meta(edit_text)
 
 
-# Each fault that a load must reject, and what it is rejected for. A
-# deflated member is rejected although np.load would read it: no wtx
-# writer makes one.
+def padded_meta(entry):
+    # The meta text as a longer string with trailing NULs: str() of the
+    # record is the same text, and the digest holds.
+    text = str(entry_records(entry)["meta"])
+    return replaced(entry, {"meta": np.array(text, dtype=f"<U{len(text) + 3}")})
+
+
+# Each fault that a load must reject, and what it is rejected for.
 ENTRY_FAULTS = {
-    "flipped_dtype_byte": (flipped_dtype_byte,
-                           "eval_novel.class_index.npy fails its CRC-32 check"),
-    "object_dtype": (object_member, "eval_novel.class_ids.npy: a .npy array of Python objects"),
-    "claims_more_values": (claims_more_values, "eval_novel.features.npy: a .* needs"),
-    "deflated_member": (lambda entry: rezipped(entry, deflate=("eval_novel.features",)),
-                        "eval_novel.features.npy is not a stored member"),
-    "extra_member": (lambda entry: rezipped(entry, {"unhashed": npy_bytes(np.zeros(1))}),
-                     "the members are not those of the stored hashes"),
-    "truncated": (lambda entry: entry[:len(entry) // 2], "not a zip archive"),
-    # Bytes outside the members, which generate writes out with the rest.
-    "local_header_time": (lambda entry: at_offset(
-        entry, header_offset(entry, "eval_novel.features.npy") + 10, struct.pack("<H", 1)),
-        "eval_novel.features.npy: its local header is not the one an entry has"),
-    "directory_mode": (lambda entry: at_offset(
-        entry, directory_start(entry) + 38, struct.pack("<L", 0o644 << 16)),
-        "its zip directory is not the one an entry has"),
-    "archive_comment": (lambda entry: entry[:-2] + struct.pack("<H", 4) + b"note",
-                        "its zip directory is not the one an entry has"),
-    "trailing_byte": (lambda entry: entry + b"\0",
-                      "its zip directory is not the one an entry has"),
-    "not_a_zip": (lambda entry: npy_bytes(member_array(entry, "source_weights")),
-                  "not a zip archive"),
-    "retyped_member": (retyped_member, "eval_novel.class_index is an array of <f8, not of <i8"),
-    # Meta documents that every CRC-32 passes but no entry holds.
+    # '<' -> '>' in the header of cluster_ids, the first int64 record: one
+    # bit, and a header np.save writes for a big-endian array.
+    "flipped_dtype_byte": (lambda entry: entry.replace(b"'descr': '<i8'", b"'descr': '>i8'", 1),
+                           r"cluster_ids is not a C-order array of <i8 \(its header: >i8"),
+    "object_dtype": (object_record, "eval_novel.class_ids: a .npy array of Python objects"),
+    "claims_more_values": (claims_more_values, "eval_novel.class_index: a .* needs"),
+    "extra_member": (lambda entry: replaced(entry, {"unhashed": np.zeros(1)}),
+                     "the file does not end at its last record"),
+    "truncated": (lambda entry: entry[:len(entry) // 2],
+                  "eval_seen.features: a .* needs .* only .* follow its header"),
+    "trailing_byte": (lambda entry: entry + b"\0", "the file does not end at its last record"),
+    "not_an_entry": (lambda entry: npy_bytes(entry_records(entry)["source_weights"]),
+                     "meta: not the record np.save writes for an ASCII string"),
+    "retyped_member": (retyped("eval_novel.class_index", np.float64),
+                       r"eval_novel.class_index is not a C-order array of <i8 \(its header: <f8"),
+    "version_2_header": (version_2_header,
+                         "eval_novel.features: not the .npy header np.save writes"),
+    "fortran_order": (fortran_order, r"eval_novel.features is not a C-order array of <f8 "
+                                     r"\(its header: <f8, Fortran order True"),
+    # Meta documents whose digest holds but which no entry holds.
+    "meta_padded": (padded_meta, "meta: not the record np.save writes for an ASCII string"),
+    # A lone surrogate, which no sha256 of the text could be taken of.
+    "meta_not_ascii": (lambda entry: replaced(entry, {"meta": np.array("{\udc80}")}),
+                       "meta: not the record np.save writes for an ASCII string"),
     "meta_list": (rewritten_meta(lambda text: f"[{text}]"),
-                  "its meta member is not the JSON object of an entry's facts"),
+                  "its meta document is not the JSON object of an entry's facts"),
     "meta_not_json": (rewritten_meta(lambda text: text[:-1]),
-                      "its meta member is not the JSON object of an entry's facts"),
+                      "its meta document is not the JSON object of an entry's facts"),
     "meta_without_fingerprint": (edited_meta(lambda meta: meta.pop("fingerprint")),
-                                 "its meta member is not the JSON object of an entry's facts"),
+                                 "its meta document is not the JSON object of an entry's facts"),
     "meta_split_without_arrays": (edited_meta(lambda meta: meta["splits"].append("bogus")),
                                   "the stored hashes are not those of the arrays of an "
                                   "instance with the splits"),
+    # Every fact right, and every check before the last passes.
+    "meta_indented": (edited_meta(lambda meta: None, indent=1),
+                      "its meta document is not the text an entry of its facts has"),
 }
 
 
@@ -335,7 +322,7 @@ def test_a_faulty_entry_fails_its_load_and_eval_rebuilds_it(tmp_path, monkeypatc
     for name in ("load", "loads"):
         monkeypatch.setattr(pickle, name, lambda *args, **kwargs: unpickled.append(args))
     cfg = tiny_config()
-    path = tmp_path / "entry.npz"
+    path = tmp_path / "entry.npy"
     path.write_bytes(spoil(instance_entry(generate_benchmark(cfg, 0))))
     with pytest.raises(ValidationError, match=message):
         load_instance_entry(str(path), cfg, 0)
@@ -359,13 +346,14 @@ def test_a_faulty_entry_fails_its_load_and_eval_rebuilds_it(tmp_path, monkeypatc
 @pytest.mark.parametrize("fault", ENTRY_FAULTS)
 def test_generate_writes_a_faulty_entry_built_again(tmp_path, monkeypatch, cache_home, fault):
     # generate writes the bytes of the entry it read: a fault anywhere in
-    # them, the zip framing included, makes it build and write them again.
+    # them, in a header or after the last record too, makes it build and
+    # write them again.
     config = write_config(tmp_path, tiny_doc())
     assert main(["generate", "--config", config, "--out", str(tmp_path / "built")]) == 0
     [name] = cache_entries(cache_home)
     entry = cache_home / "wtx" / "benchmarks" / name
     good = entry.read_bytes()
-    assert (tmp_path / "built" / "benchmark.npz").read_bytes() == good
+    assert (tmp_path / "built" / "benchmark.npy").read_bytes() == good
     entry.write_bytes(ENTRY_FAULTS[fault][0](good))
     calls = counting_generate(monkeypatch)
     assert main(["generate", "--config", config, "--out", str(tmp_path / "again")]) == 0
@@ -408,7 +396,7 @@ def test_a_generate_hit_holds_the_entry_arrays_once(tmp_path, monkeypatch, cache
     monkeypatch.setattr(wtx.runs, "generate_benchmark", lambda config, seed: default_bench)
     argv = ["generate", "--seed", "0", "--out"]
     assert main(argv + [str(tmp_path / "cold")]) == 0
-    size = (tmp_path / "cold" / "benchmark.npz").stat().st_size
+    size = (tmp_path / "cold" / "benchmark.npy").stat().st_size
     calls = counting_generate(monkeypatch)
     tracemalloc.start()
     try:
@@ -419,6 +407,48 @@ def test_a_generate_hit_holds_the_entry_arrays_once(tmp_path, monkeypatch, cache
     assert calls == []
     assert size < peak < 1.5 * size
     assert read_tree(tmp_path / "warm") == read_tree(tmp_path / "cold")
+
+
+@pytest.fixture(scope="module")
+def flip_target(tmp_path_factory):
+    """A tiny entry, a file to write its variants to, and where each record
+    of the entry starts, where its values start and where it ends, by name."""
+    entry = instance_entry(generate_benchmark(tiny_config(), 0))
+    spans, at = {}, 0
+    for name, record in entry_records(entry).items():
+        size = len(npy_bytes(record))
+        spans[name] = (at, at + size - record.nbytes, at + size)
+        at += size
+    assert at == len(entry)
+    return entry, tmp_path_factory.mktemp("flips") / "entry.npy", spans
+
+
+SPLIT_LOADS = [None, *(names for r in range(len(SPLIT_NAMES) + 1)
+                       for names in itertools.combinations(SPLIT_NAMES, r))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_a_single_bit_flip_fails_every_load_that_reads_it(flip_target, data):
+    # A whole load fails on a flip anywhere, with ValidationError and no
+    # other exception. A partial load fails on a flip in any header, in the
+    # meta document or its digest, or in the values of an array it reads,
+    # and loads as before on a flip in the values it skips. Headers are a
+    # small part of the file, so half the draws are made in them.
+    entry, path, spans = flip_target
+    headers = [at for start, values, _ in spans.values() for at in range(start, values)]
+    offset = data.draw(st.sampled_from(headers) | st.integers(0, len(entry) - 1))
+    path.write_bytes(flipped(entry, offset, data.draw(st.integers(0, 7))))
+    [(name, in_header)] = [(name, offset < values) for name, (start, values, end)
+                           in spans.items() if start <= offset < end]
+    split = name.split(".")[0] if name.count(".") == 1 else None
+    cfg = tiny_config()
+    for splits in SPLIT_LOADS:
+        if in_header or split is None or splits is None or split in splits:
+            with pytest.raises(ValidationError):
+                load_instance_entry(str(path), cfg, 0, splits)
+        else:
+            load_instance_entry(str(path), cfg, 0, splits)
 
 
 def test_no_novel_leakage_into_training(tiny_bench):

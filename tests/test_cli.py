@@ -31,8 +31,8 @@ from wtx.models import (METHODS, VARIANTS, Baseline, DetectionProxyHead, Layers,
                         baseline_nn_transfer, train_conventional_head, train_joint)
 from wtx.runs import EVAL_SPLITS, benchmark, blas_threads, load_runs, table_row, train_run
 
-from conftest import (NPY_FAULTS, assert_no_worker_left, assert_same_instance, npy_bytes,
-                      spoil_npy, tiny_config, with_first)
+from conftest import (NPY_FAULTS, assert_no_worker_left, assert_same_instance, entry_bytes,
+                      entry_records, npy_bytes, spoil_npy, tiny_config, with_first)
 
 PRESETS = os.path.join(os.path.dirname(__file__), os.pardir, "configs")
 
@@ -1593,7 +1593,7 @@ def test_cli_compare_run_dirs_rejects_mixed_benchmark_configs(seed_runs, tmp_pat
 # --- generate bytes ---------------------------------------------------------------
 
 TINY_GENERATE_SHA256 = {
-    "benchmark.npz": "1aa030e84ce5d1a5c97bcb76085fe208e603337dc26454dabfa7cf2361535657",
+    "benchmark.npy": "950ba3d2dae90eb1da8fa7c26f6dc0efdf5fc9be75a091430ac43b7bda55bc89",
     "manifest.json": "c6a25a565ef811f308532366a6fbf7b6059010d38db23340500a278b0d8155d6",
     "source_weights.json": "d771511a2646695dd72c9d1572c5d12d5f4ea4df3bed01e6ce8746237d75d8c0",
 }
@@ -1602,12 +1602,15 @@ TINY_GENERATE_SHA256 = {
 def test_cli_generate_tiny_bytes(tmp_path):
     """The sha256 of every file of a tiny ``wtx generate`` (numpy 2.4,
     OpenBLAS 0.3.31, x86-64). ``source_weights.json`` keeps the hash it had
-    when generate wrote a 15-file export tree. The ``benchmark.npz`` and
+    when generate wrote a 15-file export tree. The entry's and
     ``manifest.json`` hashes were recorded when that tree gave way to the
-    benchmark's cache-entry archive and the archive's ``meta`` document,
-    again when ``meta`` gained ``array_hashes`` and again when those came
-    to cover every array, not only W_C and the features; the rest of
-    ``meta`` kept its text."""
+    benchmark's cache entry (then a ``.npz`` archive) and its ``meta``
+    document, again when ``meta`` gained ``array_hashes`` and again when
+    those came to cover every array, not only W_C and the features; the
+    rest of ``meta`` kept its text. The entry's hash alone was recorded
+    again when the archive gave way to ``benchmark.npy``, ``.npy`` records
+    back to back, after every array was shown bit-equal to the archive's
+    and the fingerprint unchanged."""
     out = tmp_path / "bench"
     assert main(["generate", "--config", write_config(tmp_path, tiny_doc()),
                  "--out", str(out)]) == 0
@@ -1664,7 +1667,7 @@ def test_cli_grid_sweep_comparison_bytes(tmp_path):
 
 
 def test_cli_generate_writes_the_cache_entry(tmp_path, monkeypatch, cache_home):
-    """generate's archive is the cache entry of its config and seed, built
+    """generate's entry is the cache entry of its config and seed, built
     cold or read warm, and reads back as the generator's instance; the
     output holds nothing else but its meta document and W_C."""
     cfg_path = write_config(tmp_path, tiny_doc())
@@ -1672,13 +1675,13 @@ def test_cli_generate_writes_the_cache_entry(tmp_path, monkeypatch, cache_home):
     for name in ("cold", "warm"):
         out = tmp_path / name
         assert main(["generate", "--config", cfg_path, "--out", str(out)]) == 0
-        assert sorted(os.listdir(out)) == ["benchmark.npz", "manifest.json",
+        assert sorted(os.listdir(out)) == ["benchmark.npy", "manifest.json",
                                            "source_weights.json"]
         [entry] = cache_entries(cache_home)
-        assert (out / "benchmark.npz").read_bytes() == \
+        assert (out / "benchmark.npy").read_bytes() == \
             (cache_home / "wtx" / "benchmarks" / entry).read_bytes()
     assert calls == [0]             # the first of the config's seeds, built once
-    assert_same_instance(load_instance_entry(str(out / "benchmark.npz"), tiny_config(), 0),
+    assert_same_instance(load_instance_entry(str(out / "benchmark.npy"), tiny_config(), 0),
                          generate_benchmark(tiny_config(), 0))
 
 
@@ -1738,15 +1741,6 @@ def test_cli_cold_and_warm_commands_give_the_same_bytes(tmp_path, monkeypatch, c
     assert warm == cold
 
 
-def rewrite_entry(path, edit):
-    """Apply ``edit`` to the arrays of a cache entry, by name, and write them
-    back as an entry."""
-    with np.load(path) as archive:
-        arrays = {name: archive[name] for name in archive.files}
-    edit(arrays)
-    np.savez(path, **arrays)
-
-
 def stale_entry(path, bench):
     """An entry whose arrays hash to its stored fingerprint, but not to the
     generator's: one train feature is changed before the entry is made."""
@@ -1758,12 +1752,12 @@ def stale_entry(path, bench):
         f.write(instance_entry(dataclasses.replace(bench, splits=splits)))
 
 
-def altered(member):
-    """An edit for ``rewrite_entry`` that changes the array ``member`` and
-    keeps the stored hashes and fingerprint."""
-    def edit(arrays):
-        arrays[member] = arrays[member] + 1.0
-    return edit
+def alter(path, name):
+    """Change the array ``name`` of the entry file ``path`` and keep the
+    stored hashes and fingerprint."""
+    records = entry_records(path.read_bytes())
+    records[name] = records[name] + 1.0
+    path.write_bytes(entry_bytes(records))
 
 
 # The array that an "altered" fault changes for each command: one it reads.
@@ -1798,7 +1792,7 @@ def test_cli_rebuilds_and_replaces_a_bad_entry(tmp_path, monkeypatch, cache_home
     if fault == "truncated":
         path.write_bytes(path.read_bytes()[: path.stat().st_size // 2])
     elif fault.startswith("altered"):
-        rewrite_entry(path, altered(ALTERED_MEMBER[fault, command]))
+        alter(path, ALTERED_MEMBER[fault, command])
     else:
         stale_entry(path, generate_benchmark(config, 0))
         bench = benchmark(config, 0)        # a hit, by its own fingerprint
@@ -1828,7 +1822,7 @@ def test_cli_a_damaged_array_is_repaired_by_the_first_command_that_reads_it(
     evaluated = read_tree(run_dir)
     [name] = cache_entries(cache_home)
     path = cache_home / "wtx" / "benchmarks" / name
-    rewrite_entry(path, altered("train.features"))
+    alter(path, "train.features")
     damaged = path.read_bytes()
     calls = counting_generate(monkeypatch)
     assert main(["eval", str(run_dir)]) == 0
@@ -1842,17 +1836,18 @@ def test_cli_a_damaged_array_is_repaired_by_the_first_command_that_reads_it(
                          generate_benchmark(tiny_config(), 0))
 
 
-def loaded_members(monkeypatch):
-    """Record the name of every archive member that the member reader of
-    ``wtx.bench`` reads, without its ``.npy`` suffix; returns the list."""
+def loaded_records(monkeypatch):
+    """Record the name of every entry record whose values the record reader
+    of ``wtx.bench`` reads; returns the list. The reader names a record
+    ``PATH: NAME`` in its messages."""
     loaded = []
-    read = wtx.bench._read_member
+    read = wtx.bench.read_npy_values
 
-    def recording(f, info, *args):
-        loaded.append(info.filename.removesuffix(".npy"))
-        return read(f, info, *args)
+    def recording(f, shape, fortran, dtype, what):
+        loaded.append(what.rpartition(": ")[2])
+        return read(f, shape, fortran, dtype, what)
 
-    monkeypatch.setattr(wtx.bench, "_read_member", recording)
+    monkeypatch.setattr(wtx.bench, "read_npy_values", recording)
     return loaded
 
 
@@ -1861,12 +1856,12 @@ def test_cli_commands_load_only_the_arrays_they_use(tmp_path, monkeypatch, cache
     cfg_path = write_config(tmp_path, dict(tiny_doc(iterations=5), seeds=[0]))
     # A cold generate writes the entry that every command below reads.
     assert main(["generate", "--config", cfg_path, "--out", str(tmp_path / "cold")]) == 0
-    with np.load(tmp_path / "cold" / "benchmark.npz") as archive:
-        every = set(archive.files)
-    loaded = loaded_members(monkeypatch)
-    # The control: a whole load records every member, meta included.
-    load_instance_entry(str(tmp_path / "cold" / "benchmark.npz"), tiny_config(), 0)
-    assert sorted(loaded) == sorted(every) and len(every) == 19 and "meta" in every
+    every = set(entry_records((tmp_path / "cold" / "benchmark.npy").read_bytes()))
+    loaded = loaded_records(monkeypatch)
+    # The control: a whole load records every record, meta and digest included.
+    load_instance_entry(str(tmp_path / "cold" / "benchmark.npy"), tiny_config(), 0)
+    assert sorted(loaded) == sorted(every) and len(every) == 20
+    assert {"meta", "digest"} <= every
     run = str(tmp_path / "run")
     commands = {
         "generate": ["generate", "--config", cfg_path, "--out", str(tmp_path / "warm")],
@@ -1876,17 +1871,17 @@ def test_cli_commands_load_only_the_arrays_they_use(tmp_path, monkeypatch, cache
         "analyze": ["analyze", run],
         "compare RUN_DIRS": ["compare", run, "--out", str(tmp_path / "cmp")],
     }
-    members = {}
+    records = {}
     for command, argv in commands.items():
         loaded.clear()
         assert main(argv) == 0, command
-        members[command] = set(loaded)
-    split_members = {m for m in every if "." in m}
-    train_members = {m for m in split_members if m.startswith("train.")}
-    assert len(train_members) == 4 and len(split_members) == 12
-    assert members == {"generate": every, "train": every, "sweep": every,
-                       "eval": every - train_members, "analyze": every - split_members,
-                       "compare RUN_DIRS": every - train_members}
+        records[command] = set(loaded)
+    split_records = {r for r in every if "." in r}
+    train_records = {r for r in split_records if r.startswith("train.")}
+    assert len(train_records) == 4 and len(split_records) == 12
+    assert records == {"generate": every, "train": every, "sweep": every,
+                       "eval": every - train_records, "analyze": every - split_records,
+                       "compare RUN_DIRS": every - train_records}
 
 
 def test_cli_unwritable_cache_changes_no_exit_code_or_byte(tmp_path, monkeypatch, capsys):
@@ -1947,7 +1942,7 @@ def test_cache_key_changes_with_the_seed_each_config_field_and_the_stamp(monkeyp
             keys.append(key(config, 0))
     assert len(set(keys)) == len(keys) == 2 + len(dataclasses.fields(BenchConfig)) + len(stamp)
     assert key(BenchConfig(), 0) == keys[0]
-    assert all(re.fullmatch(r"[0-9a-f]{64}\.npz", k) for k in keys)
+    assert all(re.fullmatch(r"[0-9a-f]{64}\.npy", k) for k in keys)
 
 
 def test_cache_evicts_the_least_recently_used_first(monkeypatch, cache_home):

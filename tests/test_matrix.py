@@ -11,7 +11,7 @@ from wtx.errors import ValidationError
 from wtx.matrix import (_BLOCK_ELEMS, load_matrix_json, load_matrix_npy, matrix_hash,
                         nearest_rows, row_l2_norms, save_matrix_json, save_matrix_npy)
 
-from conftest import NPY_FAULTS, npy_bytes, spoil_npy
+from conftest import NPY_FAULTS, flipped, npy_bytes, spoil_npy
 
 
 def test_transpose_involution():
@@ -85,6 +85,21 @@ def test_load_matrix_npy_rejects_a_bad_file_naming_it(tmp_path, fault):
     for shape in (m.shape, None) if fault != "wrong_shape" else (m.shape,):
         with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}[: ]"):
             load_matrix_npy(str(path), shape)
+
+
+def test_load_matrix_npy_refuses_every_single_bit_flip_of_the_header(tmp_path):
+    # numpy's header parser raises ValueError, SyntaxError or
+    # tokenize.TokenError for a damaged header, and may accept one that
+    # np.save would not write; each flip is one ValidationError naming the file.
+    m = np.random.default_rng(4).standard_normal((24, 16))
+    good = npy_bytes(m)
+    path = tmp_path / "m.npy"
+    header = len(good) - m.nbytes
+    for offset in range(header):
+        for bit in range(8):
+            path.write_bytes(flipped(good, offset, bit))
+            with pytest.raises(ValidationError, match=f"^{re.escape(str(path))}[: ]"):
+                load_matrix_npy(str(path), m.shape)
 
 
 def test_matrix_hash_detects_any_change():
